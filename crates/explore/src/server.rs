@@ -9,19 +9,23 @@
 //!   `refine`, `stats`, `metrics`, `ping`, `shutdown` requests; streamed `round`
 //!   progress events; terminal `result` messages whose row arrays are
 //!   byte-compatible with the file exporters,
-//! * [`session`] — request dispatch onto the pool, per-connection
-//!   threads, and the TCP / reader-writer (stdio) front-ends,
+//! * [`session`] — request dispatch onto the pool,
+//! * `transport` — the one connection loop both front-ends share: capped
+//!   request lines, the TCP accept loop (one thread per connection,
+//!   Nagle off, buffered responses) and the Prometheus scrape listener,
 //! * [`eviction`] — cache lifecycle for long-lived processes: a byte
 //!   budget with per-shard cost-aware LRU eviction, plus in-flight
 //!   coalescing so concurrent requests for the same cell run HLS once,
 //! * [`worker`] — worker backends for multi-worker serving: the
 //!   [`WorkerLink`] transport trait with in-process (pipe + thread) and
-//!   child-process (TCP) implementations,
+//!   child-process (TCP) implementations, and the [`WorkerHandle`] that
+//!   opens data links to a worker on demand,
 //! * [`router`] — the multi-worker front-end: consistent-hash routing of
 //!   requests across workers (so each worker's cache shard stays warm),
-//!   fault recovery by respawn/reassignment, `cancel` forwarding,
-//!   queue-cap backpressure, and cross-worker `stats`/`metrics`
-//!   aggregation.
+//!   a pool of data links per worker so concurrent requests to one worker
+//!   run side by side, fault recovery by respawn/reassignment, `cancel`
+//!   forwarding, queue-cap backpressure, and cross-worker
+//!   `stats`/`metrics` aggregation.
 //!
 //! Determinism carries through from the pool: a request's rows and front
 //! are bit-identical to a direct serial [`Engine`](crate::engine::Engine)
@@ -35,6 +39,7 @@ pub mod eviction;
 pub mod protocol;
 pub mod router;
 pub mod session;
+mod transport;
 pub mod worker;
 
 pub use eviction::{CacheStats, EvictingCache, Outcome};
@@ -45,5 +50,6 @@ pub use session::{
     workload_grid, BuildFn, Server,
 };
 pub use worker::{
-    in_process_factory, spawn_process_worker, WorkerFactory, WorkerGuard, WorkerHandle, WorkerLink,
+    in_process_factory, spawn_process_worker, LinkConnector, WorkerFactory, WorkerGuard,
+    WorkerHandle, WorkerLink,
 };

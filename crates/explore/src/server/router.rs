@@ -7,7 +7,7 @@
 //! [`EvaluatorPool`](crate::pool::EvaluatorPool) — over the same line-JSON
 //! wire format, now acting as a *backend dialect*.
 //!
-//! Three properties carry the design:
+//! Four properties carry the design:
 //!
 //! * **Sharded warm cache.** Requests are placed by rendezvous
 //!   (highest-random-weight) hashing of
@@ -30,24 +30,33 @@
 //!   client are not re-sent on retry — refinement rounds are
 //!   deterministic, so the retried worker's first K rounds are exactly the
 //!   K already relayed.
+//! * **Concurrent links.** Each spawn of a worker (a *generation*) keeps a
+//!   pool of idle data links. A request takes one, or opens a new one
+//!   through [`WorkerHandle::connect`] when all are busy, so two requests
+//!   hashed to the same worker run side by side instead of queuing behind
+//!   one link. A fault on any link retires its generation once; requests
+//!   still running on that generation fault in turn and retry on the one
+//!   replacement.
 //!
 //! Backpressure is explicit: each worker has a queue cap (requests beyond
-//! it get a structured `busy` result instead of unbounded queuing) and the
+//! it get a structured `busy` result instead of unbounded queuing, and the
+//! router never opens more data links than the cap to one worker) and the
 //! TCP front-end has a connection bound. `cancel` is forwarded over the
-//! owning worker's control link so it bypasses the data queue and reaches
+//! owning worker's control link so it bypasses the data links and reaches
 //! a mid-refine worker immediately.
 
 use crate::fingerprint::Fnv;
 use crate::server::protocol::{self, Command};
-use crate::server::session::{self, routing_fingerprint, LineStatus, MAX_REQUEST_BYTES};
-use crate::server::worker::{WorkerFactory, WorkerGuard, WorkerLink};
+use crate::server::session::routing_fingerprint;
+use crate::server::transport::{self, Service};
+use crate::server::worker::{LinkConnector, WorkerFactory, WorkerGuard, WorkerHandle, WorkerLink};
 use adhls_core::json::Value;
-use adhls_telemetry::{Registry, Snapshot};
+use adhls_telemetry::{HistogramSnapshot, Registry, Snapshot};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Sizing and fault-handling knobs for a [`Router`].
@@ -57,6 +66,7 @@ pub struct RouterOptions {
     pub workers: usize,
     /// Per-worker in-flight/queued request cap: a request routed to a
     /// worker already holding this many gets an immediate `busy` result.
+    /// It also bounds the data links open to one worker.
     pub queue_cap: usize,
     /// TCP connection bound for [`Router::serve_tcp`]; connections beyond
     /// it are answered with one `busy` line and closed.
@@ -88,11 +98,25 @@ impl Default for RouterOptions {
     }
 }
 
-/// The data-link half of a worker slot: the request channel plus the
-/// teardown guard, retired and replaced together.
-struct DataHalf {
-    link: Box<dyn WorkerLink>,
-    guard: Option<Box<dyn WorkerGuard>>,
+/// One spawn of a worker into a slot: its control link, its teardown
+/// guard, and the data links open to it.
+struct Generation {
+    connect: LinkConnector,
+    ctrl: Mutex<Option<Box<dyn WorkerLink>>>,
+    guard: Mutex<Option<Box<dyn WorkerGuard>>>,
+    links: Mutex<Links>,
+    /// Signalled whenever a data link comes back or closes.
+    returned: Condvar,
+}
+
+/// The data links of one generation.
+#[derive(Default)]
+struct Links {
+    idle: Vec<Box<dyn WorkerLink>>,
+    /// Links open to the generation: idle plus lent to requests.
+    open: usize,
+    /// Set on retirement: links coming back are closed, not pooled.
+    retired: bool,
 }
 
 /// One worker position. The slot index — not the worker instance — is the
@@ -100,9 +124,9 @@ struct DataHalf {
 /// shard.
 #[derive(Default)]
 struct Slot {
-    /// Lock order: `data` before `ctrl` (never the reverse).
-    data: Mutex<Option<DataHalf>>,
-    ctrl: Mutex<Option<Box<dyn WorkerLink>>>,
+    /// The generation serving this slot; `None` between a retirement and
+    /// the next spawn.
+    live: Mutex<Option<Arc<Generation>>>,
     /// Routed-but-unfinished requests, for the queue cap.
     pending: AtomicUsize,
     /// Set when a respawn fails; dead slots are skipped by placement until
@@ -123,7 +147,6 @@ pub struct Router {
     requests: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
-    connections: AtomicUsize,
     /// In-flight *refine* requests by rendered client `id` → slot index,
     /// so `cancel` from any connection finds the owning worker.
     inflight: Mutex<HashMap<String, usize>>,
@@ -156,6 +179,10 @@ impl Fault {
     }
 }
 
+/// The probe the router sends each worker's control link to aggregate
+/// `stats`/`metrics`.
+const METRICS_PROBE: &str = "{\"id\":null,\"cmd\":\"metrics\"}";
+
 impl Router {
     /// Builds the router and eagerly spawns every worker through
     /// `factory`, so the first routed request finds a live backend.
@@ -175,14 +202,10 @@ impl Router {
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            connections: AtomicUsize::new(0),
             inflight: Mutex::new(HashMap::new()),
         };
         for idx in 0..workers {
-            let handle = (router.factory)(idx)?;
-            let slot = &router.slots[idx];
-            let mut data = lock(&slot.data);
-            router.install(slot, &mut data, handle);
+            router.live(idx)?;
         }
         Ok(router)
     }
@@ -213,34 +236,128 @@ impl Router {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Wires a fresh worker handle into `slot` (data lock already held by
-    /// the caller — see the [`Slot`] lock order).
-    fn install(
-        &self,
-        slot: &Slot,
-        data: &mut Option<DataHalf>,
-        mut handle: super::worker::WorkerHandle,
-    ) {
-        let _ = handle.data.set_recv_timeout(self.opts.recv_timeout);
-        let _ = handle.ctrl.set_recv_timeout(self.opts.ctrl_recv_timeout);
-        *data = Some(DataHalf {
-            link: handle.data,
-            guard: handle.guard,
+    /// Slot `idx`'s live generation, spawning one into an empty slot (never
+    /// once shutdown has begun); the flag is true when this call spawned
+    /// it.
+    fn live(&self, idx: usize) -> std::io::Result<(Arc<Generation>, bool)> {
+        let slot = &self.slots[idx];
+        let mut live = lock(&slot.live);
+        if let Some(gen) = live.as_ref() {
+            return Ok((Arc::clone(gen), false));
+        }
+        if self.is_shutting_down() {
+            return Err(std::io::Error::other("the router is shutting down"));
+        }
+        let WorkerHandle {
+            connect,
+            mut ctrl,
+            guard,
+        } = (self.factory)(idx)?;
+        let _ = ctrl.set_recv_timeout(self.opts.ctrl_recv_timeout);
+        let gen = Arc::new(Generation {
+            connect,
+            ctrl: Mutex::new(Some(ctrl)),
+            guard: Mutex::new(guard),
+            links: Mutex::default(),
+            returned: Condvar::new(),
         });
-        *lock(&slot.ctrl) = Some(handle.ctrl);
+        *live = Some(Arc::clone(&gen));
         slot.dead.store(false, Ordering::Release);
         self.registry.counter_add("serve.worker.spawns", 1);
+        Ok((gen, true))
     }
 
-    /// Tears a faulted worker out of `slot` (data lock held): stops its
-    /// guard and drops both links, so the next attempt spawns afresh.
-    fn retire(&self, slot: &Slot, data: &mut Option<DataHalf>) {
-        if let Some(mut half) = data.take() {
-            if let Some(guard) = half.guard.as_mut() {
-                guard.stop();
+    /// Retires `gen` from slot `idx` unless a replacement already took its
+    /// place, so one fault retires a generation once however many requests
+    /// were running on it. Those requests fault in turn when the worker
+    /// goes down (or finish, when it drains them) and retry on the
+    /// replacement.
+    fn retire(&self, idx: usize, gen: &Arc<Generation>) {
+        {
+            let mut live = lock(&self.slots[idx].live);
+            if !live.as_ref().is_some_and(|g| Arc::ptr_eq(g, gen)) {
+                return;
+            }
+            *live = None;
+        }
+        self.close(gen);
+    }
+
+    /// Tears a generation down: closes its idle data links and control
+    /// link and stops its guard; links still lent out close as they come
+    /// back.
+    fn close(&self, gen: &Generation) {
+        let idle = {
+            let mut links = lock(&gen.links);
+            links.retired = true;
+            links.open -= links.idle.len();
+            std::mem::take(&mut links.idle)
+        };
+        self.registry
+            .gauge_add("serve.worker.links", -(idle.len() as i64));
+        drop(idle);
+        gen.returned.notify_all();
+        *lock(&gen.ctrl) = None;
+        if let Some(mut guard) = lock(&gen.guard).take() {
+            guard.stop();
+        }
+    }
+
+    /// Lends a data link of `gen`: an idle one, or a new one while fewer
+    /// than the queue cap are open (otherwise waits for one to come back).
+    fn checkout(&self, gen: &Generation) -> Result<Box<dyn WorkerLink>, Fault> {
+        {
+            let mut links = lock(&gen.links);
+            loop {
+                if links.retired {
+                    return Err(Fault::Link("worker retired while the request waited"));
+                }
+                if let Some(link) = links.idle.pop() {
+                    return Ok(link);
+                }
+                if links.open < self.opts.queue_cap {
+                    break;
+                }
+                links = gen.returned.wait(links).expect("router lock poisoned");
+            }
+            links.open += 1;
+        }
+        let opened = (gen.connect)().and_then(|mut link| {
+            link.set_recv_timeout(self.opts.recv_timeout)?;
+            Ok(link)
+        });
+        match opened {
+            Ok(link) => {
+                self.registry.counter_add("serve.worker.links_opened", 1);
+                self.registry.gauge_add("serve.worker.links", 1);
+                Ok(link)
+            }
+            Err(_) => {
+                lock(&gen.links).open -= 1;
+                gen.returned.notify_all();
+                Err(Fault::Link("worker refused a new data link"))
             }
         }
-        *lock(&slot.ctrl) = None;
+    }
+
+    /// Takes a lent link back: pooled for the next request when `reuse`
+    /// (it delivered its terminal line, so no response bytes are left in
+    /// it) and the generation is still live, closed otherwise.
+    fn checkin(&self, gen: &Generation, link: Box<dyn WorkerLink>, reuse: bool) {
+        let pooled = {
+            let mut links = lock(&gen.links);
+            if reuse && !links.retired {
+                links.idle.push(link);
+                true
+            } else {
+                links.open -= 1;
+                false
+            }
+        };
+        if !pooled {
+            self.registry.gauge_add("serve.worker.links", -1);
+        }
+        gen.returned.notify_all();
     }
 
     /// Rendezvous placement: among live slots (excluding `exclude`), the
@@ -260,10 +377,11 @@ impl Router {
             .map(|(i, _)| i)
     }
 
-    /// One forwarding attempt on slot `idx`: spawn if empty, send the raw
-    /// request line, relay response lines until the terminal result.
-    /// `rounds_sent` counts progress events already relayed to the client
-    /// so a retry (deterministic rounds) skips re-sending them.
+    /// One forwarding attempt on slot `idx`: spawn if empty, borrow a data
+    /// link, send the raw request line, relay response lines until the
+    /// terminal result. `rounds_sent` counts progress events already
+    /// relayed to the client so a retry (deterministic rounds) skips
+    /// re-sending them. A worker-side fault retires the generation.
     ///
     /// The outer `Err` is a *client-side* write failure; worker-side
     /// trouble is the inner [`Fault`].
@@ -275,60 +393,22 @@ impl Router {
         rounds_sent: &mut usize,
         out: &mut dyn Write,
     ) -> std::io::Result<Result<(), Fault>> {
-        let slot = &self.slots[idx];
-        let mut data = lock(&slot.data);
-        if data.is_none() {
-            match (self.factory)(idx) {
-                Ok(handle) => self.install(slot, &mut data, handle),
-                Err(e) => return Ok(Err(Fault::Spawn(e.to_string()))),
+        let gen = match self.live(idx) {
+            Ok((gen, _)) => gen,
+            Err(e) => return Ok(Err(Fault::Spawn(e.to_string()))),
+        };
+        let outcome = match self.checkout(&gen) {
+            Ok(mut link) => {
+                let outcome = relay(link.as_mut(), line, prefix, rounds_sent, out);
+                self.checkin(&gen, link, matches!(outcome, Ok(Ok(()))));
+                outcome
             }
+            Err(fault) => Ok(Err(fault)),
+        };
+        if matches!(outcome, Ok(Err(_))) {
+            self.retire(idx, &gen);
         }
-        let half = data.as_mut().expect("worker installed above");
-        if half.link.send_line(line).is_err() {
-            self.retire(slot, &mut data);
-            return Ok(Err(Fault::Link("worker rejected the request write")));
-        }
-        let mut seen = 0usize;
-        loop {
-            match half.link.recv_line() {
-                Ok(Some(resp)) => {
-                    let Some(rest) = resp.strip_prefix(prefix) else {
-                        self.retire(slot, &mut data);
-                        return Ok(Err(Fault::Link("worker emitted a malformed response")));
-                    };
-                    if rest.starts_with("\"event\":\"result\"") {
-                        writeln!(out, "{resp}")?;
-                        out.flush()?;
-                        return Ok(Ok(()));
-                    }
-                    // A streamed progress event: relay it unless an earlier
-                    // attempt already delivered this round.
-                    if seen >= *rounds_sent {
-                        writeln!(out, "{resp}")?;
-                        out.flush()?;
-                        *rounds_sent += 1;
-                    }
-                    seen += 1;
-                }
-                Ok(None) => {
-                    self.retire(slot, &mut data);
-                    return Ok(Err(Fault::Link("worker closed the connection mid-request")));
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    self.retire(slot, &mut data);
-                    return Ok(Err(Fault::Link("worker stalled past the receive timeout")));
-                }
-                Err(_) => {
-                    self.retire(slot, &mut data);
-                    return Ok(Err(Fault::Link("worker link failed mid-response")));
-                }
-            }
-        }
+        outcome
     }
 
     /// Routes one `sweep`/`refine` line: place by `key`, apply the queue
@@ -383,39 +463,41 @@ impl Router {
             // Prefer restarting the same slot — it owns this key's cache
             // shard. Only when a replacement cannot be spawned does the
             // request (and, implicitly, the shard) move elsewhere.
-            if self.respawn(idx) {
-                self.registry.counter_add("serve.worker.restarts", 1);
-            } else {
-                self.slots[idx].dead.store(true, Ordering::Release);
-                let Some(next) = self.pick(key, Some(idx)) else {
-                    writeln!(out, "{}", protocol::render_error(id, "no live workers"))?;
-                    return Ok(false);
-                };
-                self.registry.counter_add("serve.worker.reassigned", 1);
-                idx = next;
-                if let Some(k) = inflight_key {
-                    lock(&self.inflight).insert(k.to_string(), idx);
+            match self.live(idx) {
+                Ok((_, true)) => self.registry.counter_add("serve.worker.restarts", 1),
+                // Another request's fault already replaced the generation.
+                Ok((_, false)) => {}
+                Err(_) => {
+                    self.slots[idx].dead.store(true, Ordering::Release);
+                    let Some(next) = self.pick(key, Some(idx)) else {
+                        writeln!(out, "{}", protocol::render_error(id, "no live workers"))?;
+                        return Ok(false);
+                    };
+                    self.registry.counter_add("serve.worker.reassigned", 1);
+                    idx = next;
+                    if let Some(k) = inflight_key {
+                        lock(&self.inflight).insert(k.to_string(), idx);
+                    }
                 }
             }
         }
     }
 
-    /// Spawns a replacement into slot `idx`; `false` means the factory
-    /// refused (the caller marks the slot dead and reassigns).
-    fn respawn(&self, idx: usize) -> bool {
-        let slot = &self.slots[idx];
-        let mut data = lock(&slot.data);
-        if data.is_some() {
-            // Another request already respawned this slot.
-            return true;
+    /// Sends one line over slot `idx`'s control link and reads one reply.
+    /// A link that fails either way is dropped; the next spawn brings a
+    /// new one.
+    fn ctrl_roundtrip(&self, idx: usize, line: &str) -> Option<String> {
+        let gen = lock(&self.slots[idx].live).clone()?;
+        let mut ctrl = lock(&gen.ctrl);
+        let link = ctrl.as_mut()?;
+        let reply = link
+            .send_line(line)
+            .ok()
+            .and_then(|()| link.recv_line().ok().flatten());
+        if reply.is_none() {
+            *ctrl = None;
         }
-        match (self.factory)(idx) {
-            Ok(handle) => {
-                self.install(slot, &mut data, handle);
-                true
-            }
-            Err(_) => false,
-        }
+        reply
     }
 
     /// Forwards a `cancel` over the owning worker's control link (found
@@ -433,13 +515,7 @@ impl Router {
             writeln!(out, "{}", protocol::render_error(id, &msg))?;
             return Ok(false);
         };
-        let mut ctrl = lock(&self.slots[idx].ctrl);
-        let resp = ctrl.as_mut().and_then(|link| {
-            link.send_line(line).ok()?;
-            link.recv_line().ok().flatten()
-        });
-        let Some(resp) = resp else {
-            *ctrl = None;
+        let Some(resp) = self.ctrl_roundtrip(idx, line) else {
             let msg = format!("worker {idx} is unreachable; its requests will be retried");
             writeln!(out, "{}", protocol::render_error(id, &msg))?;
             return Ok(false);
@@ -455,47 +531,32 @@ impl Router {
         Ok(ok)
     }
 
-    /// Queries one worker's `metrics` over its control link. `None` when
-    /// the worker is down or answers garbage (its share is then simply
-    /// absent from the aggregate).
-    fn query_worker_metrics(&self, slot: &Slot) -> Option<Value> {
-        let mut ctrl = lock(&slot.ctrl);
-        let link = ctrl.as_mut()?;
-        if link.send_line("{\"id\":null,\"cmd\":\"metrics\"}").is_err() {
-            *ctrl = None;
-            return None;
-        }
-        match link.recv_line() {
-            Ok(Some(line)) => Value::parse(&line).ok(),
-            _ => {
-                *ctrl = None;
-                None
-            }
-        }
-    }
-
     /// One aggregated snapshot across the router and every live worker.
     ///
-    /// Worker counters and gauges are **summed**, except worker `serve.*`
-    /// request accounting (`serve.requests`, `serve.ok`, …): the router
-    /// already counts every client request once, and each forwarded
-    /// request is counted again by its worker — summing both would
-    /// double-count, so worker `serve.*` entries are dropped.
+    /// Worker counters and gauges are **summed**, and worker histograms
+    /// are summed bucket by bucket (every span shares the
+    /// `TIME_BUCKETS_US` ladder; a name whose workers disagree on bounds
+    /// is dropped rather than misreported). Worker `serve.*` request
+    /// accounting (`serve.requests`, `serve.ok`, `serve.request.*`, …) is
+    /// dropped: the router already counts and times every client request
+    /// once, over the full routed round trip, and each forwarded request
+    /// is counted again by its worker — summing both would double-count.
     /// `serve.cancelled` is the one exception (kept and summed): only the
     /// worker running a refine can observe its cancellation, and the
-    /// router has no counterpart entry to collide with. Worker histograms
-    /// are not merged (bucket-merge is not worth the complexity); the
-    /// router's own `serve.request.*` latency histograms — which span the
-    /// full routed round trip — are reported instead.
+    /// router has no counterpart entry to collide with.
     #[must_use]
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, Option<HistogramSnapshot>> = BTreeMap::new();
         let mut alive = 0i64;
-        for slot in &self.slots {
-            let Some(doc) = self.query_worker_metrics(slot) else {
+        for idx in 0..self.slots.len() {
+            let Some(doc) = self
+                .ctrl_roundtrip(idx, METRICS_PROBE)
+                .and_then(|line| Value::parse(&line).ok())
+            else {
                 continue;
             };
             alive += 1;
@@ -522,12 +583,33 @@ impl Router {
                     }
                 }
             }
+            if let Some(Value::Obj(pairs)) = metrics.get("histograms") {
+                for (name, v) in pairs {
+                    if name.starts_with("serve.") {
+                        continue;
+                    }
+                    let Some(h) = histogram_from_json(v) else {
+                        continue;
+                    };
+                    match histograms.get_mut(name) {
+                        Some(acc) => *acc = acc.take().and_then(|acc| add_buckets(acc, &h)),
+                        None => {
+                            histograms.insert(name.clone(), Some(h));
+                        }
+                    }
+                }
+            }
         }
         for (name, v) in &counters {
             snap.push_counter(name, *v);
         }
         for (name, v) in &gauges {
             snap.push_gauge(name, *v);
+        }
+        for (name, h) in histograms {
+            if let Some(h) = h {
+                snap.push_histogram(&name, h);
+            }
         }
         snap.push_counter("serve.requests", self.requests.load(Ordering::Relaxed));
         snap.push_gauge("serve.uptime_ms", self.started.elapsed().as_millis() as i64);
@@ -537,25 +619,24 @@ impl Router {
     }
 
     /// Sends `shutdown` to every worker (control link, best-effort), then
-    /// stops their guards. Waits on each slot's data lock, so in-flight
-    /// requests finish before their worker goes down.
+    /// stops their guards. In-flight requests finish first: a worker goes
+    /// down only once every data link it lent out has come back.
     fn shutdown_workers(&self) {
         for slot in &self.slots {
-            let mut data = lock(&slot.data);
-            {
-                let mut ctrl = lock(&slot.ctrl);
-                if let Some(link) = ctrl.as_mut() {
-                    let _ = link.send_line("{\"cmd\":\"shutdown\"}");
-                    let _ = link.recv_line();
-                }
-                *ctrl = None;
-            }
-            if let Some(mut half) = data.take() {
-                if let Some(guard) = half.guard.as_mut() {
-                    guard.stop();
-                }
-            }
             slot.dead.store(true, Ordering::Release);
+            let Some(gen) = lock(&slot.live).take() else {
+                continue;
+            };
+            let mut links = lock(&gen.links);
+            while links.open > links.idle.len() {
+                links = gen.returned.wait(links).expect("router lock poisoned");
+            }
+            drop(links);
+            if let Some(link) = lock(&gen.ctrl).as_mut() {
+                let _ = link.send_line("{\"cmd\":\"shutdown\"}");
+                let _ = link.recv_line();
+            }
+            self.close(&gen);
         }
     }
 
@@ -655,71 +736,18 @@ impl Router {
     }
 
     /// Serves one connection from any reader/writer pair until EOF or a
-    /// `shutdown` request — the router-side mirror of
-    /// [`Server::serve_connection`](crate::server::session::Server::serve_connection),
-    /// with the same oversized-line handling.
+    /// `shutdown` request, with the single-pool server's transport
+    /// ([`Server::serve_connection`](crate::server::session::Server::serve_connection)).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from either side.
     pub fn serve_connection(
         &self,
-        mut reader: impl BufRead,
-        mut writer: impl Write,
+        reader: impl BufRead,
+        writer: impl Write,
     ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        loop {
-            match session::fill_line(&mut reader, &mut buf)? {
-                LineStatus::Eof => return Ok(()),
-                LineStatus::TooLong => return self.refuse_oversized(&mut writer),
-                LineStatus::Complete => {
-                    if !self.handle_buffered_line(&mut buf, &mut writer)? {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dispatches one complete request line accumulated in `buf`,
-    /// clearing it for the next line.
-    fn handle_buffered_line(
-        &self,
-        buf: &mut Vec<u8>,
-        writer: &mut dyn Write,
-    ) -> std::io::Result<bool> {
-        let keep_going = match std::str::from_utf8(buf) {
-            Ok(line) => self.handle_line(line, writer)?,
-            Err(_) => {
-                self.count_unparseable_request(buf.len());
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_error(None, "request line is not valid UTF-8")
-                )?;
-                writer.flush()?;
-                true
-            }
-        };
-        buf.clear();
-        Ok(keep_going)
-    }
-
-    /// Answers an over-long request line and gives up on the connection.
-    fn refuse_oversized(&self, writer: &mut dyn Write) -> std::io::Result<()> {
-        self.count_unparseable_request(MAX_REQUEST_BYTES);
-        let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-        writeln!(writer, "{}", protocol::render_error(None, &msg))?;
-        writer.flush()
-    }
-
-    /// Accounts a request that never reached [`Router::handle_line`], so
-    /// `metrics` totals reconcile with `serve.requests` on every path.
-    fn count_unparseable_request(&self, bytes: usize) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter_add("serve.bytes_read", bytes as u64);
-        self.registry.observe("serve.request.invalid", 0.0);
-        self.registry.counter_add("serve.errors", 1);
+        transport::serve_connection(self, reader, writer)
     }
 
     /// Accepts and serves TCP connections until a `shutdown` request, with
@@ -732,74 +760,7 @@ impl Router {
     /// Propagates listener-level I/O errors (per-connection errors only
     /// drop that connection).
     pub fn serve_tcp(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let admitted =
-                        self.connections.fetch_add(1, Ordering::SeqCst) < self.opts.max_connections;
-                    if admitted {
-                        scope.spawn(move || {
-                            let _ = self.serve_socket(stream);
-                            self.connections.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    } else {
-                        self.connections.fetch_sub(1, Ordering::SeqCst);
-                        self.registry.counter_add("serve.rejected", 1);
-                        let _ = self.refuse_connection(stream);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        })
-    }
-
-    /// Answers one over-the-limit connection with a structured `busy`
-    /// line and closes it.
-    fn refuse_connection(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        let msg = format!(
-            "server is at its connection limit ({}); retry later",
-            self.opts.max_connections
-        );
-        writeln!(stream, "{}", protocol::render_busy(None, &msg))?;
-        stream.flush()
-    }
-
-    /// One TCP connection, with the same short-read-timeout shutdown
-    /// responsiveness as the single-pool server.
-    fn serve_socket(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut buf = Vec::new();
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match session::fill_line(&mut reader, &mut buf) {
-                Ok(LineStatus::Eof) => return Ok(()),
-                Ok(LineStatus::TooLong) => return self.refuse_oversized(&mut writer),
-                Ok(LineStatus::Complete) => {
-                    if !self.handle_buffered_line(&mut buf, &mut writer)? {
-                        return Ok(());
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        transport::serve_tcp(self, listener)
     }
 
     /// Serves Prometheus text-format scrapes of the **aggregated**
@@ -811,51 +772,119 @@ impl Router {
     /// Propagates listener-level I/O errors (per-connection errors only
     /// drop that scrape).
     pub fn serve_metrics(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.registry.counter_add("serve.scrapes", 1);
-                    let _ = self.answer_scrape(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        transport::serve_metrics(self, listener)
+    }
+}
+
+impl Service for Router {
+    fn handle_line(&self, line: &str, out: &mut dyn Write) -> std::io::Result<bool> {
+        Router::handle_line(self, line, out)
     }
 
-    /// One exposition response over the aggregated snapshot.
-    fn answer_scrape(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        let mut head = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    head.extend_from_slice(&chunk[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 8 * 1024 {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        let body = self.metrics_snapshot().render_prometheus();
-        let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(response.as_bytes())?;
-        stream.flush()
+    fn is_shutting_down(&self) -> bool {
+        Router::is_shutting_down(self)
     }
+
+    fn metrics_snapshot(&self) -> Snapshot {
+        Router::metrics_snapshot(self)
+    }
+
+    fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    fn count_request(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn max_connections(&self) -> usize {
+        self.opts.max_connections
+    }
+}
+
+/// Sends `line` over `link` and relays the worker's response lines to
+/// `out` until the terminal result, skipping the first `rounds_sent`
+/// progress events (an earlier attempt already relayed them). Every line
+/// must open with `prefix`, the request's id envelope; anything else is a
+/// worker fault.
+fn relay(
+    link: &mut dyn WorkerLink,
+    line: &str,
+    prefix: &str,
+    rounds_sent: &mut usize,
+    out: &mut dyn Write,
+) -> std::io::Result<Result<(), Fault>> {
+    if link.send_line(line).is_err() {
+        return Ok(Err(Fault::Link("worker rejected the request write")));
+    }
+    let mut seen = 0usize;
+    loop {
+        let resp = match link.recv_line() {
+            Ok(Some(resp)) => resp,
+            Ok(None) => return Ok(Err(Fault::Link("worker closed the connection mid-request"))),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return Ok(Err(Fault::Link("worker stalled past the receive timeout")))
+            }
+            Err(_) => return Ok(Err(Fault::Link("worker link failed mid-response"))),
+        };
+        let Some(rest) = resp.strip_prefix(prefix) else {
+            return Ok(Err(Fault::Link("worker emitted a malformed response")));
+        };
+        let terminal = rest.starts_with("\"event\":\"result\"");
+        if terminal || seen >= *rounds_sent {
+            writeln!(out, "{resp}")?;
+            out.flush()?;
+            if terminal {
+                return Ok(Ok(()));
+            }
+            *rounds_sent += 1;
+        }
+        seen += 1;
+    }
+}
+
+/// A histogram back from its `Snapshot::render_json` form.
+fn histogram_from_json(v: &Value) -> Option<HistogramSnapshot> {
+    let bounds = v
+        .get("le")?
+        .as_arr()?
+        .iter()
+        .map(Value::as_f64)
+        .collect::<Option<Vec<f64>>>()?;
+    let counts = v
+        .get("counts")?
+        .as_arr()?
+        .iter()
+        .map(Value::as_u64)
+        .collect::<Option<Vec<u64>>>()?;
+    if counts.len() != bounds.len() + 1 {
+        return None;
+    }
+    Some(HistogramSnapshot {
+        bounds,
+        counts,
+        count: v.get("count")?.as_u64()?,
+        sum: v.get("sum")?.as_f64()?,
+    })
+}
+
+/// Adds `h` into `acc` bucket by bucket; `None` when the two use different
+/// bucket bounds.
+fn add_buckets(mut acc: HistogramSnapshot, h: &HistogramSnapshot) -> Option<HistogramSnapshot> {
+    if acc.bounds != h.bounds {
+        return None;
+    }
+    for (a, b) in acc.counts.iter_mut().zip(&h.counts) {
+        *a += b;
+    }
+    acc.count += h.count;
+    acc.sum += h.sum;
+    Some(acc)
 }
 
 /// Decrements a slot's pending count when the routed request finishes —
@@ -935,6 +964,33 @@ mod tests {
             }
         }
         assert!(moved > 0, "some keys should have hashed to worker 0");
+    }
+
+    #[test]
+    fn histograms_survive_the_wire_and_merge_by_bucket() {
+        let reg = Registry::new();
+        reg.set_enabled(true);
+        for v in [10.0, 120.0, 9e6] {
+            reg.observe("pipeline.evaluate", v);
+        }
+        let snap = reg.snapshot();
+        let doc = Value::parse(&snap.render_json()).unwrap();
+        let wire = doc.get("histograms").unwrap().get("pipeline.evaluate");
+        let h = histogram_from_json(wire.unwrap()).unwrap();
+        assert_eq!(&h, snap.histogram("pipeline.evaluate").unwrap());
+        let twice = add_buckets(h.clone(), &h).unwrap();
+        assert_eq!(twice.count, 6);
+        assert!(twice.counts.iter().zip(&h.counts).all(|(t, c)| *t == 2 * c));
+        let other = HistogramSnapshot {
+            bounds: vec![1.0],
+            counts: vec![0, 0],
+            count: 0,
+            sum: 0.0,
+        };
+        assert!(
+            add_buckets(h, &other).is_none(),
+            "mismatched bounds must not merge"
+        );
     }
 
     #[test]

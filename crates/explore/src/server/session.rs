@@ -20,18 +20,21 @@ use crate::pareto::{pareto_front_in_constrained, ObjectiveSpace};
 use crate::pool::EvaluatorPool;
 use crate::refine::{refine_multi_with_progress, refine_with_progress, CancelToken, RefineOptions};
 use crate::server::protocol::{self, Command, WorkloadSpec};
+use crate::server::transport::{self, Service};
 use crate::sweep::{SweepCell, SweepGrid};
 use adhls_core::dse::DsePoint;
 use adhls_core::json::Value;
 use adhls_ir::{frontend, Design};
-use adhls_telemetry::Snapshot;
+use adhls_telemetry::{Registry, Snapshot};
 use adhls_workloads::{idct, interpolation, matmul, sweep};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+pub use crate::server::transport::MAX_REQUEST_BYTES;
 
 /// A per-cell design builder, boxed so grids for different workloads share
 /// one type (and `Send` so refinements can run on pool threads).
@@ -136,47 +139,71 @@ fn validate_axes(spec: &WorkloadSpec) -> Result<(), String> {
 ///
 /// A message naming the offending field.
 pub fn sweep_points(spec: &WorkloadSpec) -> Result<Vec<DsePoint>, String> {
+    expand(spec, false)
+}
+
+/// One axis of a spec: the requested values or the workload's default,
+/// cut to the first value when only the first point is wanted.
+fn axis<T: Clone>(given: Option<&[T]>, default: &[T], first_only: bool) -> Vec<T> {
+    let values = given.unwrap_or(default);
+    let keep = if first_only { 1 } else { values.len() };
+    values.iter().take(keep).cloned().collect()
+}
+
+/// [`sweep_points`], or with `first_only` just its first point. Every
+/// family expands its axes outermost-first, so the first point is built
+/// from each axis's first value; validation always sees the whole spec.
+fn expand(spec: &WorkloadSpec, first_only: bool) -> Result<Vec<DsePoint>, String> {
     validate_axes(spec)?;
     if let Some(source) = &spec.dsl {
         if spec.workload.is_some() {
             return Err("pass either `workload` or `dsl`, not both".into());
         }
-        return dsl_points(spec, source);
+        return dsl_points(spec, source, first_only);
     }
     let Some(workload) = spec.workload.as_deref() else {
         return Err("a sweep needs `workload` or `dsl`".into());
     };
-    let clocks = spec.clocks.clone();
-    let cycles = spec.cycles.clone();
-    let modes = spec.pipeline.clone();
+    let clocks = |default: &[u64]| axis(spec.clocks.as_deref(), default, first_only);
+    let cycles = |default: &[u32]| axis(spec.cycles.as_deref(), default, first_only);
     let pts = match workload {
-        "interpolation" | "interp" => match (clocks, cycles) {
-            (None, None) => sweep::interpolation_default(),
-            (c, l) => sweep::interpolation_sweep(
-                &c.unwrap_or_else(|| vec![1100, 1400, 1800, 2400]),
-                &l.unwrap_or_else(|| vec![3, 4, 6]),
-            ),
-        },
+        "interpolation" | "interp" => {
+            sweep::interpolation_sweep(&clocks(&[1100, 1400, 1800, 2400]), &cycles(&[3, 4, 6]))
+        }
         "idct" => sweep::idct_sweep(
-            &clocks.unwrap_or_else(|| vec![2200, 3000]),
-            &cycles.unwrap_or_else(|| vec![12, 16, 24, 32]),
-            &modes.unwrap_or_else(|| vec![None]),
+            &clocks(&[2200, 3000]),
+            &cycles(&[12, 16, 24, 32]),
+            &axis(spec.pipeline.as_deref(), &[None], first_only),
         ),
+        "idct-table4" | "table4" if first_only => {
+            let (name, cfg, clock_ps) = idct::table4_points().swap_remove(0);
+            vec![DsePoint {
+                name,
+                design: idct::build_2d(&cfg),
+                clock_ps,
+                pipeline_ii: cfg.pipelined,
+                cycles_per_item: cfg.pipelined.unwrap_or(cfg.cycles),
+            }]
+        }
         "idct-table4" | "table4" => sweep::idct_table4(),
         "fir" => sweep::fir_sweep(
-            clocks
+            spec.clocks
                 .as_deref()
                 .and_then(|c| c.first().copied())
                 .unwrap_or(2200),
-            &[2, 4, 8],
-            &cycles.unwrap_or_else(|| vec![2, 3, 4]),
+            &axis(None, &[2, 4, 8], first_only),
+            &cycles(&[2, 3, 4]),
         ),
         "matmul" => sweep::matmul_sweep(
             spec.dim.unwrap_or(3),
-            &clocks.unwrap_or_else(|| vec![2200, 3000]),
-            &cycles.unwrap_or_else(|| vec![4, 6, 8]),
+            &clocks(&[2200, 3000]),
+            &cycles(&[4, 6, 8]),
         ),
-        "random" => sweep::random_fleet(spec.count.unwrap_or(12), spec.seed.unwrap_or(42)),
+        "random" => {
+            let count = spec.count.unwrap_or(12);
+            let count = if first_only { count.min(1) } else { count };
+            sweep::random_fleet(count, spec.seed.unwrap_or(42))
+        }
         other => {
             return Err(format!(
                 "unknown workload `{other}` (interpolation | idct | idct-table4 | \
@@ -187,13 +214,18 @@ pub fn sweep_points(spec: &WorkloadSpec) -> Result<Vec<DsePoint>, String> {
     Ok(pts)
 }
 
-fn dsl_points(spec: &WorkloadSpec, source: &str) -> Result<Vec<DsePoint>, String> {
+fn dsl_points(
+    spec: &WorkloadSpec,
+    source: &str,
+    first_only: bool,
+) -> Result<Vec<DsePoint>, String> {
     let design = frontend::compile(source).map_err(|e| format!("dsl: {e}"))?;
     let cycles = DsePoint::states_per_item(&design);
-    let clocks = spec
-        .clocks
-        .clone()
-        .unwrap_or_else(|| vec![1500, 2000, 2600, 3200]);
+    let clocks = axis(
+        spec.clocks.as_deref(),
+        &[1500, 2000, 2600, 3200],
+        first_only,
+    );
     let stem = spec
         .dsl_prefix
         .clone()
@@ -212,10 +244,11 @@ fn dsl_points(spec: &WorkloadSpec, source: &str) -> Result<Vec<DsePoint>, String
 
 /// The stable routing key the multi-worker router consistent-hashes a
 /// request's spec with: the [`design_fingerprint`] of the spec's first
-/// expanded point. Every request over the same workload family lands on
-/// the same worker, so that worker's point cache and incremental prefix
-/// artifacts stay warm for the whole grid — and the key survives worker
-/// restarts, because it depends only on the spec.
+/// expanded point (built alone, without expanding the rest of the sweep).
+/// Every request over the same workload family lands on the same worker,
+/// so that worker's point cache and incremental prefix artifacts stay warm
+/// for the whole grid — and the key survives worker restarts, because it
+/// depends only on the spec.
 ///
 /// # Errors
 ///
@@ -223,7 +256,7 @@ fn dsl_points(spec: &WorkloadSpec, source: &str) -> Result<Vec<DsePoint>, String
 /// (callers route such requests anywhere; the worker repeats the
 /// validation and answers the client with the error).
 pub fn routing_fingerprint(spec: &WorkloadSpec) -> Result<u64, String> {
-    let points = sweep_points(spec)?;
+    let points = expand(spec, true)?;
     Ok(points.first().map_or(0, |p| design_fingerprint(&p.design)))
 }
 
@@ -706,66 +739,10 @@ impl Server {
     /// Propagates I/O errors from either side.
     pub fn serve_connection(
         &self,
-        mut reader: impl BufRead,
-        mut writer: impl Write,
+        reader: impl BufRead,
+        writer: impl Write,
     ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        loop {
-            match fill_line(&mut reader, &mut buf)? {
-                LineStatus::Eof => return Ok(()),
-                LineStatus::TooLong => return self.refuse_oversized(&mut writer),
-                LineStatus::Complete => {
-                    let keep_going = self.handle_buffered_line(&mut buf, &mut writer)?;
-                    if !keep_going {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dispatches one complete request line accumulated in `buf`, clearing
-    /// it for the next line.
-    fn handle_buffered_line(
-        &self,
-        buf: &mut Vec<u8>,
-        writer: &mut dyn Write,
-    ) -> std::io::Result<bool> {
-        let keep_going = match std::str::from_utf8(buf) {
-            Ok(line) => self.handle_line(line, writer)?,
-            Err(_) => {
-                self.count_unparseable_request(buf.len());
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_error(None, "request line is not valid UTF-8")
-                )?;
-                writer.flush()?;
-                true
-            }
-        };
-        buf.clear();
-        Ok(keep_going)
-    }
-
-    /// Answers an over-long request line and gives up on the connection.
-    fn refuse_oversized(&self, writer: &mut dyn Write) -> std::io::Result<()> {
-        self.count_unparseable_request(MAX_REQUEST_BYTES);
-        let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-        writeln!(writer, "{}", protocol::render_error(None, &msg))?;
-        writer.flush()
-    }
-
-    /// Accounts a request that never reached [`Server::handle_line`]
-    /// (invalid UTF-8, oversized line): it still counts as a request and
-    /// still produces its one `serve.request.invalid` histogram sample, so
-    /// `metrics` totals reconcile with `serve.requests` on every path.
-    fn count_unparseable_request(&self, bytes: usize) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let registry = self.pool.telemetry();
-        registry.counter_add("serve.bytes_read", bytes as u64);
-        registry.observe("serve.request.invalid", 0.0);
-        registry.counter_add("serve.errors", 1);
+        transport::serve_connection(self, reader, writer)
     }
 
     /// Accepts and serves TCP connections until a `shutdown` request (from
@@ -777,124 +754,42 @@ impl Server {
     /// Propagates listener-level I/O errors (per-connection errors only
     /// drop that connection).
     pub fn serve_tcp(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| {
-            loop {
-                if self.is_shutting_down() {
-                    return Ok(());
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        scope.spawn(move || {
-                            // Per-connection errors (reset, parse-level I/O)
-                            // drop the connection, never the server.
-                            let _ = self.serve_socket(stream);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        })
+        transport::serve_tcp(self, listener)
     }
 
-    /// One TCP connection: read with a short timeout so the loop can notice
-    /// a server-wide shutdown even while a client holds the socket open.
-    /// Oversized request lines (see [`MAX_REQUEST_BYTES`]) get an error
-    /// response and drop the connection.
-    fn serve_socket(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut buf = Vec::new();
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match fill_line(&mut reader, &mut buf) {
-                Ok(LineStatus::Eof) => return Ok(()),
-                Ok(LineStatus::TooLong) => return self.refuse_oversized(&mut writer),
-                Ok(LineStatus::Complete) => {
-                    if !self.handle_buffered_line(&mut buf, &mut writer)? {
-                        return Ok(());
-                    }
-                }
-                // Read timeout: partial data (if any) stays in `buf`; loop
-                // to re-check the shutdown flag, then keep reading.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Serves Prometheus text-format scrapes (`GET /metrics`-style) until
-    /// shutdown — the `adhls serve --metrics-addr` listener. Each accepted
-    /// connection gets one HTTP/1.0 response rendering
-    /// [`Server::metrics_snapshot`] and is closed; the request head is read
-    /// (bounded, best-effort) only to be polite to HTTP clients. Runs on
-    /// the caller's thread; pair it with [`Server::serve_tcp`] on another.
+    /// Serves Prometheus text-format scrapes (`GET /metrics`-style) of
+    /// [`Server::metrics_snapshot`] until shutdown — the `adhls serve
+    /// --metrics-addr` listener. Runs on the caller's thread; pair it with
+    /// [`Server::serve_tcp`] on another.
     ///
     /// # Errors
     ///
     /// Propagates listener-level I/O errors (per-connection errors only
     /// drop that scrape).
     pub fn serve_metrics(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.pool.telemetry().counter_add("serve.scrapes", 1);
-                    let _ = self.answer_scrape(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        transport::serve_metrics(self, listener)
+    }
+}
+
+impl Service for Server {
+    fn handle_line(&self, line: &str, out: &mut dyn Write) -> std::io::Result<bool> {
+        Server::handle_line(self, line, out)
     }
 
-    /// One exposition response: drain the request head (until a blank line,
-    /// EOF, a small cap, or a short timeout — scrapers vary), then write
-    /// the snapshot and close.
-    fn answer_scrape(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        let mut head = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    head.extend_from_slice(&chunk[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 8 * 1024 {
-                        break;
-                    }
-                }
-                // A client that writes nothing (netcat probing the port)
-                // still deserves the snapshot.
-                Err(_) => break,
-            }
-        }
-        let body = self.metrics_snapshot().render_prometheus();
-        let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(response.as_bytes())?;
-        stream.flush()
+    fn is_shutting_down(&self) -> bool {
+        Server::is_shutting_down(self)
+    }
+
+    fn metrics_snapshot(&self) -> Snapshot {
+        Server::metrics_snapshot(self)
+    }
+
+    fn registry(&self) -> &Registry {
+        self.pool.telemetry()
+    }
+
+    fn count_request(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -920,64 +815,6 @@ impl Drop for CancelGuard<'_> {
                 .lock()
                 .expect("cancel registry poisoned")
                 .remove(&key);
-        }
-    }
-}
-
-/// Largest accepted request line. Inline DSL sources fit comfortably; a
-/// client streaming bytes with no newline must not grow server memory
-/// without bound.
-pub const MAX_REQUEST_BYTES: usize = 4 << 20;
-
-pub(crate) enum LineStatus {
-    /// A full newline-terminated line is in the buffer (newline stripped).
-    Complete,
-    /// End of stream with nothing further buffered.
-    Eof,
-    /// The line outgrew [`MAX_REQUEST_BYTES`] before its newline arrived.
-    TooLong,
-}
-
-/// Appends bytes to `buf` until a newline, EOF, or the size cap — a capped
-/// `read_line` working in raw bytes so no single call can balloon memory.
-/// Returns `Err` (e.g. `WouldBlock` on a read timeout) with any partial
-/// data retained in `buf` for the next call.
-pub(crate) fn fill_line(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<LineStatus> {
-    loop {
-        let (newline_at, available) = {
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                // EOF; any unterminated trailing bytes are not a request.
-                return Ok(if buf.is_empty() {
-                    LineStatus::Eof
-                } else {
-                    LineStatus::Complete
-                });
-            }
-            (chunk.iter().position(|&b| b == b'\n'), chunk.len())
-        };
-        match newline_at {
-            Some(pos) => {
-                let chunk = reader.fill_buf()?;
-                buf.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                return Ok(if buf.len() > MAX_REQUEST_BYTES {
-                    LineStatus::TooLong
-                } else {
-                    LineStatus::Complete
-                });
-            }
-            None => {
-                let chunk = reader.fill_buf()?;
-                buf.extend_from_slice(chunk);
-                reader.consume(available);
-                if buf.len() > MAX_REQUEST_BYTES {
-                    return Ok(LineStatus::TooLong);
-                }
-            }
         }
     }
 }
@@ -1416,6 +1253,65 @@ mod tests {
     }
 
     #[test]
+    fn routing_keys_equal_the_first_expanded_points_fingerprint() {
+        let dsl = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/dsl/resizer.adhls"
+        ))
+        .unwrap();
+        let inline = |fields: &str| {
+            let mut line = String::from("{\"cmd\":\"sweep\",\"dsl\":");
+            adhls_core::json::escape_into(&mut line, &dsl);
+            line.push_str(fields);
+            line.push('}');
+            line
+        };
+        let mut lines: Vec<String> = [
+            // The families a routed serve mix sends.
+            r#"{"cmd":"sweep","workload":"random","count":4,"seed":5000000}"#,
+            r#"{"cmd":"sweep","workload":"random","count":4,"seed":5000188}"#,
+            r#"{"cmd":"refine","workload":"interpolation","clocks":[1130,1330,1530,1830,2430],"cycles":[3,4,6],"gap_tol":0.1}"#,
+            r#"{"cmd":"sweep","workload":"fir","clocks":[2600],"cycles":[3,4]}"#,
+            r#"{"cmd":"sweep","workload":"fir","clocks":[1800],"cycles":[2,3,4]}"#,
+            // Every other family, default and explicit axes.
+            r#"{"cmd":"sweep","workload":"interpolation"}"#,
+            r#"{"cmd":"sweep","workload":"interp","cycles":[6,4]}"#,
+            r#"{"cmd":"sweep","workload":"idct"}"#,
+            r#"{"cmd":"refine","workload":"idct","clocks":[3000,2200],"cycles":[16,12],"pipeline":[8,null]}"#,
+            r#"{"cmd":"sweep","workload":"table4"}"#,
+            r#"{"cmd":"sweep","workload":"idct-table4","clocks":[1]}"#,
+            r#"{"cmd":"sweep","workload":"matmul","dim":2,"cycles":[6,4]}"#,
+            r#"{"cmd":"sweep","workload":"random"}"#,
+            r#"{"cmd":"sweep","workload":"fir"}"#,
+            // Empty sweeps and invalid specs keep the fallback key.
+            r#"{"cmd":"sweep","workload":"interpolation","clocks":[]}"#,
+            r#"{"cmd":"sweep","workload":"random","count":0}"#,
+            r#"{"cmd":"sweep","workload":"idct","pipeline":[]}"#,
+            r#"{"cmd":"sweep","workload":"warp"}"#,
+            r#"{"cmd":"sweep","workload":"idct","clocks":[0,2200]}"#,
+            r#"{"cmd":"sweep","workload":"matmul","dim":0}"#,
+            r#"{"cmd":"sweep","clocks":[2200]}"#,
+            r#"{"cmd":"sweep","dsl":"proc broken("}"#,
+        ]
+        .map(String::from)
+        .to_vec();
+        lines.push(inline(""));
+        lines.push(inline(",\"clocks\":[2600,1500]"));
+        lines.push(inline(",\"clocks\":[]"));
+        lines.push(inline(",\"workload\":\"fir\""));
+        for line in &lines {
+            let (_, cmd) = protocol::parse_request(line);
+            let spec = match cmd.expect(line) {
+                Command::Sweep(spec) | Command::Refine { spec, .. } => spec,
+                other => panic!("{line} parsed as {}", other.verb()),
+            };
+            let expanded = sweep_points(&spec)
+                .map(|points| points.first().map_or(0, |p| design_fingerprint(&p.design)));
+            assert_eq!(routing_fingerprint(&spec), expanded, "{line}");
+        }
+    }
+
+    #[test]
     fn oversized_request_lines_are_refused_not_buffered() {
         let srv = server(1, None);
         // A newline-less flood larger than the cap: the server must answer
@@ -1468,7 +1364,8 @@ mod tests {
 
     #[test]
     fn tcp_serves_concurrent_clients_and_stops_on_shutdown() {
-        use std::io::{BufRead as _, Write as _};
+        use std::io::{BufRead as _, BufReader, Write as _};
+        use std::net::TcpStream;
         let srv = server(4, None);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

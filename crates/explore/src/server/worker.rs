@@ -1,11 +1,18 @@
 //! Worker backends for the multi-worker serve tier.
 //!
-//! A worker is an ordinary exploration [`Server`] reached over two
-//! line-oriented channels: a **data** link carrying one sweep/refine at a
-//! time (the worker answers requests on a connection strictly in order,
-//! which is what makes response correlation trivial), and a **control**
-//! link for messages that must not wait behind a running refinement —
-//! `cancel`, and the router's `stats`/`metrics` aggregation probes.
+//! A worker is an ordinary exploration [`Server`] reached over
+//! line-oriented connections of two kinds:
+//!
+//! * **data** links, each carrying one sweep/refine at a time (the worker
+//!   answers requests on a connection strictly in order, which is what
+//!   makes response correlation trivial). A [`WorkerHandle`] opens them on
+//!   demand through its [`connect`](WorkerHandle::connect) hook, and the
+//!   router keeps a pool of them per worker — one per request it has
+//!   running there at once, never more than its queue cap — so requests
+//!   hashed to the same worker run side by side on its cores.
+//! * one **control** link for messages that must not wait behind a
+//!   running refinement — `cancel`, and the router's `stats`/`metrics`
+//!   aggregation probes.
 //!
 //! Two implementations share the [`WorkerLink`] trait:
 //!
@@ -15,7 +22,7 @@
 //!   harness, the benches, and `--workers N` default spawning use.
 //! * **child-process workers** ([`spawn_process_worker`]) — a spawned
 //!   `adhls serve --addr 127.0.0.1:0` child, discovered through its
-//!   startup banner and reached over two loopback TCP connections.
+//!   startup banner and reached over loopback TCP connections.
 //!
 //! The router ([`crate::server::router`]) treats both identically; the
 //! fault-injection suite substitutes its own [`WorkerLink`]s to inject
@@ -69,10 +76,17 @@ pub trait WorkerGuard: Send {
     fn stop(&mut self);
 }
 
-/// A connected worker: its two links plus the teardown guard.
+/// Opens one more data link to a running worker.
+pub type LinkConnector = Box<dyn Fn() -> io::Result<Box<dyn WorkerLink>> + Send + Sync>;
+
+/// A connected worker: its control link, the hook that opens data links
+/// to it, and the teardown guard.
 pub struct WorkerHandle {
-    /// The request channel (one sweep/refine in flight at a time).
-    pub data: Box<dyn WorkerLink>,
+    /// Opens a new request channel (one sweep/refine in flight at a time
+    /// per channel): a new pipe connection to an in-process [`Server`], or
+    /// a new loopback connection to a child process. The router calls it
+    /// lazily, when every link it already holds to this worker is busy.
+    pub connect: LinkConnector,
     /// The out-of-band channel (`cancel`, aggregation probes).
     pub ctrl: Box<dyn WorkerLink>,
     /// Teardown hook invoked when the worker is retired.
@@ -91,19 +105,24 @@ impl std::fmt::Debug for WorkerHandle {
 pub type WorkerFactory = Box<dyn Fn(usize) -> io::Result<WorkerHandle> + Send + Sync>;
 
 impl WorkerHandle {
-    /// An in-process worker: two connections onto `server`, each served by
-    /// a plain thread over in-memory pipes. The threads exit when the
-    /// handle's links drop (their read side sees EOF) or when the server
-    /// shuts down; the guard holds the server so a retirement can request
-    /// that explicitly.
+    /// An in-process worker: connections onto `server`, each served by a
+    /// plain thread over in-memory pipes — the control link now, a data
+    /// link per [`connect`](WorkerHandle::connect) call. The threads exit
+    /// when the handle's links drop (their read side sees EOF) or when the
+    /// server shuts down; the guard holds the server so a retirement can
+    /// request that explicitly.
     #[must_use]
     pub fn in_process(server: Arc<Server>) -> WorkerHandle {
-        let data = pipe_connection(&server);
         let ctrl = pipe_connection(&server);
+        let guard = InProcessGuard {
+            server: Arc::clone(&server),
+        };
         WorkerHandle {
-            data: Box::new(data),
+            connect: Box::new(move || -> io::Result<Box<dyn WorkerLink>> {
+                Ok(Box::new(pipe_connection(&server)))
+            }),
             ctrl: Box::new(ctrl),
-            guard: Some(Box::new(InProcessGuard { server })),
+            guard: Some(Box::new(guard)),
         }
     }
 }
@@ -142,24 +161,34 @@ pub struct PipeLink {
     rx: BufReader<PipeReader>,
 }
 
+/// A request line and its newline as one buffer, so a link sends it in
+/// one write: one segment on a socket, one wake-up of a pipe's reader.
+fn framed(line: &str) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(line.len() + 1);
+    msg.extend_from_slice(line.as_bytes());
+    msg.push(b'\n');
+    msg
+}
+
+/// Reads one line, newline stripped; `Ok(None)` at EOF.
+fn read_trimmed(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Ok(None);
+    }
+    while line.ends_with('\n') || line.ends_with('\r') {
+        line.pop();
+    }
+    Ok(Some(line))
+}
+
 impl WorkerLink for PipeLink {
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.tx.write_all(line.as_bytes())?;
-        self.tx.write_all(b"\n")?;
-        self.tx.flush()
+        self.tx.write_all(&framed(line))
     }
 
     fn recv_line(&mut self) -> io::Result<Option<String>> {
-        let mut line = String::new();
-        match self.rx.read_line(&mut line)? {
-            0 => Ok(None),
-            _ => {
-                while line.ends_with('\n') || line.ends_with('\r') {
-                    line.pop();
-                }
-                Ok(Some(line))
-            }
-        }
+        read_trimmed(&mut self.rx)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
@@ -309,22 +338,11 @@ impl TcpLink {
 
 impl WorkerLink for TcpLink {
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer.write_all(&framed(line))
     }
 
     fn recv_line(&mut self) -> io::Result<Option<String>> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line)? {
-            0 => Ok(None),
-            _ => {
-                while line.ends_with('\n') || line.ends_with('\r') {
-                    line.pop();
-                }
-                Ok(Some(line))
-            }
-        }
+        read_trimmed(&mut self.reader)
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
@@ -349,7 +367,8 @@ impl WorkerGuard for ProcessGuard {
 
 /// Spawns a child-process worker from `cmd` (typically `adhls serve --addr
 /// 127.0.0.1:0 ...`), waits for its `listening on <addr>` banner on
-/// stdout, and connects the data + control links over loopback TCP.
+/// stdout, and connects the control link over loopback TCP; data links
+/// connect to the same address on demand.
 ///
 /// # Errors
 ///
@@ -384,22 +403,14 @@ pub fn spawn_process_worker(cmd: &mut Command) -> io::Result<WorkerHandle> {
             }
         }
     };
-    let connect = |what: &str| -> io::Result<TcpLink> {
+    let connect = move || -> io::Result<Box<dyn WorkerLink>> {
         let stream = TcpStream::connect(&addr).map_err(|e| {
-            io::Error::new(e.kind(), format!("connecting {what} link to {addr}: {e}"))
+            io::Error::new(e.kind(), format!("connecting to worker at {addr}: {e}"))
         })?;
         stream.set_nodelay(true)?;
-        TcpLink::new(stream)
+        Ok(Box::new(TcpLink::new(stream)?))
     };
-    let data = match connect("data") {
-        Ok(l) => l,
-        Err(e) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(e);
-        }
-    };
-    let ctrl = match connect("control") {
+    let ctrl = match connect() {
         Ok(l) => l,
         Err(e) => {
             let _ = child.kill();
@@ -408,8 +419,8 @@ pub fn spawn_process_worker(cmd: &mut Command) -> io::Result<WorkerHandle> {
         }
     };
     Ok(WorkerHandle {
-        data: Box::new(data),
-        ctrl: Box::new(ctrl),
+        connect: Box::new(connect),
+        ctrl,
         guard: Some(Box::new(ProcessGuard {
             child,
             _stdout: Some(lines.into_inner()),

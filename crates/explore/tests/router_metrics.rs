@@ -143,6 +143,75 @@ fn aggregated_metrics_sum_workers_once_and_count_requests_once() {
     );
 }
 
+/// Worker histograms merge bucket by bucket: every span shares one bucket
+/// ladder, so the routed `metrics` verb can report `pipeline.*` and
+/// `pool.*` timing that equals the per-worker sums exactly, while worker
+/// `serve.request.*` spans stay dropped in favour of the router's own.
+#[test]
+fn aggregated_histograms_equal_per_worker_bucket_sums() {
+    let (factory, servers) = observed_factory();
+    let router = Router::new(
+        factory,
+        RouterOptions {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("router spawns");
+    for line in [REFINE_A, REFINE_B, REFINE_A] {
+        route_one(&router, line);
+    }
+    let resp = route_one(&router, r#"{"id":9,"cmd":"metrics"}"#);
+    let doc = Value::parse(resp.trim_end()).expect("metrics response is JSON");
+    let histograms = doc
+        .get("metrics")
+        .and_then(|m| m.get("histograms"))
+        .expect("histograms payload");
+
+    let workers = servers.lock().expect("capture lock");
+    let snaps: Vec<_> = workers.iter().map(|w| w.metrics_snapshot()).collect();
+    let mut checked = 0;
+    for name in [
+        "pipeline.evaluate",
+        "pipeline.schedule",
+        "pipeline.bind",
+        "pool.batch.submit_to_done_us",
+    ] {
+        let parts: Vec<_> = snaps.iter().filter_map(|s| s.histogram(name)).collect();
+        assert!(!parts.is_empty(), "workers recorded no `{name}`");
+        let wire = histograms
+            .get(name)
+            .unwrap_or_else(|| panic!("aggregate lacks `{name}`"));
+        let count: u64 = parts.iter().map(|h| h.count).sum();
+        assert_eq!(
+            wire.get("count").and_then(Value::as_u64),
+            Some(count),
+            "`{name}` count must equal the per-worker sum"
+        );
+        let buckets: Vec<u64> = (0..parts[0].counts.len())
+            .map(|i| parts.iter().map(|h| h.counts[i]).sum())
+            .collect();
+        let wire_buckets: Vec<u64> = wire
+            .get("counts")
+            .and_then(Value::as_arr)
+            .expect("bucket counts")
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(wire_buckets, buckets, "`{name}` buckets must add up");
+        checked += 1;
+    }
+    assert_eq!(checked, 4);
+
+    // The router times each routed refine once; the workers' own
+    // `serve.request.refine` samples are not added on top.
+    let refines = histograms
+        .get("serve.request.refine")
+        .and_then(|h| h.get("count"))
+        .and_then(Value::as_u64);
+    assert_eq!(refines, Some(3));
+}
+
 #[test]
 fn stats_through_the_router_reports_the_summed_cache() {
     let (factory, servers) = observed_factory();

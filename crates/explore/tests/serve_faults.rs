@@ -5,7 +5,7 @@
 //! the router's retry/respawn/reassign machinery may not leak a fault
 //! into rows, rounds, or framing.
 //!
-//! The rig wraps a *real* in-process worker's data link, so everything
+//! The rig wraps a *real* in-process worker's data links, so everything
 //! downstream of the fault (respawned workers, reassigned slots) runs
 //! the genuine protocol; only the failure itself is scripted.
 
@@ -14,12 +14,14 @@ use adhls_core::sched::HlsOptions;
 use adhls_explore::fingerprint::Fnv;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::protocol::parse_request;
-use adhls_explore::server::worker::{WorkerFactory, WorkerHandle, WorkerLink};
+use adhls_explore::server::worker::{WorkerFactory, WorkerGuard, WorkerHandle, WorkerLink};
 use adhls_explore::server::{routing_fingerprint, Command, Router, RouterOptions, Server};
 use adhls_reslib::tsmc90;
 use std::collections::VecDeque;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A multi-round refinement — the axes are long enough that the seed
 /// (first/middle/last per axis) covers only part of the grid, so closing
@@ -105,11 +107,14 @@ impl Gate {
     }
 }
 
-/// A real worker data link with a scripted fault layered on top.
+/// A real worker data link with a scripted fault layered on top. Once
+/// its worker generation is retired, it reports EOF, as a link to a
+/// killed child process would.
 struct RiggedLink {
     inner: Box<dyn WorkerLink>,
     rig: Rig,
     recvs: usize,
+    killed: Arc<AtomicBool>,
 }
 
 impl WorkerLink for RiggedLink {
@@ -118,6 +123,9 @@ impl WorkerLink for RiggedLink {
     }
 
     fn recv_line(&mut self) -> std::io::Result<Option<String>> {
+        if self.killed.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
         let fire = match &self.rig {
             Rig::Clean | Rig::SpawnFail => false,
             Rig::KillAfter(n) | Rig::GarbageAfter(n) | Rig::StallAfter(n) => self.recvs >= *n,
@@ -147,8 +155,26 @@ impl WorkerLink for RiggedLink {
     }
 }
 
+/// A rigged generation's real guard plus the kill switch its links watch:
+/// retiring the generation takes its in-flight links down with it.
+struct RiggedGuard {
+    inner: Option<Box<dyn WorkerGuard>>,
+    killed: Arc<AtomicBool>,
+}
+
+impl WorkerGuard for RiggedGuard {
+    fn stop(&mut self) {
+        self.killed.store(true, Ordering::SeqCst);
+        if let Some(guard) = self.inner.as_mut() {
+            guard.stop();
+        }
+    }
+}
+
 /// A factory dealing each slot its scripted generations in order; slots
-/// whose script runs out spawn clean workers.
+/// whose script runs out spawn clean workers. A generation's script
+/// applies to the first data link the router opens to it; any further
+/// links are clean.
 fn rigged_factory(plans: Vec<Vec<Rig>>) -> WorkerFactory {
     let plans: Arc<Mutex<Vec<VecDeque<Rig>>>> =
         Arc::new(Mutex::new(plans.into_iter().map(VecDeque::from).collect()));
@@ -157,16 +183,28 @@ fn rigged_factory(plans: Vec<Vec<Rig>>) -> WorkerFactory {
         if matches!(rig, Rig::SpawnFail) {
             return Err(std::io::Error::other("rigged spawn failure"));
         }
-        let WorkerHandle { data, ctrl, guard } =
-            WorkerHandle::in_process(Arc::new(Server::new(fresh_pool())));
-        Ok(WorkerHandle {
-            data: Box::new(RiggedLink {
-                inner: data,
-                rig,
-                recvs: 0,
-            }),
+        let WorkerHandle {
+            connect,
             ctrl,
             guard,
+        } = WorkerHandle::in_process(Arc::new(Server::new(fresh_pool())));
+        let killed = Arc::new(AtomicBool::new(false));
+        let link_killed = Arc::clone(&killed);
+        let rig = Mutex::new(Some(rig));
+        Ok(WorkerHandle {
+            connect: Box::new(move || -> std::io::Result<Box<dyn WorkerLink>> {
+                Ok(Box::new(RiggedLink {
+                    inner: connect()?,
+                    rig: rig.lock().unwrap().take().unwrap_or(Rig::Clean),
+                    recvs: 0,
+                    killed: Arc::clone(&link_killed),
+                }))
+            }),
+            ctrl,
+            guard: Some(Box::new(RiggedGuard {
+                inner: guard,
+                killed,
+            })),
         })
     })
 }
@@ -184,6 +222,42 @@ fn single_worker_router(plan: Vec<Rig>) -> Router {
 
 fn counter(router: &Router, name: &str) -> u64 {
     router.telemetry().snapshot().counter(name).unwrap_or(0)
+}
+
+/// [`REFINE`] under another request id.
+fn refine_with_id(id: u32) -> String {
+    REFINE.replacen("\"id\":1", &format!("\"id\":{id}"), 1)
+}
+
+/// A client stream that runs `hook` once its first full line is written.
+struct OnFirstLine<F: FnOnce()> {
+    buf: Vec<u8>,
+    hook: Option<F>,
+}
+
+impl<F: FnOnce()> Write for OnFirstLine<F> {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.buf.extend_from_slice(data);
+        if self.buf.contains(&b'\n') {
+            if let Some(hook) = self.hook.take() {
+                hook();
+            }
+        }
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Polls `done` until it holds, failing the test after a generous bound.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -344,4 +418,101 @@ fn queue_cap_overflow_is_a_structured_busy_result() {
             "the queued request must complete exactly once the worker recovers"
         );
     });
+}
+
+#[test]
+fn a_second_request_runs_beside_a_parked_one_on_the_same_worker() {
+    let gate = Arc::new(Gate::default());
+    let router = Router::new(
+        rigged_factory(vec![vec![Rig::Blocked(Arc::clone(&gate))]]),
+        RouterOptions {
+            workers: 1,
+            queue_cap: 2,
+            ..Default::default()
+        },
+    )
+    .expect("router spawns");
+    let router = &router;
+    let second = refine_with_id(2);
+    let second = second.as_str();
+
+    std::thread::scope(|scope| {
+        // The first request parks inside the only worker, holding a link.
+        let held = scope.spawn(move || route_one(router, REFINE));
+        gate.await_parked();
+
+        // The second goes to the same worker and must not queue behind it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        scope.spawn(move || tx.send(route_one(router, second)));
+        let beside = rx.recv_timeout(Duration::from_secs(60));
+        // Release before asserting, so a failure cannot leave the scope hung.
+        gate.release();
+        let beside = beside.expect("the second request queued behind the parked one");
+        assert_eq!(beside, direct_response(second));
+        let held = held.join().expect("held request thread");
+        assert_eq!(held, direct_response(REFINE));
+    });
+    // One link each on the first generation, then the parked request's
+    // retry on the replacement; only that retry's link is still open.
+    assert_eq!(counter(router, "serve.worker.links_opened"), 3);
+    assert_eq!(
+        router.telemetry().snapshot().gauge("serve.worker.links"),
+        Some(1)
+    );
+    assert_eq!(counter(router, "serve.worker.restarts"), 1);
+}
+
+#[test]
+fn a_link_fault_retires_its_generation_once_and_in_flight_requests_retry() {
+    let gate = Arc::new(Gate::default());
+    let router = Router::new(
+        rigged_factory(vec![vec![Rig::Blocked(Arc::clone(&gate))]]),
+        RouterOptions {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .expect("router spawns");
+    let router = &router;
+    let second = refine_with_id(2);
+
+    let (held, streamed) = std::thread::scope(|scope| {
+        let held = scope.spawn(move || route_one(router, REFINE));
+        gate.await_parked();
+        // The second request streams its first round over a second link
+        // of the same generation. Only then does the parked link fault,
+        // retiring the generation under the second request mid-stream.
+        let gate = &gate;
+        let mut out = OnFirstLine {
+            buf: Vec::new(),
+            hook: Some(move || {
+                gate.release();
+                wait_until("the faulted generation's replacement", || {
+                    counter(router, "serve.worker.restarts") == 1
+                });
+            }),
+        };
+        router
+            .handle_line(&second, &mut out)
+            .expect("routed request");
+        let streamed = String::from_utf8(out.buf).expect("responses are UTF-8");
+        (held.join().expect("held request thread"), streamed)
+    });
+    assert_eq!(held, direct_response(REFINE));
+    assert_eq!(
+        streamed,
+        direct_response(&second),
+        "a request caught mid-stream by its generation's retirement must resume exactly"
+    );
+    assert_eq!(
+        counter(router, "serve.worker.faults"),
+        2,
+        "both requests saw the fault"
+    );
+    assert_eq!(
+        counter(router, "serve.worker.restarts"),
+        1,
+        "one fault retires a generation once"
+    );
+    assert_eq!(counter(router, "serve.worker.spawns"), 2);
 }
