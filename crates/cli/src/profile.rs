@@ -8,21 +8,22 @@ use std::collections::BTreeMap;
 use crate::opts::{write_out, Opts};
 use adhls_core::json::Value;
 use adhls_core::report::Table;
-use adhls_telemetry::{HistogramSnapshot, Snapshot};
+use adhls_telemetry::{HistogramSnapshot, Snapshot, COUNT_BUCKETS};
 
 /// Renders a snapshot as the human profile: one table of span timings
-/// (histograms record microseconds; shown in milliseconds) and one of the
-/// scalar counters/gauges. Duplicate names keep the latest push, matching
-/// the snapshot accessors.
+/// (histograms record microseconds; shown in milliseconds), one of count
+/// histograms (declared with [`COUNT_BUCKETS`]), and one of the scalar
+/// counters/gauges. Duplicate names keep the latest push, matching the
+/// snapshot accessors.
 #[must_use]
 pub fn render_profile(snap: &Snapshot) -> String {
     let mut out = String::from("=== profile: wall time by span ===\n");
-    let spans: BTreeMap<&str, &HistogramSnapshot> = snap.histograms().collect();
+    let (values, spans): (BTreeMap<&str, &HistogramSnapshot>, BTreeMap<_, _>) = snap
+        .histograms()
+        .filter(|(_, h)| h.count > 0)
+        .partition(|(_, h)| h.bounds == COUNT_BUCKETS);
     let mut t = Table::new(["span", "count", "total ms", "mean ms"]);
     for (name, h) in &spans {
-        if h.count == 0 {
-            continue;
-        }
         t.row([
             (*name).to_string(),
             h.count.to_string(),
@@ -34,6 +35,18 @@ pub fn render_profile(snap: &Snapshot) -> String {
         out.push_str("(no spans recorded)\n");
     } else {
         out.push_str(&t.render());
+    }
+    if !values.is_empty() {
+        let mut v = Table::new(["histogram", "count", "sum", "mean"]);
+        for (name, h) in &values {
+            v.row([
+                (*name).to_string(),
+                h.count.to_string(),
+                format!("{}", h.sum),
+                format!("{:.2}", h.mean().unwrap_or(0.0)),
+            ]);
+        }
+        out.push_str(&v.render());
     }
     let counters: BTreeMap<&str, u64> = snap.counters().collect();
     let gauges: BTreeMap<&str, i64> = snap.gauges().collect();
@@ -204,6 +217,26 @@ mod tests {
         assert!(text.contains("0.26"), "sum 260.5 us = 0.26 ms: {text}");
         assert!(text.contains("refine.cells_evaluated"), "{text}");
         assert!(text.contains("pool.threads"), "{text}");
+    }
+
+    #[test]
+    fn count_histograms_are_not_shown_as_time() {
+        let mut s = sample();
+        s.push_histogram(
+            "pipeline.relax.rounds",
+            HistogramSnapshot {
+                bounds: COUNT_BUCKETS.to_vec(),
+                counts: vec![1, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+                count: 2,
+                sum: 4.0,
+            },
+        );
+        let text = render_profile(&s);
+        let row = text
+            .lines()
+            .find(|l| l.contains("pipeline.relax.rounds"))
+            .unwrap();
+        assert!(row.contains("| 4 ") && row.contains("2.00"), "{text}");
     }
 
     #[test]

@@ -54,6 +54,9 @@ impl Instance {
 pub struct Allocation {
     instances: Vec<Instance>,
     limits: BTreeMap<ResClass, usize>,
+    /// Instances per class, kept with `instances` so the limit check does
+    /// not scan them.
+    counts: BTreeMap<ResClass, usize>,
 }
 
 impl Allocation {
@@ -108,7 +111,7 @@ impl Allocation {
     /// Number of instances of a class currently allocated.
     #[must_use]
     pub fn count(&self, class: ResClass) -> usize {
-        self.instances.iter().filter(|i| i.class() == class).count()
+        self.counts.get(&class).copied().unwrap_or(0)
     }
 
     /// Whether another instance of `class` may be created.
@@ -124,9 +127,7 @@ impl Allocation {
         if !self.can_grow(candidate.class) {
             return None;
         }
-        let id = InstId(self.instances.len() as u32);
-        self.instances.push(Instance { candidate, width });
-        Some(id)
+        Some(self.create_unchecked(candidate, width))
     }
 
     /// Creates an instance ignoring limits (used by tests and by relaxation
@@ -134,6 +135,7 @@ impl Allocation {
     pub fn create_unchecked(&mut self, candidate: Candidate, width: u16) -> InstId {
         let id = InstId(self.instances.len() as u32);
         self.instances.push(Instance { candidate, width });
+        *self.counts.entry(candidate.class).or_insert(0) += 1;
         id
     }
 
@@ -143,9 +145,10 @@ impl Allocation {
         &self.instances[id.0 as usize]
     }
 
-    /// Mutable access (area recovery retunes grades in place).
-    pub fn instance_mut(&mut self, id: InstId) -> &mut Instance {
-        &mut self.instances[id.0 as usize]
+    /// Retunes an instance's grade in place (area recovery); its class
+    /// stays.
+    pub fn set_grade(&mut self, id: InstId, grade: adhls_reslib::SpeedGrade) {
+        self.instances[id.0 as usize].candidate.grade = grade;
     }
 
     /// All instances in id order.

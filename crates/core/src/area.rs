@@ -157,8 +157,9 @@ pub fn area_recovery(
         // Apply: instance gets the interpolated slower grade; bound ops'
         // effective delays stretch by the same amount.
         let delta = target - old_delay;
-        schedule.allocation.instance_mut(inst_id).candidate.grade =
-            SpeedGrade::new(target as u64, new_area);
+        schedule
+            .allocation
+            .set_grade(inst_id, SpeedGrade::new(target as u64, new_area));
         for o in dfg.op_ids() {
             if schedule.instance_of[o.0 as usize] == Some(inst_id) {
                 schedule.delay_ps[o.0 as usize] += delta;

@@ -23,12 +23,13 @@
 //! `sched.rs`). Nothing is warm-started across cells in a way that could
 //! steer the search.
 
-use crate::sched::HlsOptions;
+use crate::sched::{Flow, HlsOptions};
 use adhls_ir::cfg::CfgInfo;
 use adhls_ir::span::{SpanAnalysis, SpanBounds};
 use adhls_ir::{Design, EdgeId, OpId, Result};
 use adhls_reslib::Library;
-use adhls_timing::budget::{op_choices, OpChoice};
+use adhls_timing::budget::{op_choices, BudgetOptions, OpChoice, SlackEngine};
+use adhls_timing::slack::SlackMode;
 use adhls_timing::TimedDfg;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -64,19 +65,26 @@ pub struct PreparedDesign {
     /// only ever narrow spans), so placement scans this instead of all ops.
     edge_ops: Vec<Vec<OpId>>,
     /// Clock-keyed second-stage artifacts, populated on first use.
-    clock_ctxs: Mutex<HashMap<u64, Arc<ClockContext>>>,
+    clock_ctxs: Mutex<HashMap<CtxKey, Arc<ClockContext>>>,
     approx_bytes: usize,
 }
 
-/// First-restart budgeting state for one `(clock, flow)` — the grades and
-/// slack priorities `init_grades` derives before any placement. Valid only
-/// while grade caps are untruncated (every restart that never tightened a
-/// grade), which the scheduler tracks explicitly.
-#[derive(Debug)]
+/// The initial budgeting state of a pass — the grades and slack
+/// priorities the scheduler derives before any placement. Cached here per
+/// options only for untruncated grade caps (every restart that never
+/// tightened a grade), which the scheduler tracks explicitly; within one
+/// run the scheduler also reuses it for any restart whose caps repeat.
+#[derive(Debug, Default)]
 pub struct ClockContext {
     pub(crate) grade_idx: Vec<Option<usize>>,
     pub(crate) prio: Vec<i64>,
     pub(crate) eff_delay: Vec<i64>,
+    /// Moves, reverted moves and slack evaluations of the budgeting call
+    /// that produced the grades (0 outside the slack flow), so a run that
+    /// reuses the context reports the same counts as one that computed it.
+    pub(crate) budget_moves: usize,
+    pub(crate) budget_reverted: usize,
+    pub(crate) slack_evals: usize,
 }
 
 impl PreparedDesign {
@@ -173,9 +181,9 @@ impl PreparedDesign {
     }
 
     /// The cached [`ClockContext`] for these options, if one was stored.
-    /// Keyed by every option *except* the initiation interval (which cannot
-    /// affect budgeting — it only constrains placement), so II cells at the
-    /// same clock share one context.
+    /// Keyed exactly by every option *except* the initiation interval
+    /// (which cannot affect budgeting — it only constrains placement), so
+    /// II cells at the same clock share one context.
     #[must_use]
     pub fn clock_context(&self, opts: &HlsOptions) -> Option<Arc<ClockContext>> {
         let key = ctx_key(opts);
@@ -198,18 +206,53 @@ impl PreparedDesign {
     }
 }
 
-/// Options key for the clock-context cache: everything but `pipeline_ii`,
-/// via the same Debug-format hashing `adhls-explore` uses for options
-/// fingerprints. In-memory key only — never persisted.
-fn ctx_key(opts: &HlsOptions) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let norm = HlsOptions {
-        pipeline_ii: None,
-        ..opts.clone()
-    };
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{norm:?}").hash(&mut h);
-    h.finish()
+/// Options key for the clock-context cache: every option field except
+/// `pipeline_ii`, compared exactly (`margin_frac` by its bits). The
+/// destructuring below names every field, so a new option cannot be left
+/// out of the key by accident.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct CtxKey {
+    clock_ps: u64,
+    flow: Flow,
+    margin_bits: u64,
+    mode: SlackMode,
+    engine: SlackEngine,
+    start_fastest: bool,
+    overhead_ps: u64,
+    zero_overhead: bool,
+    max_relax_rounds: u32,
+    area_recovery: bool,
+}
+
+fn ctx_key(opts: &HlsOptions) -> CtxKey {
+    let HlsOptions {
+        clock_ps,
+        flow,
+        budget,
+        zero_overhead,
+        pipeline_ii: _,
+        max_relax_rounds,
+        area_recovery,
+    } = opts;
+    let BudgetOptions {
+        margin_frac,
+        mode,
+        engine,
+        start_fastest,
+        overhead_ps,
+    } = budget;
+    CtxKey {
+        clock_ps: *clock_ps,
+        flow: *flow,
+        margin_bits: margin_frac.to_bits(),
+        mode: *mode,
+        engine: *engine,
+        start_fastest: *start_fastest,
+        overhead_ps: *overhead_ps,
+        zero_overhead: *zero_overhead,
+        max_relax_rounds: *max_relax_rounds,
+        area_recovery: *area_recovery,
+    }
 }
 
 fn approx_bytes(
@@ -234,4 +277,79 @@ fn approx_bytes(
             .iter()
             .map(|c| c.candidates.len() * 32)
             .sum::<usize>()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adhls_ir::builder::DesignBuilder;
+    use adhls_ir::op::OpKind;
+    use adhls_reslib::tsmc90;
+
+    #[test]
+    fn clock_contexts_are_keyed_by_every_option_but_the_ii() {
+        let mut b = DesignBuilder::new("key");
+        let x = b.input("x", 8);
+        let m = b.binop(OpKind::Mul, x, x, 8);
+        b.write("y", m);
+        let prep = PreparedDesign::new(&b.finish().unwrap(), &tsmc90::library()).unwrap();
+        let base = HlsOptions::default();
+        prep.store_clock_context(&base, Arc::new(ClockContext::default()));
+        let other_ii = HlsOptions {
+            pipeline_ii: Some(2),
+            ..base.clone()
+        };
+        assert!(prep.clock_context(&other_ii).is_some(), "II cells share");
+
+        let budget = |b: BudgetOptions| HlsOptions {
+            budget: b,
+            ..base.clone()
+        };
+        let b0 = base.budget;
+        let variants = [
+            HlsOptions {
+                clock_ps: base.clock_ps + 1,
+                ..base.clone()
+            },
+            HlsOptions {
+                flow: Flow::Conventional,
+                ..base.clone()
+            },
+            budget(BudgetOptions {
+                margin_frac: f64::from_bits(b0.margin_frac.to_bits() + 1),
+                ..b0
+            }),
+            budget(BudgetOptions {
+                mode: SlackMode::Plain,
+                ..b0
+            }),
+            budget(BudgetOptions {
+                engine: SlackEngine::BellmanFord,
+                ..b0
+            }),
+            budget(BudgetOptions {
+                start_fastest: true,
+                ..b0
+            }),
+            budget(BudgetOptions {
+                overhead_ps: b0.overhead_ps + 1,
+                ..b0
+            }),
+            HlsOptions {
+                zero_overhead: true,
+                ..base.clone()
+            },
+            HlsOptions {
+                max_relax_rounds: base.max_relax_rounds + 1,
+                ..base.clone()
+            },
+            HlsOptions {
+                area_recovery: false,
+                ..base.clone()
+            },
+        ];
+        for v in &variants {
+            assert!(prep.clock_context(v).is_none(), "shared a context: {v:?}");
+        }
+    }
 }

@@ -207,17 +207,30 @@ impl Default for RefineOptions {
 ///
 /// Cloning shares the flag; once [`CancelToken::cancel`] fires, every
 /// holder observes it. The refinement drivers consult the token only at
-/// **round boundaries** — a fired token stops the run before the next
-/// round is planned, so the partial [`RefineResult`] (rows, trace, front)
-/// is exactly a prefix-of-rounds of the uncancelled run, never a torn
-/// round. The exploration server's `cancel` verb fires these between a
-/// client's streamed round events.
+/// **round boundaries**, so the partial [`RefineResult`] (rows, trace,
+/// front) is exactly a prefix-of-rounds of the uncancelled run, never a
+/// torn round. The exploration server's `cancel` verb fires these between
+/// a client's streamed round events.
+///
+/// A run that finds no further round to evaluate *closes* its token
+/// before it streams its last round: from then on a cancel is refused
+/// ([`CancelToken::try_cancel`] returns `false`), so the canceller learns
+/// it lost the race and the result is exactly the uncancelled one. A
+/// cancel that lands before the close takes that last, still unstreamed
+/// round back, so a cancelled result stops short of the uncancelled run's
+/// last round — unless that round is the seed, which is streamed at once
+/// and never taken back.
 ///
 /// Equality is *identity*: two tokens compare equal when they share one
 /// flag (so an options struct holding a token stays `PartialEq` without
 /// pretending distinct tokens in identical states are interchangeable).
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
+pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicU8>);
+
+/// [`CancelToken`] states.
+const TOKEN_LIVE: u8 = 0;
+const TOKEN_CANCELLED: u8 = 1;
+const TOKEN_CLOSED: u8 = 2;
 
 impl CancelToken {
     /// A fresh, unfired token.
@@ -227,16 +240,55 @@ impl CancelToken {
     }
 
     /// Fires the token: every pending round-boundary check from now on
-    /// sees the cancellation.
+    /// sees the cancellation (no effect once the run closed the token).
     pub fn cancel(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::Release);
+        let _ = self.try_cancel();
+    }
+
+    /// Fires the token and reports whether the cancellation will take
+    /// effect: `false` when the run has already closed it (it finished
+    /// first).
+    pub fn try_cancel(&self) -> bool {
+        use std::sync::atomic::Ordering::{AcqRel, Acquire};
+        match self
+            .0
+            .compare_exchange(TOKEN_LIVE, TOKEN_CANCELLED, AcqRel, Acquire)
+        {
+            Ok(_) => true,
+            Err(state) => state == TOKEN_CANCELLED,
+        }
     }
 
     /// Whether [`CancelToken::cancel`] has fired.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::Acquire)
+        self.0.load(std::sync::atomic::Ordering::Acquire) == TOKEN_CANCELLED
     }
+
+    /// Closes the token to cancellation — the run is complete. Returns
+    /// `false` when a cancel got in first.
+    fn close(&self) -> bool {
+        use std::sync::atomic::Ordering::{AcqRel, Acquire};
+        match self
+            .0
+            .compare_exchange(TOKEN_LIVE, TOKEN_CLOSED, AcqRel, Acquire)
+        {
+            Ok(_) => true,
+            Err(state) => state == TOKEN_CLOSED,
+        }
+    }
+}
+
+/// Whether a run with cancellation `token` is cancelled at a boundary
+/// where it would evaluate another round.
+fn cancelled_at(token: Option<&CancelToken>) -> bool {
+    token.is_some_and(CancelToken::is_cancelled)
+}
+
+/// Whether a run that has no further round is cancelled after all: it
+/// closes its token, and a cancel that got in first wins.
+fn cancelled_at_end(token: Option<&CancelToken>) -> bool {
+    token.is_some_and(|t| !t.close())
 }
 
 impl PartialEq for CancelToken {
@@ -1012,10 +1064,11 @@ where
     refine_with_progress(eval, grid, prefix, build, opts, |_| {})
 }
 
-/// [`refine`], reporting each round's [`RoundTrace`] to `observe` as soon
-/// as the round's rows are integrated (the seed round included). This is
-/// the hook the exploration server streams per-round progress events from;
-/// the trace passed to `observe` is exactly the entry that ends up in
+/// [`refine`], reporting each round's [`RoundTrace`] to `observe`: the
+/// seed round as soon as its rows are integrated, every later round once
+/// the next boundary knows whether the run goes on (see [`CancelToken`]).
+/// This is the hook the exploration server streams per-round progress
+/// events from; the traces passed to `observe` are exactly the entries of
 /// [`RefineResult::trace`].
 ///
 /// # Errors
@@ -1085,59 +1138,97 @@ where
     observe(&trace[0]);
 
     let mut cancelled = false;
-    for round in 1..=opts.max_rounds {
+    // The newest round is streamed only once the next boundary knows
+    // whether the run goes on (see `CancelToken`): `held` is its undo
+    // point — rows, skips and the pruned count before it was planned.
+    let mut held: Option<(usize, usize, usize)> = None;
+    let mut round = 1;
+    loop {
+        let pruned_before = driver.pruned;
+        let planned: Option<(f64, Vec<Cell>, usize)> = 'plan: {
+            if round > opts.max_rounds {
+                break 'plan None;
+            }
+            let stairs = driver.staircase(&opts.objectives);
+            if stairs.is_empty() {
+                break 'plan None;
+            }
+            let (max_gap, mut candidates, pruned_now) = if stairs.len() < 2 {
+                // A single-point staircase has no gap to bisect. For planes
+                // with a closed-form axis (latency/throughput) the seed's
+                // corner cells already span that axis, so a one-point
+                // staircase is a genuinely converged corner — stop, exactly
+                // as the pre-redesign driver did (this keeps the default
+                // (area, latency) plane bit-identical to it). Planes whose
+                // axes are both evaluated quantities get no such guarantee;
+                // densify the lone point's axis neighborhood instead (see
+                // `plan_densify`). The gap is reported as 0.0, like the seed
+                // round: there is none yet.
+                if plane_has_exact_axis(&opts.objectives) {
+                    break 'plan None;
+                }
+                let (candidates, pruned_now) = driver.plan_densify(&stairs);
+                if candidates.is_empty() {
+                    break 'plan None;
+                }
+                (0.0, candidates, pruned_now)
+            } else {
+                let full_front = driver.front();
+                let planned = driver.plan(
+                    &opts.objectives,
+                    &stairs,
+                    gap_tol,
+                    &mut HashSet::new(),
+                    &full_front,
+                );
+                if planned.0 <= gap_tol || planned.1.is_empty() {
+                    break 'plan None;
+                }
+                planned
+            };
+            if opts.budget > 0 {
+                let spent = driver.rows.len() + driver.skipped.len();
+                let remaining = opts.budget.saturating_sub(spent);
+                if remaining == 0 {
+                    break 'plan None;
+                }
+                candidates.truncate(remaining);
+            }
+            Some((max_gap, candidates, pruned_now))
+        };
+        let Some((max_gap, candidates, pruned_now)) = planned else {
+            // The run is complete, unless a cancel got in before it could
+            // close: then the held round goes back, so the cancelled
+            // result still stops short of the uncancelled one.
+            if cancelled_at_end(opts.cancel.as_ref()) {
+                cancelled = true;
+                adhls_telemetry::counter_add("refine.cancelled", 1);
+                driver.pruned = pruned_before;
+                if let Some((rows, skipped, pruned)) = held.take() {
+                    driver.rows.truncate(rows);
+                    driver.row_cells.truncate(rows);
+                    driver.skipped.truncate(skipped);
+                    driver.pruned = pruned;
+                    trace.pop();
+                }
+            }
+            if held.is_some() {
+                observe(trace.last().expect("held round is traced"));
+            }
+            break;
+        };
+        if held.take().is_some() {
+            observe(trace.last().expect("held round is traced"));
+        }
         // The round boundary is the one cancellation point: rows and trace
         // integrated so far are a valid prefix of the uncancelled run.
-        if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        if cancelled_at(opts.cancel.as_ref()) {
             cancelled = true;
             adhls_telemetry::counter_add("refine.cancelled", 1);
+            driver.pruned = pruned_before;
             break;
         }
-        let stairs = driver.staircase(&opts.objectives);
-        if stairs.is_empty() {
-            break;
-        }
-        let (max_gap, mut candidates, pruned_now) = if stairs.len() < 2 {
-            // A single-point staircase has no gap to bisect. For planes
-            // with a closed-form axis (latency/throughput) the seed's
-            // corner cells already span that axis, so a one-point
-            // staircase is a genuinely converged corner — stop, exactly
-            // as the pre-redesign driver did (this keeps the default
-            // (area, latency) plane bit-identical to it). Planes whose
-            // axes are both evaluated quantities get no such guarantee;
-            // densify the lone point's axis neighborhood instead (see
-            // `plan_densify`). The gap is reported as 0.0, like the seed
-            // round: there is none yet.
-            if plane_has_exact_axis(&opts.objectives) {
-                break;
-            }
-            let (candidates, pruned_now) = driver.plan_densify(&stairs);
-            if candidates.is_empty() {
-                break;
-            }
-            (0.0, candidates, pruned_now)
-        } else {
-            let full_front = driver.front();
-            let planned = driver.plan(
-                &opts.objectives,
-                &stairs,
-                gap_tol,
-                &mut HashSet::new(),
-                &full_front,
-            );
-            if planned.0 <= gap_tol || planned.1.is_empty() {
-                break;
-            }
-            planned
-        };
-        if opts.budget > 0 {
-            let spent = driver.rows.len() + driver.skipped.len();
-            let remaining = opts.budget.saturating_sub(spent);
-            if remaining == 0 {
-                break;
-            }
-            candidates.truncate(remaining);
-        }
+        held = Some((driver.rows.len(), driver.skipped.len(), pruned_before));
         adhls_telemetry::timed(&round_metric, || driver.evaluate_cells(eval, &candidates))?;
         adhls_telemetry::counter_add("refine.cells_evaluated", candidates.len() as u64);
         adhls_telemetry::counter_add("refine.cells_pruned", pruned_now as u64);
@@ -1148,7 +1239,7 @@ where
             max_gap,
             pruned: pruned_now,
         });
-        observe(trace.last().expect("round trace just pushed"));
+        round += 1;
     }
 
     let front = driver
@@ -1558,10 +1649,9 @@ where
 }
 
 /// [`refine_multi`], reporting each merged round's [`MultiRoundTrace`] to
-/// `observe` as soon as the round's rows are integrated (the seed round
-/// included) — the multi-plane counterpart of [`refine_with_progress`],
-/// and what the exploration server streams multi-plane `round` events
-/// from.
+/// `observe` on the same schedule as [`refine_with_progress`] — its
+/// multi-plane counterpart, and what the exploration server streams
+/// multi-plane `round` events from.
 ///
 /// # Errors
 ///
@@ -1667,65 +1757,104 @@ where
     observe(&merged[0]);
 
     let mut cancelled = false;
-    for round in 1..=opts.max_rounds {
-        // Same cancellation point as the single-plane driver: between
-        // rounds, so the merged trace is a prefix of the uncancelled one.
-        if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            cancelled = true;
-            adhls_telemetry::counter_add("refine.cancelled", 1);
-            break;
-        }
-        // One shared pending set: a cell several planes want this round is
-        // queued once, credited to the first plane that asked.
-        let mut pending: HashSet<Cell> = HashSet::new();
-        // One front extraction per round, shared by every plane's prune —
-        // rows don't change while the round plans.
-        let full_front = driver.front();
-        // Which plane proposed each cell — so per-plane counts can be
-        // re-derived from the cells that *survive* the budget cut below.
-        let mut proposer: HashMap<Cell, usize> = HashMap::new();
-        let mut candidates: Vec<Cell> = Vec::new();
-        let mut plane_gaps = vec![0.0f64; planes.len()];
-        let mut plane_pruned = vec![0usize; planes.len()];
-        for (pi, plane) in planes.iter().enumerate() {
-            let stairs = driver.staircase(plane);
-            if stairs.is_empty() {
-                continue;
+    // As in the single-plane driver: the newest round is streamed only
+    // once the next boundary knows whether the run goes on, and `held` is
+    // its undo point.
+    let mut held: Option<(usize, usize, usize)> = None;
+    let mut round = 1;
+    loop {
+        let pruned_before = driver.pruned;
+        let planned = 'plan: {
+            if round > opts.max_rounds {
+                break 'plan None;
             }
-            let (gap, fresh, pruned_now) = if stairs.len() < 2 {
-                // Same per-plane policy as the single-plane driver: an
-                // exact-axis plane's one-point staircase is a converged
-                // corner; an evaluated-axes plane densifies around it.
-                if plane_has_exact_axis(plane) {
+            // One shared pending set: a cell several planes want this round is
+            // queued once, credited to the first plane that asked.
+            let mut pending: HashSet<Cell> = HashSet::new();
+            // One front extraction per round, shared by every plane's prune —
+            // rows don't change while the round plans.
+            let full_front = driver.front();
+            // Which plane proposed each cell — so per-plane counts can be
+            // re-derived from the cells that *survive* the budget cut below.
+            let mut proposer: HashMap<Cell, usize> = HashMap::new();
+            let mut candidates: Vec<Cell> = Vec::new();
+            let mut plane_gaps = vec![0.0f64; planes.len()];
+            let mut plane_pruned = vec![0usize; planes.len()];
+            for (pi, plane) in planes.iter().enumerate() {
+                let stairs = driver.staircase(plane);
+                if stairs.is_empty() {
                     continue;
                 }
-                let (cands, pruned_now) = driver.plan_densify(&stairs);
-                let fresh: Vec<Cell> = cands.into_iter().filter(|c| pending.insert(*c)).collect();
-                (0.0, fresh, pruned_now)
-            } else {
-                // `plan` itself skips (and credits) cells another plane
-                // already queued via the shared pending set.
-                driver.plan(plane, &stairs, gap_tol, &mut pending, &full_front)
-            };
-            plane_gaps[pi] = gap;
-            plane_pruned[pi] = pruned_now;
-            for &c in &fresh {
-                proposer.insert(c, pi);
+                let (gap, fresh, pruned_now) = if stairs.len() < 2 {
+                    // Same per-plane policy as the single-plane driver: an
+                    // exact-axis plane's one-point staircase is a converged
+                    // corner; an evaluated-axes plane densifies around it.
+                    if plane_has_exact_axis(plane) {
+                        continue;
+                    }
+                    let (cands, pruned_now) = driver.plan_densify(&stairs);
+                    let fresh: Vec<Cell> =
+                        cands.into_iter().filter(|c| pending.insert(*c)).collect();
+                    (0.0, fresh, pruned_now)
+                } else {
+                    // `plan` itself skips (and credits) cells another plane
+                    // already queued via the shared pending set.
+                    driver.plan(plane, &stairs, gap_tol, &mut pending, &full_front)
+                };
+                plane_gaps[pi] = gap;
+                plane_pruned[pi] = pruned_now;
+                for &c in &fresh {
+                    proposer.insert(c, pi);
+                }
+                candidates.extend(fresh);
             }
-            candidates.extend(fresh);
+            if candidates.is_empty() {
+                break 'plan None;
+            }
+            candidates.sort_unstable();
+            if opts.budget > 0 {
+                let spent = driver.rows.len() + driver.skipped.len();
+                let remaining = opts.budget.saturating_sub(spent);
+                if remaining == 0 {
+                    break 'plan None;
+                }
+                candidates.truncate(remaining);
+            }
+            Some((candidates, proposer, plane_gaps, plane_pruned))
+        };
+        let Some((candidates, proposer, plane_gaps, plane_pruned)) = planned else {
+            if cancelled_at_end(opts.cancel.as_ref()) {
+                cancelled = true;
+                adhls_telemetry::counter_add("refine.cancelled", 1);
+                driver.pruned = pruned_before;
+                if let Some((rows, skipped, pruned)) = held.take() {
+                    driver.rows.truncate(rows);
+                    driver.row_cells.truncate(rows);
+                    driver.skipped.truncate(skipped);
+                    driver.pruned = pruned;
+                    merged.pop();
+                    for t in &mut plane_traces {
+                        t.pop();
+                    }
+                }
+            }
+            if held.is_some() {
+                observe(merged.last().expect("held round is traced"));
+            }
+            break;
+        };
+        if held.take().is_some() {
+            observe(merged.last().expect("held round is traced"));
         }
-        if candidates.is_empty() {
+        // Same cancellation point as the single-plane driver: between
+        // rounds, so the merged trace is a prefix of the uncancelled one.
+        if cancelled_at(opts.cancel.as_ref()) {
+            cancelled = true;
+            adhls_telemetry::counter_add("refine.cancelled", 1);
+            driver.pruned = pruned_before;
             break;
         }
-        candidates.sort_unstable();
-        if opts.budget > 0 {
-            let spent = driver.rows.len() + driver.skipped.len();
-            let remaining = opts.budget.saturating_sub(spent);
-            if remaining == 0 {
-                break;
-            }
-            candidates.truncate(remaining);
-        }
+        held = Some((driver.rows.len(), driver.skipped.len(), pruned_before));
         // Per-plane counts reflect what was *evaluated*, not what was
         // proposed: cells the budget truncation dropped never ran, and
         // counting them would make the per-plane traces disagree with the
@@ -1757,7 +1886,7 @@ where
                 pruned: plane_pruned[pi],
             });
         }
-        observe(merged.last().expect("round trace just pushed"));
+        round += 1;
     }
 
     let front: Vec<DseRow> = driver
@@ -1834,6 +1963,109 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    /// Fires `token` while evaluation batch `at` runs (0 = the seed).
+    struct CancelDuring<'a> {
+        inner: Engine<'a>,
+        token: CancelToken,
+        at: usize,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl Evaluator for CancelDuring<'_> {
+        fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult> {
+            let k = self.calls.get();
+            self.calls.set(k + 1);
+            if k == self.at {
+                self.token.cancel();
+            }
+            self.inner.evaluate_points(points)
+        }
+    }
+
+    #[test]
+    fn a_cancel_in_any_round_stops_short_of_the_last() {
+        let lib = tsmc90::library();
+        let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
+        let plain = RefineOptions {
+            gap_tol: 0.0,
+            ..Default::default()
+        };
+        let full = refine(&engine(&lib), &g, "syn", build_cell, &plain).unwrap();
+        let last = full.trace.len() - 1;
+        assert!(last >= 1, "fixture must be multi-round");
+        let planes = [
+            ObjectiveSpace::parse("area,latency").unwrap(),
+            ObjectiveSpace::parse("area,power").unwrap(),
+        ];
+        let full_multi = refine_multi_with_progress(
+            &engine(&lib),
+            &g,
+            "syn",
+            build_cell,
+            &plain,
+            &planes,
+            |_| {},
+        )
+        .unwrap();
+        for at in 0..=last {
+            // Cancelled while round `at` evaluates: the run stops at the
+            // next boundary with more work, or — in the last round, which
+            // can no longer close its token — takes that round back.
+            let kept = if at == last { last } else { at + 1 };
+            let eval = CancelDuring {
+                inner: engine(&lib),
+                token: CancelToken::new(),
+                at,
+                calls: std::cell::Cell::new(0),
+            };
+            let opts = RefineOptions {
+                cancel: Some(eval.token.clone()),
+                ..plain.clone()
+            };
+            let mut streamed = Vec::new();
+            let r = refine_with_progress(&eval, &g, "syn", build_cell, &opts, |t| {
+                streamed.push(t.clone());
+            })
+            .unwrap();
+            assert!(r.cancelled, "cancel in round {at}");
+            assert_eq!(r.trace[..], full.trace[..kept], "cancel in round {at}");
+            assert_eq!(streamed, r.trace, "only kept rounds are streamed");
+            assert_eq!(r.rows[..], full.rows[..r.rows.len()]);
+            assert!(eval.token.try_cancel(), "a cancelled token stays cancelled");
+
+            let eval = CancelDuring {
+                inner: engine(&lib),
+                token: CancelToken::new(),
+                at,
+                calls: std::cell::Cell::new(0),
+            };
+            let opts = RefineOptions {
+                cancel: Some(eval.token.clone()),
+                ..plain.clone()
+            };
+            let m =
+                refine_multi_with_progress(&eval, &g, "syn", build_cell, &opts, &planes, |_| {})
+                    .unwrap();
+            let multi_last = full_multi.trace.len() - 1;
+            if at <= multi_last {
+                let kept = if at == multi_last { multi_last } else { at + 1 };
+                assert!(m.cancelled, "multi-plane cancel in round {at}");
+                assert_eq!(m.trace[..], full_multi.trace[..kept]);
+            }
+        }
+        // A run that finishes closes its token: a late cancel is refused.
+        let token = CancelToken::new();
+        let opts = RefineOptions {
+            cancel: Some(token.clone()),
+            ..plain
+        };
+        let done = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
+        assert!(!done.cancelled);
+        assert_eq!(done.trace, full.trace);
+        assert!(!token.try_cancel(), "a finished run refuses cancels");
+        assert!(!token.is_cancelled());
     }
 
     #[test]

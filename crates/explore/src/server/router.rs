@@ -656,18 +656,21 @@ impl Router {
             return Ok(true);
         }
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let _in_flight = self.registry.gauge_guard("serve.in_flight");
+        let in_flight = self.registry.gauge_guard("serve.in_flight");
         self.registry
             .counter_add("serve.bytes_read", line.len() as u64);
         let started = Instant::now();
         let (id, cmd) = protocol::parse_request(line);
         let verb = cmd.as_ref().map_or("invalid", |c| c.verb());
         let (keep_going, ok) = self.dispatch(id.as_ref(), cmd, line, out)?;
-        out.flush()?;
+        // Settled before the flush releases the terminal line, as in the
+        // server.
         let us = started.elapsed().as_secs_f64() * 1e6;
         self.registry.observe(&format!("serve.request.{verb}"), us);
         self.registry
             .counter_add(if ok { "serve.ok" } else { "serve.errors" }, 1);
+        drop(in_flight);
+        out.flush()?;
         Ok(keep_going)
     }
 

@@ -384,19 +384,15 @@ impl Server {
     }
 
     /// Fires the cancellation token of the in-flight request whose `id`
-    /// renders as `target` renders, returning whether one was found. The
-    /// cancelled refinement stops at its next round boundary; its rows and
-    /// trace stay a valid prefix of the uncancelled run's.
+    /// renders as `target` renders, returning whether the cancellation
+    /// takes effect: `false` when no such request is in flight or it has
+    /// already finished its last round. The cancelled refinement stops at
+    /// its next round boundary; its rows and trace stay a valid prefix of
+    /// the uncancelled run's and stop short of its last round.
     pub fn cancel_request(&self, target: &Value) -> bool {
         let key = target.render();
         let cancels = self.cancels.lock().expect("cancel registry poisoned");
-        match cancels.get(&key) {
-            Some(token) => {
-                token.cancel();
-                true
-            }
-            None => false,
-        }
+        cancels.get(&key).is_some_and(CancelToken::try_cancel)
     }
 
     /// Registers a cancellable in-flight request under its rendered `id`
@@ -486,18 +482,20 @@ impl Server {
         let registry = self.pool.telemetry().clone();
         let _telemetry = adhls_telemetry::install(&registry);
         let seq = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let _in_flight = registry.gauge_guard("serve.in_flight");
+        let in_flight = registry.gauge_guard("serve.in_flight");
         registry.counter_add("serve.bytes_read", line.len() as u64);
         let started = registry.is_enabled().then(Instant::now);
         let (id, cmd) = protocol::parse_request(line);
         let verb = cmd.as_ref().map_or("invalid", |c| c.verb());
         let handled = self.dispatch(id.as_ref(), cmd, out)?;
-        out.flush()?;
         if let Some(t) = started {
             // Per-request accounting: every counted request ends in exactly
             // one `serve.request.<verb>` histogram sample and one
             // ok/errors increment — `metrics` totals reconcile with the
             // `serve.requests` counter (modulo requests still in flight).
+            // Settled — and the request no longer in flight — before the
+            // final flush releases the terminal line, so a client that has
+            // its answer finds it accounted for.
             let us = t.elapsed().as_secs_f64() * 1e6;
             registry.observe(&format!("serve.request.{verb}"), us);
             registry.counter_add(
@@ -518,6 +516,8 @@ impl Server {
                 );
             }
         }
+        drop(in_flight);
+        out.flush()?;
         Ok(handled.keep_going)
     }
 

@@ -75,6 +75,8 @@ pub struct SpanAnalysis {
     /// Cached forward topological order of the DFG (invariant under
     /// pinning).
     topo: Vec<OpId>,
+    /// Position of each live op in `topo` (`u32::MAX` for dead ids).
+    pos: Vec<u32>,
 }
 
 impl SpanAnalysis {
@@ -115,7 +117,11 @@ impl SpanAnalysis {
             set.sort_by_key(|&e| info.edge_topo_pos(e));
             legal[o.0 as usize] = set;
         }
-        Ok(SpanAnalysis { legal, topo })
+        let mut pos = vec![u32::MAX; dfg.len_ids()];
+        for (k, &o) in topo.iter().enumerate() {
+            pos[o.0 as usize] = k as u32;
+        }
+        Ok(SpanAnalysis { legal, topo, pos })
     }
 
     /// Legal edges for `o`, in topological order.
@@ -188,79 +194,185 @@ impl SpanAnalysis {
         info: &CfgInfo,
         pin: impl Fn(OpId) -> Option<EdgeId>,
     ) -> Result<SpanBounds> {
-        let topo = &self.topo;
         let n = dfg.len_ids();
         let mut early: Vec<Option<EdgeId>> = vec![None; n];
         let mut late: Vec<Option<EdgeId>> = vec![None; n];
-
-        // Forward sweep: earliest legal edge with all operand values
-        // available (chaining on the same edge allowed → reflexive reach).
-        for &o in topo {
-            if let Some(e) = pin(o) {
-                early[o.0 as usize] = Some(e);
-                continue;
-            }
-            let mut found = None;
-            'edges: for &e in self.legal(o) {
-                for p in dfg.forward_operands(o) {
-                    if dfg.op(p).kind().is_const() {
-                        continue; // constants are always available
-                    }
-                    let pe = early[p.0 as usize].ok_or_else(|| {
-                        Error::MalformedDfg(format!("operand {p} of {o} has no early edge"))
-                    })?;
-                    if !info.reaches(pe, e) {
-                        continue 'edges;
-                    }
-                }
-                found = Some(e);
-                break;
-            }
-            early[o.0 as usize] = Some(found.ok_or_else(|| {
-                Error::MalformedDfg(format!(
-                    "no legal edge for {o} satisfies operand availability"
-                ))
-            })?);
+        for &o in &self.topo {
+            early[o.0 as usize] = Some(match pin(o) {
+                Some(e) => e,
+                None => self.early_of(dfg, info, &early, o)?,
+            });
         }
-
-        // Backward sweep: latest legal edge from which every consumer's late
-        // edge is still reachable.
-        for &o in topo.iter().rev() {
-            if let Some(e) = pin(o) {
-                late[o.0 as usize] = Some(e);
-                continue;
-            }
-            // Constants are hardwired literals: they have no timing position
-            // and never constrain (nor are constrained by) their consumers —
-            // a consumer may even be hoisted above the constant's birth.
-            if dfg.op(o).kind().is_const() {
-                late[o.0 as usize] = early[o.0 as usize];
-                continue;
-            }
-            let eo = early[o.0 as usize].expect("early computed in forward sweep");
-            let mut found = None;
-            for &e in self.legal(o).iter().rev() {
-                if !info.reaches(eo, e) {
-                    continue; // must stay within [early, ...]
-                }
-                let ok = dfg
-                    .forward_users(o)
-                    .all(|(u, _)| late[u.0 as usize].is_some_and(|ul| info.reaches(e, ul)));
-                if ok {
-                    found = Some(e);
-                    break;
-                }
-            }
-            // No users (dead value): collapse to early.
-            if dfg.forward_users(o).next().is_none() {
-                found = Some(found.unwrap_or(eo));
-            }
-            late[o.0 as usize] = Some(found.ok_or_else(|| {
-                Error::MalformedDfg(format!("no legal edge for {o} satisfies its users"))
-            })?);
+        for &o in self.topo.iter().rev() {
+            late[o.0 as usize] = Some(match pin(o) {
+                Some(e) => e,
+                None => self.late_of(dfg, info, &early, &late, o)?,
+            });
         }
-
         Ok(SpanBounds { early, late })
+    }
+
+    /// Brings `bounds` up to date after the ops in `new_pins` were pinned:
+    /// `bounds` must be this analysis's [`SpanAnalysis::bounds_pinned`]
+    /// result for `pin` with `new_pins` unpinned, and afterwards equals the
+    /// result for `pin`. Ops whose early or late bound changed are written
+    /// to `moved`, each once.
+    ///
+    /// An early bound depends only on the op's pin and its operands' early
+    /// bounds, a late bound only on the op's pin, its early bound and its
+    /// users' late bounds. So early bounds are re-derived forward from the
+    /// new pins over their fan-out, late bounds backward from every op
+    /// whose pin or early bound changed over its fan-in, each in
+    /// topological order and only past ops whose bound moved — the same
+    /// per-op rules the full sweeps apply, to exactly the ops whose inputs
+    /// changed.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SpanAnalysis::bounds_pinned`] over `pin`; on
+    /// error `bounds` is left partially updated.
+    pub fn repin(
+        &self,
+        dfg: &Dfg,
+        info: &CfgInfo,
+        bounds: &mut SpanBounds,
+        pin: impl Fn(OpId) -> Option<EdgeId>,
+        new_pins: &[OpId],
+        moved: &mut Vec<OpId>,
+    ) -> Result<()> {
+        const FWD: u8 = 1; // early bound must be re-derived
+        const BWD: u8 = 2; // late bound must be re-derived
+        const MOVED: u8 = 4; // listed in `moved`
+        moved.clear();
+        let Some(lo) = new_pins.iter().map(|o| self.pos[o.0 as usize]).min() else {
+            return Ok(());
+        };
+        // Flags per topological position. Forward edges only go to higher
+        // positions, so one upward sweep re-derives every early bound after
+        // all its changed operands, and one downward sweep every late bound
+        // after all its changed users.
+        let mut flags = vec![0u8; self.topo.len()];
+        let mut hi = lo;
+        for o in new_pins {
+            let p = self.pos[o.0 as usize];
+            flags[p as usize] |= FWD | BWD;
+            hi = hi.max(p);
+        }
+        let mut p = lo;
+        while p <= hi {
+            if flags[p as usize] & FWD != 0 {
+                let o = self.topo[p as usize];
+                let e = match pin(o) {
+                    Some(e) => e,
+                    None => self.early_of(dfg, info, &bounds.early, o)?,
+                };
+                if bounds.early[o.0 as usize] != Some(e) {
+                    bounds.early[o.0 as usize] = Some(e);
+                    flags[p as usize] |= BWD | MOVED;
+                    moved.push(o);
+                    for (u, _) in dfg.forward_users(o) {
+                        let q = self.pos[u.0 as usize];
+                        flags[q as usize] |= FWD;
+                        hi = hi.max(q);
+                    }
+                }
+            }
+            p += 1;
+        }
+        let mut lo = lo;
+        let mut p = hi + 1;
+        while p > lo {
+            p -= 1;
+            if flags[p as usize] & BWD == 0 {
+                continue;
+            }
+            let o = self.topo[p as usize];
+            let l = match pin(o) {
+                Some(e) => e,
+                None => self.late_of(dfg, info, &bounds.early, &bounds.late, o)?,
+            };
+            if bounds.late[o.0 as usize] != Some(l) {
+                bounds.late[o.0 as usize] = Some(l);
+                if flags[p as usize] & MOVED == 0 {
+                    moved.push(o);
+                }
+                for q in dfg.forward_operands(o) {
+                    let q = self.pos[q.0 as usize];
+                    flags[q as usize] |= BWD;
+                    lo = lo.min(q);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Earliest legal edge of unpinned `o` with all operand values
+    /// available (chaining on the same edge allowed → reflexive reach),
+    /// given its operands' early bounds.
+    #[inline]
+    fn early_of(
+        &self,
+        dfg: &Dfg,
+        info: &CfgInfo,
+        early: &[Option<EdgeId>],
+        o: OpId,
+    ) -> Result<EdgeId> {
+        'edges: for &e in self.legal(o) {
+            for p in dfg.forward_operands(o) {
+                if dfg.op(p).kind().is_const() {
+                    continue; // constants are always available
+                }
+                let pe = early[p.0 as usize].ok_or_else(|| {
+                    Error::MalformedDfg(format!("operand {p} of {o} has no early edge"))
+                })?;
+                if !info.reaches(pe, e) {
+                    continue 'edges;
+                }
+            }
+            return Ok(e);
+        }
+        Err(Error::MalformedDfg(format!(
+            "no legal edge for {o} satisfies operand availability"
+        )))
+    }
+
+    /// Latest legal edge of unpinned `o` from which every consumer's late
+    /// edge is still reachable, given its early bound and its users' late
+    /// bounds.
+    #[inline]
+    fn late_of(
+        &self,
+        dfg: &Dfg,
+        info: &CfgInfo,
+        early: &[Option<EdgeId>],
+        late: &[Option<EdgeId>],
+        o: OpId,
+    ) -> Result<EdgeId> {
+        let eo = early[o.0 as usize].expect("early computed before late");
+        // Constants are hardwired literals: they have no timing position
+        // and never constrain (nor are constrained by) their consumers —
+        // a consumer may even be hoisted above the constant's birth.
+        if dfg.op(o).kind().is_const() {
+            return Ok(eo);
+        }
+        for &e in self.legal(o).iter().rev() {
+            if !info.reaches(eo, e) {
+                continue; // must stay within [early, ...]
+            }
+            let ok = dfg
+                .forward_users(o)
+                .all(|(u, _)| late[u.0 as usize].is_some_and(|ul| info.reaches(e, ul)));
+            if ok {
+                return Ok(e);
+            }
+        }
+        // No users (dead value): collapse to early.
+        if dfg.forward_users(o).next().is_none() {
+            return Ok(eo);
+        }
+        Err(Error::MalformedDfg(format!(
+            "no legal edge for {o} satisfies its users"
+        )))
     }
 }
 
@@ -505,6 +617,65 @@ mod tests {
         assert_eq!(spans.span(m).edges, vec![e1, extra[0], extra[1]]);
         assert_eq!(spans.span(m2).edges, vec![e1, extra[0], extra[1]]);
         assert_eq!(spans.early(m2), e1); // chaining with m on e1 is allowed
+    }
+
+    #[test]
+    fn repin_matches_a_full_recompute() {
+        // Soft states give ops room to move; the resizer adds branches.
+        let mut g = Cfg::new("soft");
+        let start = g.add_node(NodeKind::Start);
+        let a = g.add_node(NodeKind::Plain);
+        let b = g.add_node(NodeKind::Plain);
+        g.add_edge(start, a);
+        let e1 = g.add_edge(a, b);
+        g.insert_soft_states(e1, 3);
+        let mut d = Dfg::new();
+        let x = d.add_op(Op::new(OpKind::Input, 8), e1, &[]);
+        let m1 = d.add_op(Op::new(OpKind::Mul, 8), e1, &[x, x]);
+        let m2 = d.add_op(Op::new(OpKind::Mul, 8), e1, &[m1, x]);
+        let m3 = d.add_op(Op::new(OpKind::Add, 8), e1, &[m2, m1]);
+        d.add_op(Op::new(OpKind::Mul, 8), e1, &[m3, m3]);
+        let soft = crate::Design::new(g, d);
+        for design in [soft, resizer_design().0] {
+            let (dfg, info) = (&design.dfg, design.validate().unwrap());
+            let analysis = SpanAnalysis::new(dfg, &info).unwrap();
+            let mut pins: Vec<Option<EdgeId>> = vec![None; dfg.len_ids()];
+            let mut bounds = analysis.bounds_pinned(dfg, &info, |_| None).unwrap();
+            let mut moved = Vec::new();
+            // Pin in topological order, two at a time, alternately at the
+            // current early edge (as soon as possible, which moves late
+            // bounds) and at the current late edge (which moves early ones).
+            for (k, batch) in analysis.topo.clone().chunks(2).enumerate() {
+                for &o in batch {
+                    let at = if k % 2 == 0 {
+                        bounds.early(o)
+                    } else {
+                        bounds.late(o)
+                    };
+                    pins[o.0 as usize] = Some(at);
+                }
+                let before = bounds.clone();
+                analysis
+                    .repin(
+                        dfg,
+                        &info,
+                        &mut bounds,
+                        |o| pins[o.0 as usize],
+                        batch,
+                        &mut moved,
+                    )
+                    .unwrap();
+                let full = analysis
+                    .bounds_pinned(dfg, &info, |o| pins[o.0 as usize])
+                    .unwrap();
+                for o in dfg.op_ids() {
+                    let now = (bounds.early(o), bounds.late(o));
+                    assert_eq!(now, (full.early(o), full.late(o)), "{o}");
+                    let was = (before.early(o), before.late(o));
+                    assert_eq!(now != was, moved.contains(&o), "{o} moved");
+                }
+            }
+        }
     }
 
     #[test]

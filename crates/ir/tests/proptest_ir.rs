@@ -1,9 +1,10 @@
-//! Property-based tests for the IR: span invariants, transform safety,
-//! placement equivalence under code motion.
+//! Property-based tests for the IR: span invariants, incremental bounds,
+//! transform safety, placement equivalence under code motion.
 
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::interp::{run, run_placed, Stimulus};
-use adhls_ir::{Design, OpId, OpKind};
+use adhls_ir::span::SpanAnalysis;
+use adhls_ir::{Design, EdgeId, OpId, OpKind};
 use proptest::prelude::*;
 
 /// A recipe for a random straight-line design with soft-state budget.
@@ -140,6 +141,56 @@ proptest! {
         d2.validate().unwrap();
         let after = run(&d2, &stim, 10_000).unwrap();
         prop_assert_eq!(before.outputs, after.outputs);
+    }
+
+    /// Pinning ops in topological order, a few at a time, each on a legal
+    /// edge inside its current bounds (as the scheduler does), the
+    /// incremental `repin` agrees with a full `bounds_pinned` after every
+    /// batch — both fail or both produce the same bounds — and reports
+    /// exactly the ops whose bounds moved.
+    #[test]
+    fn repin_equals_full_recompute(
+        r in recipe(),
+        picks in prop::collection::vec((0usize..8, 1usize..4), 1..64),
+    ) {
+        let (d, _) = build(&r);
+        let info = d.validate().unwrap();
+        let analysis = SpanAnalysis::new(&d.dfg, &info).unwrap();
+        let mut bounds = analysis.bounds_pinned(&d.dfg, &info, |_| None).unwrap();
+        let mut pins: Vec<Option<EdgeId>> = vec![None; d.dfg.len_ids()];
+        let order = d.dfg.topo_order().unwrap();
+        let mut moved = Vec::new();
+        let (mut next, mut step) = (0, 0);
+        while next < order.len() {
+            let (choice, size) = picks[step % picks.len()];
+            step += 1;
+            let batch: Vec<OpId> = order[next..(next + size).min(order.len())].to_vec();
+            next += batch.len();
+            for &o in &batch {
+                let fits: Vec<EdgeId> = analysis
+                    .legal(o)
+                    .iter()
+                    .copied()
+                    .filter(|&e| bounds.contains(&analysis, &info, o, e))
+                    .collect();
+                pins[o.0 as usize] = Some(if fits.is_empty() {
+                    bounds.early(o)
+                } else {
+                    fits[choice % fits.len()]
+                });
+            }
+            let before = bounds.clone();
+            let inc = analysis.repin(&d.dfg, &info, &mut bounds, |o| pins[o.0 as usize], &batch, &mut moved);
+            let full = analysis.bounds_pinned(&d.dfg, &info, |o| pins[o.0 as usize]);
+            prop_assert_eq!(inc.is_ok(), full.is_ok(), "only one side failed");
+            let Ok(full) = full else { break };
+            for o in d.dfg.op_ids() {
+                let now = (bounds.early(o), bounds.late(o));
+                prop_assert_eq!(now, (full.early(o), full.late(o)), "{} bounds", o);
+                let was = (before.early(o), before.late(o));
+                prop_assert_eq!(now != was, moved.contains(&o), "{} moved", o);
+            }
+        }
     }
 
     /// CFG latency is triangle-consistent: lat(a,c) <= lat(a,b) + lat(b,c)

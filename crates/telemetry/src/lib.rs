@@ -45,7 +45,7 @@ mod registry;
 mod snapshot;
 mod span;
 
-pub use registry::{GaugeGuard, Registry, TIME_BUCKETS_US};
+pub use registry::{GaugeGuard, Registry, COUNT_BUCKETS, TIME_BUCKETS_US};
 pub use snapshot::{HistogramSnapshot, Snapshot};
 pub use span::Span;
 

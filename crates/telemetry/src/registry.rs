@@ -33,6 +33,11 @@ pub const TIME_BUCKETS_US: [f64; 14] = [
     5_000_000.0,
 ];
 
+/// Histogram bounds for per-run counts (restarts, rounds): 0, 1, 2, 4 …
+/// 128. A histogram declared with these bounds holds counts, not
+/// microseconds, and profiles render it as such.
+pub const COUNT_BUCKETS: [f64; 9] = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+
 /// One named metric.
 enum Metric {
     Counter(AtomicU64),

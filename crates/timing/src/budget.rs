@@ -16,14 +16,14 @@
 //! baseline of Table 5 can be swapped in ([`SlackEngine::BellmanFord`]).
 
 use crate::bellman::compute_slack_bellman;
-use crate::slack::{compute_slack, SlackMode, SlackResult};
+use crate::slack::{compute_slack, SlackMode, SlackResult, SlackState};
 use crate::tdfg::TimedDfg;
 use adhls_ir::{Dfg, Error, OpId, Result};
 use adhls_reslib::library::op_resource_width;
 use adhls_reslib::{Candidate, Library};
 
 /// Which slack computation the budgeting loop uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SlackEngine {
     /// Linear topological sweeps (the paper's contribution).
     #[default]
@@ -144,6 +144,12 @@ pub struct BudgetResult {
     pub dedicated_area: f64,
     /// Number of budgeting moves performed (upgrades + downgrades).
     pub moves: usize,
+    /// Downgrades taken back because they made some slack worse than
+    /// the op's own slack allowed (counted in `moves` too).
+    pub reverted: usize,
+    /// Per-op arrival/required evaluations the slack analysis performed
+    /// (a full analysis costs two per timed op).
+    pub slack_evals: usize,
 }
 
 impl BudgetResult {
@@ -215,10 +221,23 @@ pub fn budget_with_choices_from(
     let overhead = opts.overhead_ps as i64;
     let margin = ((opts.margin_frac * clock_ps as f64).round() as i64).max(0);
 
-    let compute = |delays: &[i64]| -> SlackResult {
+    // One loop serves both engines: the topological engine refreshes the
+    // slack state incrementally after each move, the Bellman-Ford baseline
+    // (Table 5) by a full recomputation.
+    let full = |delays: &[i64]| -> SlackResult {
         match opts.engine {
             SlackEngine::Topological => compute_slack(tdfg, delays, t, opts.mode),
             SlackEngine::BellmanFord => compute_slack_bellman(tdfg, delays, t, opts.mode),
+        }
+    };
+    let full_evals = 2 * tdfg.topo().len();
+    let refresh = |st: &mut SlackState, delays: &[i64], o: OpId| -> usize {
+        match opts.engine {
+            SlackEngine::Topological => st.update(tdfg, delays, o),
+            SlackEngine::BellmanFord => {
+                st.replace(full(delays));
+                full_evals
+            }
         }
     };
 
@@ -262,107 +281,95 @@ pub fn budget_with_choices_from(
     }
 
     let mut moves = 0usize;
+    let mut reverted = 0usize;
     let max_moves = 4 * choices
         .iter()
         .map(|c| c.candidates.len())
         .sum::<usize>()
         .max(16);
 
+    // The one-grade moves open to each op at its current grade, refreshed
+    // whenever its grade or cap changes, so every pick is one scan of
+    // plain numbers in id order.
+    let mut up: Vec<Option<f64>> = vec![None; n];
+    let mut down: Vec<Option<(i64, f64)>> = vec![None; n];
+    for i in 0..n {
+        if tdfg.is_timed(OpId(i as u32)) && !lock_flag[i] {
+            (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
+        }
+    }
+
     // ---- phase 1: repair negative aligned slack by upgrading critical ops.
-    let mut r = compute(&delays);
-    while r.min_slack() < 0 && moves < max_moves {
+    let mut st = SlackState::new(full(&delays));
+    let mut slack_evals = full_evals;
+    while st.min_slack() < 0 && moves < max_moves {
         // Candidates: ops with negative slack that can still be sped up,
         // preferring the binned-critical set (slack within `margin` of the
         // minimum), falling back to any negative-slack op once the most
         // critical ones are all at their fastest grade.
-        let min = r.min_slack();
-        let pick = |bin_only: bool| -> Option<(OpId, f64)> {
-            let mut best: Option<(OpId, f64)> = None;
-            for i in 0..n {
-                let o = OpId(i as u32);
-                if !tdfg.is_timed(o) || lock_flag[i] {
-                    continue;
-                }
-                let s = r.slack[i];
+        let min = st.min_slack();
+        let slack = st.slack();
+        let pick = |bin_only: bool| -> Option<usize> {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, score) in up.iter().enumerate() {
+                let Some(score) = *score else { continue };
+                let s = slack[i];
                 if s >= 0 || (bin_only && s > min + margin) {
                     continue;
                 }
-                let Some(k) = idx[i] else { continue };
-                if k == 0 {
-                    continue;
-                }
-                let cur = choices[i].candidates[k].grade;
-                let fast = choices[i].candidates[k - 1].grade;
-                let dgain = (cur.delay_ps - fast.delay_ps) as f64;
-                let acost = (fast.area - cur.area).max(1e-9);
-                let score = dgain / acost;
                 if best.is_none_or(|(_, b)| score > b) {
-                    best = Some((o, score));
+                    best = Some((i, score));
                 }
             }
-            best
+            best.map(|(i, _)| i)
         };
-        let Some((o, _)) = pick(true).or_else(|| pick(false)) else {
+        let Some(i) = pick(true).or_else(|| pick(false)) else {
             break;
         };
-        let i = o.0 as usize;
         let k = idx[i].unwrap() - 1;
         idx[i] = Some(k);
         delays[i] = choices[i].candidates[k].grade.delay_ps as i64 + overhead;
+        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
         moves += 1;
-        r = compute(&delays);
+        slack_evals += refresh(&mut st, &delays, OpId(i as u32));
     }
 
     // ---- phase 2: spend positive slack on cheaper grades.
     while moves < max_moves {
-        let mut best: Option<(OpId, f64)> = None;
-        for i in 0..n {
-            let o = OpId(i as u32);
-            if !tdfg.is_timed(o) || lock_flag[i] {
-                continue;
-            }
-            let Some(k) = idx[i] else { continue };
-            if k + 1 >= choices[i].candidates.len() || k + 1 > max_idx[i] {
-                continue;
-            }
-            let s = r.slack[i];
+        let slack = st.slack();
+        let mut best: Option<(usize, f64)> = None;
+        for (i, mv) in down.iter().enumerate() {
+            let Some((dcost, saving)) = *mv else { continue };
+            let s = slack[i];
             if s <= margin {
                 continue; // binned as zero slack
             }
-            let cur = choices[i].candidates[k].grade;
-            let slow = choices[i].candidates[k + 1].grade;
-            let dcost = (slow.delay_ps - cur.delay_ps) as i64;
             if dcost > s {
                 continue;
             }
-            let saving = cur.area - slow.area;
             if best.is_none_or(|(_, b)| saving > b) {
-                best = Some((o, saving));
+                best = Some((i, saving));
             }
         }
-        let Some((o, _)) = best else { break };
-        let i = o.0 as usize;
+        let Some((i, _)) = best else { break };
         let k = idx[i].unwrap();
         idx[i] = Some(k + 1);
         delays[i] = choices[i].candidates[k + 1].grade.delay_ps as i64 + overhead;
         moves += 1;
-        let r2 = compute(&delays);
+        let before = st.min_slack();
+        slack_evals += refresh(&mut st, &delays, OpId(i as u32));
         // Revert when the downgrade cost more than the op's own slack
         // (aligned-mode boundary push) — detected as a drop of the global
         // minimum, or as any op turning negative that was not before (the
         // global minimum of an infeasible design can mask new violations).
-        let made_negative = r2
-            .slack
-            .iter()
-            .zip(r.slack.iter())
-            .any(|(&s2, &s1)| s2 < 0 && s1 >= 0);
-        if r2.min_slack() < r.min_slack().min(0) || made_negative {
+        if st.min_slack() < before.min(0) || st.turned_negative() {
             idx[i] = Some(k);
             delays[i] = choices[i].candidates[k].grade.delay_ps as i64 + overhead;
             max_idx[i] = k;
-            continue;
+            st.revert();
+            reverted += 1;
         }
-        r = r2;
+        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
     }
 
     let mut chosen: Vec<Option<Candidate>> = vec![None; n];
@@ -374,16 +381,38 @@ pub fn budget_with_choices_from(
             dedicated_area += c.grade.area;
         }
     }
-    let min_slack = r.min_slack();
+    let min_slack = st.min_slack();
     BudgetResult {
         choice_idx: idx,
         chosen,
         delays,
-        slack: r,
+        slack: st.into_result(),
         min_slack,
         dedicated_area,
         moves,
+        reverted,
+        slack_evals,
     }
+}
+
+/// The one-grade moves of an op at grade `k` under slowness cap `cap`:
+/// the phase-1 upgrade score (delay gained per unit of area spent), and
+/// the phase-2 downgrade's delay cost and area saving; `None` where the
+/// move does not exist.
+fn moves_of(ch: &OpChoice, k: Option<usize>, cap: usize) -> (Option<f64>, Option<(i64, f64)>) {
+    let Some(k) = k else { return (None, None) };
+    let grade = |j: usize| ch.candidates[j].grade;
+    let up = (k > 0).then(|| {
+        let (cur, fast) = (grade(k), grade(k - 1));
+        let dgain = (cur.delay_ps - fast.delay_ps) as f64;
+        let acost = (fast.area - cur.area).max(1e-9);
+        dgain / acost
+    });
+    let down = (k + 1 < ch.candidates.len() && k < cap).then(|| {
+        let (cur, slow) = (grade(k), grade(k + 1));
+        ((slow.delay_ps - cur.delay_ps) as i64, cur.area - slow.area)
+    });
+    (up, down)
 }
 
 #[cfg(test)]

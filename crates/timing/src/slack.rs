@@ -21,9 +21,11 @@
 use crate::aligned::{align_start_down, align_start_up};
 use crate::tdfg::TimedDfg;
 use adhls_ir::OpId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Which variant of the analysis to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SlackMode {
     /// Paper Definition V.3: ignore clock boundaries.
     Plain,
@@ -98,40 +100,12 @@ pub fn compute_slack(
     let t = clock_ps;
     let mut arr = vec![0i64; n];
     let mut req = vec![i64::MAX; n];
-
     for &o in tdfg.topo() {
-        let oi = o.0 as usize;
-        let mut a = if tdfg.preds(o).is_empty() {
-            0
-        } else {
-            i64::MIN
-        };
-        for &(p, w) in tdfg.preds(o) {
-            let pa = arr[p.0 as usize];
-            let cand = pa + delays[p.0 as usize] - t * i64::from(w);
-            a = a.max(cand);
-        }
-        if mode == SlackMode::Aligned {
-            a = align_start_up(a, delays[oi], t);
-        }
-        arr[oi] = a;
+        arr[o.0 as usize] = arrival(tdfg, delays, &arr, o, t, mode);
     }
-
     for &o in tdfg.topo().iter().rev() {
-        let oi = o.0 as usize;
-        let d = delays[oi];
-        // Sink term: finish by the end of the late-edge state.
-        let mut r = t - d + t * i64::from(tdfg.sink_weight(o));
-        for &(s, w) in tdfg.succs(o) {
-            let cand = req[s.0 as usize] - d + t * i64::from(w);
-            r = r.min(cand);
-        }
-        if mode == SlackMode::Aligned {
-            r = align_start_down(r, d, t);
-        }
-        req[oi] = r;
+        req[o.0 as usize] = required(tdfg, delays, &req, o, t, mode);
     }
-
     let mut slack = vec![i64::MAX; n];
     for &o in tdfg.topo() {
         let oi = o.0 as usize;
@@ -143,6 +117,246 @@ pub fn compute_slack(
         arr,
         req,
         slack,
+    }
+}
+
+/// The forward recurrence of Fig. 6: `o`'s earliest start from its
+/// predecessors' arrivals. Shared by [`compute_slack`] and
+/// [`SlackState::update`], so the two cannot disagree.
+#[inline]
+fn arrival(tdfg: &TimedDfg, delays: &[i64], arr: &[i64], o: OpId, t: i64, mode: SlackMode) -> i64 {
+    let preds = tdfg.preds(o);
+    let mut a = if preds.is_empty() { 0 } else { i64::MIN };
+    for &(p, w) in preds {
+        let pi = p.0 as usize;
+        a = a.max(arr[pi] + delays[pi] - t * i64::from(w));
+    }
+    if mode == SlackMode::Aligned {
+        a = align_start_up(a, delays[o.0 as usize], t);
+    }
+    a
+}
+
+/// The backward recurrence of Fig. 6: `o`'s latest start from its sink
+/// term and its successors' required times.
+#[inline]
+fn required(tdfg: &TimedDfg, delays: &[i64], req: &[i64], o: OpId, t: i64, mode: SlackMode) -> i64 {
+    let d = delays[o.0 as usize];
+    // Sink term: finish by the end of the late-edge state.
+    let mut r = t - d + t * i64::from(tdfg.sink_weight(o));
+    for &(s, w) in tdfg.succs(o) {
+        r = r.min(req[s.0 as usize] - d + t * i64::from(w));
+    }
+    if mode == SlackMode::Aligned {
+        r = align_start_down(r, d, t);
+    }
+    r
+}
+
+/// A slack analysis kept current under single-op delay changes — the
+/// access pattern of the budgeting loop, which moves one operation's grade
+/// at a time and sometimes takes the move back.
+///
+/// [`SlackState::update`] re-derives arrivals over the moved op's fan-out
+/// and required times over its fan-in, in topological order, and stops
+/// wherever a value does not change. Every value it touches is computed by
+/// the same recurrence as [`compute_slack`], and a value none of whose
+/// inputs changed cannot change, so the state always equals a fresh
+/// analysis of the current delays. Each update keeps an undo log of the
+/// values it overwrote: [`SlackState::revert`] restores the state before
+/// the update, and [`SlackState::turned_negative`] inspects only the ops
+/// that changed.
+#[derive(Debug, Clone)]
+pub struct SlackState {
+    r: SlackResult,
+    /// Minimum of `r.slack` (`i64::MAX` when no op is timed).
+    min: i64,
+    /// `(op, arr, req, slack)` before the last update, one entry per op
+    /// the update changed.
+    undo: Vec<(u32, i64, i64, i64)>,
+    /// Minimum slack before the last update.
+    undo_min: i64,
+    /// Whether an op has an entry in `undo`.
+    logged: Vec<bool>,
+    /// Worklist of topological positions (reused across updates).
+    work: BinaryHeap<Reverse<u32>>,
+    /// Reverse-order worklist (reused across updates).
+    work_rev: BinaryHeap<u32>,
+}
+
+impl SlackState {
+    /// Wraps a complete analysis (from [`compute_slack`] or the
+    /// Bellman-Ford baseline) of the timed DFG later updates will name.
+    #[must_use]
+    pub fn new(r: SlackResult) -> Self {
+        let n = r.slack.len();
+        let min = r.min_slack();
+        SlackState {
+            r,
+            min,
+            undo: Vec::new(),
+            undo_min: min,
+            logged: vec![false; n],
+            work: BinaryHeap::new(),
+            work_rev: BinaryHeap::new(),
+        }
+    }
+
+    /// The current analysis.
+    #[must_use]
+    pub fn result(&self) -> &SlackResult {
+        &self.r
+    }
+
+    /// The current analysis, by value.
+    #[must_use]
+    pub fn into_result(self) -> SlackResult {
+        self.r
+    }
+
+    /// Current slack per op id.
+    #[must_use]
+    pub fn slack(&self) -> &[i64] {
+        &self.r.slack
+    }
+
+    /// Current minimum slack, as [`SlackResult::min_slack`].
+    #[must_use]
+    pub fn min_slack(&self) -> i64 {
+        self.min
+    }
+
+    /// Brings the analysis up to date after `delays[o]` changed (every
+    /// other delay unchanged since the last update), and starts a new undo
+    /// log holding exactly the ops whose values changed. Returns how many
+    /// per-op recurrences it evaluated (a full analysis evaluates two per
+    /// timed op).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `o` is not timed or `delays` is shorter than the id space.
+    pub fn update(&mut self, tdfg: &TimedDfg, delays: &[i64], o: OpId) -> usize {
+        assert!(tdfg.is_timed(o), "delay change on untimed {o}");
+        self.begin();
+        let (t, mode) = (self.r.clock_ps, self.r.mode);
+        let mut evals = 0;
+        // Arrivals: `o`'s own (aligned mode reads its delay) and its
+        // successors' (they read `arr(o) + del(o)`), then onward wherever
+        // an arrival moved. Positions only grow along edges, so the
+        // min-heap visits each op after all its changed predecessors and
+        // pops duplicates back to back.
+        self.work.push(Reverse(tdfg.topo_pos(o)));
+        for &(s, _) in tdfg.succs(o) {
+            self.work.push(Reverse(tdfg.topo_pos(s)));
+        }
+        let mut last = u32::MAX;
+        while let Some(Reverse(p)) = self.work.pop() {
+            if p == last {
+                continue;
+            }
+            last = p;
+            let x = tdfg.topo()[p as usize];
+            evals += 1;
+            let a = arrival(tdfg, delays, &self.r.arr, x, t, mode);
+            if a != self.r.arr[x.0 as usize] {
+                self.log(x);
+                self.r.arr[x.0 as usize] = a;
+                for &(s, _) in tdfg.succs(x) {
+                    self.work.push(Reverse(tdfg.topo_pos(s)));
+                }
+            }
+        }
+        // Required times: `o`'s own (it reads `del(o)`), then backward
+        // over the fan-in wherever one moved.
+        self.work_rev.push(tdfg.topo_pos(o));
+        let mut last = u32::MAX;
+        while let Some(p) = self.work_rev.pop() {
+            if p == last {
+                continue;
+            }
+            last = p;
+            let x = tdfg.topo()[p as usize];
+            evals += 1;
+            let r = required(tdfg, delays, &self.r.req, x, t, mode);
+            if r != self.r.req[x.0 as usize] {
+                self.log(x);
+                self.r.req[x.0 as usize] = r;
+                for &(q, _) in tdfg.preds(x) {
+                    self.work_rev.push(tdfg.topo_pos(q));
+                }
+            }
+        }
+        let mut rescan = false;
+        for k in 0..self.undo.len() {
+            let (i, _, _, old) = self.undo[k];
+            let i = i as usize;
+            let new = self.r.req[i] - self.r.arr[i];
+            self.r.slack[i] = new;
+            if new < self.min {
+                self.min = new;
+            } else if old == self.undo_min && new > old {
+                rescan = true;
+            }
+        }
+        if rescan {
+            self.min = self.r.min_slack();
+        }
+        evals
+    }
+
+    /// Replaces the analysis with a complete recomputation `r` of the same
+    /// graph (the Bellman-Ford engine's refresh), logging the ops whose
+    /// values differ like [`SlackState::update`] does.
+    pub fn replace(&mut self, r: SlackResult) {
+        self.begin();
+        for i in 0..r.slack.len() {
+            if (r.arr[i], r.req[i], r.slack[i]) != (self.r.arr[i], self.r.req[i], self.r.slack[i]) {
+                self.log(OpId(i as u32));
+            }
+        }
+        self.min = r.min_slack();
+        self.r = r;
+    }
+
+    /// Whether the last update drove some op's slack from non-negative to
+    /// negative.
+    #[must_use]
+    pub fn turned_negative(&self) -> bool {
+        self.undo
+            .iter()
+            .any(|&(i, _, _, old)| old >= 0 && self.r.slack[i as usize] < 0)
+    }
+
+    /// Restores the analysis from before the last update (or replace).
+    pub fn revert(&mut self) {
+        for &(i, a, r, s) in &self.undo {
+            let i = i as usize;
+            self.r.arr[i] = a;
+            self.r.req[i] = r;
+            self.r.slack[i] = s;
+            self.logged[i] = false;
+        }
+        self.undo.clear();
+        self.min = self.undo_min;
+    }
+
+    /// Closes the previous update's undo log.
+    fn begin(&mut self) {
+        for &(i, ..) in &self.undo {
+            self.logged[i as usize] = false;
+        }
+        self.undo.clear();
+        self.undo_min = self.min;
+    }
+
+    /// Records `o`'s values before their first change in this update.
+    fn log(&mut self, o: OpId) {
+        let i = o.0 as usize;
+        if !self.logged[i] {
+            self.logged[i] = true;
+            self.undo
+                .push((o.0, self.r.arr[i], self.r.req[i], self.r.slack[i]));
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use adhls_ir::{Dfg, Error, OpId, Result};
 
 /// The timed DFG: weighted forward adjacency over live, non-constant
 /// operations, plus per-operation sink weights.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TimedDfg {
     /// Id-space size of the underlying DFG (dense indexing by `OpId`).
     n_ids: usize,
@@ -31,6 +31,34 @@ pub struct TimedDfg {
     sink_w: Vec<u32>,
     /// Timed ops in forward topological order.
     topo: Vec<OpId>,
+    /// Position of each timed op in `topo` (`u32::MAX` for untimed ids).
+    pos: Vec<u32>,
+}
+
+impl Clone for TimedDfg {
+    fn clone(&self) -> Self {
+        TimedDfg {
+            n_ids: self.n_ids,
+            timed: self.timed.clone(),
+            preds: self.preds.clone(),
+            succs: self.succs.clone(),
+            sink_w: self.sink_w.clone(),
+            topo: self.topo.clone(),
+            pos: self.pos.clone(),
+        }
+    }
+
+    /// Field-wise, so resetting a reweighted copy to its source reuses
+    /// every adjacency allocation.
+    fn clone_from(&mut self, src: &Self) {
+        self.n_ids = src.n_ids;
+        self.timed.clone_from(&src.timed);
+        self.preds.clone_from(&src.preds);
+        self.succs.clone_from(&src.succs);
+        self.sink_w.clone_from(&src.sink_w);
+        self.topo.clone_from(&src.topo);
+        self.pos.clone_from(&src.pos);
+    }
 }
 
 impl TimedDfg {
@@ -73,25 +101,21 @@ impl TimedDfg {
                 if !timed[p.0 as usize] {
                     continue; // constant input removed
                 }
-                let w = info.latency(early(p), early(o)).ok_or_else(|| {
-                    Error::MalformedDfg(format!(
-                        "dependency {p} -> {o} has undefined latency ({} to {})",
-                        early(p),
-                        early(o)
-                    ))
-                })?;
+                let w = edge_latency(info, &early, p, o)?;
                 preds[o.0 as usize].push((p, w));
                 succs[p.0 as usize].push((o, w));
             }
-            sink_w[o.0 as usize] = info.latency(early(o), late(o)).ok_or_else(|| {
-                Error::MalformedDfg(format!("span of {o} has undefined internal latency"))
-            })?;
+            sink_w[o.0 as usize] = sink_latency(info, &early, &late, o)?;
         }
         let topo: Vec<OpId> = dfg
             .topo_order()?
             .into_iter()
             .filter(|&o| timed[o.0 as usize])
             .collect();
+        let mut pos = vec![u32::MAX; n_ids];
+        for (k, &o) in topo.iter().enumerate() {
+            pos[o.0 as usize] = k as u32;
+        }
         Ok(TimedDfg {
             n_ids,
             timed,
@@ -99,57 +123,51 @@ impl TimedDfg {
             succs,
             sink_w,
             topo,
+            pos,
         })
     }
 
-    /// Recomputes every edge and sink weight in place from new `early`/`late`
-    /// mappings, leaving the structure (timed set, adjacency, topological
-    /// order) untouched.
+    /// Recomputes, in place, the weights that depend on the ops in `moved`
+    /// — the ops whose early or late bound changed — leaving the structure
+    /// (timed set, adjacency, topological order) untouched.
     ///
-    /// A timed DFG's *structure* depends only on the underlying DFG — the
-    /// bounds mappings contribute nothing but weights — so when bounds move
-    /// (e.g. the scheduler re-budgets after pinning an edge) the graph built
-    /// by [`TimedDfg::build_with`] over the new bounds equals this one with
-    /// refreshed weights. Reweighting skips the DFG traversal, the
-    /// topological sort, and all adjacency allocations.
+    /// A timed DFG's *structure* depends only on the underlying DFG; the
+    /// bounds contribute nothing but weights, and only the weights of
+    /// edges incident to a moved op and the moved ops' sink weights read a
+    /// changed bound. So when the scheduler's bounds move, the graph
+    /// [`TimedDfg::build_with`] would build over the new bounds equals this
+    /// one reweighted here, without the DFG traversal, the topological
+    /// sort, or any allocation.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::MalformedDfg`] under the same conditions as
-    /// [`TimedDfg::build`].
-    pub fn reweight(
+    /// Returns [`Error::MalformedDfg`] when a reweighted edge has undefined
+    /// latency, under the same conditions as [`TimedDfg::build`].
+    pub fn reweight_ops(
         &mut self,
         info: &CfgInfo,
+        moved: &[OpId],
         early: impl Fn(OpId) -> adhls_ir::EdgeId,
         late: impl Fn(OpId) -> adhls_ir::EdgeId,
     ) -> Result<()> {
-        for oi in 0..self.n_ids {
+        for &o in moved {
+            let oi = o.0 as usize;
             if !self.timed[oi] {
                 continue;
             }
-            let o = OpId(oi as u32);
-            let eo = early(o);
-            for (p, w) in &mut self.preds[oi] {
-                *w = info.latency(early(*p), eo).ok_or_else(|| {
-                    Error::MalformedDfg(format!(
-                        "dependency {p} -> {o} has undefined latency ({} to {})",
-                        early(*p),
-                        eo
-                    ))
-                })?;
+            for k in 0..self.preds[oi].len() {
+                let p = self.preds[oi][k].0;
+                let w = edge_latency(info, &early, p, o)?;
+                self.preds[oi][k].1 = w;
+                set_weight(&mut self.succs[p.0 as usize], o, w);
             }
-            for (s, w) in &mut self.succs[oi] {
-                *w = info.latency(eo, early(*s)).ok_or_else(|| {
-                    Error::MalformedDfg(format!(
-                        "dependency {o} -> {s} has undefined latency ({} to {})",
-                        eo,
-                        early(*s)
-                    ))
-                })?;
+            for k in 0..self.succs[oi].len() {
+                let s = self.succs[oi][k].0;
+                let w = edge_latency(info, &early, o, s)?;
+                self.succs[oi][k].1 = w;
+                set_weight(&mut self.preds[s.0 as usize], o, w);
             }
-            self.sink_w[oi] = info.latency(eo, late(o)).ok_or_else(|| {
-                Error::MalformedDfg(format!("span of {o} has undefined internal latency"))
-            })?;
+            self.sink_w[oi] = sink_latency(info, &early, &late, o)?;
         }
         Ok(())
     }
@@ -190,11 +208,53 @@ impl TimedDfg {
         &self.topo
     }
 
+    /// Position of timed op `o` in [`TimedDfg::topo`] (`u32::MAX` for
+    /// untimed ids).
+    #[must_use]
+    pub fn topo_pos(&self, o: OpId) -> u32 {
+        self.pos[o.0 as usize]
+    }
+
     /// Number of timed edges (the `|C|` in the paper's linear-complexity
     /// claim).
     #[must_use]
     pub fn len_edges(&self) -> usize {
         self.preds.iter().map(Vec::len).sum()
+    }
+}
+
+/// Weight of timed edge `p -> o`: `latency(early(p), early(o))`.
+fn edge_latency(
+    info: &CfgInfo,
+    early: &impl Fn(OpId) -> adhls_ir::EdgeId,
+    p: OpId,
+    o: OpId,
+) -> Result<u32> {
+    info.latency(early(p), early(o)).ok_or_else(|| {
+        Error::MalformedDfg(format!(
+            "dependency {p} -> {o} has undefined latency ({} to {})",
+            early(p),
+            early(o)
+        ))
+    })
+}
+
+/// Sink weight of `o`: `latency(early(o), late(o))`.
+fn sink_latency(
+    info: &CfgInfo,
+    early: &impl Fn(OpId) -> adhls_ir::EdgeId,
+    late: &impl Fn(OpId) -> adhls_ir::EdgeId,
+    o: OpId,
+) -> Result<u32> {
+    info.latency(early(o), late(o))
+        .ok_or_else(|| Error::MalformedDfg(format!("span of {o} has undefined internal latency")))
+}
+
+/// Sets the weight of every entry for `o` in one adjacency list (an
+/// operand used twice appears twice).
+fn set_weight(adj: &mut [(OpId, u32)], o: OpId, w: u32) {
+    for entry in adj.iter_mut().filter(|(x, _)| *x == o) {
+        entry.1 = w;
     }
 }
 
@@ -262,26 +322,39 @@ mod tests {
 
     #[test]
     fn reweight_matches_fresh_build_after_bounds_move() {
-        // Two soft states give the mul room to move; pinning it to a later
-        // edge changes edge and sink weights but never the structure.
+        // Soft states give the muls room to move; pinning one late changes
+        // edge and sink weights of it and its users but never the
+        // structure.
         let mut b = DesignBuilder::new("rw");
         let x = b.input("x", 8);
         let m = b.binop(OpKind::Mul, x, x, 8);
+        let n = b.binop(OpKind::Mul, m, x, 8);
         b.soft_waits(2);
-        let a = b.binop(OpKind::Add, m, m, 16);
+        let a = b.binop(OpKind::Add, n, m, 16);
         b.write("y", a);
         let d = b.finish().unwrap();
         let info = d.validate().unwrap();
         let analysis = adhls_ir::span::SpanAnalysis::new(&d.dfg, &info).unwrap();
-        let free = analysis.bounds_pinned(&d.dfg, &info, |_| None).unwrap();
-        let pin = analysis
-            .bounds_pinned(&d.dfg, &info, |o| (o == m).then(|| free.late(m)))
-            .unwrap();
+        let mut bounds = analysis.bounds_pinned(&d.dfg, &info, |_| None).unwrap();
         let mut t =
-            TimedDfg::build_with(&d.dfg, &info, |o| free.early(o), |o| free.late(o)).unwrap();
-        t.reweight(&info, |o| pin.early(o), |o| pin.late(o))
+            TimedDfg::build_with(&d.dfg, &info, |o| bounds.early(o), |o| bounds.late(o)).unwrap();
+        let pin = (m, bounds.late(m));
+        let mut moved = Vec::new();
+        analysis
+            .repin(
+                &d.dfg,
+                &info,
+                &mut bounds,
+                |o| (o == pin.0).then_some(pin.1),
+                &[m],
+                &mut moved,
+            )
             .unwrap();
-        let fresh = TimedDfg::build_with(&d.dfg, &info, |o| pin.early(o), |o| pin.late(o)).unwrap();
+        assert!(moved.len() > 1, "pinning m late moves its users too");
+        t.reweight_ops(&info, &moved, |o| bounds.early(o), |o| bounds.late(o))
+            .unwrap();
+        let fresh =
+            TimedDfg::build_with(&d.dfg, &info, |o| bounds.early(o), |o| bounds.late(o)).unwrap();
         assert_eq!(format!("{t:?}"), format!("{fresh:?}"));
     }
 

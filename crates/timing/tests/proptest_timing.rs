@@ -1,13 +1,15 @@
 //! Property-based tests for the timing analyses: the linear sweep agrees
-//! with Bellman-Ford everywhere, slack is monotone in delays, budgeting
-//! never worsens feasibility and respects locks.
+//! with Bellman-Ford everywhere, the incremental slack state agrees with a
+//! fresh analysis after every move and revert, slack is monotone in
+//! delays, budgeting gives the same answer on either slack engine, never
+//! worsens feasibility and respects locks.
 
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpId, OpKind};
 use adhls_reslib::tsmc90;
 use adhls_timing::bellman::compute_slack_bellman;
-use adhls_timing::budget::{budget, BudgetOptions};
-use adhls_timing::slack::{compute_slack, SlackMode};
+use adhls_timing::budget::{budget, budget_with_choices, op_choices, BudgetOptions, SlackEngine};
+use adhls_timing::slack::{compute_slack, SlackMode, SlackState};
 use adhls_timing::TimedDfg;
 use proptest::prelude::*;
 
@@ -74,6 +76,82 @@ proptest! {
             prop_assert_eq!(&a.req, &b.req, "{:?} requireds differ", mode);
             prop_assert_eq!(&a.slack, &b.slack, "{:?} slacks differ", mode);
         }
+    }
+
+    /// After any sequence of single-op delay changes, some taken back,
+    /// the incremental slack state equals a fresh analysis exactly —
+    /// arrivals, requireds, slacks and the minimum — in both modes.
+    #[test]
+    fn slack_state_equals_fresh_analysis(
+        r in recipe(),
+        dseed in prop::collection::vec(1u16..2000, 1..8),
+        steps in prop::collection::vec((0usize..64, 0u16..2000, any::<bool>()), 1..24),
+        clock in 300i64..3000,
+    ) {
+        let (d, _) = build(&r);
+        let (info, spans) = d.analyze().unwrap();
+        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
+        let timed = tdfg.topo().to_vec();
+        for mode in [SlackMode::Plain, SlackMode::Aligned] {
+            let mut delays = delays_from(&dseed, d.dfg.len_ids());
+            let mut st = SlackState::new(compute_slack(&tdfg, &delays, clock, mode));
+            for &(pick, delay, take_back) in &steps {
+                let o = timed[pick % timed.len()];
+                let old = delays[o.0 as usize];
+                delays[o.0 as usize] = i64::from(delay);
+                st.update(&tdfg, &delays, o);
+                if take_back {
+                    delays[o.0 as usize] = old;
+                    st.revert();
+                }
+                let fresh = compute_slack(&tdfg, &delays, clock, mode);
+                prop_assert_eq!(&st.result().arr, &fresh.arr, "{:?} arrivals", mode);
+                prop_assert_eq!(&st.result().req, &fresh.req, "{:?} requireds", mode);
+                prop_assert_eq!(&st.result().slack, &fresh.slack, "{:?} slacks", mode);
+                prop_assert_eq!(st.min_slack(), fresh.min_slack(), "{:?} minimum", mode);
+            }
+        }
+    }
+
+    /// One budgeting loop, two engines: the incremental topological
+    /// refresh and the Bellman-Ford full recomputation pick the same moves
+    /// and end in the same state, with and without locked ops.
+    #[test]
+    fn budget_engines_agree(
+        r in recipe(),
+        clock in 500u64..3500,
+        plain in any::<bool>(),
+        start_fastest in any::<bool>(),
+        overhead in 0u64..120,
+        lock_seeds in prop::collection::vec(0usize..64, 0..4),
+    ) {
+        let (d, pool) = build(&r);
+        let (info, spans) = d.analyze().unwrap();
+        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
+        let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
+        let locked: Vec<OpId> = lock_seeds.iter().map(|&k| pool[k % pool.len()]).collect();
+        let lock = |o: OpId| {
+            let c = &choices[o.0 as usize].candidates;
+            (locked.contains(&o) && !c.is_empty()).then(|| c[c.len() / 2].grade.delay_ps)
+        };
+        let run = |engine| {
+            let opts = BudgetOptions {
+                mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
+                engine,
+                start_fastest,
+                overhead_ps: overhead,
+                ..BudgetOptions::default()
+            };
+            budget_with_choices(&tdfg, &choices, clock, &opts, lock)
+        };
+        let topo = run(SlackEngine::Topological);
+        let bf = run(SlackEngine::BellmanFord);
+        prop_assert_eq!(&topo.choice_idx, &bf.choice_idx);
+        prop_assert_eq!(&topo.delays, &bf.delays);
+        prop_assert_eq!(&topo.slack, &bf.slack);
+        prop_assert_eq!(topo.min_slack, bf.min_slack);
+        prop_assert_eq!(topo.moves, bf.moves);
+        prop_assert_eq!(topo.reverted, bf.reverted);
     }
 
     /// Speeding any single op up never decreases any op's slack (monotone
