@@ -3,8 +3,11 @@
 //! Drives the session layer directly through in-memory reader/writer pairs
 //! (no sockets — this measures dispatch + evaluation + rendering, not the
 //! kernel's TCP stack): protocol-only requests (`stats`), warm-cache
-//! sweeps (every point a cache hit), and warm adaptive refinements. The
-//! cold path is the same HLS work `explore_parallel` already tracks.
+//! sweeps (every point a cache hit), a warm sweep whose grid includes
+//! overconstrained cells (their failures are cached too, so a repeat
+//! replays them instead of re-running the scheduler until it gives up),
+//! and warm adaptive refinements. The cold path is the same HLS work
+//! `explore_parallel` already tracks.
 //!
 //! The `serve/concurrent_refines_*` pair is the multi-worker acceptance
 //! comparison: a fixed working set of concurrent refinements against one
@@ -29,6 +32,10 @@ const REFINE_REQ: &str = "{\"id\":2,\"cmd\":\"refine\",\"workload\":\"interpolat
                           \"clocks\":[1100,1250,1400,1800,2400],\"cycles\":[3,4,6],\
                           \"gap_tol\":0.1}\n";
 const STATS_REQ: &str = "{\"id\":3,\"cmd\":\"stats\"}\n";
+/// Three of its nine cells are overconstrained (900 ps at 2 and 3 cycles,
+/// 1100 ps at 2 cycles) and come back in `skipped`.
+const FAILING_SWEEP_REQ: &str = "{\"id\":4,\"cmd\":\"sweep\",\"workload\":\"interpolation\",\
+                                 \"clocks\":[900,1100,1400],\"cycles\":[2,3,4]}\n";
 
 fn roundtrip(server: &Server, req: &str) -> usize {
     let mut out = Vec::new();
@@ -60,6 +67,14 @@ fn bench(c: &mut Criterion) {
     // lived server answering popular grids.
     roundtrip(&server, SWEEP_REQ);
     roundtrip(&server, REFINE_REQ);
+    let mut warm = Vec::new();
+    server
+        .serve_connection(FAILING_SWEEP_REQ.as_bytes(), &mut warm)
+        .expect("in-memory serve");
+    assert!(
+        String::from_utf8_lossy(&warm).contains("\"skipped\":[[\"interp-c900-l2\""),
+        "the failing sweep no longer has overconstrained cells"
+    );
 
     c.bench_function("serve/stats_protocol_only", |b| {
         b.iter(|| black_box(roundtrip(&server, STATS_REQ)));
@@ -70,6 +85,16 @@ fn bench(c: &mut Criterion) {
     c.bench_function("serve/refine_warm_cache", |b| {
         b.iter(|| black_box(roundtrip(&server, REFINE_REQ)));
     });
+    let misses = || server.metrics_snapshot().counter("cache.misses");
+    let before = misses();
+    c.bench_function("serve/warm_sweep_with_failures", |b| {
+        b.iter(|| black_box(roundtrip(&server, FAILING_SWEEP_REQ)));
+    });
+    assert_eq!(
+        misses(),
+        before,
+        "a warm repeat re-ran an overconstrained cell"
+    );
     // --- Multi-worker comparison -------------------------------------
     //
     // The scaling unit is a whole worker (one pool, one result-cache

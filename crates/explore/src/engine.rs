@@ -15,9 +15,10 @@ use adhls_core::sched::HlsOptions;
 use adhls_core::{PointMode, PreparedDesign};
 use adhls_ir::{Design, Error, Result};
 use adhls_reslib::Library;
+use adhls_telemetry::Registry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Number of independent cache shards (reduces lock contention).
 const CACHE_SHARDS: usize = 16;
@@ -110,10 +111,20 @@ impl ResultCache {
 ///
 /// Consults count `pipeline.prefix.{hit,miss}` and retained artifact bytes
 /// move the `pipeline.prefix.bytes` gauge on the thread's registry —
-/// observational only, like every other `pipeline.*` metric.
+/// observational only, like every other `pipeline.*` metric. Dropping the
+/// cache refunds each prefix's bytes to the registry it was charged to, so
+/// the gauge counts live prefixes, not every prefix ever built.
 #[derive(Debug, Default)]
 pub(crate) struct PrefixCache {
-    shards: [Mutex<HashMap<u64, Arc<PreparedDesign>>>; CACHE_SHARDS],
+    shards: [Mutex<HashMap<u64, Prefix>>; CACHE_SHARDS],
+}
+
+/// One retained prefix and the registry its bytes were charged to (`None`
+/// when the preparing thread's registry was not recording).
+#[derive(Debug)]
+struct Prefix {
+    prep: Arc<PreparedDesign>,
+    charged: Option<Registry>,
 }
 
 impl PrefixCache {
@@ -130,18 +141,38 @@ impl PrefixCache {
     ) -> Result<Arc<PreparedDesign>> {
         let key = design_fingerprint(design);
         let shard = &self.shards[(key % CACHE_SHARDS as u64) as usize];
-        if let Some(prep) = shard.lock().expect("prefix shard poisoned").get(&key) {
+        if let Some(p) = shard.lock().expect("prefix shard poisoned").get(&key) {
             adhls_telemetry::counter_add("pipeline.prefix.hit", 1);
-            return Ok(Arc::clone(prep));
+            return Ok(Arc::clone(&p.prep));
         }
         adhls_telemetry::counter_add("pipeline.prefix.miss", 1);
         let prep = Arc::new(PreparedDesign::new(design, lib)?);
         let mut guard = shard.lock().expect("prefix shard poisoned");
         let entry = guard.entry(key).or_insert_with(|| {
-            adhls_telemetry::gauge_add("pipeline.prefix.bytes", prep.approx_bytes() as i64);
-            Arc::clone(&prep)
+            let registry = adhls_telemetry::current();
+            let charged = registry.is_enabled().then(|| {
+                registry.gauge_add("pipeline.prefix.bytes", prep.approx_bytes() as i64);
+                registry
+            });
+            Prefix {
+                prep: Arc::clone(&prep),
+                charged,
+            }
         });
-        Ok(Arc::clone(entry))
+        Ok(Arc::clone(&entry.prep))
+    }
+}
+
+impl Drop for PrefixCache {
+    fn drop(&mut self) {
+        for shard in &mut self.shards {
+            let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
+            for p in shard.values() {
+                if let Some(registry) = &p.charged {
+                    registry.gauge_add("pipeline.prefix.bytes", -(p.prep.approx_bytes() as i64));
+                }
+            }
+        }
     }
 }
 

@@ -188,13 +188,15 @@ impl Shared {
     /// to the batch's own counter (per-sweep accounting — concurrent
     /// batches must not see each other's hits). Coalescing onto another
     /// request's in-flight evaluation of the same key counts as a hit too:
-    /// from this batch's perspective the row was free.
+    /// from this batch's perspective the row was free. Only rows count: a
+    /// replayed failure is a cache hit but not a sweep's `cache_hits`.
     ///
-    /// A panic inside HLS evaluation is caught and surfaced as an error:
-    /// on a persistent pool the panicking thread may be a background
-    /// worker, and a claimed-but-never-filled slot would leave the
-    /// submitter waiting forever (the scoped-thread engine propagates such
-    /// panics at join; a pool has no equivalent joining point per batch).
+    /// A panic inside HLS evaluation is caught and surfaced as an
+    /// [`Error::Internal`], which the cache never keeps: on a persistent
+    /// pool the panicking thread may be a background worker, and a
+    /// claimed-but-never-filled slot would leave the submitter waiting
+    /// forever (the scoped-thread engine propagates such panics at join; a
+    /// pool has no equivalent joining point per batch).
     fn evaluate_one(
         &self,
         p: &DsePoint,
@@ -217,7 +219,7 @@ impl Shared {
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".into());
-                Err(Error::Interp(format!(
+                Err(Error::Internal(format!(
                     "evaluating {} panicked: {msg}",
                     p.name
                 )))
@@ -812,6 +814,39 @@ mod tests {
         let rec2 = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
         assert_eq!(rec2.cache_hits, pts.len() as u64);
         assert_eq!(rec2.rows, rec.rows);
+    }
+
+    #[test]
+    fn prefix_bytes_gauge_returns_to_zero_when_caches_drop() {
+        let registry = Registry::new();
+        registry.set_enabled(true);
+        let gauge = || registry.snapshot().gauge("pipeline.prefix.bytes");
+        let lib = tsmc90::library();
+        let pts = fleet();
+        {
+            let _installed = adhls_telemetry::install(&registry);
+            let engine = Engine::new(&lib, HlsOptions::default());
+            engine.evaluate_serial(&pts).unwrap();
+            assert!(gauge() > Some(0), "the engine's prefixes were charged");
+        }
+        assert_eq!(
+            gauge(),
+            Some(0),
+            "a dropped engine still holds prefix bytes"
+        );
+        let pool = EvaluatorPool::with_telemetry(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions {
+                threads: 2,
+                ..Default::default()
+            },
+            registry.clone(),
+        );
+        pool.evaluate(&pts).unwrap();
+        assert!(gauge() > Some(0), "the pool's prefixes were charged");
+        drop(pool);
+        assert_eq!(gauge(), Some(0), "a dropped pool still holds prefix bytes");
     }
 
     #[test]

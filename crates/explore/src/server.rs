@@ -13,9 +13,11 @@
 //! * `transport` — the one connection loop both front-ends share: capped
 //!   request lines, the TCP accept loop (one thread per connection,
 //!   Nagle off, buffered responses) and the Prometheus scrape listener,
-//! * [`eviction`] — cache lifecycle for long-lived processes: a byte
-//!   budget with per-shard cost-aware LRU eviction, plus in-flight
-//!   coalescing so concurrent requests for the same cell run HLS once,
+//! * [`eviction`] — cache lifecycle for long-lived processes: rows and
+//!   deterministic failures share a byte budget, evicted per shard by
+//!   GreedyDual-Size (what is cheapest to recompute per byte goes first;
+//!   LRU among equal costs), plus in-flight coalescing so concurrent
+//!   requests for the same cell run HLS once,
 //! * [`worker`] — worker backends for multi-worker serving: the
 //!   [`WorkerLink`] transport trait with in-process (pipe + thread) and
 //!   child-process (TCP) implementations, and the [`WorkerHandle`] that

@@ -5,22 +5,39 @@
 //! millions of cells over weeks. [`EvictingCache`] is the server-grade
 //! replacement the [`EvaluatorPool`](crate::pool::EvaluatorPool) uses:
 //!
-//! * **byte budget** — an optional global budget, split evenly across the
-//!   shards; inserts that would exceed a shard's slice evict its
-//!   least-recently-used entries first (cost-aware: every entry is charged
-//!   its approximate heap footprint, so one giant row displaces many small
-//!   ones rather than sneaking in for free),
+//! * **results, not just rows** — a deterministic failure (a point the
+//!   scheduler's relaxation loop gave up on, often the costliest cells to
+//!   evaluate) is cached next to the rows and replayed verbatim, message
+//!   included. Only [`Error::Internal`] — a panicked evaluation — is never
+//!   kept, since it says nothing about the key,
+//! * **byte budget, evicted by recompute cost** — an optional global budget,
+//!   split evenly across the shards. Every entry is charged its approximate
+//!   heap footprint, and a shard over its slice evicts by GreedyDual-Size
+//!   (Cao & Irani, "Cost-Aware WWW Proxy Caching Algorithms", USITS 1997):
+//!   each shard keeps an inflation value `L`; an entry's priority is `L`
+//!   plus its measured compute time per byte, reset on every hit; eviction
+//!   drops the lowest priority and raises `L` to it. A 1.5-ms row thus
+//!   outlives a stream of 0.1-ms rows, while an expensive entry nobody
+//!   touches again ages out once `L` climbs past it. Compute time counts
+//!   in whole microseconds and ties go to the least recently used entry,
+//!   so when costs are equal (sub-µs computations always are) the order
+//!   is exactly LRU. A newcomer that is the cheapest entry is its own
+//!   victim,
 //! * **in-flight coalescing** — concurrent requests for the same
 //!   (design, options) key wait for the one evaluation in progress instead
 //!   of re-running HLS; with requests multiplexed onto one pool this is
 //!   what makes cross-request sharing deterministic rather than a race,
 //! * **observable** — hit/coalesced/miss/eviction counters and live
-//!   entry/byte gauges, surfaced by the server's `stats` request.
+//!   entry/byte gauges (failures included), surfaced by the server's
+//!   `stats` request.
 //!
-//! Eviction never changes what an evaluation returns: rows are pure
-//! functions of (design, library, options), so an evicted entry is merely
-//! recomputed on the next miss. The proptest in `tests/pool_eviction.rs`
-//! pins this down against the unbudgeted pool.
+//! Eviction never changes what an evaluation returns: rows and failures
+//! are pure functions of (design, library, options), so an evicted entry
+//! is merely recomputed on the next miss. Costs are measured wall time, so
+//! *which* entries stay depends on the machine and the schedule — as it
+//! already did under concurrent submitters — but never what a lookup
+//! returns. The proptests in `tests/pool_eviction.rs` pin this down
+//! against the unbudgeted pool.
 
 use crate::engine::HitMiss;
 use adhls_core::dse::DseRow;
@@ -28,13 +45,28 @@ use adhls_ir::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// Number of independent shards (same fan-out as the engine's cache).
 const SHARDS: usize = 16;
 
-/// Approximate per-entry bookkeeping overhead (hash-map slot, key, LRU
-/// metadata) charged on top of the row payload.
+/// Approximate per-entry bookkeeping overhead (hash-map slot, key, rank
+/// metadata) charged on top of the payload.
 const ENTRY_OVERHEAD: usize = 48;
+
+/// Fractional bits of the fixed-point cost per byte. A 120-µs row of ~200
+/// bytes costs 0.6 µs per byte, which whole units would round down to the
+/// same zero as a sub-µs computation.
+const COST_FRAC_BITS: u32 = 16;
+
+/// Cap on one entry's cost per byte (2^32 µs per byte in fixed point), so
+/// `L + cost` stays far from `u64::MAX`.
+const MAX_COST: u64 = 1 << 48;
+
+/// Inflation at which a shard rebases every priority to `L = 0`. With
+/// costs capped at [`MAX_COST`], no priority ever exceeds
+/// `REBASE_AT + MAX_COST`, so a server may run for any length of time.
+const REBASE_AT: u64 = 1 << 62;
 
 /// Approximate heap cost of caching one row, in bytes.
 #[must_use]
@@ -42,10 +74,26 @@ pub fn row_cost(row: &DseRow) -> usize {
     ENTRY_OVERHEAD + std::mem::size_of::<DseRow>() + row.name.len()
 }
 
+/// Approximate heap cost of caching one result: [`row_cost`] for a row; for
+/// a failure the overhead, the stored result's size and its message bytes.
+fn entry_cost(value: &Result<DseRow>) -> usize {
+    match value {
+        Ok(row) => row_cost(row),
+        Err(e) => ENTRY_OVERHEAD + std::mem::size_of::<Result<DseRow>>() + e.to_string().len(),
+    }
+}
+
+/// Recompute cost per charged byte, in fixed point, of an entry that took
+/// `us` whole microseconds to compute.
+fn cost_per_byte(us: u64, bytes: usize) -> u64 {
+    let per_byte = (u128::from(us) << COST_FRAC_BITS) / bytes.max(1) as u128;
+    u64::try_from(per_byte).map_or(MAX_COST, |c| c.min(MAX_COST))
+}
+
 /// How a [`EvictingCache::get_or_compute`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// Found in the cache.
+    /// Found in the cache (a row or a replayed failure).
     Hit,
     /// Waited for another thread's in-flight evaluation of the same key.
     Coalesced,
@@ -56,16 +104,16 @@ pub enum Outcome {
 /// A point-in-time snapshot of the cache's counters and gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the cache, replayed failures included.
     pub hits: u64,
     /// Lookups answered by waiting on a concurrent in-flight evaluation.
     pub coalesced: u64,
     /// Lookups that had to evaluate.
     pub misses: u64,
-    /// Entries evicted to respect the byte budget (including rows too big
-    /// to cache at all).
+    /// Entries evicted to respect the byte budget (including entries too
+    /// big to cache at all and newcomers that were their own victim).
     pub evictions: u64,
-    /// Entries currently cached.
+    /// Entries currently cached, rows and failures.
     pub entries: usize,
     /// Approximate bytes currently cached (incl. per-entry overhead).
     pub bytes: usize,
@@ -87,75 +135,120 @@ impl CacheStats {
 }
 
 struct Entry {
-    row: DseRow,
-    cost: usize,
-    last_used: u64,
+    /// A row, or a deterministic failure replayed verbatim.
+    value: Result<DseRow>,
+    /// Bytes charged against the budget.
+    bytes: usize,
+    /// Recompute cost per byte (fixed point, see [`cost_per_byte`]).
+    cost: u64,
+    /// The entry's key in its shard's eviction order.
+    rank: Rank,
+}
+
+/// An entry's place in eviction order: GreedyDual-Size priority first, then
+/// the tick of its last use, so equal priorities evict least recently used
+/// first. Ticks are unique within a shard, and so are ranks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
+    priority: u64,
+    tick: u64,
 }
 
 #[derive(Default)]
 struct Shard {
     map: HashMap<u64, Entry>,
-    /// Recency index: `last_used` tick → key. Ticks are unique within a
-    /// shard, so the first entry is always the LRU victim — eviction is
-    /// O(log n) instead of a full scan per evicted entry (a server shard
-    /// can hold tens of thousands of entries, and the scan runs inside
-    /// the shard lock).
-    order: BTreeMap<u64, u64>,
+    /// Eviction index: rank → key. The first entry is always the victim, so
+    /// eviction is O(log n) instead of a full scan per evicted entry (a
+    /// server shard can hold tens of thousands of entries, and the scan
+    /// runs inside the shard lock).
+    order: BTreeMap<Rank, u64>,
     bytes: usize,
     tick: u64,
+    /// GreedyDual-Size inflation `L`: the priority of the last victim. No
+    /// live entry's priority is below it.
+    inflation: u64,
 }
 
 impl Shard {
-    fn touch(&mut self, key: u64) -> Option<DseRow> {
-        self.tick += 1;
-        let tick = self.tick;
+    /// The cached result for `key`, its priority reset to `L` plus its cost.
+    fn touch(&mut self, key: u64) -> Option<Result<DseRow>> {
         let e = self.map.get_mut(&key)?;
-        self.order.remove(&e.last_used);
-        self.order.insert(tick, key);
-        e.last_used = tick;
-        Some(e.row.clone())
+        self.tick += 1;
+        let rank = Rank {
+            priority: self.inflation + e.cost,
+            tick: self.tick,
+        };
+        self.order.remove(&e.rank);
+        self.order.insert(rank, key);
+        e.rank = rank;
+        Some(e.value.clone())
     }
 
-    /// Inserts under `budget`, evicting LRU entries first. Returns how many
-    /// entries were evicted (the new row itself counts as evicted when it
-    /// exceeds the whole shard budget and cannot be cached at all).
-    fn insert(&mut self, key: u64, row: DseRow, budget: Option<usize>) -> u64 {
-        let cost = row_cost(&row);
-        if let Some(budget) = budget {
-            if cost > budget {
-                return 1;
-            }
+    /// Inserts a result that took `compute_us` to compute, then evicts the
+    /// lowest-priority entries until the shard fits `budget` — the new
+    /// entry itself when it is the cheapest to recompute. Returns how many
+    /// entries were evicted (an entry bigger than the whole shard budget is
+    /// not cached at all and counts as one).
+    fn insert(
+        &mut self,
+        key: u64,
+        value: Result<DseRow>,
+        compute_us: u64,
+        budget: Option<usize>,
+    ) -> u64 {
+        let bytes = entry_cost(&value);
+        if budget.is_some_and(|b| bytes > b) {
+            return 1;
         }
+        let cost = cost_per_byte(compute_us, bytes);
         self.tick += 1;
-        if let Some(old) = self.map.insert(
-            key,
-            Entry {
-                row,
-                cost,
-                last_used: self.tick,
-            },
-        ) {
-            self.bytes -= old.cost;
-            self.order.remove(&old.last_used);
+        let rank = Rank {
+            priority: self.inflation + cost,
+            tick: self.tick,
+        };
+        let entry = Entry {
+            value,
+            bytes,
+            cost,
+            rank,
+        };
+        if let Some(old) = self.map.insert(key, entry) {
+            self.bytes -= old.bytes;
+            self.order.remove(&old.rank);
         }
-        self.bytes += cost;
-        self.order.insert(self.tick, key);
+        self.bytes += bytes;
+        self.order.insert(rank, key);
         let mut evicted = 0;
-        if let Some(budget) = budget {
-            // The just-inserted key can never be the victim: it holds the
-            // newest tick, and a shard whose only entry is the new one is
-            // within budget (cost <= budget was checked above).
-            while self.bytes > budget {
-                let (_, lru) = self
-                    .order
-                    .pop_first()
-                    .expect("over budget implies an evictable entry");
-                let e = self.map.remove(&lru).expect("lru key present");
-                self.bytes -= e.cost;
-                evicted += 1;
-            }
+        while budget.is_some_and(|b| self.bytes > b) {
+            let (victim, key) = self
+                .order
+                .pop_first()
+                .expect("over budget implies an evictable entry");
+            self.bytes -= self.map.remove(&key).expect("ranked key present").bytes;
+            // The minimum priority is never below `L`, so this only raises it.
+            self.inflation = victim.priority;
+            evicted += 1;
+        }
+        if self.inflation >= REBASE_AT {
+            self.rebase();
         }
         evicted
+    }
+
+    /// Subtracts `L` from every priority and resets it to zero. Every
+    /// priority is at least `L`, and shifting all of them by the same amount
+    /// keeps their order, so eviction proceeds exactly as before.
+    fn rebase(&mut self) {
+        let base = self.inflation;
+        self.order = self
+            .map
+            .iter_mut()
+            .map(|(&key, e)| {
+                e.rank.priority -= base;
+                (e.rank, key)
+            })
+            .collect();
+        self.inflation = 0;
     }
 }
 
@@ -183,7 +276,7 @@ impl Inflight {
     }
 }
 
-/// Publishes a panic-shaped error if the computing thread unwinds before
+/// Publishes an [`Error::Internal`] if the computing thread unwinds before
 /// publishing a real result — without this, waiters on the in-flight slot
 /// would block forever behind a panicked evaluation.
 struct PublishGuard<'a> {
@@ -200,15 +293,16 @@ impl Drop for PublishGuard<'_> {
             map.remove(&self.key);
         }
         if !self.published {
-            self.inflight.publish(Err(Error::Interp(
+            self.inflight.publish(Err(Error::Internal(
                 "in-flight evaluation panicked before publishing".into(),
             )));
         }
     }
 }
 
-/// A sharded result cache with an optional byte budget (LRU, cost-aware
-/// eviction) and in-flight request coalescing. See the module docs.
+/// A sharded result cache with an optional byte budget (GreedyDual-Size
+/// eviction by recompute time per byte) and in-flight request coalescing.
+/// See the module docs.
 pub struct EvictingCache {
     shards: [Mutex<Shard>; SHARDS],
     inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
@@ -232,8 +326,8 @@ impl std::fmt::Debug for EvictingCache {
 }
 
 impl EvictingCache {
-    /// A cache bounded to roughly `capacity_bytes` (`None` = unbounded —
-    /// identical policy to the engine's plain cache). The budget is split
+    /// A cache bounded to roughly `capacity_bytes` (`None` = unbounded:
+    /// nothing is ever evicted). The budget is split
     /// evenly across the shards, so the worst-case overshoot of the global
     /// budget is zero: each shard enforces its slice under its own lock.
     #[must_use]
@@ -255,27 +349,23 @@ impl EvictingCache {
     }
 
     /// Looks `key` up; on a miss, either waits for a concurrent in-flight
-    /// evaluation of the same key or runs `compute` itself and caches the
-    /// result. The returned row is bit-identical no matter which path was
-    /// taken (rows are pure functions of the key's preimage).
+    /// evaluation of the same key or runs `compute` itself, timing it, and
+    /// caches the result. The returned result is bit-identical no matter
+    /// which path was taken (results are pure functions of the key's
+    /// preimage).
     ///
     /// # Errors
     ///
-    /// Propagates `compute`'s error (shared verbatim with coalesced
-    /// waiters; errors are not cached, so a later lookup retries).
+    /// Propagates `compute`'s error, shared verbatim with coalesced
+    /// waiters. Failures are cached and replayed like rows, except
+    /// [`Error::Internal`], which a later lookup computes afresh.
     pub fn get_or_compute(
         &self,
         key: u64,
         compute: impl FnOnce() -> Result<DseRow>,
     ) -> (Result<DseRow>, Outcome) {
-        if let Some(row) = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .touch(key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Ok(row), Outcome::Hit);
+        if let Some(hit) = self.lookup(key) {
+            return (hit, Outcome::Hit);
         }
         // Claim or join the in-flight slot for this key.
         let (inflight, claimed) = {
@@ -296,26 +386,49 @@ impl EvictingCache {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             return (inflight.wait(), Outcome::Coalesced);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = PublishGuard {
             cache: self,
             key,
             inflight: &inflight,
             published: false,
         };
+        // An evaluation of this key may have finished between the lookup
+        // above and the claim. It cached its result before releasing its
+        // slot, so look again rather than evaluate the key twice.
+        if let Some(hit) = self.lookup(key) {
+            inflight.publish(hit.clone());
+            guard.published = true;
+            return (hit, Outcome::Hit);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
         let result = compute();
-        if let Ok(row) = &result {
+        let compute_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        if !matches!(result, Err(Error::Internal(_))) {
             let evicted = self
                 .shard(key)
                 .lock()
                 .expect("cache shard poisoned")
-                .insert(key, row.clone(), self.shard_budget);
+                .insert(key, result.clone(), compute_us, self.shard_budget);
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         inflight.publish(result.clone());
         guard.published = true;
         drop(guard);
         (result, Outcome::Computed)
+    }
+
+    /// The cached result for `key`, counted as a hit when present.
+    fn lookup(&self, key: u64) -> Option<Result<DseRow>> {
+        let hit = self
+            .shard(key)
+            .lock()
+            .expect("cache shard poisoned")
+            .touch(key);
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
     }
 
     /// Point-in-time counters and gauges.
@@ -339,7 +452,7 @@ impl EvictingCache {
         }
     }
 
-    /// Number of cached rows.
+    /// Number of cached entries, rows and failures.
     #[must_use]
     pub fn len(&self) -> usize {
         self.shards
@@ -359,6 +472,9 @@ impl EvictingCache {
 mod tests {
     use super::*;
     use adhls_core::power::PowerReport;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     fn row(name: &str) -> DseRow {
         DseRow {
@@ -375,6 +491,17 @@ mod tests {
             latency_ps: 10_000.0,
             clock_ps: 1000,
         }
+    }
+
+    /// Key `i` of shard 0.
+    fn k(i: u64) -> u64 {
+        i * SHARDS as u64
+    }
+
+    /// A row whose computation takes at least 2 ms.
+    fn slow_row(name: &str) -> Result<DseRow> {
+        std::thread::sleep(Duration::from_millis(2));
+        Ok(row(name))
     }
 
     #[test]
@@ -427,6 +554,90 @@ mod tests {
     }
 
     #[test]
+    fn expensive_entry_survives_churn_of_cheap_ones() {
+        let per_entry = row_cost(&row("r00"));
+        let c = EvictingCache::new(Some(per_entry * 2 * SHARDS));
+        c.get_or_compute(k(0), || slow_row("r00")).0.unwrap();
+        // Under LRU the second of these would already evict r00.
+        for i in 1..40 {
+            let cheap = row(&format!("r{i:02}"));
+            c.get_or_compute(k(i), move || Ok(cheap)).0.unwrap();
+        }
+        assert_eq!(
+            c.get_or_compute(k(0), || unreachable!()).1,
+            Outcome::Hit,
+            "the 2-ms entry outlives the sub-µs churn"
+        );
+        assert_eq!(c.stats().evictions, 38);
+    }
+
+    #[test]
+    fn untouched_expensive_entry_ages_out() {
+        // Exact costs, straight into a shard: r00 took twice as long as each
+        // later entry, so it would outrank them forever if evictions did
+        // not raise the inflation that newcomers start from.
+        let mut s = Shard::default();
+        let slice = Some(row_cost(&row("r00")) * 2);
+        s.insert(k(0), Ok(row("r00")), 4000, slice);
+        let mut churned = 0;
+        while s.map.contains_key(&k(0)) {
+            churned += 1;
+            assert!(churned < 10, "r00 outlived {churned} newer entries");
+            s.insert(k(churned), Ok(row(&format!("r{churned:02}"))), 2000, slice);
+        }
+        assert_eq!(churned, 4, "r00 goes once `L` has caught up with it");
+    }
+
+    #[test]
+    fn budget_holds_when_newest_entry_is_cheapest() {
+        let per_entry = row_cost(&row("r1"));
+        let slice = per_entry * 2;
+        let c = EvictingCache::new(Some(slice * SHARDS));
+        c.get_or_compute(k(1), || slow_row("r1")).0.unwrap();
+        c.get_or_compute(k(2), || slow_row("r2")).0.unwrap();
+        // Bigger than either resident but within the slice, and instant.
+        let cheap = row("r3-a-longer-name");
+        assert!(row_cost(&cheap) <= slice);
+        let (r, o) = c.get_or_compute(k(3), move || Ok(cheap));
+        assert_eq!(
+            (r.unwrap().name.as_str(), o),
+            ("r3-a-longer-name", Outcome::Computed)
+        );
+        let s = c.stats();
+        assert_eq!(s.evictions, 1, "the cheap newcomer is its own victim");
+        assert_eq!(s.entries, 2);
+        assert!(
+            s.bytes <= slice,
+            "{} bytes over the {slice}-byte slice",
+            s.bytes
+        );
+        for i in [1, 2] {
+            assert_eq!(c.get_or_compute(k(i), || unreachable!()).1, Outcome::Hit);
+        }
+    }
+
+    #[test]
+    fn inflation_rebases_without_reordering() {
+        let mut s = Shard::default();
+        let slice = Some(row_cost(&row("r1")) * 2);
+        s.inflation = REBASE_AT - 1;
+        s.insert(k(1), Ok(row("r1")), 2000, slice);
+        s.insert(k(2), Ok(row("r2")), 1000, slice);
+        // Evicting r2, the cheapest, lifts `L` past the threshold.
+        assert_eq!(s.insert(k(3), Ok(row("r3")), 3000, slice), 1);
+        assert!(s.inflation < REBASE_AT, "rebased");
+        assert!(s.order.keys().all(|r| r.priority >= s.inflation));
+        // Relative order survived: r1 is still cheaper than r3.
+        assert_eq!(s.insert(k(4), Ok(row("r4")), 5000, slice), 1);
+        assert!(!s.map.contains_key(&k(1)));
+        assert!(s.map.contains_key(&k(3)) && s.map.contains_key(&k(4)));
+        // A cost beyond any real computation saturates instead of
+        // overflowing.
+        s.insert(k(5), Ok(row("r5")), u64::MAX, slice);
+        assert!(s.map.contains_key(&k(5)));
+    }
+
+    #[test]
     fn oversized_rows_are_not_cached_but_still_returned() {
         let c = EvictingCache::new(Some(SHARDS)); // 1 byte per shard
         let (r, o) = c.get_or_compute(1, || Ok(row("giant")));
@@ -439,23 +650,57 @@ mod tests {
     }
 
     #[test]
-    fn errors_are_shared_but_not_cached() {
+    fn deterministic_failures_are_cached() {
         let c = EvictingCache::new(None);
-        let (r, _) = c.get_or_compute(5, || Err(Error::Interp("boom".into())));
-        assert!(r.is_err());
-        // Next lookup retries the computation rather than replaying the
-        // cached failure.
-        let (r2, o2) = c.get_or_compute(5, || Ok(row("ok")));
-        assert_eq!(o2, Outcome::Computed);
-        assert_eq!(r2.unwrap().name, "ok");
+        let msg = "op m2 cannot meet the 900 ps clock";
+        let (r, o) = c.get_or_compute(5, || Err(Error::Transform(msg.into())));
+        assert_eq!(o, Outcome::Computed);
+        let (r2, o2) = c.get_or_compute(5, || panic!("a cached failure is replayed"));
+        assert_eq!(o2, Outcome::Hit);
+        assert_eq!(r2, r);
+        assert!(matches!(&r2, Err(Error::Transform(m)) if m == msg));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!(s.bytes, entry_cost(&r2));
+        assert!(s.bytes > ENTRY_OVERHEAD + msg.len());
+    }
+
+    #[test]
+    fn panics_are_shared_but_not_cached() {
+        let c = EvictingCache::new(None);
+        let computed = AtomicUsize::new(0);
+        let gate = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    gate.wait();
+                    let (r, o) = c.get_or_compute(5, || {
+                        computed.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(Duration::from_millis(20));
+                        Err(Error::Internal("evaluating p panicked: boom".into()))
+                    });
+                    assert_ne!(
+                        o,
+                        Outcome::Hit,
+                        "an internal fault was served from the cache"
+                    );
+                    assert!(matches!(r, Err(Error::Internal(_))), "{r:?}");
+                });
+            }
+        });
+        assert!(computed.load(Ordering::Relaxed) >= 1);
+        assert_eq!(c.stats().entries, 0);
+        // The next lookup evaluates afresh rather than replaying the fault.
+        let (r, o) = c.get_or_compute(5, || Ok(row("ok")));
+        assert_eq!(o, Outcome::Computed);
+        assert_eq!(r.unwrap().name, "ok");
     }
 
     #[test]
     fn concurrent_same_key_coalesces_onto_one_computation() {
-        use std::sync::atomic::AtomicUsize;
         let c = EvictingCache::new(None);
         let computed = AtomicUsize::new(0);
-        let gate = std::sync::Barrier::new(8);
+        let gate = Barrier::new(8);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
@@ -464,7 +709,7 @@ mod tests {
                         computed.fetch_add(1, Ordering::Relaxed);
                         // Hold the in-flight window open long enough for
                         // the other threads to join it.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        std::thread::sleep(Duration::from_millis(20));
                         Ok(row("shared"))
                     });
                     assert_eq!(r.unwrap().name, "shared");
@@ -487,19 +732,20 @@ mod tests {
             let panicker = scope.spawn(|| {
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     c.get_or_compute(3, || {
-                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        std::thread::sleep(Duration::from_millis(30));
                         panic!("evaluation blew up")
                     })
                 }));
             });
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
             let waiter = scope.spawn(|| c.get_or_compute(3, || Ok(row("late"))));
             let (r, _) = waiter.join().unwrap();
-            // Either the waiter coalesced onto the panicked slot (error) or
-            // arrived after cleanup and computed fresh — both must return,
-            // never hang.
-            if let Ok(row) = r {
-                assert_eq!(row.name, "late");
+            // Either the waiter coalesced onto the panicked slot (an
+            // internal fault) or arrived after cleanup and computed fresh —
+            // both must return, never hang.
+            match r {
+                Ok(row) => assert_eq!(row.name, "late"),
+                Err(e) => assert!(matches!(e, Error::Internal(_)), "{e}"),
             }
             panicker.join().unwrap();
         });

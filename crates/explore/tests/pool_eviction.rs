@@ -1,6 +1,6 @@
 //! Pool cache eviction: a byte budget changes *what is recomputed*, never
-//! *what is returned* — and the budget holds even under concurrent
-//! submitters.
+//! *what is returned* — rows and replayed failures alike — and the budget
+//! holds even under concurrent submitters.
 
 use adhls_core::dse::DsePoint;
 use adhls_core::sched::HlsOptions;
@@ -11,6 +11,7 @@ use adhls_ir::builder::DesignBuilder;
 use adhls_ir::OpKind;
 use adhls_reslib::tsmc90;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn point(name: &str, soft: u32, clock: u64) -> DsePoint {
@@ -39,6 +40,14 @@ fn fleet() -> Vec<DsePoint> {
         .collect()
 }
 
+/// The fleet plus six overconstrained points: on a 1-ps clock no operation
+/// fits, so the scheduler gives up and the point fails.
+fn mixed_fleet() -> Vec<DsePoint> {
+    let mut pts = fleet();
+    pts.extend((1..=6).map(|soft| point(&format!("p{soft}c1"), soft, 1)));
+    pts
+}
+
 /// The approximate cost of one cached fleet row, measured on a real row so
 /// budgets scale with the entry size instead of hard-coding it.
 fn one_row_cost() -> usize {
@@ -50,13 +59,13 @@ fn one_row_cost() -> usize {
     row_cost(&rows[0])
 }
 
-fn pool(cache_bytes: Option<usize>, threads: usize) -> EvaluatorPool {
+fn pool(cache_bytes: Option<usize>, threads: usize, skip_infeasible: bool) -> EvaluatorPool {
     EvaluatorPool::new(
         tsmc90::library(),
         HlsOptions::default(),
         PoolOptions {
             threads,
-            skip_infeasible: false,
+            skip_infeasible,
             cache_bytes,
             ..Default::default()
         },
@@ -80,8 +89,8 @@ proptest! {
     ) {
         let all = fleet();
         let budget = budget_rows * one_row_cost();
-        let unbudgeted = pool(None, 2);
-        let budgeted = pool(Some(budget), 2);
+        let unbudgeted = pool(None, 2, false);
+        let budgeted = pool(Some(budget), 2, false);
         for picks in &batch_picks {
             let batch: Vec<DsePoint> = picks.iter().map(|&i| all[i].clone()).collect();
             let reference = unbudgeted.evaluate(&batch).expect("unbudgeted runs");
@@ -105,6 +114,47 @@ proptest! {
         let free = unbudgeted.cache_metrics();
         prop_assert!(m.hits + m.coalesced <= free.hits + free.coalesced);
     }
+
+    /// Deterministic failures are cached entries like rows: under any
+    /// budget the skipped messages equal the unbudgeted pool's, and the
+    /// unbudgeted pool evaluates every key — failing ones included — once.
+    #[test]
+    fn failures_replay_identically_under_any_budget(
+        batch_picks in prop::collection::vec(
+            prop::collection::vec(0usize..18, 1..9),
+            1..5,
+        ),
+        budget_rows in 1usize..40,
+    ) {
+        let all = mixed_fleet();
+        let budget = budget_rows * one_row_cost();
+        let unbudgeted = pool(None, 2, true);
+        unbudgeted.telemetry().set_enabled(true);
+        let budgeted = pool(Some(budget), 2, true);
+        let mut distinct = HashSet::new();
+        for picks in &batch_picks {
+            let batch: Vec<DsePoint> = picks.iter().map(|&i| all[i].clone()).collect();
+            distinct.extend(picks.iter().copied());
+            let reference = unbudgeted.evaluate(&batch).expect("unbudgeted runs");
+            let evicting = budgeted.evaluate(&batch).expect("budgeted runs");
+            prop_assert_eq!(&reference.rows, &evicting.rows, "budget {}", budget);
+            prop_assert_eq!(&reference.skipped, &evicting.skipped, "budget {}", budget);
+            let failing = picks.iter().filter(|&&i| i >= 12).count();
+            prop_assert_eq!(reference.skipped.len(), failing);
+        }
+        let evaluated = unbudgeted
+            .metrics_snapshot()
+            .histogram("pipeline.evaluate")
+            .map_or(0, |h| h.count);
+        prop_assert_eq!(evaluated, distinct.len() as u64);
+        prop_assert_eq!(unbudgeted.cache_metrics().misses, evaluated);
+        prop_assert_eq!(unbudgeted.cache_len(), distinct.len());
+        let m = budgeted.cache_metrics();
+        prop_assert!(
+            m.bytes <= budget,
+            "cache holds {} bytes over the {} budget", m.bytes, budget
+        );
+    }
 }
 
 /// Regression: a byte budget is respected *while* concurrent submitters
@@ -119,7 +169,7 @@ fn cache_budget_holds_under_concurrent_submitters() {
     // over 16 shards guarantee by pigeonhole that some shard sees a second
     // insert and must evict — no reliance on hash luck.
     let budget = cost * 16;
-    let shared = Arc::new(pool(Some(budget), 4));
+    let shared = Arc::new(pool(Some(budget), 4, false));
     let lib = tsmc90::library();
     let pts: Vec<DsePoint> = (1..=8)
         .flat_map(|soft| {
@@ -168,7 +218,7 @@ fn cache_budget_holds_under_concurrent_submitters() {
 /// An unbudgeted pool never evicts — the one-shot CLI behavior.
 #[test]
 fn unbounded_pool_never_evicts() {
-    let p = pool(None, 2);
+    let p = pool(None, 2, false);
     let pts = fleet();
     p.evaluate(&pts).unwrap();
     p.evaluate(&pts).unwrap();

@@ -35,6 +35,10 @@ pub enum Error {
     /// A requested expansion exceeds what the machine can represent or hold
     /// (e.g. a sweep grid whose cell count overflows `usize`).
     Capacity(String),
+    /// An internal fault, not a property of the input: an evaluation
+    /// panicked. Unlike every other variant it is not a pure function of
+    /// the request, so no cache may keep it.
+    Internal(String),
 }
 
 impl fmt::Display for Error {
@@ -49,6 +53,7 @@ impl fmt::Display for Error {
             Error::Transform(m) => write!(f, "transform error: {m}"),
             Error::Interp(m) => write!(f, "interpreter error: {m}"),
             Error::Capacity(m) => write!(f, "capacity error: {m}"),
+            Error::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }
