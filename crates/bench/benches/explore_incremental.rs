@@ -1,6 +1,7 @@
 //! Incremental-evaluation payoff: per-cell sweep cost through shared
-//! phase-artifact prefixes vs the from-scratch pipeline
-//! (`--incremental=off`) on IDCT-1D and FIR grids.
+//! phase-artifact prefixes vs the from-scratch reference pipeline
+//! (`dse::evaluate_point_from_scratch`, point by point) on IDCT-1D and FIR
+//! grids.
 //!
 //! Each grid holds few distinct designs and many clock/II cells per
 //! design — the shape real explorations have — so the prepared prefix
@@ -13,7 +14,7 @@
 //! the relaxation passes themselves — is per-cell work both paths must
 //! pay. Tracked per PR in `BENCH_<n>.json`.
 
-use adhls_core::dse::DsePoint;
+use adhls_core::dse::{evaluate_point_from_scratch, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::{Engine, EngineOptions};
 use adhls_reslib::tsmc90;
@@ -52,17 +53,25 @@ fn fir_grid() -> Vec<DsePoint> {
     pts
 }
 
-fn engine(lib: &adhls_reslib::Library, incremental: bool) -> Engine<'_> {
+fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
     Engine::with_options(
         lib,
         HlsOptions::default(),
         EngineOptions {
             threads: 1,
             skip_infeasible: false,
-            incremental,
             ..Default::default()
         },
     )
+}
+
+/// Every point from scratch, in order.
+fn from_scratch(lib: &adhls_reslib::Library, points: &[DsePoint]) -> Vec<DseRow> {
+    points
+        .iter()
+        .map(|p| evaluate_point_from_scratch(p, lib, &HlsOptions::default()))
+        .collect::<Result<_, _>>()
+        .expect("grid schedules")
 }
 
 fn bench(c: &mut Criterion) {
@@ -76,16 +85,13 @@ fn bench(c: &mut Criterion) {
         let was = adhls_telemetry::global().is_enabled();
         adhls_telemetry::global().set_enabled(true);
         let before = adhls_telemetry::global().snapshot();
-        let warm_rows = engine(&lib, true)
+        let warm_rows = engine(&lib)
             .evaluate_serial(&points)
             .expect("grid schedules")
             .rows;
         let after = adhls_telemetry::global().snapshot();
         adhls_telemetry::global().set_enabled(was);
-        let cold_rows = engine(&lib, false)
-            .evaluate_serial(&points)
-            .expect("grid schedules")
-            .rows;
+        let cold_rows = from_scratch(&lib, &points);
         assert_eq!(warm_rows, cold_rows, "{grid_name}: rows must not move");
         let hits = after.counter("pipeline.prefix.hit").unwrap_or(0)
             - before.counter("pipeline.prefix.hit").unwrap_or(0);
@@ -102,7 +108,7 @@ fn bench(c: &mut Criterion) {
         c.bench_function(&format!("explore/{grid_name}_incremental"), |b| {
             b.iter(|| {
                 black_box(
-                    engine(&lib, true)
+                    engine(&lib)
                         .evaluate_serial(&points)
                         .expect("grid schedules")
                         .rows
@@ -111,15 +117,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         c.bench_function(&format!("explore/{grid_name}_scratch"), |b| {
-            b.iter(|| {
-                black_box(
-                    engine(&lib, false)
-                        .evaluate_serial(&points)
-                        .expect("grid schedules")
-                        .rows
-                        .len(),
-                )
-            })
+            b.iter(|| black_box(from_scratch(&lib, &points).len()))
         });
     }
 }

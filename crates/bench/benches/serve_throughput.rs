@@ -57,7 +57,6 @@ fn bench(c: &mut Criterion) {
             threads: 0,
             skip_infeasible: true,
             cache_bytes: Some(32 << 20),
-            incremental: true,
             ..Default::default()
         },
         adhls_telemetry::global().clone(),
@@ -153,7 +152,6 @@ fn bench(c: &mut Criterion) {
             threads: 1,
             skip_infeasible: true,
             cache_bytes: None,
-            incremental: true,
             ..Default::default()
         },
     ));
@@ -184,7 +182,6 @@ fn bench(c: &mut Criterion) {
                 threads: 1,
                 skip_infeasible: true,
                 cache_bytes: Some(budget),
-                incremental: true,
                 ..Default::default()
             },
         )
@@ -243,7 +240,6 @@ fn bench(c: &mut Criterion) {
                     threads: 0,
                     skip_infeasible: true,
                     cache_bytes: Some(32 << 20),
-                    incremental: true,
                     ..Default::default()
                 },
             ));

@@ -13,11 +13,10 @@ use adhls_core::sched::HlsOptions;
 use adhls_core::PointMode;
 use adhls_explore::constraint::parse_constraints;
 use adhls_explore::export::{
-    front_to_json_constrained, fronts_to_json_multi, refine_multi_to_json, refine_to_json,
-    rows_to_csv,
+    front_to_json_constrained, fronts_to_json_multi, refine_multi_to_json, rows_to_csv,
 };
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::refine::{refine, refine_multi, RefineOptions, WarmStart};
+use adhls_explore::refine::{refine_multi, RefineOptions, WarmStart};
 use adhls_explore::server::{
     refine_spaces, sweep_points, sweep_spaces, validate_spec_constraints, workload_grid,
     WorkloadSpec,
@@ -52,13 +51,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--front-only",
             "--adaptive",
             "--profile",
-            "--incremental",
         ],
     )?;
-    // Prefix-artifact reuse across cells: on by default, `--incremental=off`
-    // falls back to from-scratch evaluation (rows are bit-identical either
-    // way — the switch exists for benchmarking and as an escape hatch).
-    let incremental = o.switch("--incremental", true)?;
     // Per-point evaluation mode (full re-synthesis | slack recovery |
     // per-cell auto), the same grammar a wire request's `mode` field uses.
     let mode = parse_mode(&o)?;
@@ -93,7 +87,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         EngineOptions {
             threads: o.num("--threads", 0usize)?,
             skip_infeasible: o.flag("--skip-infeasible"),
-            incremental,
             point_mode: mode,
         },
     );
@@ -241,23 +234,17 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
         budget,
         gap_tol,
         warm_start,
-        objectives: objectives.clone(),
         constraints: spec.constraints.clone(),
         point_mode: mode,
         ..Default::default()
     };
     let skip = o.flag("--skip-infeasible");
     let threads = o.num("--threads", 0usize)?;
-    let incremental = o.switch("--incremental", true)?;
     let t0 = std::time::Instant::now();
-    // One plane uses the dedicated driver; several share one pass over
-    // one evaluator (the same dispatch a `refine` request gets).
+    // One pass over one evaluator steers every requested plane (the same
+    // loop a `refine` request runs).
     let run = |eval: &dyn adhls_explore::refine::Evaluator| {
-        if spaces.len() == 1 {
-            refine(eval, &grid, &prefix, build, &opts).map(RefineOutcome::Single)
-        } else {
-            refine_multi(eval, &grid, &prefix, build, &opts, &spaces).map(RefineOutcome::Multi)
-        }
+        refine_multi(eval, &grid, &prefix, build, &opts, &spaces)
     };
     // The pool appends its cache counters at snapshot time; remember that
     // unified snapshot before the pool is dropped so the profile carries
@@ -271,7 +258,6 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
             EngineOptions {
                 threads: 1,
                 skip_infeasible: skip,
-                incremental,
                 point_mode: mode,
             },
         );
@@ -288,7 +274,6 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
                 PoolOptions {
                     threads,
                     skip_infeasible: skip,
-                    incremental,
                     point_mode: mode,
                     ..Default::default()
                 },
@@ -301,7 +286,6 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
                 PoolOptions {
                     threads,
                     skip_infeasible: skip,
-                    incremental,
                     point_mode: mode,
                     ..Default::default()
                 },
@@ -318,31 +302,11 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
     })?;
     let elapsed = t0.elapsed();
 
-    let (rows, front, skipped, evaluated, grid_cells, pruned, rounds) = match &outcome {
-        RefineOutcome::Single(r) => (
-            &r.rows,
-            &r.front,
-            &r.skipped,
-            r.evaluated,
-            r.grid_cells,
-            r.pruned,
-            r.trace.len().saturating_sub(1),
-        ),
-        RefineOutcome::Multi(m) => (
-            &m.rows,
-            &m.front,
-            &m.skipped,
-            m.evaluated,
-            m.grid_cells,
-            m.pruned,
-            m.trace.len().saturating_sub(1),
-        ),
-    };
     let exporting_to_stdout = o.get("--json") == Some("-") || o.get("--csv") == Some("-");
     if !exporting_to_stdout {
-        print_human(o, rows, front);
+        print_human(o, &outcome.rows, &outcome.front);
     }
-    for (name, why) in skipped {
+    for (name, why) in &outcome.skipped {
         eprintln!("skipped {name}: {why}");
     }
     let plane_list: Vec<String> = spaces.iter().map(|s| format!("({s})")).collect();
@@ -353,35 +317,28 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
         format!(" under [{}]", list.join(", "))
     };
     eprintln!(
-        "adaptive: {evaluated} of {grid_cells} grid cells evaluated ({pruned} pruned), \
-         {} on the front, {rounds} rounds, gap tol {gap_tol} in {}{constrained}, {:.2?}",
-        front.len(),
+        "adaptive: {} of {} grid cells evaluated ({} pruned), \
+         {} on the front, {} rounds, gap tol {gap_tol} in {}{constrained}, {:.2?}",
+        outcome.evaluated,
+        outcome.grid_cells,
+        outcome.pruned,
+        outcome.front.len(),
+        outcome.trace.len().saturating_sub(1),
         plane_list.join("+"),
         elapsed
     );
 
     if let Some(path) = o.get("--json") {
-        let json = match &outcome {
-            RefineOutcome::Single(r) => refine_to_json(r),
-            RefineOutcome::Multi(m) => refine_multi_to_json(m),
-        };
-        write_out(path, &json, "refinement JSON")?;
+        write_out(path, &refine_multi_to_json(&outcome), "refinement JSON")?;
     }
     if let Some(path) = o.get("--csv") {
-        write_out(path, &rows_to_csv(rows), "sweep CSV")?;
+        write_out(path, &rows_to_csv(&outcome.rows), "sweep CSV")?;
     }
     crate::profile::emit(
         o,
         pool_snapshot.unwrap_or_else(|| adhls_telemetry::global().snapshot()),
     )?;
     Ok(())
-}
-
-/// The two shapes `--adaptive` can produce: one steering plane
-/// ([`refine`]) or several sharing one pass ([`refine_multi`]).
-enum RefineOutcome {
-    Single(adhls_explore::refine::RefineResult),
-    Multi(adhls_explore::refine::MultiRefineResult),
 }
 
 /// Re-spells the shared validation's wire-field names as the CLI flags the

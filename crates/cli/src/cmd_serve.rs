@@ -30,7 +30,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--queue-cap",
             "--worker-mode",
         ],
-        &["--stdio", "--strict", "--incremental"],
+        &["--stdio", "--strict"],
     )?;
     if !o.positional.is_empty() {
         return Err("serve takes no positional arguments".into());
@@ -43,7 +43,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         // fail-fast CLI behavior.
         skip_infeasible: !o.flag("--strict"),
         cache_bytes,
-        incremental: o.switch("--incremental", true)?,
         // The pool default stays `full`; each request picks its own mode
         // via the wire spec's `mode` field (see docs/PROTOCOL.md).
         point_mode: adhls_core::PointMode::Full,
@@ -166,10 +165,6 @@ fn run_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<(), S
             if o.flag("--strict") {
                 forwarded.push("--strict".into());
             }
-            forwarded.push(format!(
-                "--incremental={}",
-                if pool_opts.incremental { "on" } else { "off" }
-            ));
             Box::new(move |_idx| {
                 let exe = std::env::current_exe()?;
                 let mut cmd = std::process::Command::new(exe);

@@ -58,9 +58,6 @@ EXPLORE OPTIONS:
                           staircases only show the feasible region
     --threads <N>         worker threads (0 = all cores)  [default: 0]
     --serial              force the serial reference evaluator
-    --incremental[=off]   reuse clock-independent prefix artifacts across
-                          a design's cells  [default: on]; `off` evaluates
-                          every point from scratch (same rows, slower)
     --mode <M>            per-point evaluation mode  [default: full]:
                           `full` re-synthesizes every point; `recover`
                           downgrades non-critical resource grades from the

@@ -20,12 +20,16 @@ impl Opts {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
-                // `--key=value` form, accepted for every valued option and
-                // for on/off switches (`--incremental=off`).
+                // `--key=value` form, accepted for every valued option. A
+                // boolean flag takes no value: accepting `--flag=v` would
+                // leave `v` unread and the flag unset.
                 if let Some((k, v)) = a.split_once('=') {
-                    if valued.contains(&k) || bools.contains(&k) {
+                    if valued.contains(&k) {
                         o.pairs.push((k.to_string(), v.to_string()));
                         continue;
+                    }
+                    if bools.contains(&k) {
+                        return Err(format!("`{k}` takes no value"));
                     }
                     let (name, _) = key.split_once('=').unwrap_or((key, ""));
                     return Err(format!("unknown option --{name} (see `adhls help`)"));
@@ -69,19 +73,6 @@ impl Opts {
     /// Whether a boolean `--flag` was passed.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
-    }
-
-    /// Reads an on/off switch: bare `--key` and `--key=on` mean on,
-    /// `--key=off` means off, absent means `default`.
-    pub fn switch(&self, key: &str, default: bool) -> Result<bool, String> {
-        if let Some(v) = self.get(key) {
-            return match v {
-                "on" | "true" | "1" => Ok(true),
-                "off" | "false" | "0" => Ok(false),
-                other => Err(format!("{key}: `{other}` is not on/off")),
-            };
-        }
-        Ok(self.flag(key) || default)
     }
 
     /// Parses `--key` as `T`, with a default.
@@ -242,22 +233,23 @@ mod tests {
     #[test]
     fn equals_form_and_switches_parse() {
         let o = Opts::parse(
-            &args(&["--clock=1500", "--incremental=off"]),
+            &args(&["--clock=1500", "--skip-infeasible"]),
             &["--clock"],
-            &["--incremental"],
+            &["--skip-infeasible"],
         )
         .unwrap();
         assert_eq!(o.get("--clock"), Some("1500"));
-        assert!(!o.switch("--incremental", true).unwrap());
+        assert!(o.flag("--skip-infeasible"));
 
-        let bare = Opts::parse(&args(&["--incremental"]), &[], &["--incremental"]).unwrap();
-        assert!(bare.switch("--incremental", false).unwrap());
-
-        let absent = Opts::parse(&args(&[]), &[], &["--incremental"]).unwrap();
-        assert!(absent.switch("--incremental", true).unwrap());
-
-        let bad = Opts::parse(&args(&["--incremental=maybe"]), &[], &["--incremental"]).unwrap();
-        assert!(bad.switch("--incremental", true).is_err());
+        // A boolean flag given a value is an error, not a silently unset
+        // flag.
+        let err = Opts::parse(
+            &args(&["--skip-infeasible=on"]),
+            &[],
+            &["--skip-infeasible"],
+        )
+        .unwrap_err();
+        assert_eq!(err, "`--skip-infeasible` takes no value");
 
         let err = Opts::parse(&args(&["--clokc=1500"]), &["--clock"], &[]).unwrap_err();
         assert!(err.contains("unknown option --clokc"), "{err}");

@@ -206,8 +206,8 @@ pub fn evaluate_prepared(
 
 /// The monolithic evaluator: every phase from scratch, per flow, with no
 /// shared artifacts. Reference implementation for the incremental ==
-/// from-scratch equivalence suite and the `--incremental=off` escape hatch;
-/// also the baseline the `explore_incremental` bench measures against.
+/// from-scratch equivalence suite, and the baseline the
+/// `explore_incremental` bench measures against.
 ///
 /// # Errors
 ///

@@ -38,7 +38,7 @@
 //! [`PreparedDesign`] prefix (initial timed DFG, untruncated grade
 //! candidates) and the rebind reuses the same prefix artifacts.
 
-use crate::dse::{evaluate_point_from_scratch, evaluate_prepared, grid_item_time_ps};
+use crate::dse::{evaluate_prepared, grid_item_time_ps};
 use crate::dse::{DsePoint, DseRow};
 use crate::power::{estimate, PowerReport};
 use crate::prepare::PreparedDesign;
@@ -525,17 +525,6 @@ pub fn evaluate_recover_prepared(
     Ok(row_from(p, &out))
 }
 
-/// [`evaluate_recover_prepared`] without shared artifacts: elaborates the
-/// point's design once and recovers over the fresh prefix.
-///
-/// # Errors
-///
-/// Propagates elaboration and conventional-flow scheduling failures.
-pub fn evaluate_recover_point(p: &DsePoint, lib: &Library, base: &HlsOptions) -> Result<DseRow> {
-    let prep = PreparedDesign::new(&p.design, lib)?;
-    evaluate_recover_prepared(&prep, p, lib, base)
-}
-
 /// [`PointMode::Auto`] over shared artifacts. The policy, per cell:
 ///
 /// 1. No headroom (`fastest_min_slack <= 0`) or recovery errors → full
@@ -562,31 +551,6 @@ pub fn evaluate_auto_prepared(
     lib: &Library,
     base: &HlsOptions,
 ) -> Result<DseRow> {
-    auto_dispatch(prep, p, lib, base, || evaluate_prepared(prep, p, lib, base))
-}
-
-/// [`evaluate_auto_prepared`] without shared artifacts.
-///
-/// # Errors
-///
-/// As [`crate::dse::evaluate_point_from_scratch`].
-pub fn evaluate_auto_point(p: &DsePoint, lib: &Library, base: &HlsOptions) -> Result<DseRow> {
-    let prep = PreparedDesign::new(&p.design, lib)?;
-    auto_dispatch(&prep, p, lib, base, || {
-        evaluate_point_from_scratch(p, lib, base)
-    })
-}
-
-/// The auto policy body, generic over how the full evaluator reaches its
-/// artifacts (shared prefix or from scratch — bit-identical rows either
-/// way, which the incremental-equivalence suite pins).
-fn auto_dispatch(
-    prep: &PreparedDesign,
-    p: &DsePoint,
-    lib: &Library,
-    base: &HlsOptions,
-    full: impl Fn() -> Result<DseRow>,
-) -> Result<DseRow> {
     let opts = HlsOptions {
         clock_ps: p.clock_ps,
         flow: Flow::Conventional,
@@ -612,7 +576,7 @@ fn auto_dispatch(
         // implementation.
         if let Some(rec) = suspect_row {
             adhls_telemetry::counter_add("pipeline.recover.fallback", 1);
-            return match full() {
+            return match evaluate_prepared(prep, p, lib, base) {
                 Ok(f)
                     if f.a_slack < rec.a_slack
                         || (f.a_slack == rec.a_slack && f.power.total < rec.power.total) =>
@@ -627,7 +591,7 @@ fn auto_dispatch(
         }
     }
     adhls_telemetry::counter_add("pipeline.recover.fallback", 1);
-    full()
+    evaluate_prepared(prep, p, lib, base)
 }
 
 /// Mode dispatch over shared artifacts — the single entry evaluation
@@ -647,24 +611,6 @@ pub fn evaluate_mode_prepared(
         PointMode::Full => evaluate_prepared(prep, p, lib, base),
         PointMode::Recover => evaluate_recover_prepared(prep, p, lib, base),
         PointMode::Auto => evaluate_auto_prepared(prep, p, lib, base),
-    }
-}
-
-/// Mode dispatch without shared artifacts (the `--incremental=off` path).
-///
-/// # Errors
-///
-/// As the dispatched evaluator.
-pub fn evaluate_mode_point(
-    mode: PointMode,
-    p: &DsePoint,
-    lib: &Library,
-    base: &HlsOptions,
-) -> Result<DseRow> {
-    match mode {
-        PointMode::Full => evaluate_point_from_scratch(p, lib, base),
-        PointMode::Recover => evaluate_recover_point(p, lib, base),
-        PointMode::Auto => evaluate_auto_point(p, lib, base),
     }
 }
 
@@ -758,7 +704,8 @@ mod tests {
         let lib = tsmc90::library();
         let p = point("shape", 2, 1400);
         let full = crate::dse::evaluate_point(&p, &lib, &HlsOptions::default()).unwrap();
-        let rec = evaluate_recover_point(&p, &lib, &HlsOptions::default()).unwrap();
+        let prep = PreparedDesign::new(&p.design, &lib).unwrap();
+        let rec = evaluate_recover_prepared(&prep, &p, &lib, &HlsOptions::default()).unwrap();
         assert_eq!(rec.name, full.name);
         assert_eq!(rec.clock_ps, full.clock_ps);
         assert_eq!(rec.latency_ps, full.latency_ps);

@@ -10,7 +10,7 @@
 
 use crate::fingerprint::{design_fingerprint, options_fingerprint, Fnv};
 use adhls_core::dse::{DsePoint, DseRow};
-use adhls_core::recover::{evaluate_mode_point, evaluate_mode_prepared};
+use adhls_core::recover::evaluate_mode_prepared;
 use adhls_core::sched::HlsOptions;
 use adhls_core::{PointMode, PreparedDesign};
 use adhls_ir::{Design, Error, Result};
@@ -113,18 +113,19 @@ impl ResultCache {
 /// move the `pipeline.prefix.bytes` gauge on the thread's registry —
 /// observational only, like every other `pipeline.*` metric. Dropping the
 /// cache refunds each prefix's bytes to the registry it was charged to, so
-/// the gauge counts live prefixes, not every prefix ever built.
+/// the gauge counts live prefixes, not every prefix ever built. Gauges
+/// move whether or not that registry is enabled, so a refund after a
+/// disable is never lost.
 #[derive(Debug, Default)]
 pub(crate) struct PrefixCache {
     shards: [Mutex<HashMap<u64, Prefix>>; CACHE_SHARDS],
 }
 
-/// One retained prefix and the registry its bytes were charged to (`None`
-/// when the preparing thread's registry was not recording).
+/// One retained prefix and the registry its bytes were charged to.
 #[derive(Debug)]
 struct Prefix {
     prep: Arc<PreparedDesign>,
-    charged: Option<Registry>,
+    charged: Registry,
 }
 
 impl PrefixCache {
@@ -149,11 +150,8 @@ impl PrefixCache {
         let prep = Arc::new(PreparedDesign::new(design, lib)?);
         let mut guard = shard.lock().expect("prefix shard poisoned");
         let entry = guard.entry(key).or_insert_with(|| {
-            let registry = adhls_telemetry::current();
-            let charged = registry.is_enabled().then(|| {
-                registry.gauge_add("pipeline.prefix.bytes", prep.approx_bytes() as i64);
-                registry
-            });
+            let charged = adhls_telemetry::current();
+            charged.gauge_add("pipeline.prefix.bytes", prep.approx_bytes() as i64);
             Prefix {
                 prep: Arc::clone(&prep),
                 charged,
@@ -168,9 +166,8 @@ impl Drop for PrefixCache {
         for shard in &mut self.shards {
             let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
             for p in shard.values() {
-                if let Some(registry) = &p.charged {
-                    registry.gauge_add("pipeline.prefix.bytes", -(p.prep.approx_bytes() as i64));
-                }
+                p.charged
+                    .gauge_add("pipeline.prefix.bytes", -(p.prep.approx_bytes() as i64));
             }
         }
     }
@@ -215,11 +212,6 @@ pub struct EngineOptions {
     /// Skip points that fail to schedule (recorded in
     /// [`SweepResult::skipped`]) instead of failing the whole sweep.
     pub skip_infeasible: bool,
-    /// Evaluate through shared phase-artifact prefixes (default). Rows are
-    /// bit-identical either way; `false` (the CLI's `--incremental=off`)
-    /// runs every phase from scratch per point — the escape hatch and the
-    /// benchmark baseline.
-    pub incremental: bool,
     /// How points are evaluated when no per-call mode is given: the full
     /// two-flow synthesis (default), the slack-recovery generator, or a
     /// per-cell automatic choice (see [`PointMode`]).
@@ -231,7 +223,6 @@ impl Default for EngineOptions {
         EngineOptions {
             threads: 0,
             skip_infeasible: false,
-            incremental: true,
             point_mode: PointMode::Full,
         }
     }
@@ -333,12 +324,8 @@ impl<'a> Engine<'a> {
             sweep_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(row);
         }
-        let row = if self.opts.incremental {
-            let prep = self.prefixes.get_or_prepare(&p.design, self.lib)?;
-            evaluate_mode_prepared(mode, &prep, p, self.lib, &self.base)?
-        } else {
-            evaluate_mode_point(mode, p, self.lib, &self.base)?
-        };
+        let prep = self.prefixes.get_or_prepare(&p.design, self.lib)?;
+        let row = evaluate_mode_prepared(mode, &prep, p, self.lib, &self.base)?;
         self.cache.insert(key, row.clone());
         Ok(row)
     }
@@ -478,19 +465,6 @@ impl<'a> Engine<'a> {
             workers,
         })
     }
-}
-
-/// One-shot convenience: parallel sweep with default options.
-///
-/// # Errors
-///
-/// Propagates the first point's scheduling error.
-pub fn explore_parallel(
-    points: &[DsePoint],
-    lib: &Library,
-    base: &HlsOptions,
-) -> Result<Vec<DseRow>> {
-    Ok(Engine::new(lib, base.clone()).evaluate(points)?.rows)
 }
 
 // `Error` is Clone + Send + Sync (asserted in adhls-ir); designs and the
@@ -704,7 +678,10 @@ mod tests {
     fn one_shot_helper_matches_core_explore() {
         let lib = tsmc90::library();
         let pts = fleet();
-        let via_engine = explore_parallel(&pts, &lib, &HlsOptions::default()).unwrap();
+        let via_engine = Engine::new(&lib, HlsOptions::default())
+            .evaluate(&pts)
+            .unwrap()
+            .rows;
         let via_core = adhls_core::dse::explore(&pts, &lib, &HlsOptions::default()).unwrap();
         assert_eq!(via_engine, via_core);
     }

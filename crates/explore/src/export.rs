@@ -248,15 +248,20 @@ pub fn refine_to_json(result: &RefineResult) -> String {
     )
 }
 
-/// Renders a multi-plane refinement ([`crate::refine::refine_multi`]) as
-/// one JSON document: the shared `sweep`/`front`, a `planes` array with
-/// each plane's `objectives`, converged constrained `staircase`, and
-/// per-plane `rounds` (that plane's gaps and proposal counts), and a
-/// `refine` audit block whose merged `rounds` carry per-plane
-/// `plane_gaps`. The top-level `objectives` mirrors the first plane so
-/// [`crate::refine::WarmStart::parse`] reads the document unchanged.
+/// Renders a refinement ([`crate::refine::refine_multi`]) as one JSON
+/// document. One plane renders exactly as [`refine_to_json`] of that
+/// plane's result. Several planes render the shared `sweep`/`front`, a
+/// `planes` array with each plane's `objectives`, converged constrained
+/// `staircase`, and per-plane `rounds` (that plane's gaps and proposal
+/// counts), and a `refine` audit block whose merged `rounds` carry
+/// per-plane `plane_gaps`. The top-level `objectives` mirrors the first
+/// plane so [`crate::refine::WarmStart::parse`] reads the document
+/// unchanged.
 #[must_use]
 pub fn refine_multi_to_json(result: &MultiRefineResult) -> String {
+    if let [plane] = &result.planes[..] {
+        return refine_to_json(plane);
+    }
     let plane_rounds = |r: &RefineResult| {
         let mut out = String::from("[");
         for (i, t) in r.trace.iter().enumerate() {

@@ -81,8 +81,7 @@ pub use pareto::{
 pub use pool::{EvaluatorPool, PoolOptions};
 pub use refine::CancelToken;
 pub use refine::{
-    descend, refine, refine_multi, refine_multi_with_progress, refine_with_progress,
-    warm_start_cells, DescentOptions, DescentResult, DescentRungTrace, Evaluator,
+    refine, refine_multi, refine_multi_with_progress, warm_start_cells, Evaluator,
     MultiRefineResult, MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
 };
 pub use server::{CacheStats, Router, RouterOptions, Server};
@@ -108,8 +107,7 @@ pub mod prelude {
     pub use crate::pool::{EvaluatorPool, PoolOptions};
     pub use crate::refine::CancelToken;
     pub use crate::refine::{
-        descend, refine, refine_multi, refine_multi_with_progress, refine_with_progress,
-        warm_start_cells, DescentOptions, DescentResult, DescentRungTrace, Evaluator,
+        refine, refine_multi, refine_multi_with_progress, warm_start_cells, Evaluator,
         MultiRefineResult, MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
     };
     pub use crate::server::{CacheStats, Router, RouterOptions, Server, WorkloadSpec};

@@ -23,7 +23,7 @@
 use crate::engine::{point_key, HitMiss, PrefixCache, SweepResult};
 use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
 use adhls_core::dse::{DsePoint, DseRow};
-use adhls_core::recover::{evaluate_mode_point, evaluate_mode_prepared};
+use adhls_core::recover::evaluate_mode_prepared;
 use adhls_core::sched::HlsOptions;
 use adhls_core::PointMode;
 use adhls_reslib::Library;
@@ -50,12 +50,6 @@ pub struct PoolOptions {
     /// (`None` = unbounded, the one-shot CLI default). Long-lived servers
     /// should set this; see [`crate::server::eviction`].
     pub cache_bytes: Option<usize>,
-    /// Reuse clock-independent prefix artifacts
-    /// ([`PreparedDesign`](adhls_core::PreparedDesign)) across the cells of
-    /// a design (default). `false` re-elaborates every point from scratch —
-    /// the escape hatch and the benchmark baseline; rows are bit-identical
-    /// either way.
-    pub incremental: bool,
     /// Evaluation mode for batches submitted without a per-call mode
     /// ([`EvaluatorPool::evaluate`]): full two-flow synthesis (default),
     /// slack recovery, or per-cell auto (see [`PointMode`]). Per-request
@@ -70,7 +64,6 @@ impl Default for PoolOptions {
             threads: 0,
             skip_infeasible: false,
             cache_bytes: None,
-            incremental: true,
             point_mode: PointMode::Full,
         }
     }
@@ -169,10 +162,8 @@ struct Shared {
     base: HlsOptions,
     cache: EvictingCache,
     /// Prefix artifacts shared across batches (see
-    /// [`PreparedDesign`](adhls_core::PreparedDesign)); unused when
-    /// [`PoolOptions::incremental`] is off.
+    /// [`PreparedDesign`](adhls_core::PreparedDesign)).
     prefixes: PrefixCache,
-    incremental: bool,
     queue: Mutex<VecDeque<Arc<Batch>>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
@@ -206,12 +197,8 @@ impl Shared {
         let key = point_key(&self.base, p, mode);
         let (result, outcome) = self.cache.get_or_compute(key, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if self.incremental {
-                    let prep = self.prefixes.get_or_prepare(&p.design, &self.lib)?;
-                    evaluate_mode_prepared(mode, &prep, p, &self.lib, &self.base)
-                } else {
-                    evaluate_mode_point(mode, p, &self.lib, &self.base)
-                }
+                let prep = self.prefixes.get_or_prepare(&p.design, &self.lib)?;
+                evaluate_mode_prepared(mode, &prep, p, &self.lib, &self.base)
             }))
             .unwrap_or_else(|panic| {
                 let msg = panic
@@ -379,7 +366,6 @@ impl EvaluatorPool {
             base,
             cache: EvictingCache::new(opts.cache_bytes),
             prefixes: PrefixCache::default(),
-            incremental: opts.incremental,
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -828,7 +814,10 @@ mod tests {
             let engine = Engine::new(&lib, HlsOptions::default());
             engine.evaluate_serial(&pts).unwrap();
             assert!(gauge() > Some(0), "the engine's prefixes were charged");
+            // The refund must not depend on the registry still recording.
+            registry.set_enabled(false);
         }
+        registry.set_enabled(true);
         assert_eq!(
             gauge(),
             Some(0),
@@ -845,7 +834,9 @@ mod tests {
         );
         pool.evaluate(&pts).unwrap();
         assert!(gauge() > Some(0), "the pool's prefixes were charged");
+        registry.set_enabled(false);
         drop(pool);
+        registry.set_enabled(true);
         assert_eq!(gauge(), Some(0), "a dropped pool still holds prefix bytes");
     }
 

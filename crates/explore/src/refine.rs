@@ -54,7 +54,7 @@ use crate::constraint::{constraints_from_json, validate_constraints, Constraint}
 use crate::engine::{Engine, SweepResult};
 use crate::pareto::{
     dominates, objectives, pareto_indices_in_constrained, staircase_indices_in, Objective,
-    ObjectiveSpace, Objectives, Sense,
+    ObjectiveSpace, Objectives,
 };
 use crate::pool::EvaluatorPool;
 use crate::sweep::{SweepCell, SweepGrid};
@@ -635,25 +635,6 @@ impl<'a, F: FnMut(&SweepCell) -> Design> Driver<'a, F> {
             .collect()
     }
 
-    /// Every feasible evaluated row as (row index, cell, objectives), in
-    /// row order — the candidate pool scalarized descent picks incumbents
-    /// from (non-finite rows are excluded like everywhere else).
-    fn feasible(&self) -> Vec<(usize, Cell, Objectives)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let o = objectives(r);
-                let ok = o.is_finite()
-                    && self
-                        .constraints
-                        .iter()
-                        .all(|c| c.satisfied_value(c.axis.value(&o)));
-                ok.then_some((i, self.row_cells[i], o))
-            })
-            .collect()
-    }
-
     /// The **planning** staircase in `space`'s plane: rows non-dominated
     /// when only the plane's two axes count, sorted by the primary axis
     /// improving (area ascending, latency strictly descending under the
@@ -1042,15 +1023,21 @@ fn seed_indices(len: usize) -> Vec<usize> {
 }
 
 /// Adaptively refines the Pareto front of `grid` (see the module docs for
-/// the algorithm). Every evaluated cell is a cell of `grid`, so the result
-/// front is a subset of the exhaustive sweep's rows, reached with —
-/// typically far — fewer evaluations.
+/// the algorithm) in the one plane [`RefineOptions::objectives`] selects.
+/// Every evaluated cell is a cell of `grid`, so the result front is a
+/// subset of the exhaustive sweep's rows, reached with — typically far —
+/// fewer evaluations.
+///
+/// This is [`refine_multi`] over that one plane, returning the plane's
+/// result; its trace is the pass's merged trace.
 ///
 /// # Errors
 ///
-/// [`Error::Capacity`] when the grid's cell count overflows `usize`;
-/// otherwise propagates the evaluator's scheduling failures (use a
-/// skip-infeasible evaluator to explore grids with infeasible corners).
+/// [`Error::Interp`] for a single-axis space or a constraint on an axis
+/// the space does not select; [`Error::Capacity`] when the grid's cell
+/// count overflows `usize`; otherwise propagates the evaluator's
+/// scheduling failures (use a skip-infeasible evaluator to explore grids
+/// with infeasible corners).
 pub fn refine<F>(
     eval: &dyn Evaluator,
     grid: &SweepGrid,
@@ -1061,496 +1048,13 @@ pub fn refine<F>(
 where
     F: FnMut(&SweepCell) -> Design,
 {
-    refine_with_progress(eval, grid, prefix, build, opts, |_| {})
-}
-
-/// [`refine`], reporting each round's [`RoundTrace`] to `observe`: the
-/// seed round as soon as its rows are integrated, every later round once
-/// the next boundary knows whether the run goes on (see [`CancelToken`]).
-/// This is the hook the exploration server streams per-round progress
-/// events from; the traces passed to `observe` are exactly the entries of
-/// [`RefineResult::trace`].
-///
-/// # Errors
-///
-/// As [`refine`].
-pub fn refine_with_progress<F>(
-    eval: &dyn Evaluator,
-    grid: &SweepGrid,
-    prefix: &str,
-    build: F,
-    opts: &RefineOptions,
-    mut observe: impl FnMut(&RoundTrace),
-) -> Result<RefineResult>
-where
-    F: FnMut(&SweepCell) -> Design,
-{
-    // Refinement steers a two-axis plane: with fewer axes there is no
-    // staircase and no gap, so every round would take the densification
-    // path with `gap_tol` never consulted — an unbounded hill walk dressed
-    // up as convergence. Reject up front, on every surface (library, CLI,
-    // wire all arrive here).
-    if opts.objectives.axes().len() < 2 {
-        return Err(Error::Interp(format!(
-            "adaptive refinement steers a two-axis objective plane; `{}` has only one axis \
-             (pick two, e.g. `area,power`)",
-            opts.objectives
-        )));
-    }
-    // Constraints must bound axes the active space selects — a bound on an
-    // ignored axis would filter rows on evidence the space never weighs.
-    validate_constraints(&opts.constraints, opts.objectives.axes()).map_err(Error::Interp)?;
-    let gap_tol = clamp_gap_tol(opts.gap_tol);
-    let (mut driver, grid_cells) = Driver::prepare(grid, prefix, build, &opts.constraints)?;
-    driver.mode = opts.point_mode;
-    if driver.clocks.is_empty() || driver.cycles.is_empty() || driver.modes.is_empty() {
-        return Ok(RefineResult {
-            rows: Vec::new(),
-            skipped: Vec::new(),
-            front: Vec::new(),
-            objectives: opts.objectives.clone(),
-            constraints: opts.constraints.clone(),
-            trace: Vec::new(),
-            evaluated: 0,
-            pruned: 0,
-            grid_cells,
-            cancelled: false,
-        });
-    }
-
-    // Round timing lands in a per-plane histogram (`refine.round.<plane>`)
-    // on the current telemetry registry; the counters tally work done vs
-    // avoided. One histogram sample per evaluated round, seed included, so
-    // the sample count equals `trace.len()`. Observational only: traces
-    // and rows are bit-identical with telemetry on or off.
-    let round_metric = format!("refine.round.{}", opts.objectives.names().join("_"));
-    let (seed, seed_pruned) = driver.seed(&opts.warm_start, opts.budget);
-    adhls_telemetry::timed(&round_metric, || driver.evaluate_cells(eval, &seed))?;
-    adhls_telemetry::counter_add("refine.cells_evaluated", seed.len() as u64);
-    adhls_telemetry::counter_add("refine.cells_pruned", seed_pruned as u64);
-    let mut trace = vec![RoundTrace {
-        round: 0,
-        new_points: seed.len(),
-        front_size: driver.front().len(),
-        max_gap: 0.0,
-        pruned: seed_pruned,
-    }];
-    observe(&trace[0]);
-
-    let mut cancelled = false;
-    // The newest round is streamed only once the next boundary knows
-    // whether the run goes on (see `CancelToken`): `held` is its undo
-    // point — rows, skips and the pruned count before it was planned.
-    let mut held: Option<(usize, usize, usize)> = None;
-    let mut round = 1;
-    loop {
-        let pruned_before = driver.pruned;
-        let planned: Option<(f64, Vec<Cell>, usize)> = 'plan: {
-            if round > opts.max_rounds {
-                break 'plan None;
-            }
-            let stairs = driver.staircase(&opts.objectives);
-            if stairs.is_empty() {
-                break 'plan None;
-            }
-            let (max_gap, mut candidates, pruned_now) = if stairs.len() < 2 {
-                // A single-point staircase has no gap to bisect. For planes
-                // with a closed-form axis (latency/throughput) the seed's
-                // corner cells already span that axis, so a one-point
-                // staircase is a genuinely converged corner — stop, exactly
-                // as the pre-redesign driver did (this keeps the default
-                // (area, latency) plane bit-identical to it). Planes whose
-                // axes are both evaluated quantities get no such guarantee;
-                // densify the lone point's axis neighborhood instead (see
-                // `plan_densify`). The gap is reported as 0.0, like the seed
-                // round: there is none yet.
-                if plane_has_exact_axis(&opts.objectives) {
-                    break 'plan None;
-                }
-                let (candidates, pruned_now) = driver.plan_densify(&stairs);
-                if candidates.is_empty() {
-                    break 'plan None;
-                }
-                (0.0, candidates, pruned_now)
-            } else {
-                let full_front = driver.front();
-                let planned = driver.plan(
-                    &opts.objectives,
-                    &stairs,
-                    gap_tol,
-                    &mut HashSet::new(),
-                    &full_front,
-                );
-                if planned.0 <= gap_tol || planned.1.is_empty() {
-                    break 'plan None;
-                }
-                planned
-            };
-            if opts.budget > 0 {
-                let spent = driver.rows.len() + driver.skipped.len();
-                let remaining = opts.budget.saturating_sub(spent);
-                if remaining == 0 {
-                    break 'plan None;
-                }
-                candidates.truncate(remaining);
-            }
-            Some((max_gap, candidates, pruned_now))
-        };
-        let Some((max_gap, candidates, pruned_now)) = planned else {
-            // The run is complete, unless a cancel got in before it could
-            // close: then the held round goes back, so the cancelled
-            // result still stops short of the uncancelled one.
-            if cancelled_at_end(opts.cancel.as_ref()) {
-                cancelled = true;
-                adhls_telemetry::counter_add("refine.cancelled", 1);
-                driver.pruned = pruned_before;
-                if let Some((rows, skipped, pruned)) = held.take() {
-                    driver.rows.truncate(rows);
-                    driver.row_cells.truncate(rows);
-                    driver.skipped.truncate(skipped);
-                    driver.pruned = pruned;
-                    trace.pop();
-                }
-            }
-            if held.is_some() {
-                observe(trace.last().expect("held round is traced"));
-            }
-            break;
-        };
-        if held.take().is_some() {
-            observe(trace.last().expect("held round is traced"));
-        }
-        // The round boundary is the one cancellation point: rows and trace
-        // integrated so far are a valid prefix of the uncancelled run.
-        if cancelled_at(opts.cancel.as_ref()) {
-            cancelled = true;
-            adhls_telemetry::counter_add("refine.cancelled", 1);
-            driver.pruned = pruned_before;
-            break;
-        }
-        held = Some((driver.rows.len(), driver.skipped.len(), pruned_before));
-        adhls_telemetry::timed(&round_metric, || driver.evaluate_cells(eval, &candidates))?;
-        adhls_telemetry::counter_add("refine.cells_evaluated", candidates.len() as u64);
-        adhls_telemetry::counter_add("refine.cells_pruned", pruned_now as u64);
-        trace.push(RoundTrace {
-            round,
-            new_points: candidates.len(),
-            front_size: driver.front().len(),
-            max_gap,
-            pruned: pruned_now,
-        });
-        round += 1;
-    }
-
-    let front = driver
-        .front()
+    let planes = [opts.objectives.clone()];
+    let result = refine_multi(eval, grid, prefix, build, opts, &planes)?;
+    Ok(result
+        .planes
         .into_iter()
-        .map(|(i, _, _)| driver.rows[i].clone())
-        .collect();
-    let evaluated = driver.rows.len() + driver.skipped.len();
-    Ok(RefineResult {
-        rows: driver.rows,
-        skipped: driver.skipped,
-        front,
-        objectives: opts.objectives.clone(),
-        constraints: opts.constraints.clone(),
-        trace,
-        evaluated,
-        pruned: driver.pruned,
-        grid_cells,
-        cancelled,
-    })
-}
-
-/// Tuning knobs for [`descend`] — the scalarized weighted-sum /
-/// ε-constraint ladder (see [`descend`] for the algorithm).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DescentOptions {
-    /// Number of ε-constraint rungs the secondary axis's observed feasible
-    /// range is split into (clamped to at least 1; duplicate bounds on a
-    /// collapsed range are merged). Each rung runs one warm
-    /// single-objective solve.
-    pub rungs: usize,
-    /// Maximum number of grid cells to evaluate, seed included
-    /// (`0` = no budget).
-    pub budget: usize,
-    /// Safety valve on hill-climb moves per rung.
-    pub max_moves: usize,
-    /// Weight of the normalized secondary axis in the scalarized value.
-    /// `0.0` is the pure ε-constraint method (each solve minimizes the
-    /// primary axis alone); a positive weight blends the weighted-sum
-    /// method in, steering each solve toward cells that also improve the
-    /// secondary axis within the rung's bound.
-    pub weight: f64,
-    /// The objective plane: each solve optimizes the first axis (in its
-    /// natural sense), the second carries the ε-constraint ladder.
-    /// Defaults to the paper's (area, latency) tradeoff.
-    pub objectives: ObjectiveSpace,
-    /// Objective bounds restricting the descent to the feasible region,
-    /// exactly as in [`RefineOptions::constraints`].
-    pub constraints: Vec<Constraint>,
-}
-
-impl Default for DescentOptions {
-    fn default() -> Self {
-        DescentOptions {
-            rungs: 6,
-            budget: 0,
-            max_moves: 16,
-            weight: 0.25,
-            objectives: ObjectiveSpace::default(),
-            constraints: Vec::new(),
-        }
-    }
-}
-
-/// One rung of a scalarized descent: its secondary-axis bound and what the
-/// solve did under it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DescentRungTrace {
-    /// Rung number (`0` is the loosest bound).
-    pub rung: usize,
-    /// The rung's bound on the secondary axis, in that axis's own units:
-    /// an upper bound for minimized axes (area/latency/power), a lower
-    /// bound for throughput.
-    pub bound: f64,
-    /// Cells evaluated during this rung's solve.
-    pub new_points: usize,
-    /// Hill-climb moves the solve accepted.
-    pub moves: usize,
-    /// Name of the rung's final incumbent row (`None` when no evaluated
-    /// cell satisfies the bound).
-    pub best: Option<String>,
-}
-
-/// Outcome of one scalarized descent ([`descend`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DescentResult {
-    /// Every evaluated row, in deterministic (batch, cell-index) order.
-    pub rows: Vec<DseRow>,
-    /// Infeasible cells as (name, error), if the evaluator skips them.
-    pub skipped: Vec<(String, String)>,
-    /// The full four-objective Pareto front over the feasible `rows`,
-    /// exactly as [`RefineResult::front`] reports it.
-    pub front: Vec<DseRow>,
-    /// The objective plane that steered the descent
-    /// ([`DescentOptions::objectives`]).
-    pub objectives: ObjectiveSpace,
-    /// The constraints the descent honored
-    /// ([`DescentOptions::constraints`]).
-    pub constraints: Vec<Constraint>,
-    /// Per-rung metadata, loosest bound first.
-    pub trace: Vec<DescentRungTrace>,
-    /// Cells submitted for evaluation (`rows.len() + skipped.len()`).
-    pub evaluated: usize,
-    /// Cells discarded by closed-form constraint checks without
-    /// evaluation.
-    pub pruned: usize,
-    /// Cell count of the exhaustive grid this descent samples.
-    pub grid_cells: usize,
-}
-
-/// The best feasible evaluated row under a rung's bound: minimal
-/// scalarized value, ties broken toward the lower cell index (both are
-/// deterministic, so the incumbent is too).
-fn best_under(
-    feas: &[(usize, Cell, Objectives)],
-    secondary: Objective,
-    eps_key: f64,
-    scalar: &dyn Fn(&Objectives) -> f64,
-) -> Option<(usize, Cell, Objectives)> {
-    feas.iter()
-        .filter(|(_, _, o)| secondary.key(o) <= eps_key)
-        .min_by(|a, b| scalar(&a.2).total_cmp(&scalar(&b.2)).then(a.1.cmp(&b.1)))
-        .copied()
-}
-
-/// Scalarized descent over `grid`: a weighted-sum / ε-constraint ladder
-/// that turns a plane sweep into a sequence of warm single-objective
-/// solves.
-///
-/// Where [`refine`] bisects staircase gaps toward the whole tradeoff
-/// curve, `descend` answers a narrower question — "the best primary-axis
-/// cell at each of N secondary-axis budgets" — with correspondingly fewer
-/// evaluations:
-///
-/// 1. evaluate the geometric seed (axis corners and midpoints, every
-///    pipeline mode),
-/// 2. split the secondary axis's observed feasible range into
-///    [`DescentOptions::rungs`] ε bounds, loosest first,
-/// 3. for each rung, hill-climb from the best already-evaluated feasible
-///    cell under that bound: evaluate the incumbent's axis neighborhood,
-///    move while the scalarized value (normalized primary plus
-///    [`DescentOptions::weight`] × normalized secondary) strictly
-///    improves, stop when it doesn't. Neighbors whose closed-form
-///    secondary value (latency/throughput planes) already violates the
-///    rung's bound are skipped without evaluation.
-///
-/// Every evaluated cell is a cell of `grid`, so the evaluator's memo
-/// cache — and, through it, the engine/pool prefix cache — makes
-/// successive rungs warm: later (tighter) rungs re-walk earlier rungs'
-/// neighborhoods for free, and each genuine miss reuses the design's
-/// retained [`adhls_core::PreparedDesign`] prefix instead of
-/// re-elaborating.
-///
-/// Deterministic: rung bounds derive from evaluated rows, candidate
-/// batches are sorted by cell index, and incumbent ties break toward the
-/// lower cell index — two descents of the same grid produce the same
-/// rows, front, and trace.
-///
-/// # Errors
-///
-/// [`Error::Interp`] for a single-axis plane or a constraint on an axis
-/// outside it; [`Error::Capacity`] when the grid overflows `usize`;
-/// otherwise propagates the evaluator's scheduling failures.
-pub fn descend<F>(
-    eval: &dyn Evaluator,
-    grid: &SweepGrid,
-    prefix: &str,
-    build: F,
-    opts: &DescentOptions,
-) -> Result<DescentResult>
-where
-    F: FnMut(&SweepCell) -> Design,
-{
-    if opts.objectives.axes().len() < 2 {
-        return Err(Error::Interp(format!(
-            "scalarized descent needs a two-axis objective plane; `{}` has only one axis \
-             (pick two, e.g. `area,latency`)",
-            opts.objectives
-        )));
-    }
-    validate_constraints(&opts.constraints, opts.objectives.axes()).map_err(Error::Interp)?;
-    let (mut driver, grid_cells) = Driver::prepare(grid, prefix, build, &opts.constraints)?;
-    let mut trace: Vec<DescentRungTrace> = Vec::new();
-    if driver.clocks.is_empty() || driver.cycles.is_empty() || driver.modes.is_empty() {
-        return Ok(DescentResult {
-            rows: Vec::new(),
-            skipped: Vec::new(),
-            front: Vec::new(),
-            objectives: opts.objectives.clone(),
-            constraints: opts.constraints.clone(),
-            trace,
-            evaluated: 0,
-            pruned: 0,
-            grid_cells,
-        });
-    }
-    let metric = format!("descent.rung.{}", opts.objectives.names().join("_"));
-    let (seed, seed_pruned) = driver.seed(&[], opts.budget);
-    adhls_telemetry::timed(&metric, || driver.evaluate_cells(eval, &seed))?;
-    adhls_telemetry::counter_add("refine.cells_evaluated", seed.len() as u64);
-    adhls_telemetry::counter_add("refine.cells_pruned", seed_pruned as u64);
-
-    let (primary, secondary) = opts.objectives.plane();
-    let feas = driver.feasible();
-    // Normalization is fixed once, over the seed's feasible bounding box:
-    // re-normalizing mid-climb would let a new extreme point reorder
-    // already-compared cells and break the monotone-improvement argument.
-    let ranges = opts.objectives.plane_ranges(feas.iter().map(|(_, _, o)| o));
-    let scalar =
-        move |o: &Objectives| primary.key(o) / ranges.0 + opts.weight * secondary.key(o) / ranges.1;
-    // The ladder lives on the secondary *key* (sense-mapped so smaller is
-    // always better): loosest bound first, tightening linearly to the best
-    // observed value, duplicates merged.
-    let (mut kmin, mut kmax) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (_, _, o) in &feas {
-        kmin = kmin.min(secondary.key(o));
-        kmax = kmax.max(secondary.key(o));
-    }
-    let mut ladder: Vec<f64> = Vec::new();
-    if kmin.is_finite() && kmax.is_finite() {
-        let rungs = opts.rungs.max(1);
-        for r in 0..rungs {
-            #[allow(clippy::cast_precision_loss)]
-            let t = if rungs == 1 {
-                0.0
-            } else {
-                r as f64 / (rungs - 1) as f64
-            };
-            let eps = kmax + (kmin - kmax) * t;
-            if ladder.last() != Some(&eps) {
-                ladder.push(eps);
-            }
-        }
-    }
-
-    for (rung, &eps) in ladder.iter().enumerate() {
-        let mut moves = 0usize;
-        let mut new_points = 0usize;
-        let mut cur = best_under(&driver.feasible(), secondary, eps, &scalar);
-        while let Some((_, cell, obj)) = cur {
-            if moves >= opts.max_moves {
-                break;
-            }
-            let (mut cands, _) = driver.plan_densify(&[(0, cell, obj)]);
-            // A closed-form secondary axis (latency/throughput) prices
-            // neighbors without evaluation: outside the rung's bound they
-            // cannot become this rung's incumbent — a tighter rung's, at
-            // most, and that rung will re-propose them.
-            if matches!(secondary, Objective::LatencyPs | Objective::Throughput) {
-                cands.retain(|&c| {
-                    let v = driver
-                        .exact_cell_value(c, secondary)
-                        .expect("closed-form axes price without evaluation");
-                    let key = match secondary.sense() {
-                        Sense::Minimize => v,
-                        Sense::Maximize => -v,
-                    };
-                    key <= eps
-                });
-            }
-            if opts.budget > 0 {
-                let spent = driver.rows.len() + driver.skipped.len();
-                cands.truncate(opts.budget.saturating_sub(spent));
-            }
-            if cands.is_empty() {
-                break;
-            }
-            adhls_telemetry::timed(&metric, || driver.evaluate_cells(eval, &cands))?;
-            adhls_telemetry::counter_add("refine.cells_evaluated", cands.len() as u64);
-            new_points += cands.len();
-            match best_under(&driver.feasible(), secondary, eps, &scalar) {
-                Some(next) if scalar(&next.2) < scalar(&obj) => {
-                    cur = Some(next);
-                    moves += 1;
-                }
-                _ => break,
-            }
-        }
-        let bound = match secondary.sense() {
-            Sense::Minimize => eps,
-            Sense::Maximize => -eps,
-        };
-        trace.push(DescentRungTrace {
-            rung,
-            bound,
-            new_points,
-            moves,
-            best: cur.map(|(i, _, _)| driver.rows[i].name.clone()),
-        });
-        if opts.budget > 0 && driver.rows.len() + driver.skipped.len() >= opts.budget {
-            break;
-        }
-    }
-
-    let front = driver
-        .front()
-        .into_iter()
-        .map(|(i, _, _)| driver.rows[i].clone())
-        .collect();
-    let evaluated = driver.rows.len() + driver.skipped.len();
-    Ok(DescentResult {
-        rows: driver.rows,
-        skipped: driver.skipped,
-        front,
-        objectives: opts.objectives.clone(),
-        constraints: opts.constraints.clone(),
-        trace,
-        evaluated,
-        pruned: driver.pruned,
-        grid_cells,
-    })
+        .next()
+        .expect("one result per plane"))
 }
 
 /// One merged round of a multi-plane refinement ([`refine_multi`]): what
@@ -1623,12 +1127,11 @@ pub struct MultiRefineResult {
 /// pass and must bound axes selected by at least one plane. Budget,
 /// tolerance, warm start, and round cap are shared.
 ///
-/// Convergence matches the single-plane driver per plane: a plane stops
-/// proposing once its gaps are within tolerance (or its candidate
-/// families are exhausted), and the pass ends when no plane proposes
-/// anything new. Because every plane also sees the rows the *other*
-/// planes requested, each plane's final staircase is at least as resolved
-/// as its single-plane run's.
+/// A plane stops proposing once its gaps are within tolerance (or its
+/// candidate families are exhausted), and the pass ends when no plane
+/// proposes anything new. Because every plane also sees the rows the
+/// *other* planes requested, each plane's final staircase is at least as
+/// resolved as its single-plane run's. With one plane this is [`refine`].
 ///
 /// # Errors
 ///
@@ -1649,9 +1152,11 @@ where
 }
 
 /// [`refine_multi`], reporting each merged round's [`MultiRoundTrace`] to
-/// `observe` on the same schedule as [`refine_with_progress`] — its
-/// multi-plane counterpart, and what the exploration server streams
-/// multi-plane `round` events from.
+/// `observe`: the seed round as soon as its rows are integrated, every
+/// later round once the next boundary knows whether the run goes on (see
+/// [`CancelToken`]). The traces passed to `observe` are exactly the
+/// entries of [`MultiRefineResult::trace`]; the exploration server
+/// streams its `round` events from this hook.
 ///
 /// # Errors
 ///
@@ -1720,8 +1225,12 @@ where
         return Ok(empty_result(planes));
     }
 
-    // As in the single-plane driver: per-round wall-time histogram named
-    // after the plane set, plus work counters, on the current registry.
+    // Round timing lands in a histogram named after the plane set
+    // (`refine.round.<plane>[;<plane>…]`) on the current telemetry
+    // registry; the counters tally work done vs avoided. One histogram
+    // sample per evaluated round, seed included, so the sample count equals
+    // `trace.len()`. Observational only: traces and rows are bit-identical
+    // with telemetry on or off.
     let round_metric = format!(
         "refine.round.{}",
         planes
@@ -1757,9 +1266,9 @@ where
     observe(&merged[0]);
 
     let mut cancelled = false;
-    // As in the single-plane driver: the newest round is streamed only
-    // once the next boundary knows whether the run goes on, and `held` is
-    // its undo point.
+    // The newest round is streamed only once the next boundary knows
+    // whether the run goes on (see `CancelToken`): `held` is its undo
+    // point — rows, skips and the pruned count before it was planned.
     let mut held: Option<(usize, usize, usize)> = None;
     let mut round = 1;
     loop {
@@ -1786,9 +1295,14 @@ where
                     continue;
                 }
                 let (gap, fresh, pruned_now) = if stairs.len() < 2 {
-                    // Same per-plane policy as the single-plane driver: an
-                    // exact-axis plane's one-point staircase is a converged
-                    // corner; an evaluated-axes plane densifies around it.
+                    // A single-point staircase has no gap to bisect. For
+                    // planes with a closed-form axis (latency/throughput)
+                    // the seed's corner cells already span that axis, so it
+                    // is a genuinely converged corner. Planes whose axes
+                    // are both evaluated quantities densify the lone
+                    // point's axis neighborhood instead (see
+                    // `plan_densify`); the gap is reported as 0.0, like the
+                    // seed round's.
                     if plane_has_exact_axis(plane) {
                         continue;
                     }
@@ -1846,8 +1360,8 @@ where
         if held.take().is_some() {
             observe(merged.last().expect("held round is traced"));
         }
-        // Same cancellation point as the single-plane driver: between
-        // rounds, so the merged trace is a prefix of the uncancelled one.
+        // The round boundary is the one cancellation point: rows and trace
+        // integrated so far are a valid prefix of the uncancelled run.
         if cancelled_at(opts.cancel.as_ref()) {
             cancelled = true;
             adhls_telemetry::counter_add("refine.cancelled", 1);
@@ -2025,13 +1539,16 @@ mod tests {
                 ..plain.clone()
             };
             let mut streamed = Vec::new();
-            let r = refine_with_progress(&eval, &g, "syn", build_cell, &opts, |t| {
-                streamed.push(t.clone());
-            })
-            .unwrap();
+            let one_plane = [plain.objectives.clone()];
+            let r =
+                refine_multi_with_progress(&eval, &g, "syn", build_cell, &opts, &one_plane, |t| {
+                    streamed.push(t.clone());
+                })
+                .unwrap();
+            assert_eq!(streamed, r.trace, "only kept rounds are streamed");
+            let r = &r.planes[0];
             assert!(r.cancelled, "cancel in round {at}");
             assert_eq!(r.trace[..], full.trace[..kept], "cancel in round {at}");
-            assert_eq!(streamed, r.trace, "only kept rounds are streamed");
             assert_eq!(r.rows[..], full.rows[..r.rows.len()]);
             assert!(eval.token.try_cancel(), "a cancelled token stays cancelled");
 
@@ -2152,79 +1669,6 @@ mod tests {
         let a = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
         let b = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
         assert_eq!(a, b, "same grid, same options, same everything");
-    }
-
-    #[test]
-    fn descent_rows_are_grid_cells_and_rungs_tighten() {
-        let lib = tsmc90::library();
-        let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
-        let r = descend(
-            &engine(&lib),
-            &g,
-            "syn",
-            build_cell,
-            &DescentOptions::default(),
-        )
-        .unwrap();
-        assert!(!r.rows.is_empty());
-        assert!(!r.front.is_empty());
-        assert!(!r.trace.is_empty());
-        // The ladder tightens monotonically: the default plane's secondary
-        // axis (latency) is minimized, so bounds descend.
-        for pair in r.trace.windows(2) {
-            assert!(pair[1].bound <= pair[0].bound, "{:?}", r.trace);
-        }
-        // Every rung with an incumbent respects its bound, and every
-        // evaluated row is bit-identical to the exhaustive sweep's row for
-        // the same cell.
-        let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
-        for rung in &r.trace {
-            if let Some(best) = &rung.best {
-                let row = r.rows.iter().find(|row| row.name == *best).unwrap();
-                assert!(objectives(row).latency_ps <= rung.bound + 1e-9, "{rung:?}");
-            }
-        }
-        for row in &r.rows {
-            let twin = ex_rows
-                .iter()
-                .find(|e| e.name == row.name)
-                .unwrap_or_else(|| panic!("{} not a grid cell", row.name));
-            assert_eq!(row, twin);
-        }
-    }
-
-    #[test]
-    fn descent_is_deterministic_and_respects_budget() {
-        let lib = tsmc90::library();
-        let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
-        let opts = DescentOptions {
-            budget: 12,
-            rungs: 4,
-            ..Default::default()
-        };
-        let a = descend(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
-        let b = descend(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
-        assert_eq!(a, b, "same grid, same options, same everything");
-        assert!(a.evaluated <= 12, "budget 12, spent {}", a.evaluated);
-    }
-
-    #[test]
-    fn descent_rejects_single_axis_planes() {
-        let lib = tsmc90::library();
-        let g = grid(&[1100, 1400], &[2, 4]);
-        let err = descend(
-            &engine(&lib),
-            &g,
-            "syn",
-            build_cell,
-            &DescentOptions {
-                objectives: ObjectiveSpace::parse("area").unwrap(),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("two-axis"), "{err}");
     }
 
     #[test]
@@ -2456,7 +1900,7 @@ mod tests {
         let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
         let mut seen = Vec::new();
-        let r = refine_with_progress(
+        let r = refine_multi_with_progress(
             &engine(&lib),
             &g,
             "syn",
@@ -2465,10 +1909,14 @@ mod tests {
                 gap_tol: 0.1,
                 ..Default::default()
             },
+            &[ObjectiveSpace::default()],
             |t| seen.push(t.clone()),
         )
         .unwrap();
         assert_eq!(seen, r.trace, "streamed traces match the result trace");
+        for (t, m) in r.planes[0].trace.iter().zip(&seen) {
+            assert_eq!(t.max_gap, m.plane_gaps[0], "one plane's gap is its trace's");
+        }
     }
 
     #[test]
@@ -2782,9 +2230,9 @@ mod tests {
 
     #[test]
     fn multi_plane_single_plane_matches_the_dedicated_driver_rows() {
-        // One plane through refine_multi explores the same grid the
-        // dedicated driver does — same seed, same gap logic — so the
-        // evaluated set and front must coincide.
+        // `refine` is refine_multi over one plane: the evaluated set,
+        // front and trace must coincide, and observing the run must not
+        // perturb it.
         let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
         let opts = RefineOptions {

@@ -371,8 +371,8 @@ pub fn render_cancel_result(id: Option<&Value>, target: &Value) -> String {
 }
 
 /// Appends one round trace's fields (no surrounding braces) — the one
-/// definition behind both streamed `round` events and the `refine.rounds`
-/// audit block, so the two can never drift apart.
+/// definition behind one-plane `round` events and every `rounds` audit
+/// entry of a plane, so the two can never drift apart.
 fn round_trace_fields_into(out: &mut String, t: &RoundTrace) {
     let _ = write!(
         out,
@@ -381,13 +381,42 @@ fn round_trace_fields_into(out: &mut String, t: &RoundTrace) {
     );
 }
 
-/// A streamed per-round progress event.
+/// Appends one merged round's fields (no surrounding braces). A one-plane
+/// trace renders as that plane's [`RoundTrace`]; several planes carry the
+/// index-aligned `plane_gaps` vector in place of `max_gap`.
+fn merged_round_fields_into(out: &mut String, t: &MultiRoundTrace) {
+    if let [max_gap] = t.plane_gaps[..] {
+        let plane = RoundTrace {
+            round: t.round,
+            new_points: t.new_points,
+            front_size: t.front_size,
+            max_gap,
+            pruned: t.pruned,
+        };
+        return round_trace_fields_into(out, &plane);
+    }
+    let _ = write!(
+        out,
+        "\"round\":{},\"new_points\":{},\"front_size\":{},\"plane_gaps\":[",
+        t.round, t.new_points, t.front_size
+    );
+    for (i, g) in t.plane_gaps.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{g}");
+    }
+    let _ = write!(out, "],\"pruned\":{}", t.pruned);
+}
+
+/// A streamed per-round progress event: a one-plane trace carries its
+/// plane's `max_gap`, a multi-plane one the per-plane `plane_gaps`.
 #[must_use]
-pub fn render_round(id: Option<&Value>, t: &RoundTrace) -> String {
+pub fn render_round(id: Option<&Value>, t: &MultiRoundTrace) -> String {
     let mut out = String::new();
     open_envelope(&mut out, id);
     out.push_str(",\"event\":\"round\",");
-    round_trace_fields_into(&mut out, t);
+    merged_round_fields_into(&mut out, t);
     out.push('}');
     out
 }
@@ -530,36 +559,18 @@ pub fn render_refine_result(id: Option<&Value>, r: &RefineResult) -> String {
     out
 }
 
-/// A streamed per-round progress event for a **multi-plane** refinement:
-/// like [`render_round`], with the per-plane gap vector in place of the
-/// single `max_gap` (index-aligned with the request's planes).
-#[must_use]
-pub fn render_multi_round(id: Option<&Value>, t: &MultiRoundTrace) -> String {
-    let mut out = String::new();
-    open_envelope(&mut out, id);
-    let _ = write!(
-        out,
-        ",\"event\":\"round\",\"round\":{},\"new_points\":{},\"front_size\":{},\"plane_gaps\":[",
-        t.round, t.new_points, t.front_size
-    );
-    for (i, g) in t.plane_gaps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{g}");
-    }
-    let _ = write!(out, "],\"pruned\":{}}}", t.pruned);
-    out
-}
-
-/// The terminal message for a multi-plane `refine` request: the shared
-/// `rows`/`front`, a `planes` array with each plane's `objectives`,
-/// converged constrained `staircase`, and per-plane `rounds`, and a
-/// `refine` audit block whose merged rounds carry `plane_gaps`. The
-/// top-level `objectives`/`staircase` mirror the first plane, so
-/// single-plane consumers read the response unchanged.
+/// The terminal message for a `refine` request. One plane renders
+/// exactly as [`render_refine_result`] of that plane's result. Several
+/// planes render the shared `rows`/`front`, a `planes` array with each
+/// plane's `objectives`, converged constrained `staircase`, and per-plane
+/// `rounds`, and a `refine` audit block whose merged rounds carry
+/// `plane_gaps`. The top-level `objectives`/`staircase` mirror the first
+/// plane, so single-plane consumers read the response unchanged.
 #[must_use]
 pub fn render_refine_multi_result(id: Option<&Value>, r: &MultiRefineResult) -> String {
+    if let [plane] = &r.planes[..] {
+        return render_refine_result(id, plane);
+    }
     let mut out = String::new();
     open_envelope(&mut out, id);
     let first = &r.planes[0];
@@ -623,18 +634,9 @@ pub fn render_refine_multi_result(id: Option<&Value>, r: &MultiRefineResult) -> 
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"round\":{},\"new_points\":{},\"front_size\":{},\"plane_gaps\":[",
-            t.round, t.new_points, t.front_size
-        );
-        for (j, g) in t.plane_gaps.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{g}");
-        }
-        let _ = write!(out, "],\"pruned\":{}}}", t.pruned);
+        out.push('{');
+        merged_round_fields_into(&mut out, t);
+        out.push('}');
     }
     out.push_str("]}}");
     out
@@ -854,19 +856,28 @@ mod tests {
         let parsed = Value::parse(&err).unwrap();
         assert_eq!(parsed.get("ok"), Some(&Value::Bool(false)));
         assert!(!err.contains('\n'));
-        let round = render_round(
-            id.as_ref(),
-            &RoundTrace {
-                round: 2,
-                new_points: 4,
-                front_size: 9,
-                max_gap: 0.25,
-                pruned: 1,
-            },
-        );
+        let mut t = MultiRoundTrace {
+            round: 2,
+            new_points: 4,
+            front_size: 9,
+            plane_gaps: vec![0.25],
+            pruned: 1,
+        };
+        let round = render_round(id.as_ref(), &t);
         let parsed = Value::parse(&round).unwrap();
         assert_eq!(parsed.get("event").and_then(Value::as_str), Some("round"));
         assert_eq!(parsed.get("max_gap").and_then(Value::as_f64), Some(0.25));
+        assert!(parsed.get("plane_gaps").is_none());
+        t.plane_gaps.push(0.5);
+        let parsed = Value::parse(&render_round(id.as_ref(), &t)).unwrap();
+        assert!(parsed.get("max_gap").is_none());
+        assert_eq!(
+            parsed
+                .get("plane_gaps")
+                .and_then(Value::as_arr)
+                .map(<[Value]>::len),
+            Some(2)
+        );
     }
 
     #[test]

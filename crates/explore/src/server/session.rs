@@ -18,7 +18,7 @@ use crate::constraint::validate_constraints;
 use crate::fingerprint::design_fingerprint;
 use crate::pareto::{pareto_front_in_constrained, ObjectiveSpace};
 use crate::pool::EvaluatorPool;
-use crate::refine::{refine_multi_with_progress, refine_with_progress, CancelToken, RefineOptions};
+use crate::refine::{refine_multi_with_progress, CancelToken, RefineOptions};
 use crate::server::protocol::{self, Command, WorkloadSpec};
 use crate::server::transport::{self, Service};
 use crate::sweep::{SweepCell, SweepGrid};
@@ -651,62 +651,34 @@ impl Server {
                         budget,
                         gap_tol,
                         warm_start,
-                        objectives: spaces[0].clone(),
                         constraints: spec.constraints.clone(),
                         cancel,
                         point_mode: spec.mode,
                         ..Default::default()
                     };
                     let mut stream_err: Option<std::io::Error> = None;
-                    // Single plane keeps the dedicated driver (and its
-                    // round events); several planes share one pass.
-                    let line = {
-                        let out = &mut *out;
-                        let stream_err = &mut stream_err;
-                        if spaces.len() == 1 {
-                            refine_with_progress(&self.pool, &grid, &prefix, build, &opts, |t| {
-                                if stream_err.is_none() {
-                                    let line = protocol::render_round(id, t);
-                                    if let Err(e) =
-                                        writeln!(out, "{line}").and_then(|()| out.flush())
-                                    {
-                                        *stream_err = Some(e);
-                                    }
+                    let line = refine_multi_with_progress(
+                        &self.pool,
+                        &grid,
+                        &prefix,
+                        build,
+                        &opts,
+                        &spaces,
+                        |t| {
+                            if stream_err.is_none() {
+                                let line = protocol::render_round(id, t);
+                                if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+                                    stream_err = Some(e);
                                 }
-                            })
-                            .map(|r| {
-                                if r.cancelled {
-                                    adhls_telemetry::counter_add("serve.cancelled", 1);
-                                }
-                                protocol::render_refine_result(id, &r)
-                            })
-                        } else {
-                            refine_multi_with_progress(
-                                &self.pool,
-                                &grid,
-                                &prefix,
-                                build,
-                                &opts,
-                                &spaces,
-                                |t| {
-                                    if stream_err.is_none() {
-                                        let line = protocol::render_multi_round(id, t);
-                                        if let Err(e) =
-                                            writeln!(out, "{line}").and_then(|()| out.flush())
-                                        {
-                                            *stream_err = Some(e);
-                                        }
-                                    }
-                                },
-                            )
-                            .map(|r| {
-                                if r.cancelled {
-                                    adhls_telemetry::counter_add("serve.cancelled", 1);
-                                }
-                                protocol::render_refine_multi_result(id, &r)
-                            })
+                            }
+                        },
+                    )
+                    .map(|r| {
+                        if r.cancelled {
+                            adhls_telemetry::counter_add("serve.cancelled", 1);
                         }
-                    };
+                        protocol::render_refine_multi_result(id, &r)
+                    });
                     if let Some(e) = stream_err {
                         return Err(e);
                     }

@@ -7,8 +7,9 @@
 
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
+use adhls_explore::pareto::ObjectiveSpace;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::refine::{refine_with_progress, CancelToken, RefineOptions};
+use adhls_explore::refine::{refine_multi_with_progress, CancelToken, RefineOptions};
 use adhls_explore::server::protocol::parse_request;
 use adhls_explore::server::worker::pipe;
 use adhls_explore::server::{workload_grid, Command, Server};
@@ -50,8 +51,9 @@ fn a_cancelled_refinement_is_an_exact_prefix_of_the_uncancelled_run() {
     let spec = fixture_spec();
     let pool = fresh_pool();
 
+    let planes = [ObjectiveSpace::default()];
     let (grid, prefix, build) = workload_grid(&spec).expect("fixture grid builds");
-    let full = refine_with_progress(
+    let full = refine_multi_with_progress(
         &pool,
         &grid,
         &prefix,
@@ -60,6 +62,7 @@ fn a_cancelled_refinement_is_an_exact_prefix_of_the_uncancelled_run() {
             gap_tol: 0.0,
             ..Default::default()
         },
+        &planes,
         |_| {},
     )
     .expect("uncancelled refinement runs");
@@ -69,7 +72,7 @@ fn a_cancelled_refinement_is_an_exact_prefix_of_the_uncancelled_run() {
     let token = CancelToken::new();
     let trigger = token.clone();
     let (grid, prefix, build) = workload_grid(&spec).expect("fixture grid builds");
-    let cancelled = refine_with_progress(
+    let cancelled = refine_multi_with_progress(
         &pool,
         &grid,
         &prefix,
@@ -79,6 +82,7 @@ fn a_cancelled_refinement_is_an_exact_prefix_of_the_uncancelled_run() {
             cancel: Some(token),
             ..Default::default()
         },
+        &planes,
         |_| trigger.cancel(),
     )
     .expect("cancelled refinement still returns a result");

@@ -1,11 +1,13 @@
 //! Incremental evaluation is an optimization, never a semantic: every row
 //! produced through shared phase-artifact prefixes must be bit-identical
-//! to the from-scratch pipeline (`--incremental=off`). These properties
-//! sweep random grids through both paths at the engine and pool layers,
-//! walk the degenerate `cycles_per_item == 0` clamp, and check the prefix
-//! cache really was live (`pipeline.prefix.hit` > 0) while it happened.
+//! to the from-scratch reference pipeline
+//! ([`evaluate_point_from_scratch`]). These properties sweep random grids
+//! through the engine and the pool and compare them with a from-scratch
+//! loop over the same points, walk the degenerate `cycles_per_item == 0`
+//! clamp, and check the prefix cache really was live
+//! (`pipeline.prefix.hit` > 0) while it happened.
 
-use adhls_core::dse::DsePoint;
+use adhls_core::dse::{evaluate_point_from_scratch, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::refine::Evaluator;
@@ -47,17 +49,32 @@ fn grid_from(clock_seeds: &[u16], cycle_seeds: &[u16]) -> SweepGrid {
     SweepGrid::new().clocks_ps(clocks).cycles(cycles)
 }
 
-fn engine(lib: &adhls_reslib::Library, threads: usize, incremental: bool) -> Engine<'_> {
+fn engine(lib: &adhls_reslib::Library, threads: usize) -> Engine<'_> {
     Engine::with_options(
         lib,
         HlsOptions::default(),
         EngineOptions {
             threads,
             skip_infeasible: true,
-            incremental,
             ..Default::default()
         },
     )
+}
+
+/// The reference: every point from scratch, in input order, failures
+/// recorded as `(name, message)` the way a skip-infeasible sweep records
+/// them.
+fn from_scratch(points: &[DsePoint]) -> (Vec<DseRow>, Vec<(String, String)>) {
+    let lib = tsmc90::library();
+    let mut rows = Vec::new();
+    let mut skipped = Vec::new();
+    for p in points {
+        match evaluate_point_from_scratch(p, &lib, &HlsOptions::default()) {
+            Ok(row) => rows.push(row),
+            Err(e) => skipped.push((p.name.clone(), e.to_string())),
+        }
+    }
+    (rows, skipped)
 }
 
 proptest! {
@@ -76,16 +93,15 @@ proptest! {
             .expand("inc", build_cell)
             .expect("grid expands");
 
-        let warm = engine(&lib, threads, true);
-        let cold = engine(&lib, threads, false);
-        let a = warm.evaluate(&points).expect("incremental sweep runs");
-        let b = cold.evaluate(&points).expect("from-scratch sweep runs");
-        prop_assert_eq!(&a.rows, &b.rows, "prefix sharing changed a row");
-        prop_assert_eq!(&a.skipped, &b.skipped);
+        let (rows, skipped) = from_scratch(&points);
+        let a = engine(&lib, threads).evaluate(&points).expect("incremental sweep runs");
+        prop_assert_eq!(&a.rows, &rows, "prefix sharing changed a row");
+        prop_assert_eq!(&a.skipped, &skipped);
 
-        // Serial paths agree too (and with the parallel rows).
-        let s = engine(&lib, 1, true).evaluate_serial(&points).expect("serial runs");
-        prop_assert_eq!(&s.rows, &a.rows);
+        // The serial path agrees too.
+        let s = engine(&lib, 1).evaluate_serial(&points).expect("serial runs");
+        prop_assert_eq!(&s.rows, &rows);
+        prop_assert_eq!(&s.skipped, &skipped);
         prop_assert!(!a.rows.is_empty());
     }
 
@@ -107,28 +123,27 @@ proptest! {
         registry.set_enabled(true);
         // One metered worker: two workers racing on the same missing prefix
         // both (benignly) count a miss, so exact consult arithmetic needs a
-        // serial pool. The from-scratch pool keeps the random thread count,
-        // so the comparison still crosses worker interleavings.
-        let mk = |incremental, threads, registry| {
+        // serial pool. A second pool keeps the random thread count, so the
+        // comparison still crosses worker interleavings.
+        let mk = |threads, registry| {
             EvaluatorPool::with_telemetry(
                 tsmc90::library(),
                 HlsOptions::default(),
                 PoolOptions {
                     threads,
                     skip_infeasible: true,
-                    incremental,
                     ..Default::default()
                 },
                 registry,
             )
         };
-        let warm = mk(true, 1, registry.clone());
-        let cold = mk(false, threads, Registry::new());
-
-        let a = warm.evaluate_points(&points).expect("incremental sweep runs");
-        let b = cold.evaluate_points(&points).expect("from-scratch sweep runs");
-        prop_assert_eq!(&a.rows, &b.rows, "prefix sharing changed a row");
-        prop_assert_eq!(&a.skipped, &b.skipped);
+        let warm = mk(1, registry.clone());
+        let (rows, skipped) = from_scratch(&points);
+        for pool in [&warm, &mk(threads, Registry::new())] {
+            let a = pool.evaluate_points(&points).expect("incremental sweep runs");
+            prop_assert_eq!(&a.rows, &rows, "prefix sharing changed a row");
+            prop_assert_eq!(&a.skipped, &skipped);
+        }
 
         let snap = warm.metrics_snapshot();
         prop_assert_eq!(snap.counter("pipeline.prefix.miss"), Some(designs as u64));
@@ -139,8 +154,6 @@ proptest! {
         if points.len() > designs {
             prop_assert!(snap.counter("pipeline.prefix.hit").unwrap_or(0) > 0);
         }
-        // From-scratch evaluation never touches the prefix cache.
-        prop_assert!(cold.metrics_snapshot().counter("pipeline.prefix.miss").is_none());
     }
 }
 
@@ -163,13 +176,10 @@ fn degenerate_zero_cycles_per_item_clamps_identically() {
         cycles_per_item: 0,
     };
     let points = vec![point];
-    let warm = engine(&lib, 1, true)
+    let warm = engine(&lib, 1)
         .evaluate_serial(&points)
         .expect("degenerate point schedules");
-    let cold = engine(&lib, 1, false)
-        .evaluate_serial(&points)
-        .expect("degenerate point schedules");
-    assert_eq!(warm.rows, cold.rows);
+    assert_eq!(warm.rows, from_scratch(&points).0);
     let row = &warm.rows[0];
     assert!(
         row.throughput.is_finite() && row.throughput > 0.0,

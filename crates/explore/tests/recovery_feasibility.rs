@@ -6,7 +6,7 @@
 
 use adhls_core::dse::DsePoint;
 use adhls_core::recover::{
-    evaluate_mode_point, fastest_min_slack, recover_grades, recover_prepared,
+    evaluate_mode_prepared, fastest_min_slack, recover_grades, recover_prepared,
 };
 use adhls_core::sched::{Flow, HlsOptions};
 use adhls_core::{PointMode, PreparedDesign};
@@ -136,7 +136,7 @@ proptest! {
                 "{}: recovered power {} > conventional {}",
                 p.name, out.power.total, out.conv_power.total
             );
-            let row = evaluate_mode_point(PointMode::Recover, &p, &lib, &base)
+            let row = evaluate_mode_prepared(PointMode::Recover, &prep, &p, &lib, &base)
                 .expect("recover row follows when the outcome did");
             prop_assert!(row.a_slack <= row.a_conv);
             prop_assert!(row.save_pct >= 0.0);
@@ -169,13 +169,13 @@ proptest! {
         // the recovered row; suspect recovery → whichever of the two
         // implementations is better (area, then power; recovery survives
         // a full-synthesis failure).
-        let auto = evaluate_mode_point(PointMode::Auto, &p, &lib, &base);
-        let full = || evaluate_mode_point(PointMode::Full, &p, &lib, &base);
+        let auto = evaluate_mode_prepared(PointMode::Auto, &prep, &p, &lib, &base);
+        let full = || evaluate_mode_prepared(PointMode::Full, &prep, &p, &lib, &base);
         let expect = if fastest_min_slack(&prep, &lib, &opts) > 0 {
             match recover_prepared(&prep, &p, &lib, &base) {
                 Err(_) => full(),
                 Ok(out) => {
-                    let rec = evaluate_mode_point(PointMode::Recover, &p, &lib, &base)
+                    let rec = evaluate_mode_prepared(PointMode::Recover, &prep, &p, &lib, &base)
                         .expect("recover row follows when the outcome did");
                     if !out.suspect() {
                         Ok(rec)

@@ -158,7 +158,7 @@ impl Cfg {
         self.nodes[n.0 as usize].kind = kind;
     }
 
-    /// Attaches a human-readable name to a node (used by Graphviz dumps).
+    /// Attaches a human-readable name to a node.
     pub fn set_node_name(&mut self, n: NodeId, name: impl Into<String>) {
         self.nodes[n.0 as usize].name = Some(name.into());
     }

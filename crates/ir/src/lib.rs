@@ -19,10 +19,8 @@
 //! * [`builder`] — an ergonomic programmatic builder for designs,
 //! * [`frontend`] — a small behavioral DSL (a SystemC-thread stand-in) with
 //!   lexer, parser and elaborator,
-//! * [`transform`] — loop unrolling, constant folding, dead-code elimination,
 //! * [`interp`] — a functional interpreter used to check that scheduling
-//!   transformations preserve semantics,
-//! * [`dot`] — Graphviz export for debugging.
+//!   transformations preserve semantics.
 //!
 //! # Example
 //!
@@ -47,13 +45,11 @@ pub mod builder;
 pub mod cfg;
 pub mod design;
 pub mod dfg;
-pub mod dot;
 pub mod error;
 pub mod frontend;
 pub mod interp;
 pub mod op;
 pub mod span;
-pub mod transform;
 
 pub use cfg::{Cfg, EdgeId, NodeId, NodeKind, StateKind};
 pub use design::Design;

@@ -155,7 +155,7 @@ impl OpKind {
         )
     }
 
-    /// Short mnemonic used in reports and Graphviz dumps.
+    /// Short mnemonic used in reports and design fingerprints.
     #[must_use]
     pub fn mnemonic(self) -> &'static str {
         match self {

@@ -6,7 +6,9 @@
 //! [`Registry`], plus a lightweight [`Span`] guard that records wall-time
 //! into a histogram when it drops. Everything is always compiled — there is
 //! no feature flag — and cheap when disabled: a registry starts out
-//! disabled, and every recording call exits after one atomic load.
+//! disabled, and every recording call exits after one atomic load. The
+//! exception is add-gauges ([`Registry::gauge_add`], [`GaugeGuard`]): they
+//! describe live state, so they move whether or not the registry records.
 //!
 //! # Where the registry comes from
 //!

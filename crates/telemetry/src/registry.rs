@@ -120,7 +120,9 @@ struct Inner {
 ///
 /// A new registry starts **disabled**: every recording call is a single
 /// atomic load and an early return, so instrumentation can stay in place
-/// unconditionally. [`Registry::set_enabled`] turns collection on.
+/// unconditionally. [`Registry::set_enabled`] turns collection on. The
+/// exception is [`Registry::gauge_add`] and [`Registry::gauge_guard`]:
+/// they track live state and always apply.
 #[derive(Clone)]
 pub struct Registry {
     inner: Arc<Inner>,
@@ -188,11 +190,11 @@ impl Registry {
     }
 
     /// Adds `delta` (may be negative) to the gauge `name`, creating it at
-    /// zero first if needed. No-op while disabled.
+    /// zero first if needed. Applies whether or not the registry is
+    /// enabled: an add-gauge describes live state (bytes held, requests in
+    /// flight), and a charge or refund skipped while disabled would leave
+    /// it wrong for good.
     pub fn gauge_add(&self, name: &str, delta: i64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut shard = self.shard(name).lock().expect("telemetry shard poisoned");
         match shard
             .entry(name.to_string())
@@ -221,16 +223,15 @@ impl Registry {
     }
 
     /// Increments the gauge `name` now and decrements it when the returned
-    /// guard drops — the idiom for in-flight/queue-depth gauges. While
-    /// disabled the guard is inert.
+    /// guard drops — the idiom for in-flight/queue-depth gauges. Like
+    /// [`Registry::gauge_add`], it counts whether or not the registry is
+    /// enabled.
     #[must_use = "the gauge is decremented when the guard drops"]
     pub fn gauge_guard(&self, name: &str) -> GaugeGuard {
-        if !self.is_enabled() {
-            return GaugeGuard { armed: None };
-        }
         self.gauge_add(name, 1);
         GaugeGuard {
-            armed: Some((self.clone(), name.to_string())),
+            registry: self.clone(),
+            name: name.to_string(),
         }
     }
 
@@ -293,14 +294,13 @@ impl Registry {
 /// Decrements its gauge when dropped; see [`Registry::gauge_guard`].
 #[derive(Debug)]
 pub struct GaugeGuard {
-    armed: Option<(Registry, String)>,
+    registry: Registry,
+    name: String,
 }
 
 impl Drop for GaugeGuard {
     fn drop(&mut self) {
-        if let Some((reg, name)) = self.armed.take() {
-            reg.gauge_add(&name, -1);
-        }
+        self.registry.gauge_add(&self.name, -1);
     }
 }
 
@@ -340,7 +340,10 @@ mod tests {
             let _a = reg.gauge_guard("inflight");
             let _b = reg.gauge_guard("inflight");
             assert_eq!(reg.snapshot().gauge("inflight"), Some(2));
+            // Live state: the guards release even while disabled.
+            reg.set_enabled(false);
         }
+        reg.set_enabled(true);
         assert_eq!(reg.snapshot().gauge("inflight"), Some(0));
     }
 

@@ -9,8 +9,8 @@
 //!
 //! This facade crate re-exports the workspace members:
 //!
-//! * [`ir`] — CFG/DFG representation, spans, frontend DSL, transforms,
-//!   interpreter ([`adhls_ir`]).
+//! * [`ir`] — CFG/DFG representation, spans, frontend DSL, interpreter
+//!   ([`adhls_ir`]).
 //! * [`reslib`] — the speed-grade resource library, with the paper's
 //!   Table 1 TSMC-90nm data ([`adhls_reslib`]).
 //! * [`timing`] — timed DFG, sequential/aligned slack, budgeting,

@@ -1,7 +1,8 @@
-//! The golden-row corpus: the rows the scheduler produced for four fixed
-//! point sets, rendered to text so a test can diff them byte for byte.
+//! The golden corpus: the rows the scheduler produced for four fixed
+//! point sets, and the response streams of a fixed set of `refine`
+//! requests, rendered to text so a test can diff them byte for byte.
 //!
-//! Each point renders as three lines:
+//! Each point of a row set renders as three lines:
 //!
 //! * `row`: the [`evaluate_point`] row — both areas, the save percentage,
 //!   power, throughput and latency — or the exact error text of an
@@ -14,11 +15,20 @@
 //! The row goes through the prepared path and the digests through the
 //! from-scratch path, so a divergence in either one, or in code both
 //! share, changes the text. Floats print with `{:?}`, which round-trips
-//! exactly. Shared by `tests/golden_corpus.rs` (which only reads the
-//! committed files) and `examples/golden_corpus.rs` (which writes them).
+//! exactly.
+//!
+//! The `refine` set is one block per request of [`REFINE_REQUESTS`]: the
+//! request line, then every line a fresh [`Server`] answers it with —
+//! each streamed `round` event and the terminal `result` — exactly as a
+//! client reads them.
+//!
+//! Shared by `tests/golden_corpus.rs` (which only reads the committed
+//! files) and `examples/golden_corpus.rs` (which writes them).
 
 use adhls_core::dse::{evaluate_point, DsePoint};
 use adhls_core::sched::{run_hls, Flow, HlsOptions, HlsResult};
+use adhls_explore::pool::{EvaluatorPool, PoolOptions};
+use adhls_explore::server::Server;
 use adhls_reslib::tsmc90;
 use adhls_reslib::ResClass;
 use adhls_workloads::sweep::{idct_table4, random_fleet};
@@ -26,7 +36,22 @@ use adhls_workloads::{fir, idct};
 use std::fmt::Write;
 
 /// Corpus sets, in file order; each is stored as `tests/golden/<set>.txt`.
-pub const SETS: [&str; 4] = ["table4", "idct1d", "fir", "fleet"];
+pub const SETS: [&str; 5] = ["table4", "idct1d", "fir", "fleet", "refine"];
+
+/// The requests of the `refine` set. The main grid's 900-ps column is
+/// overconstrained at low budgets, so those streams also carry skipped
+/// cells. Together they cover the default plane with a warm start, an
+/// area/power plane whose one-point seed staircase takes the densify
+/// path, constraints that prune cells before evaluation, a budget cut
+/// under per-cell auto mode, a zero gap tolerance, and a two-plane pass.
+pub const REFINE_REQUESTS: [&str; 6] = [
+    r#"{"id":1,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"warm_front":["interp-c1250-l4"]}"#,
+    r#"{"id":2,"cmd":"refine","workload":"interpolation","clocks":[1800,2000,2200,2400,2600],"cycles":[6,7,8,9,10],"objectives":"area,power"}"#,
+    r#"{"id":3,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"objectives":"area,latency","constraints":["area<=3000","latency<=6000"],"gap_tol":0.02}"#,
+    r#"{"id":4,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"budget":14,"gap_tol":0,"mode":"auto"}"#,
+    r#"{"id":5,"cmd":"refine","workload":"interpolation","clocks":[1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[3,4,5,6],"gap_tol":0}"#,
+    r#"{"id":6,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"objectives":"area,latency;area,power","constraints":["area<=3000"],"gap_tol":0.02}"#,
+];
 
 /// The points of one corpus set.
 ///
@@ -116,6 +141,9 @@ fn state_bytes(r: &HlsResult) -> Vec<u8> {
 /// library.
 #[must_use]
 pub fn render(set: &str) -> String {
+    if set == "refine" {
+        return render_refine();
+    }
     let lib = tsmc90::library();
     let base = HlsOptions::default();
     let mut out = String::new();
@@ -158,6 +186,32 @@ pub fn render(set: &str) -> String {
             }
             .expect("writing to a String");
         }
+    }
+    out
+}
+
+/// Renders the `refine` set: each request of [`REFINE_REQUESTS`] against
+/// its own fresh one-thread, skip-infeasible server, followed by every
+/// response line.
+fn render_refine() -> String {
+    let mut out = String::new();
+    for req in REFINE_REQUESTS {
+        let pool = EvaluatorPool::new(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions {
+                threads: 1,
+                skip_infeasible: true,
+                ..PoolOptions::default()
+            },
+        );
+        let mut stream = Vec::new();
+        Server::new(pool)
+            .handle_line(req, &mut stream)
+            .expect("writing to a Vec");
+        out.push_str(req);
+        out.push('\n');
+        out.push_str(&String::from_utf8(stream).expect("responses are UTF-8"));
     }
     out
 }

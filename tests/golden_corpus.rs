@@ -1,5 +1,6 @@
-//! Golden-row corpus: re-evaluates the committed point sets and diffs the
-//! rendering byte for byte against `tests/golden/<set>.txt`.
+//! Golden corpus: re-evaluates the committed point sets and replays the
+//! committed `refine` requests, and diffs the rendering byte for byte
+//! against `tests/golden/<set>.txt`.
 //!
 //! The equivalence suites compare two evaluation paths with each other;
 //! this one compares both against rows recorded earlier, so a change that
@@ -37,6 +38,7 @@ fn committed(set: &str) -> &'static str {
         "idct1d" => include_str!("golden/idct1d.txt"),
         "fir" => include_str!("golden/fir.txt"),
         "fleet" => include_str!("golden/fleet.txt"),
+        "refine" => include_str!("golden/refine.txt"),
         other => panic!("no committed corpus for `{other}`"),
     }
 }
@@ -66,4 +68,9 @@ fn fir_grid_rows_match_the_corpus() {
 #[test]
 fn random_fleet_rows_match_the_corpus() {
     check("fleet", committed("fleet"));
+}
+
+#[test]
+fn refine_streams_match_the_corpus() {
+    check("refine", committed("refine"));
 }
