@@ -4,7 +4,9 @@
 # telemetry metering on, then assemble the timings and each bench
 # binary's registry snapshot into one BENCH_<n>.json at the repo root.
 #
-# Usage:   benches/record.sh [out.json]     default: BENCH_9.json
+# Usage:   benches/record.sh [out.json]     default: the next free
+#                                           BENCH_<n>.json, one past the
+#                                           highest existing <n>
 # Knobs:   ADHLS_BENCH_SAMPLE_SIZE=<n>      samples per benchmark, pinned
 #                                           across every target (default 5)
 #
@@ -15,7 +17,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_9.json}"
+# Never overwrite a committed recording: default to one past the highest
+# existing BENCH_<n>.json.
+next_bench() {
+  local n max=0 f
+  for f in BENCH_*.json; do
+    n="${f#BENCH_}"
+    n="${n%.json}"
+    [[ "$n" =~ ^[0-9]+$ ]] && (( 10#$n > max )) && max=$((10#$n))
+  done
+  echo "BENCH_$((max + 1)).json"
+}
+OUT="${1:-$(next_bench)}"
 SAMPLES="${ADHLS_BENCH_SAMPLE_SIZE:-5}"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT

@@ -15,7 +15,7 @@ fn points() -> Vec<DsePoint> {
         .into_iter()
         .map(|(name, cfg, clock)| DsePoint {
             name,
-            design: idct::build_2d(&cfg),
+            design: idct::build_2d(&cfg).into(),
             clock_ps: clock,
             pipeline_ii: cfg.pipelined,
             cycles_per_item: cfg.pipelined.unwrap_or(cfg.cycles),

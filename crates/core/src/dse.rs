@@ -11,14 +11,17 @@ use crate::report::Table;
 use crate::sched::{run_hls, run_hls_prepared, Flow, HlsOptions, HlsResult};
 use adhls_ir::{Design, Result};
 use adhls_reslib::Library;
+use std::sync::Arc;
 
 /// One design point to explore.
 #[derive(Debug, Clone)]
 pub struct DsePoint {
     /// Point name (D1..D15 in the paper).
     pub name: String,
-    /// The elaborated design (latency budget baked in as soft states).
-    pub design: Design,
+    /// The elaborated design (latency budget baked in as soft states),
+    /// shared: the points of one design, their clones and the prefix
+    /// cache's [`PreparedDesign`] all hold the same graph.
+    pub design: Arc<Design>,
     /// Clock period.
     pub clock_ps: u64,
     /// Pipeline initiation interval (None = sequential).
@@ -43,12 +46,19 @@ impl DsePoint {
     /// A grid point under [`DsePoint::grid_name`]. `cycles_per_item` is the
     /// initiation interval for pipelined cells and the latency budget
     /// otherwise (the paper's Table 4 convention), clamped to ≥ 1 so
-    /// degenerate grids can't produce infinite throughput.
+    /// degenerate grids can't produce infinite throughput. The design may
+    /// be owned or already shared.
     #[must_use]
-    pub fn grid(prefix: &str, design: Design, clock_ps: u64, cycles: u32, ii: Option<u32>) -> Self {
+    pub fn grid(
+        prefix: &str,
+        design: impl Into<Arc<Design>>,
+        clock_ps: u64,
+        cycles: u32,
+        ii: Option<u32>,
+    ) -> Self {
         DsePoint {
             name: DsePoint::grid_name(prefix, clock_ps, cycles, ii),
-            design,
+            design: design.into(),
             clock_ps,
             pipeline_ii: ii,
             cycles_per_item: ii.unwrap_or(cycles).max(1),
@@ -179,7 +189,7 @@ pub fn grid_item_time_ps(clock_ps: u64, cycles_per_item: u32) -> f64 {
 /// is overconstrained).
 pub fn evaluate_point(p: &DsePoint, lib: &Library, base: &HlsOptions) -> Result<DseRow> {
     let _span = adhls_telemetry::span("pipeline.evaluate");
-    let prep = PreparedDesign::new(&p.design, lib)?;
+    let prep = PreparedDesign::from_shared(Arc::clone(&p.design), lib)?;
     assemble_row(p, base, |opts| run_hls_prepared(&prep, lib, opts))
 }
 
@@ -382,7 +392,7 @@ mod tests {
         b.write("z", a);
         DsePoint {
             name: name.into(),
-            design: b.finish().unwrap(),
+            design: b.finish().unwrap().into(),
             clock_ps: clock,
             pipeline_ii: None,
             cycles_per_item: soft + 1,
@@ -524,7 +534,7 @@ mod tests {
         b.write("z", x);
         let p = DsePoint {
             name: "wire".into(),
-            design: b.finish().unwrap(),
+            design: b.finish().unwrap().into(),
             clock_ps: 1100,
             pipeline_ii: None,
             cycles_per_item: 2,

@@ -49,7 +49,8 @@ use std::sync::{Arc, Mutex};
 /// one library for their whole lifetime.
 #[derive(Debug)]
 pub struct PreparedDesign {
-    design: Design,
+    /// Shared with the points evaluated over this prefix, never copied.
+    design: Arc<Design>,
     info: CfgInfo,
     span_analysis: SpanAnalysis,
     base_choices: Vec<OpChoice>,
@@ -88,17 +89,28 @@ pub struct ClockContext {
 }
 
 impl PreparedDesign {
+    /// Elaborates a copy of `design` against `lib` and materializes the
+    /// prefix artifacts; see [`PreparedDesign::from_shared`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedDesign::from_shared`].
+    pub fn new(design: &Design, lib: &Library) -> Result<PreparedDesign> {
+        PreparedDesign::from_shared(Arc::new(design.clone()), lib)
+    }
+
     /// Elaborates `design` against `lib` and materializes the prefix
-    /// artifacts. Timed under the `pipeline.elab` span — on the incremental
-    /// path elaboration runs once per prefix-cache miss rather than once
-    /// per HLS run.
+    /// artifacts, keeping the shared design itself rather than a copy.
+    /// Timed under the `pipeline.elab` span — on the incremental path
+    /// elaboration runs once per prefix-cache miss rather than once per
+    /// HLS run.
     ///
     /// # Errors
     ///
     /// Same conditions as the elaboration prefix of
     /// [`crate::sched::run_hls`]: a malformed design or an operation with no
     /// library implementation.
-    pub fn new(design: &Design, lib: &Library) -> Result<PreparedDesign> {
+    pub fn from_shared(design: Arc<Design>, lib: &Library) -> Result<PreparedDesign> {
         adhls_telemetry::timed("pipeline.elab", || {
             let info = design.validate()?;
             let span_analysis = SpanAnalysis::new(&design.dfg, &info)?;
@@ -116,9 +128,9 @@ impl PreparedDesign {
                     edge_ops[e.0 as usize].push(o);
                 }
             }
-            let approx_bytes = approx_bytes(design, &span_analysis, &base_choices, &initial_tdfg);
+            let approx_bytes = approx_bytes(&design, &span_analysis, &base_choices, &initial_tdfg);
             Ok(PreparedDesign {
-                design: design.clone(),
+                design,
                 info,
                 span_analysis,
                 base_choices,

@@ -632,7 +632,7 @@ mod tests {
         b.write("z", a);
         DsePoint {
             name: name.into(),
-            design: b.finish().unwrap(),
+            design: b.finish().unwrap().into(),
             clock_ps: clock,
             pipeline_ii: None,
             cycles_per_item: soft + 1,
@@ -794,7 +794,7 @@ mod tests {
         b.write("z", s2);
         let p = DsePoint {
             name: "share".into(),
-            design: b.finish().unwrap(),
+            design: b.finish().unwrap().into(),
             clock_ps: 1400,
             pipeline_ii: None,
             cycles_per_item: 4,

@@ -129,7 +129,9 @@ struct Prefix {
 }
 
 impl PrefixCache {
-    /// The prepared prefix for `design`, elaborating and inserting on miss.
+    /// The prepared prefix for `design`, whose [`design_fingerprint`] is
+    /// `key`, elaborating and inserting on miss. The prefix keeps the
+    /// caller's shared design rather than a copy.
     ///
     /// Concurrent first touches of one design may prepare twice; the first
     /// insert wins and both callers see the same artifacts thereafter (the
@@ -137,17 +139,17 @@ impl PrefixCache {
     /// stay deterministic).
     pub(crate) fn get_or_prepare(
         &self,
-        design: &Design,
+        key: u64,
+        design: &Arc<Design>,
         lib: &Library,
     ) -> Result<Arc<PreparedDesign>> {
-        let key = design_fingerprint(design);
         let shard = &self.shards[(key % CACHE_SHARDS as u64) as usize];
         if let Some(p) = shard.lock().expect("prefix shard poisoned").get(&key) {
             adhls_telemetry::counter_add("pipeline.prefix.hit", 1);
             return Ok(Arc::clone(&p.prep));
         }
         adhls_telemetry::counter_add("pipeline.prefix.miss", 1);
-        let prep = Arc::new(PreparedDesign::new(design, lib)?);
+        let prep = Arc::new(PreparedDesign::from_shared(Arc::clone(design), lib)?);
         let mut guard = shard.lock().expect("prefix shard poisoned");
         let entry = guard.entry(key).or_insert_with(|| {
             let charged = adhls_telemetry::current();
@@ -175,6 +177,8 @@ impl Drop for PrefixCache {
 
 /// Memo key for one point under `base` options — the one shared definition
 /// used by [`Engine`] and the persistent pool in [`crate::pool`].
+/// `design_fp` is the point's [`design_fingerprint`], computed once by the
+/// caller and shared with the prefix lookup.
 ///
 /// The pipeline-II option is encoded as a separate tag word plus the raw
 /// value: the old `ii + 1` trick both overflowed at `u32::MAX` (debug
@@ -189,9 +193,9 @@ impl Drop for PrefixCache {
 /// artifacts are identical across modes and recovery must never
 /// re-elaborate (see
 /// [`crate::fingerprint::prefix_options_fingerprint`]).
-pub(crate) fn point_key(base: &HlsOptions, p: &DsePoint, mode: PointMode) -> u64 {
+pub(crate) fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64, mode: PointMode) -> u64 {
     let mut h = Fnv::default();
-    h.u64(design_fingerprint(&p.design));
+    h.u64(design_fp);
     h.u64(options_fingerprint(base));
     h.u64(p.clock_ps);
     match p.pipeline_ii {
@@ -305,11 +309,6 @@ impl<'a> Engine<'a> {
         self.cache.stats()
     }
 
-    /// Memo key for one point under the engine's base options.
-    fn point_key(&self, p: &DsePoint, mode: PointMode) -> u64 {
-        point_key(&self.base, p, mode)
-    }
-
     /// Evaluates one point through the cache, crediting a hit to the
     /// caller's per-sweep counter (not the engine-lifetime stats, which
     /// other concurrent sweeps also move).
@@ -319,12 +318,13 @@ impl<'a> Engine<'a> {
         mode: PointMode,
         sweep_hits: &AtomicU64,
     ) -> Result<DseRow> {
-        let key = self.point_key(p, mode);
+        let fp = design_fingerprint(&p.design);
+        let key = point_key(&self.base, p, fp, mode);
         if let Some(row) = self.cache.get(key) {
             sweep_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(row);
         }
-        let prep = self.prefixes.get_or_prepare(&p.design, self.lib)?;
+        let prep = self.prefixes.get_or_prepare(fp, &p.design, self.lib)?;
         let row = evaluate_mode_prepared(mode, &prep, p, self.lib, &self.base)?;
         self.cache.insert(key, row.clone());
         Ok(row)
@@ -494,7 +494,7 @@ mod tests {
         b.write("z", a);
         DsePoint {
             name: name.into(),
-            design: b.finish().unwrap(),
+            design: b.finish().unwrap().into(),
             clock_ps: clock,
             pipeline_ii: None,
             cycles_per_item: soft + 1,
@@ -603,17 +603,24 @@ mod tests {
         let base = HlsOptions::default();
         let m = PointMode::Full;
         let seq = point("k", 2, 1100);
+        let fp = design_fingerprint(&seq.design);
         let mut max_ii = seq.clone();
         max_ii.pipeline_ii = Some(u32::MAX);
-        assert_ne!(point_key(&base, &seq, m), point_key(&base, &max_ii, m));
+        assert_ne!(
+            point_key(&base, &seq, fp, m),
+            point_key(&base, &max_ii, fp, m)
+        );
         let mut ii0 = seq.clone();
         ii0.pipeline_ii = Some(0);
-        assert_ne!(point_key(&base, &seq, m), point_key(&base, &ii0, m));
-        assert_ne!(point_key(&base, &max_ii, m), point_key(&base, &ii0, m));
+        assert_ne!(point_key(&base, &seq, fp, m), point_key(&base, &ii0, fp, m));
+        assert_ne!(
+            point_key(&base, &max_ii, fp, m),
+            point_key(&base, &ii0, fp, m)
+        );
         // Same point, same key — the memo still works.
         assert_eq!(
-            point_key(&base, &max_ii, m),
-            point_key(&base, &max_ii.clone(), m)
+            point_key(&base, &max_ii, fp, m),
+            point_key(&base, &max_ii.clone(), fp, m)
         );
     }
 
@@ -623,10 +630,11 @@ mod tests {
         // a shared cache must never serve one for another.
         let base = HlsOptions::default();
         let p = point("k", 2, 1100);
+        let fp = design_fingerprint(&p.design);
         let keys = [
-            point_key(&base, &p, PointMode::Full),
-            point_key(&base, &p, PointMode::Recover),
-            point_key(&base, &p, PointMode::Auto),
+            point_key(&base, &p, fp, PointMode::Full),
+            point_key(&base, &p, fp, PointMode::Recover),
+            point_key(&base, &p, fp, PointMode::Auto),
         ];
         assert_ne!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);

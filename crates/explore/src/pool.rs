@@ -21,14 +21,16 @@
 //! waiting on a saturated pool.
 
 use crate::engine::{point_key, HitMiss, PrefixCache, SweepResult};
+use crate::fingerprint::design_fingerprint;
 use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
 use adhls_core::dse::{DsePoint, DseRow};
 use adhls_core::recover::evaluate_mode_prepared;
 use adhls_core::sched::HlsOptions;
 use adhls_core::PointMode;
+use adhls_ir::Design;
 use adhls_reslib::Library;
 use adhls_telemetry::{Registry, Snapshot};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -69,6 +71,50 @@ impl Default for PoolOptions {
     }
 }
 
+/// Points with their design fingerprints, each distinct design hashed
+/// once — what a pool batch evaluates (the fingerprint keys both the row
+/// and the prefix lookup), and what the serve tier's expansion memo keeps,
+/// so a memoized spec is never hashed again.
+#[derive(Debug)]
+pub struct PointSet {
+    points: Vec<DsePoint>,
+    fingerprints: Vec<u64>,
+}
+
+impl PointSet {
+    /// Fingerprints `points`; points sharing one [`Design`] allocation
+    /// share its fingerprint.
+    #[must_use]
+    pub fn new(points: Vec<DsePoint>) -> Self {
+        let mut seen: HashMap<*const Design, u64> = HashMap::new();
+        let fingerprints = points
+            .iter()
+            .map(|p| {
+                *seen
+                    .entry(Arc::as_ptr(&p.design))
+                    .or_insert_with(|| design_fingerprint(&p.design))
+            })
+            .collect();
+        PointSet {
+            points,
+            fingerprints,
+        }
+    }
+
+    /// The points, in input order.
+    #[must_use]
+    pub fn points(&self) -> &[DsePoint] {
+        &self.points
+    }
+
+    /// Each point's [`design_fingerprint`], index-aligned with
+    /// [`PointSet::points`].
+    #[must_use]
+    pub fn fingerprints(&self) -> &[u64] {
+        &self.fingerprints
+    }
+}
+
 /// One submitted sweep: its points, result slots, and completion state.
 ///
 /// Claiming is a single shared counter, so claimed indices always form a
@@ -76,7 +122,7 @@ impl Default for PoolOptions {
 /// claimer — the same publication scheme the engine uses, which is what
 /// makes pool results bit-identical to serial evaluation.
 struct Batch {
-    points: Vec<DsePoint>,
+    points: Arc<PointSet>,
     /// Evaluation mode for every point in this batch; batches with
     /// different modes coexist on one pool.
     mode: PointMode,
@@ -97,8 +143,8 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(points: Vec<DsePoint>, mode: PointMode, skip_infeasible: bool, timed: bool) -> Self {
-        let slots = (0..points.len()).map(|_| OnceLock::new()).collect();
+    fn new(points: Arc<PointSet>, mode: PointMode, skip_infeasible: bool, timed: bool) -> Self {
+        let slots = (0..points.points.len()).map(|_| OnceLock::new()).collect();
         Batch {
             points,
             mode,
@@ -118,7 +164,7 @@ impl Batch {
     /// True when no further indices should be claimed: every index is
     /// taken, or a strict-mode failure doomed the batch.
     fn exhausted(&self) -> bool {
-        self.next.load(Ordering::Relaxed) >= self.points.len()
+        self.next.load(Ordering::Relaxed) >= self.slots.len()
             || (!self.skip_infeasible && self.failed.load(Ordering::Relaxed))
     }
 
@@ -134,8 +180,8 @@ impl Batch {
     fn complete(&self) -> bool {
         let filled = self.filled.load(Ordering::Acquire);
         let next = self.next.load(Ordering::Acquire);
-        let claims = next.min(self.points.len());
-        let exhausted = next >= self.points.len()
+        let claims = next.min(self.slots.len());
+        let exhausted = next >= self.slots.len()
             || (!self.skip_infeasible && self.failed.load(Ordering::Acquire));
         exhausted && filled == claims
     }
@@ -191,13 +237,16 @@ impl Shared {
     fn evaluate_one(
         &self,
         p: &DsePoint,
+        design_fp: u64,
         mode: PointMode,
         batch_hits: &AtomicU64,
     ) -> Result<DseRow> {
-        let key = point_key(&self.base, p, mode);
+        let key = point_key(&self.base, p, design_fp, mode);
         let (result, outcome) = self.cache.get_or_compute(key, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let prep = self.prefixes.get_or_prepare(&p.design, &self.lib)?;
+                let prep = self
+                    .prefixes
+                    .get_or_prepare(design_fp, &p.design, &self.lib)?;
                 evaluate_mode_prepared(mode, &prep, p, &self.lib, &self.base)
             }))
             .unwrap_or_else(|panic| {
@@ -225,7 +274,7 @@ impl Shared {
                 break;
             }
             let i = batch.next.fetch_add(1, Ordering::AcqRel);
-            if i >= batch.points.len() {
+            if i >= batch.slots.len() {
                 break;
             }
             if let Some(submitted) = batch.submitted {
@@ -239,7 +288,12 @@ impl Shared {
                     );
                 }
             }
-            let out = self.evaluate_one(&batch.points[i], batch.mode, &batch.hits);
+            let out = self.evaluate_one(
+                &batch.points.points[i],
+                batch.points.fingerprints[i],
+                batch.mode,
+                &batch.hits,
+            );
             if out.is_err() {
                 batch.failed.store(true, Ordering::Relaxed);
             }
@@ -415,11 +469,22 @@ impl EvaluatorPool {
     ///
     /// As [`EvaluatorPool::evaluate`].
     pub fn evaluate_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
+        self.evaluate_set(&Arc::new(PointSet::new(points.to_vec())), mode)
+    }
+
+    /// [`EvaluatorPool::evaluate_mode`] over already fingerprinted points:
+    /// the batch shares `points` instead of copying it, and hashes no
+    /// design.
+    ///
+    /// # Errors
+    ///
+    /// As [`EvaluatorPool::evaluate`].
+    pub fn evaluate_set(&self, points: &Arc<PointSet>, mode: PointMode) -> Result<SweepResult> {
         // Route the submitting thread's own evaluations (it always helps
         // drain) to the pool registry, like the background workers.
         let _telemetry = adhls_telemetry::install(&self.shared.registry);
         let batch = Arc::new(Batch::new(
-            points.to_vec(),
+            Arc::clone(points),
             mode,
             self.opts.skip_infeasible,
             self.shared.registry.is_enabled(),
@@ -437,7 +502,7 @@ impl EvaluatorPool {
         self.shared.registry.counter_add("pool.batches", 1);
         self.shared
             .registry
-            .counter_add("pool.points", points.len() as u64);
+            .counter_add("pool.points", batch.slots.len() as u64);
         if let (Some(submitted), Some(&started)) = (batch.submitted, batch.started.get()) {
             let done = Instant::now();
             self.shared.registry.observe(
@@ -470,7 +535,7 @@ impl EvaluatorPool {
             batch.slots.iter().map_while(|s| s.get().cloned()).collect();
         let mut rows = Vec::with_capacity(results.len());
         let mut skipped = Vec::new();
-        for (p, r) in batch.points.iter().zip(results) {
+        for (p, r) in batch.points.points.iter().zip(results) {
             match r {
                 Ok(row) => rows.push(row),
                 Err(e) if self.opts.skip_infeasible => {
@@ -595,7 +660,7 @@ mod tests {
         b.write("z", a);
         DsePoint {
             name: name.into(),
-            design: b.finish().unwrap(),
+            design: b.finish().unwrap().into(),
             clock_ps: clock,
             pipeline_ii: None,
             cycles_per_item: soft + 1,

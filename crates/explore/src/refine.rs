@@ -62,6 +62,7 @@ use adhls_core::dse::{grid_item_time_ps, DsePoint, DseRow};
 use adhls_core::PointMode;
 use adhls_ir::{Design, Error, Result};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Anything that can evaluate a batch of points: the per-sweep
 /// [`Engine`] or the persistent [`EvaluatorPool`]. Rows must come back in
@@ -471,7 +472,11 @@ struct Driver<'a, F> {
     pruned: usize,
 }
 
-impl<'a, F: FnMut(&SweepCell) -> Design> Driver<'a, F> {
+impl<'a, F, D> Driver<'a, F>
+where
+    F: FnMut(&SweepCell) -> D,
+    D: Into<Arc<Design>>,
+{
     /// Builds a driver over `grid`'s sorted, deduplicated axes — duplicate
     /// axis entries name the same cells, and index bisection needs sorted
     /// axes. Returns the driver and the deduplicated grid's cell count
@@ -1026,7 +1031,8 @@ fn seed_indices(len: usize) -> Vec<usize> {
 /// the algorithm) in the one plane [`RefineOptions::objectives`] selects.
 /// Every evaluated cell is a cell of `grid`, so the result front is a
 /// subset of the exhaustive sweep's rows, reached with — typically far —
-/// fewer evaluations.
+/// fewer evaluations. `build` makes each cell's design, owned or already
+/// shared (a memoizing builder hands out the same `Arc` every time).
 ///
 /// This is [`refine_multi`] over that one plane, returning the plane's
 /// result; its trace is the pass's merged trace.
@@ -1038,7 +1044,7 @@ fn seed_indices(len: usize) -> Vec<usize> {
 /// count overflows `usize`; otherwise propagates the evaluator's
 /// scheduling failures (use a skip-infeasible evaluator to explore grids
 /// with infeasible corners).
-pub fn refine<F>(
+pub fn refine<F, D>(
     eval: &dyn Evaluator,
     grid: &SweepGrid,
     prefix: &str,
@@ -1046,7 +1052,8 @@ pub fn refine<F>(
     opts: &RefineOptions,
 ) -> Result<RefineResult>
 where
-    F: FnMut(&SweepCell) -> Design,
+    F: FnMut(&SweepCell) -> D,
+    D: Into<Arc<Design>>,
 {
     let planes = [opts.objectives.clone()];
     let result = refine_multi(eval, grid, prefix, build, opts, &planes)?;
@@ -1137,7 +1144,7 @@ pub struct MultiRefineResult {
 ///
 /// As [`refine`], plus a message when `planes` is empty or repeats a
 /// plane.
-pub fn refine_multi<F>(
+pub fn refine_multi<F, D>(
     eval: &dyn Evaluator,
     grid: &SweepGrid,
     prefix: &str,
@@ -1146,7 +1153,8 @@ pub fn refine_multi<F>(
     planes: &[ObjectiveSpace],
 ) -> Result<MultiRefineResult>
 where
-    F: FnMut(&SweepCell) -> Design,
+    F: FnMut(&SweepCell) -> D,
+    D: Into<Arc<Design>>,
 {
     refine_multi_with_progress(eval, grid, prefix, build, opts, planes, |_| {})
 }
@@ -1161,7 +1169,7 @@ where
 /// # Errors
 ///
 /// As [`refine_multi`].
-pub fn refine_multi_with_progress<F>(
+pub fn refine_multi_with_progress<F, D>(
     eval: &dyn Evaluator,
     grid: &SweepGrid,
     prefix: &str,
@@ -1171,7 +1179,8 @@ pub fn refine_multi_with_progress<F>(
     mut observe: impl FnMut(&MultiRoundTrace),
 ) -> Result<MultiRefineResult>
 where
-    F: FnMut(&SweepCell) -> Design,
+    F: FnMut(&SweepCell) -> D,
+    D: Into<Arc<Design>>,
 {
     if planes.is_empty() {
         return Err(Error::Interp(

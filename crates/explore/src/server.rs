@@ -18,6 +18,10 @@
 //!   GreedyDual-Size (what is cheapest to recompute per byte goes first;
 //!   LRU among equal costs), plus in-flight coalescing so concurrent
 //!   requests for the same cell run HLS once,
+//! * [`memo`] — per-process memos of what a spec expands to: a worker's
+//!   sweep points with their fingerprints and refine cell designs, the
+//!   router's routing keys — each an instance of the eviction cache under
+//!   a fixed byte budget,
 //! * [`worker`] — worker backends for multi-worker serving: the
 //!   [`WorkerLink`] transport trait with in-process (pipe + thread) and
 //!   child-process (TCP) implementations, and the [`WorkerHandle`] that
@@ -38,6 +42,7 @@
 //! for the request lifecycle.
 
 pub mod eviction;
+pub mod memo;
 pub mod protocol;
 pub mod router;
 pub mod session;

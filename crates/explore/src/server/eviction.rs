@@ -27,8 +27,18 @@
 //!   (design, options) key wait for the one evaluation in progress instead
 //!   of re-running HLS; with requests multiplexed onto one pool this is
 //!   what makes cross-request sharing deterministic rather than a race,
-//! * **observable** — hit/coalesced/miss/eviction counters and live
-//!   entry/byte gauges (failures included), surfaced by the server's
+//! * **one implementation, several tenants** — the cache is generic over
+//!   its key ([`CacheKey`]) and value ([`CacheValue`]). Rows and failures
+//!   under 64-bit point keys ([`EvictingCache::new`]) are the pool's
+//!   tenant; the serve tier's spec-expansion, cell-design and route-key
+//!   memos ([`crate::server::memo`]) are three more, each under its own
+//!   fixed budget,
+//! * **verified hits** — an entry keeps its full key, and a hit compares
+//!   it: two keys that share a 64-bit [`CacheKey::index`] never answer for
+//!   each other. The mismatch counts as a collision and is served as a
+//!   miss (the newcomer then replaces the resident),
+//! * **observable** — hit/coalesced/miss/collision/eviction counters and
+//!   live entry/byte gauges (failures included), surfaced by the server's
 //!   `stats` request.
 //!
 //! Eviction never changes what an evaluation returns: rows and failures
@@ -52,7 +62,7 @@ const SHARDS: usize = 16;
 
 /// Approximate per-entry bookkeeping overhead (hash-map slot, key, rank
 /// metadata) charged on top of the payload.
-const ENTRY_OVERHEAD: usize = 48;
+pub(crate) const ENTRY_OVERHEAD: usize = 48;
 
 /// Fractional bits of the fixed-point cost per byte. A 120-µs row of ~200
 /// bytes costs 0.6 µs per byte, which whole units would round down to the
@@ -67,6 +77,53 @@ const MAX_COST: u64 = 1 << 48;
 /// costs capped at [`MAX_COST`], no priority ever exceeds
 /// `REBASE_AT + MAX_COST`, so a server may run for any length of time.
 const REBASE_AT: u64 = 1 << 62;
+
+/// What an [`EvictingCache`] keys its entries by.
+pub trait CacheKey: Clone + Eq {
+    /// The 64-bit index that picks the entry's shard and slot. Distinct
+    /// keys may share one; every hit compares the full key.
+    fn index(&self) -> u64;
+
+    /// Heap bytes the entry keeps for the key, charged on top of the
+    /// value's [`CacheValue::charge`].
+    fn key_bytes(&self) -> usize;
+}
+
+/// A 64-bit point key is its own index, and the per-entry overhead already
+/// covers it.
+impl CacheKey for u64 {
+    fn index(&self) -> u64 {
+        *self
+    }
+
+    fn key_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// What an [`EvictingCache`] stores.
+pub trait CacheValue: Clone {
+    /// Approximate bytes charged for keeping the value, per-entry overhead
+    /// included.
+    fn charge(&self) -> usize;
+
+    /// Whether the value may be kept. One that may not is still shared
+    /// with coalesced waiters, but the next lookup computes afresh.
+    fn keep(&self) -> bool {
+        true
+    }
+}
+
+/// Rows and deterministic failures; an internal fault is never kept.
+impl CacheValue for Result<DseRow> {
+    fn charge(&self) -> usize {
+        entry_cost(self)
+    }
+
+    fn keep(&self) -> bool {
+        !matches!(self, Err(Error::Internal(_)))
+    }
+}
 
 /// Approximate heap cost of caching one row, in bytes.
 #[must_use]
@@ -108,8 +165,11 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups answered by waiting on a concurrent in-flight evaluation.
     pub coalesced: u64,
-    /// Lookups that had to evaluate.
+    /// Lookups that had to evaluate (collisions included).
     pub misses: u64,
+    /// Lookups whose index was held, resident or in flight, by a
+    /// different key — served as misses, never from the other key's entry.
+    pub collisions: u64,
     /// Entries evicted to respect the byte budget (including entries too
     /// big to cache at all and newcomers that were their own victim).
     pub evictions: u64,
@@ -134,9 +194,11 @@ impl CacheStats {
     }
 }
 
-struct Entry {
+struct Entry<K, V> {
+    /// The full key, compared on every hit.
+    key: K,
     /// A row, or a deterministic failure replayed verbatim.
-    value: Result<DseRow>,
+    value: V,
     /// Bytes charged against the budget.
     bytes: usize,
     /// Recompute cost per byte (fixed point, see [`cost_per_byte`]).
@@ -154,13 +216,23 @@ struct Rank {
     tick: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, Entry>,
-    /// Eviction index: rank → key. The first entry is always the victim, so
-    /// eviction is O(log n) instead of a full scan per evicted entry (a
-    /// server shard can hold tens of thousands of entries, and the scan
-    /// runs inside the shard lock).
+/// What a shard holds at a key's index.
+enum Found<V> {
+    /// The key's own entry, its priority refreshed.
+    Hit(V),
+    /// Nothing.
+    Absent,
+    /// A different key's entry.
+    Collision,
+}
+
+struct Shard<K, V> {
+    /// Entries by [`CacheKey::index`].
+    map: HashMap<u64, Entry<K, V>>,
+    /// Eviction index: rank → key index. The first entry is always the
+    /// victim, so eviction is O(log n) instead of a full scan per evicted
+    /// entry (a server shard can hold tens of thousands of entries, and the
+    /// scan runs inside the shard lock).
     order: BTreeMap<Rank, u64>,
     bytes: usize,
     tick: u64,
@@ -169,34 +241,46 @@ struct Shard {
     inflation: u64,
 }
 
-impl Shard {
-    /// The cached result for `key`, its priority reset to `L` plus its cost.
-    fn touch(&mut self, key: u64) -> Option<Result<DseRow>> {
-        let e = self.map.get_mut(&key)?;
+impl<K, V> Default for Shard<K, V> {
+    fn default() -> Self {
+        Shard {
+            map: HashMap::new(),
+            order: BTreeMap::new(),
+            bytes: 0,
+            tick: 0,
+            inflation: 0,
+        }
+    }
+}
+
+impl<K: CacheKey, V: CacheValue> Shard<K, V> {
+    /// The cached value for `key`, its priority reset to `L` plus its cost.
+    fn touch(&mut self, key: &K) -> Found<V> {
+        let Some(e) = self.map.get_mut(&key.index()) else {
+            return Found::Absent;
+        };
+        if e.key != *key {
+            return Found::Collision;
+        }
         self.tick += 1;
         let rank = Rank {
             priority: self.inflation + e.cost,
             tick: self.tick,
         };
         self.order.remove(&e.rank);
-        self.order.insert(rank, key);
+        self.order.insert(rank, key.index());
         e.rank = rank;
-        Some(e.value.clone())
+        Found::Hit(e.value.clone())
     }
 
-    /// Inserts a result that took `compute_us` to compute, then evicts the
-    /// lowest-priority entries until the shard fits `budget` — the new
-    /// entry itself when it is the cheapest to recompute. Returns how many
-    /// entries were evicted (an entry bigger than the whole shard budget is
-    /// not cached at all and counts as one).
-    fn insert(
-        &mut self,
-        key: u64,
-        value: Result<DseRow>,
-        compute_us: u64,
-        budget: Option<usize>,
-    ) -> u64 {
-        let bytes = entry_cost(&value);
+    /// Inserts a value that took `compute_us` to compute, replacing
+    /// whatever held its index, then evicts the lowest-priority entries
+    /// until the shard fits `budget` — the new entry itself when it is the
+    /// cheapest to recompute. Returns how many entries were evicted (an
+    /// entry bigger than the whole shard budget is not cached at all and
+    /// counts as one).
+    fn insert(&mut self, key: K, value: V, compute_us: u64, budget: Option<usize>) -> u64 {
+        let bytes = key.key_bytes() + value.charge();
         if budget.is_some_and(|b| bytes > b) {
             return 1;
         }
@@ -206,25 +290,27 @@ impl Shard {
             priority: self.inflation + cost,
             tick: self.tick,
         };
+        let index = key.index();
         let entry = Entry {
+            key,
             value,
             bytes,
             cost,
             rank,
         };
-        if let Some(old) = self.map.insert(key, entry) {
+        if let Some(old) = self.map.insert(index, entry) {
             self.bytes -= old.bytes;
             self.order.remove(&old.rank);
         }
         self.bytes += bytes;
-        self.order.insert(rank, key);
+        self.order.insert(rank, index);
         let mut evicted = 0;
         while budget.is_some_and(|b| self.bytes > b) {
-            let (victim, key) = self
+            let (victim, index) = self
                 .order
                 .pop_first()
                 .expect("over budget implies an evictable entry");
-            self.bytes -= self.map.remove(&key).expect("ranked key present").bytes;
+            self.bytes -= self.map.remove(&index).expect("ranked key present").bytes;
             // The minimum priority is never below `L`, so this only raises it.
             self.inflation = victim.priority;
             evicted += 1;
@@ -243,95 +329,117 @@ impl Shard {
         self.order = self
             .map
             .iter_mut()
-            .map(|(&key, e)| {
+            .map(|(&index, e)| {
                 e.rank.priority -= base;
-                (e.rank, key)
+                (e.rank, index)
             })
             .collect();
         self.inflation = 0;
     }
 }
 
+/// The state of one in-flight computation.
+enum Slot<V> {
+    Pending,
+    Ready(V),
+    /// The computing thread unwound before publishing.
+    Abandoned,
+}
+
 /// One in-flight evaluation other threads can wait on.
-struct Inflight {
-    slot: Mutex<Option<Result<DseRow>>>,
+struct Inflight<V> {
+    slot: Mutex<Slot<V>>,
     done: Condvar,
 }
 
-impl Inflight {
-    fn publish(&self, result: Result<DseRow>) {
-        let mut slot = self.slot.lock().expect("inflight slot poisoned");
-        *slot = Some(result);
+impl<V> Inflight<V> {
+    fn publish(&self, slot: Slot<V>) {
+        *self.slot.lock().expect("inflight slot poisoned") = slot;
         self.done.notify_all();
     }
+}
 
-    fn wait(&self) -> Result<DseRow> {
+impl<V: Clone> Inflight<V> {
+    /// The published value, or `None` when the computing thread unwound.
+    fn wait(&self) -> Option<V> {
         let mut slot = self.slot.lock().expect("inflight slot poisoned");
         loop {
-            if let Some(r) = slot.as_ref() {
-                return r.clone();
+            match &*slot {
+                Slot::Pending => slot = self.done.wait(slot).expect("inflight slot poisoned"),
+                Slot::Ready(v) => return Some(v.clone()),
+                Slot::Abandoned => return None,
             }
-            slot = self.done.wait(slot).expect("inflight slot poisoned");
         }
     }
 }
 
-/// Publishes an [`Error::Internal`] if the computing thread unwinds before
-/// publishing a real result — without this, waiters on the in-flight slot
-/// would block forever behind a panicked evaluation.
-struct PublishGuard<'a> {
-    cache: &'a EvictingCache,
-    key: u64,
-    inflight: &'a Arc<Inflight>,
+/// Releases a claimed in-flight slot, marking it abandoned if the computing
+/// thread unwinds before publishing — without this, waiters on the slot
+/// would block forever behind a panicked computation. They compute
+/// afresh instead.
+struct PublishGuard<'a, K, V> {
+    cache: &'a EvictingCache<K, V>,
+    index: u64,
+    inflight: &'a Arc<Inflight<V>>,
     published: bool,
 }
 
-impl Drop for PublishGuard<'_> {
+impl<K, V> Drop for PublishGuard<'_, K, V> {
     fn drop(&mut self) {
         {
             let mut map = self.cache.inflight.lock().expect("inflight map poisoned");
-            map.remove(&self.key);
+            map.remove(&self.index);
         }
         if !self.published {
-            self.inflight.publish(Err(Error::Internal(
-                "in-flight evaluation panicked before publishing".into(),
-            )));
+            self.inflight.publish(Slot::Abandoned);
         }
     }
 }
 
-/// A sharded result cache with an optional byte budget (GreedyDual-Size
-/// eviction by recompute time per byte) and in-flight request coalescing.
-/// See the module docs.
-pub struct EvictingCache {
-    shards: [Mutex<Shard>; SHARDS],
-    inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
+/// The in-flight computations of a cache, by key index.
+type InflightMap<K, V> = HashMap<u64, (K, Arc<Inflight<V>>)>;
+
+/// A sharded cache with an optional byte budget (GreedyDual-Size eviction
+/// by recompute time per byte), verified hits and in-flight request
+/// coalescing. See the module docs. The default parameters are the pool's
+/// row tenant.
+pub struct EvictingCache<K = u64, V = Result<DseRow>> {
+    shards: [Mutex<Shard<K, V>>; SHARDS],
+    inflight: Mutex<InflightMap<K, V>>,
     shard_budget: Option<usize>,
     capacity: Option<usize>,
     hits: AtomicU64,
     coalesced: AtomicU64,
     misses: AtomicU64,
+    collisions: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl std::fmt::Debug for EvictingCache {
+impl<K, V> std::fmt::Debug for EvictingCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
         f.debug_struct("EvictingCache")
             .field("capacity_bytes", &self.capacity)
-            .field("entries", &s.entries)
-            .field("bytes", &s.bytes)
             .finish_non_exhaustive()
     }
 }
 
 impl EvictingCache {
-    /// A cache bounded to roughly `capacity_bytes` (`None` = unbounded:
-    /// nothing is ever evicted). The budget is split
-    /// evenly across the shards, so the worst-case overshoot of the global
-    /// budget is zero: each shard enforces its slice under its own lock.
+    /// A row cache bounded to roughly `capacity_bytes` (`None` =
+    /// unbounded: nothing is ever evicted); see
+    /// [`EvictingCache::with_capacity`].
     #[must_use]
     pub fn new(capacity_bytes: Option<usize>) -> Self {
+        EvictingCache::with_capacity(capacity_bytes)
+    }
+}
+
+impl<K: CacheKey, V: CacheValue> EvictingCache<K, V> {
+    /// A cache bounded to roughly `capacity_bytes` (`None` = unbounded:
+    /// nothing is ever evicted). The budget is split evenly across the
+    /// shards, so the worst-case overshoot of the global budget is zero:
+    /// each shard enforces its slice under its own lock.
+    #[must_use]
+    pub fn with_capacity(capacity_bytes: Option<usize>) -> Self {
         EvictingCache {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             inflight: Mutex::new(HashMap::new()),
@@ -340,95 +448,122 @@ impl EvictingCache {
             hits: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            collisions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key % SHARDS as u64) as usize]
+    fn shard(&self, index: u64) -> &Mutex<Shard<K, V>> {
+        &self.shards[(index % SHARDS as u64) as usize]
     }
 
     /// Looks `key` up; on a miss, either waits for a concurrent in-flight
     /// evaluation of the same key or runs `compute` itself, timing it, and
-    /// caches the result. The returned result is bit-identical no matter
-    /// which path was taken (results are pure functions of the key's
-    /// preimage).
+    /// caches the result. The returned value is identical no matter which
+    /// path was taken (values are pure functions of their keys). A key
+    /// whose index another key holds, resident or in flight, is computed
+    /// without coalescing and replaces the resident.
     ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s error, shared verbatim with coalesced
-    /// waiters. Failures are cached and replayed like rows, except
-    /// [`Error::Internal`], which a later lookup computes afresh.
-    pub fn get_or_compute(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Result<DseRow>,
-    ) -> (Result<DseRow>, Outcome) {
-        if let Some(hit) = self.lookup(key) {
-            return (hit, Outcome::Hit);
-        }
-        // Claim or join the in-flight slot for this key.
-        let (inflight, claimed) = {
-            let mut map = self.inflight.lock().expect("inflight map poisoned");
-            match map.get(&key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Inflight {
-                        slot: Mutex::new(None),
-                        done: Condvar::new(),
-                    });
-                    map.insert(key, Arc::clone(&f));
-                    (f, true)
+    /// Failures are cached and replayed like any value, except those
+    /// [`CacheValue::keep`] refuses, which a later lookup computes afresh.
+    /// A waiter whose computing thread unwound computes for itself.
+    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, Outcome) {
+        let index = key.index();
+        // Whether another key held the index; counted once per call.
+        let mut collided = false;
+        loop {
+            match self.lookup(&key) {
+                Found::Hit(hit) => return (hit, Outcome::Hit),
+                Found::Collision => collided = true,
+                Found::Absent => {}
+            }
+            // Claim or join the in-flight slot for this key.
+            let claim = {
+                let mut map = self.inflight.lock().expect("inflight map poisoned");
+                match map.get(&index) {
+                    Some((k, f)) if *k == key => Some((Arc::clone(f), false)),
+                    Some(_) => None,
+                    None => {
+                        let f = Arc::new(Inflight {
+                            slot: Mutex::new(Slot::Pending),
+                            done: Condvar::new(),
+                        });
+                        map.insert(index, (key.clone(), Arc::clone(&f)));
+                        Some((f, true))
+                    }
+                }
+            };
+            let Some((inflight, claimed)) = claim else {
+                let value = self.compute_and_store(key, true, compute);
+                return (value, Outcome::Computed);
+            };
+            if !claimed {
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                match inflight.wait() {
+                    Some(v) => return (v, Outcome::Coalesced),
+                    None => continue,
                 }
             }
-        };
-        if !claimed {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            return (inflight.wait(), Outcome::Coalesced);
-        }
-        let mut guard = PublishGuard {
-            cache: self,
-            key,
-            inflight: &inflight,
-            published: false,
-        };
-        // An evaluation of this key may have finished between the lookup
-        // above and the claim. It cached its result before releasing its
-        // slot, so look again rather than evaluate the key twice.
-        if let Some(hit) = self.lookup(key) {
-            inflight.publish(hit.clone());
+            let mut guard = PublishGuard {
+                cache: self,
+                index,
+                inflight: &inflight,
+                published: false,
+            };
+            // An evaluation of this key may have finished between the
+            // lookup above and the claim. It cached its result before
+            // releasing its slot, so look again rather than evaluate the
+            // key twice.
+            match self.lookup(&key) {
+                Found::Hit(hit) => {
+                    inflight.publish(Slot::Ready(hit.clone()));
+                    guard.published = true;
+                    return (hit, Outcome::Hit);
+                }
+                Found::Collision => collided = true,
+                Found::Absent => {}
+            }
+            let value = self.compute_and_store(key, collided, compute);
+            inflight.publish(Slot::Ready(value.clone()));
             guard.published = true;
-            return (hit, Outcome::Hit);
+            return (value, Outcome::Computed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let result = compute();
-        let compute_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if !matches!(result, Err(Error::Internal(_))) {
-            let evicted = self
-                .shard(key)
-                .lock()
-                .expect("cache shard poisoned")
-                .insert(key, result.clone(), compute_us, self.shard_budget);
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        inflight.publish(result.clone());
-        guard.published = true;
-        drop(guard);
-        (result, Outcome::Computed)
     }
 
-    /// The cached result for `key`, counted as a hit when present.
-    fn lookup(&self, key: u64) -> Option<Result<DseRow>> {
-        let hit = self
-            .shard(key)
+    /// Runs `compute` as a counted miss (and collision, if `collided`),
+    /// timing it, and caches the value unless [`CacheValue::keep`] refuses
+    /// it.
+    fn compute_and_store(&self, key: K, collided: bool, compute: impl FnOnce() -> V) -> V {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if collided {
+            self.collisions.fetch_add(1, Ordering::Relaxed);
+        }
+        let started = Instant::now();
+        let value = compute();
+        let compute_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        if value.keep() {
+            let evicted = self
+                .shard(key.index())
+                .lock()
+                .expect("cache shard poisoned")
+                .insert(key, value.clone(), compute_us, self.shard_budget);
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// What the cache holds at `key`'s index, counted as a hit when it is
+    /// `key`'s own entry.
+    fn lookup(&self, key: &K) -> Found<V> {
+        let found = self
+            .shard(key.index())
             .lock()
             .expect("cache shard poisoned")
             .touch(key);
-        if hit.is_some() {
+        if matches!(found, Found::Hit(_)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        hit
+        found
     }
 
     /// Point-in-time counters and gauges.
@@ -445,6 +580,7 @@ impl EvictingCache {
             hits: self.hits.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            collisions: self.collisions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
             bytes,
@@ -749,5 +885,70 @@ mod tests {
             }
             panicker.join().unwrap();
         });
+    }
+
+    /// A key whose index the test picks, so distinct keys can share one.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Forced {
+        index: u64,
+        name: String,
+    }
+
+    impl CacheKey for Forced {
+        fn index(&self) -> u64 {
+            self.index
+        }
+
+        fn key_bytes(&self) -> usize {
+            self.name.len()
+        }
+    }
+
+    fn forced(index: u64, name: &str) -> Forced {
+        Forced {
+            index,
+            name: name.into(),
+        }
+    }
+
+    #[test]
+    fn colliding_keys_miss_and_replace_each_other() {
+        let c: EvictingCache<Forced, Result<DseRow>> = EvictingCache::with_capacity(None);
+        let (a, _) = c.get_or_compute(forced(3, "a"), || Ok(row("a")));
+        assert_eq!(a.unwrap().name, "a");
+        // Same index, different key: never the resident's value.
+        let (b, o) = c.get_or_compute(forced(3, "b"), || Ok(row("b")));
+        assert_eq!((b.unwrap().name.as_str(), o), ("b", Outcome::Computed));
+        let (b2, o) = c.get_or_compute(forced(3, "b"), || unreachable!());
+        assert_eq!((b2.unwrap().name.as_str(), o), ("b", Outcome::Hit));
+        let (a2, o) = c.get_or_compute(forced(3, "a"), || Ok(row("a")));
+        assert_eq!((a2.unwrap().name.as_str(), o), ("a", Outcome::Computed));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.collisions), (1, 3, 2));
+        assert_eq!(s.entries, 1);
+        assert_eq!(s.bytes, 1 + row_cost(&row("a")), "the key is charged");
+    }
+
+    #[test]
+    fn colliding_keys_in_flight_do_not_coalesce() {
+        let c: EvictingCache<Forced, Result<DseRow>> = EvictingCache::with_capacity(None);
+        let gate = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for name in ["left", "right"] {
+                let (c, gate) = (&c, &gate);
+                scope.spawn(move || {
+                    gate.wait();
+                    let (r, _) = c.get_or_compute(forced(5, name), || {
+                        std::thread::sleep(Duration::from_millis(20));
+                        Ok(row(name))
+                    });
+                    assert_eq!(r.unwrap().name, name);
+                });
+            }
+        });
+        let s = c.stats();
+        assert_eq!(s.coalesced, 0);
+        assert_eq!(s.misses, 2);
+        assert!(s.collisions >= 1);
     }
 }

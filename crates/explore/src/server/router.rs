@@ -12,9 +12,11 @@
 //! * **Sharded warm cache.** Requests are placed by rendezvous
 //!   (highest-random-weight) hashing of
 //!   [`routing_fingerprint`](crate::server::session::routing_fingerprint())
-//!   — a pure function of the workload spec — so repeats of a design land
-//!   on the same worker and hit its warm point/prefix cache, and the loss
-//!   of one worker reshuffles only that worker's share of the key space.
+//!   — a pure function of the workload spec, computed once per distinct
+//!   spec and memoized ([`crate::server::memo`]) — so repeats of a design
+//!   land on the same worker and hit its warm point/prefix cache, and the
+//!   loss of one worker reshuffles only that worker's share of the key
+//!   space.
 //! * **Byte-transparent forwarding.** The router forwards the client's
 //!   request line *verbatim* and relays the worker's response lines
 //!   *verbatim* (workers derive response ids exactly as a direct server
@@ -46,7 +48,9 @@
 //! a mid-refine worker immediately.
 
 use crate::fingerprint::Fnv;
-use crate::server::protocol::{self, Command};
+use crate::server::eviction::EvictingCache;
+use crate::server::memo::{self, SpecKey};
+use crate::server::protocol::{self, Command, WorkloadSpec};
 use crate::server::session::routing_fingerprint;
 use crate::server::transport::{self, Service};
 use crate::server::worker::{LinkConnector, WorkerFactory, WorkerGuard, WorkerHandle, WorkerLink};
@@ -144,6 +148,8 @@ pub struct Router {
     /// `serve.worker.*` fault counters. Worker registries are aggregated
     /// into it on `stats`/`metrics`.
     registry: Registry,
+    /// Each distinct spec's routing key, computed once.
+    routes: EvictingCache<SpecKey, u64>,
     requests: AtomicU64,
     shutdown: AtomicBool,
     started: Instant,
@@ -199,6 +205,7 @@ impl Router {
             slots: (0..workers).map(|_| Slot::default()).collect(),
             opts,
             registry,
+            routes: EvictingCache::with_capacity(Some(memo::ROUTE_BUDGET)),
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -543,7 +550,8 @@ impl Router {
     /// is counted again by its worker — summing both would double-count.
     /// `serve.cancelled` is the one exception (kept and summed): only the
     /// worker running a refine can observe its cancellation, and the
-    /// router has no counterpart entry to collide with.
+    /// router has no counterpart entry to collide with. The router's own
+    /// route-key memo adds `memo.route.*`, read at snapshot time.
     #[must_use]
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
     pub fn metrics_snapshot(&self) -> Snapshot {
@@ -611,6 +619,7 @@ impl Router {
                 snap.push_histogram(&name, h);
             }
         }
+        memo::push_memo_metrics(&mut snap, "memo.route", &self.routes.stats());
         snap.push_counter("serve.requests", self.requests.load(Ordering::Relaxed));
         snap.push_gauge("serve.uptime_ms", self.started.elapsed().as_millis() as i64);
         snap.push_gauge("serve.workers", alive);
@@ -719,14 +728,11 @@ impl Router {
             }
             Ok(Command::Cancel { target }) => self.forward_cancel(id, &target, line, out)?,
             Ok(Command::Sweep(spec)) => {
-                // An invalid spec hashes to the fallback shard; the worker
-                // repeats the validation and answers with the same error a
-                // direct server would.
-                let key = routing_fingerprint(&spec).unwrap_or(0);
+                let key = self.route_key(&spec);
                 self.forward(key, id, line, None, out)?
             }
             Ok(Command::Refine { ref spec, .. }) => {
-                let key = routing_fingerprint(spec).unwrap_or(0);
+                let key = self.route_key(spec);
                 let inflight_key = id.map(Value::render);
                 let _guard = InflightGuard {
                     router: self,
@@ -736,6 +742,19 @@ impl Router {
             }
         };
         Ok((keep_going, ok))
+    }
+
+    /// `spec`'s routing key ([`routing_fingerprint`]), computed on the
+    /// spec's first request and memoized, timed under `router.route`. An
+    /// invalid spec hashes to the fallback shard; the worker repeats the
+    /// validation and answers with the same error a direct server would.
+    fn route_key(&self, spec: &WorkloadSpec) -> u64 {
+        let _span = self.registry.span("router.route");
+        self.routes
+            .get_or_compute(SpecKey::new(spec), || {
+                routing_fingerprint(spec).unwrap_or(0)
+            })
+            .0
     }
 
     /// Serves one connection from any reader/writer pair until EOF or a

@@ -10,15 +10,17 @@
 //!
 //! The request lifecycle (see `docs/ARCHITECTURE.md` for the diagram):
 //! parse ([`crate::server::protocol`]) → build the workload grid (shared
-//! with the CLI, so axes validate identically everywhere) → evaluate
-//! through the pool, streaming `round` events for adaptive requests → one
-//! terminal `result` line.
+//! with the CLI, so axes validate identically everywhere, and memoized
+//! per spec by [`crate::server::memo`]) → evaluate through the pool,
+//! streaming `round` events for adaptive requests → one terminal `result`
+//! line.
 
 use crate::constraint::validate_constraints;
 use crate::fingerprint::design_fingerprint;
 use crate::pareto::{pareto_front_in_constrained, ObjectiveSpace};
 use crate::pool::EvaluatorPool;
 use crate::refine::{refine_multi_with_progress, CancelToken, RefineOptions};
+use crate::server::memo::SpecMemo;
 use crate::server::protocol::{self, Command, WorkloadSpec};
 use crate::server::transport::{self, Service};
 use crate::sweep::{SweepCell, SweepGrid};
@@ -31,7 +33,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use crate::server::transport::MAX_REQUEST_BYTES;
@@ -179,7 +181,7 @@ fn expand(spec: &WorkloadSpec, first_only: bool) -> Result<Vec<DsePoint>, String
             let (name, cfg, clock_ps) = idct::table4_points().swap_remove(0);
             vec![DsePoint {
                 name,
-                design: idct::build_2d(&cfg),
+                design: Arc::new(idct::build_2d(&cfg)),
                 clock_ps,
                 pipeline_ii: cfg.pipelined,
                 cycles_per_item: cfg.pipelined.unwrap_or(cfg.cycles),
@@ -219,7 +221,7 @@ fn dsl_points(
     source: &str,
     first_only: bool,
 ) -> Result<Vec<DsePoint>, String> {
-    let design = frontend::compile(source).map_err(|e| format!("dsl: {e}"))?;
+    let design = Arc::new(frontend::compile(source).map_err(|e| format!("dsl: {e}"))?);
     let cycles = DsePoint::states_per_item(&design);
     let clocks = axis(
         spec.clocks.as_deref(),
@@ -234,7 +236,7 @@ fn dsl_points(
         .into_iter()
         .map(|clock_ps| DsePoint {
             name: format!("{stem}-c{clock_ps}"),
-            design: design.clone(),
+            design: Arc::clone(&design),
             clock_ps,
             pipeline_ii: None,
             cycles_per_item: cycles,
@@ -338,6 +340,8 @@ pub fn workload_grid(spec: &WorkloadSpec) -> Result<(SweepGrid, String, BuildFn)
 /// connections onto one [`EvaluatorPool`].
 pub struct Server {
     pool: EvaluatorPool,
+    /// What each distinct spec expands to, built once per process.
+    memo: SpecMemo,
     requests: AtomicU64,
     shutdown: AtomicBool,
     /// Construction time, for `stats`/`metrics` uptime reporting.
@@ -372,9 +376,15 @@ impl Server {
     /// listener all read from it.
     #[must_use]
     pub fn new(pool: EvaluatorPool) -> Self {
+        Server::with_memo(pool, SpecMemo::new())
+    }
+
+    /// [`Server::new`] with the given spec memo.
+    pub(crate) fn with_memo(pool: EvaluatorPool, memo: SpecMemo) -> Self {
         pool.telemetry().set_enabled(true);
         Server {
             pool,
+            memo,
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -436,15 +446,17 @@ impl Server {
     }
 
     /// One unified snapshot of everything observable: the pool's registry
-    /// and cache counters ([`EvaluatorPool::metrics_snapshot`]) plus the
-    /// serve tier's own `serve.requests` counter and `serve.uptime_ms`
-    /// gauge. Every export surface — the `stats` and `metrics` verbs, the
-    /// exposition listener — renders from this one snapshot, so they
-    /// cannot drift from each other.
+    /// and cache counters ([`EvaluatorPool::metrics_snapshot`]), the spec
+    /// memos' `memo.expand.*` and `memo.cell.*`, plus the serve tier's own
+    /// `serve.requests` counter and `serve.uptime_ms` gauge. Every export
+    /// surface — the `stats` and `metrics` verbs, the exposition listener
+    /// — renders from this one snapshot, so they cannot drift from each
+    /// other.
     #[must_use]
     #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut snap = self.pool.metrics_snapshot();
+        self.memo.push_metrics(&mut snap);
         snap.push_counter("serve.requests", self.requests.load(Ordering::Relaxed));
         snap.push_gauge("serve.uptime_ms", self.started.elapsed().as_millis() as i64);
         snap.sort();
@@ -562,14 +574,16 @@ impl Server {
             }
             Ok(Command::Sweep(spec)) => {
                 let spaces = sweep_spaces(&spec);
-                let prep =
-                    validate_spec_constraints(&spec, &spaces).and_then(|()| sweep_points(&spec));
+                let prep = validate_spec_constraints(&spec, &spaces).and_then(|()| {
+                    let _span = adhls_telemetry::span("session.expand");
+                    self.memo.expand(&spec)
+                });
                 match prep {
                     Err(msg) => {
                         writeln!(out, "{}", protocol::render_error(id, &msg))?;
                         ok = false;
                     }
-                    Ok(points) if points.is_empty() => {
+                    Ok(points) if points.points().is_empty() => {
                         writeln!(
                             out,
                             "{}",
@@ -577,8 +591,9 @@ impl Server {
                         )?;
                         ok = false;
                     }
-                    Ok(points) => match self.pool.evaluate_mode(&points, spec.mode) {
+                    Ok(points) => match self.pool.evaluate_set(&points, spec.mode) {
                         Ok(result) => {
+                            let span = adhls_telemetry::span("session.render");
                             let planes: Vec<(ObjectiveSpace, Vec<adhls_core::dse::DseRow>)> =
                                 spaces
                                     .iter()
@@ -599,6 +614,7 @@ impl Server {
                                 &planes,
                                 &spec.constraints,
                             );
+                            drop(span);
                             writeln!(out, "{line}")?;
                         }
                         Err(e) => {
@@ -617,7 +633,7 @@ impl Server {
                 budget,
                 gap_tol,
                 warm_front,
-            }) => match workload_grid(&spec)
+            }) => match adhls_telemetry::timed("session.expand", || workload_grid(&spec))
                 .and_then(|g| refine_spaces(&spec).map(|s| (g, s)))
                 .and_then(|(g, s)| validate_spec_constraints(&spec, &s).map(|()| (g, s)))
             {
@@ -661,7 +677,7 @@ impl Server {
                         &self.pool,
                         &grid,
                         &prefix,
-                        build,
+                        self.memo.cell_builder(&spec, build),
                         &opts,
                         &spaces,
                         |t| {
@@ -677,7 +693,9 @@ impl Server {
                         if r.cancelled {
                             adhls_telemetry::counter_add("serve.cancelled", 1);
                         }
-                        protocol::render_refine_multi_result(id, &r)
+                        adhls_telemetry::timed("session.render", || {
+                            protocol::render_refine_multi_result(id, &r)
+                        })
                     });
                     if let Some(e) = stream_err {
                         return Err(e);

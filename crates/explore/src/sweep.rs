@@ -14,7 +14,7 @@ use adhls_core::dse::DsePoint;
 use adhls_ir::{Design, Error, Result};
 
 /// One cell of the sweep grid, handed to the design builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SweepCell {
     /// Clock period in picoseconds.
     pub clock_ps: u64,

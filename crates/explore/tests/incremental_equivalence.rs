@@ -170,7 +170,7 @@ fn degenerate_zero_cycles_per_item_clamps_identically() {
     };
     let point = DsePoint {
         name: "inc-degenerate".to_string(),
-        design: build_cell(&cell),
+        design: build_cell(&cell).into(),
         clock_ps: cell.clock_ps,
         pipeline_ii: None,
         cycles_per_item: 0,

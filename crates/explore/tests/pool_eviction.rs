@@ -25,7 +25,7 @@ fn point(name: &str, soft: u32, clock: u64) -> DsePoint {
     b.write("z", a);
     DsePoint {
         name: name.into(),
-        design: b.finish().unwrap(),
+        design: b.finish().unwrap().into(),
         clock_ps: clock,
         pipeline_ii: None,
         cycles_per_item: soft + 1,

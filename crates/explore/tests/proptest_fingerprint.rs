@@ -213,7 +213,7 @@ proptest! {
             })
             .map(|(w, c)| DsePoint {
                 name: format!("fp-w{w}-c{c}"),
-                design: chain(8, w, 3),
+                design: chain(8, w, 3).into(),
                 clock_ps: c,
                 pipeline_ii: None,
                 cycles_per_item: w + 1,

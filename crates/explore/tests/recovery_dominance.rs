@@ -55,7 +55,7 @@ fn fir_points() -> Vec<DsePoint> {
                 };
                 pts.push(DsePoint {
                     name: format!("fir{taps}-c{clock}-l{cycles}"),
-                    design: fir::build(&cfg),
+                    design: fir::build(&cfg).into(),
                     clock_ps: clock,
                     pipeline_ii: None,
                     cycles_per_item: cycles,

@@ -56,7 +56,7 @@ fn build(r: &Recipe) -> Design {
 fn point(r: &Recipe, clock_ps: u64) -> DsePoint {
     DsePoint {
         name: format!("rprop-c{clock_ps}-l{}", r.cycles),
-        design: build(r),
+        design: build(r).into(),
         clock_ps,
         pipeline_ii: None,
         cycles_per_item: r.cycles,

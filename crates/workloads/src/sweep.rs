@@ -11,35 +11,49 @@
 //! The default grids are sized so that every point schedules with the stock
 //! TSMC-90 library — they are demo/bench fleets, not exhaustive searches;
 //! pass custom axes for those.
+//!
+//! A design depends on its latency budget (and pipelining) but not on the
+//! clock, so each constructor builds it once and shares it, through an
+//! [`Arc`], across the clock axis.
 
 use crate::{fir, idct, interpolation, matmul, random};
 use adhls_core::dse::DsePoint;
 use adhls_ir::Design;
+use std::sync::Arc;
 
-fn point(prefix: &str, design: Design, clock_ps: u64, cycles: u32, ii: Option<u32>) -> DsePoint {
-    DsePoint::grid(prefix, design, clock_ps, cycles, ii)
+/// `clocks × designs` grid points, clock outermost, each design built once
+/// by `build` and shared across the clocks. `designs` lists each design's
+/// `(cycles, ii)` coordinates.
+fn clock_grid(
+    prefix: &str,
+    clocks_ps: &[u64],
+    designs: &[(u32, Option<u32>)],
+    build: impl Fn(u32, Option<u32>) -> Design,
+) -> Vec<DsePoint> {
+    let built: Vec<Arc<Design>> = designs
+        .iter()
+        .map(|&(c, ii)| Arc::new(build(c, ii)))
+        .collect();
+    let mut pts = Vec::with_capacity(clocks_ps.len() * designs.len());
+    for &clock in clocks_ps {
+        for (&(c, ii), design) in designs.iter().zip(&built) {
+            pts.push(DsePoint::grid(prefix, Arc::clone(design), clock, c, ii));
+        }
+    }
+    pts
 }
 
 /// Interpolation-kernel fleet over `clocks × cycles` (sequential).
 #[must_use]
 pub fn interpolation_sweep(clocks_ps: &[u64], cycles: &[u32]) -> Vec<DsePoint> {
-    let mut pts = Vec::with_capacity(clocks_ps.len() * cycles.len());
-    for &clock in clocks_ps {
-        for &c in cycles {
-            let cfg = interpolation::InterpolationConfig {
-                cycles: c,
-                ..Default::default()
-            };
-            pts.push(point(
-                "interp",
-                interpolation::build(&cfg).0,
-                clock,
-                c,
-                None,
-            ));
-        }
-    }
-    pts
+    let designs: Vec<(u32, Option<u32>)> = cycles.iter().map(|&c| (c, None)).collect();
+    clock_grid("interp", clocks_ps, &designs, |c, _| {
+        let cfg = interpolation::InterpolationConfig {
+            cycles: c,
+            ..Default::default()
+        };
+        interpolation::build(&cfg).0
+    })
 }
 
 /// The default interpolation fleet: 12 feasible points around the paper's
@@ -53,19 +67,16 @@ pub fn interpolation_default() -> Vec<DsePoint> {
 /// workload generalized to arbitrary grids.
 #[must_use]
 pub fn idct_sweep(clocks_ps: &[u64], cycles: &[u32], pipeline: &[Option<u32>]) -> Vec<DsePoint> {
-    let mut pts = Vec::new();
-    for &clock in clocks_ps {
-        for &c in cycles {
-            for &ii in pipeline {
-                let cfg = idct::IdctConfig {
-                    cycles: c,
-                    pipelined: ii,
-                };
-                pts.push(point("idct", idct::build_2d(&cfg), clock, c, ii));
-            }
-        }
-    }
-    pts
+    let designs: Vec<(u32, Option<u32>)> = cycles
+        .iter()
+        .flat_map(|&c| pipeline.iter().map(move |&ii| (c, ii)))
+        .collect();
+    clock_grid("idct", clocks_ps, &designs, |c, ii| {
+        idct::build_2d(&idct::IdctConfig {
+            cycles: c,
+            pipelined: ii,
+        })
+    })
 }
 
 /// The paper's fixed 15-point Table 4 sweep as engine input (D1..D15
@@ -76,7 +87,7 @@ pub fn idct_table4() -> Vec<DsePoint> {
         .into_iter()
         .map(|(name, cfg, clock)| DsePoint {
             name,
-            design: idct::build_2d(&cfg),
+            design: Arc::new(idct::build_2d(&cfg)),
             clock_ps: clock,
             pipeline_ii: cfg.pipelined,
             cycles_per_item: cfg.pipelined.unwrap_or(cfg.cycles),
@@ -102,7 +113,7 @@ pub fn fir_sweep(clock_ps: u64, taps: &[usize], cycles: &[u32]) -> Vec<DsePoint>
                 cycles: c,
                 ..Default::default()
             };
-            pts.push(point(
+            pts.push(DsePoint::grid(
                 &format!("fir{t}"),
                 fir::build(&cfg),
                 clock_ps,
@@ -117,24 +128,14 @@ pub fn fir_sweep(clock_ps: u64, taps: &[usize], cycles: &[u32]) -> Vec<DsePoint>
 /// Matmul fleet over `clocks × cycles` at fixed dimension `n`.
 #[must_use]
 pub fn matmul_sweep(n: usize, clocks_ps: &[u64], cycles: &[u32]) -> Vec<DsePoint> {
-    let mut pts = Vec::new();
-    for &clock in clocks_ps {
-        for &c in cycles {
-            let cfg = matmul::MatmulConfig {
-                n,
-                cycles: c,
-                ..Default::default()
-            };
-            pts.push(point(
-                &format!("mm{n}"),
-                matmul::build(&cfg),
-                clock,
-                c,
-                None,
-            ));
-        }
-    }
-    pts
+    let designs: Vec<(u32, Option<u32>)> = cycles.iter().map(|&c| (c, None)).collect();
+    clock_grid(&format!("mm{n}"), clocks_ps, &designs, |c, _| {
+        matmul::build(&matmul::MatmulConfig {
+            n,
+            cycles: c,
+            ..Default::default()
+        })
+    })
 }
 
 /// Random customer-design fleet (seeded, reproducible) as engine input.
@@ -147,7 +148,7 @@ pub fn random_fleet(n: usize, base_seed: u64) -> Vec<DsePoint> {
             let cycles = DsePoint::states_per_item(&design);
             DsePoint {
                 name,
-                design,
+                design: Arc::new(design),
                 clock_ps: clock,
                 pipeline_ii: None,
                 cycles_per_item: cycles,

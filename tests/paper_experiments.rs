@@ -85,7 +85,7 @@ fn table4_mini_sweep_shape() {
             let (name, cfg, clock) = all[i].clone();
             DsePoint {
                 name,
-                design: idct::build_2d(&cfg),
+                design: idct::build_2d(&cfg).into(),
                 clock_ps: clock,
                 pipeline_ii: cfg.pipelined,
                 cycles_per_item: cfg.pipelined.unwrap_or(cfg.cycles),
