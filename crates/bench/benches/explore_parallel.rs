@@ -1,16 +1,27 @@
-//! Exploration-engine throughput: serial vs parallel sweep evaluation on
+//! One-shot evaluator throughput: serial vs parallel sweep evaluation on
 //! the IDCT fleet, plus the memo-cache fast path.
 //!
-//! Tracks the speedup the work-stealing evaluator buys over the serial
-//! reference (one point per `b.iter` would hide load imbalance, so each
-//! iteration evaluates the whole fleet with a fresh cache), and how cheap
-//! a fully-cached re-sweep is.
+//! Tracks the speedup the pool's workers buy over the serial reference
+//! (one point per `b.iter` would hide load imbalance, so each iteration
+//! evaluates the whole fleet on a fresh pool, spawn and join included),
+//! and how cheap a fully-cached re-sweep is.
 
 use adhls_core::sched::HlsOptions;
 use adhls_explore::{Engine, EngineOptions};
 use adhls_reslib::tsmc90;
 use adhls_workloads::sweep;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+
+fn engine(lib: &adhls_reslib::Library, threads: usize) -> Engine<'_> {
+    Engine::with_options(
+        lib,
+        HlsOptions::default(),
+        EngineOptions {
+            threads,
+            ..Default::default()
+        },
+    )
+}
 
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_parallel");
@@ -26,9 +37,8 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("explore/idct_serial", |b| {
         b.iter(|| {
-            let engine = Engine::new(&lib, HlsOptions::default());
             black_box(
-                engine
+                engine(&lib, 1)
                     .evaluate_serial(&points)
                     .expect("fleet schedules")
                     .rows
@@ -40,16 +50,8 @@ fn bench(c: &mut Criterion) {
     for threads in [2usize, 4] {
         c.bench_function(&format!("explore/idct_parallel_t{threads}"), |b| {
             b.iter(|| {
-                let engine = Engine::with_options(
-                    &lib,
-                    HlsOptions::default(),
-                    EngineOptions {
-                        threads,
-                        ..Default::default()
-                    },
-                );
                 black_box(
-                    engine
+                    engine(&lib, threads)
                         .evaluate(&points)
                         .expect("fleet schedules")
                         .rows
@@ -60,8 +62,8 @@ fn bench(c: &mut Criterion) {
     }
 
     // The telemetry-overhead check: the same 4-thread fleet sweep with
-    // every meter live (the engine's workers record into the enabled
-    // global registry). Compare against explore/idct_parallel_t4 — the
+    // every meter live (the pool records into the global registry, current
+    // at construction). Compare against explore/idct_parallel_t4 — the
     // observability layer's acceptance bar is <2% between the two.
     // Restores the registry's prior state so later benches (and a
     // recording run's enablement) are unaffected.
@@ -69,16 +71,8 @@ fn bench(c: &mut Criterion) {
         let was = adhls_telemetry::global().is_enabled();
         adhls_telemetry::global().set_enabled(true);
         b.iter(|| {
-            let engine = Engine::with_options(
-                &lib,
-                HlsOptions::default(),
-                EngineOptions {
-                    threads: 4,
-                    ..Default::default()
-                },
-            );
             black_box(
-                engine
+                engine(&lib, 4)
                     .evaluate(&points)
                     .expect("fleet schedules")
                     .rows
@@ -89,7 +83,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // The memoized path: everything already evaluated once.
-    let warm = Engine::new(&lib, HlsOptions::default());
+    let warm = engine(&lib, 1);
     warm.evaluate_serial(&points).expect("fleet schedules");
     c.bench_function("explore/idct_cached_resweep", |b| {
         b.iter(|| black_box(warm.evaluate_serial(&points).expect("cached").rows.len()))

@@ -78,13 +78,13 @@ fn bench(c: &mut Criterion) {
         adhls_telemetry::global().set_enabled(true);
         let before = adhls_telemetry::global().snapshot();
         let rec = engine(&lib)
-            .evaluate_serial_mode(&points, PointMode::Recover)
+            .evaluate_mode(&points, PointMode::Recover)
             .expect("grid schedules")
             .rows;
         let after = adhls_telemetry::global().snapshot();
         adhls_telemetry::global().set_enabled(was);
         let full = engine(&lib)
-            .evaluate_serial_mode(&points, PointMode::Full)
+            .evaluate_mode(&points, PointMode::Full)
             .expect("grid schedules")
             .rows;
         for (r, f) in rec.iter().zip(&full) {
@@ -108,7 +108,7 @@ fn bench(c: &mut Criterion) {
         );
 
         // Fresh engine per iteration so the result cache never answers
-        // for the pipeline; serial so per-cell costs add up legibly.
+        // for the pipeline; one thread so per-cell costs add up legibly.
         for (mode_name, mode) in [
             ("full", PointMode::Full),
             ("recover", PointMode::Recover),
@@ -118,7 +118,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         engine(&lib)
-                            .evaluate_serial_mode(&points, mode)
+                            .evaluate_mode(&points, mode)
                             .expect("grid schedules")
                             .rows
                             .len(),

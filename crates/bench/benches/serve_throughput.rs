@@ -57,7 +57,6 @@ fn bench(c: &mut Criterion) {
             threads: 0,
             skip_infeasible: true,
             cache_bytes: Some(32 << 20),
-            ..Default::default()
         },
         adhls_telemetry::global().clone(),
     ));
@@ -152,7 +151,6 @@ fn bench(c: &mut Criterion) {
             threads: 1,
             skip_infeasible: true,
             cache_bytes: None,
-            ..Default::default()
         },
     ));
     let mut shard_bytes = [0i64; 2];
@@ -182,7 +180,6 @@ fn bench(c: &mut Criterion) {
                 threads: 1,
                 skip_infeasible: true,
                 cache_bytes: Some(budget),
-                ..Default::default()
             },
         )
     };
@@ -240,7 +237,6 @@ fn bench(c: &mut Criterion) {
                     threads: 0,
                     skip_infeasible: true,
                     cache_bytes: Some(32 << 20),
-                    ..Default::default()
                 },
             ));
             black_box(roundtrip(&cold, SWEEP_REQ))

@@ -1,5 +1,5 @@
 //! `adhls explore` — expand a sweep, fan it across cores, report the
-//! Pareto front. With `--adaptive`, refine the front through a persistent
+//! Pareto front. With `--adaptive`, refine the front through the same
 //! evaluator pool instead of exhausting the grid.
 //!
 //! Workload grids and axis validation are shared with the exploration
@@ -21,7 +21,7 @@ use adhls_explore::server::{
     refine_spaces, sweep_points, sweep_spaces, validate_spec_constraints, workload_grid,
     WorkloadSpec,
 };
-use adhls_explore::{pareto_front_in_constrained, Engine, EngineOptions, ObjectiveSpace};
+use adhls_explore::{pareto_front_in_constrained, ObjectiveSpace};
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(
@@ -80,23 +80,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let spaces = sweep_spaces(&spec);
     validate_spec_constraints(&spec, &spaces).map_err(with_cli_flags)?;
 
-    let lib = adhls_reslib::tsmc90::library();
-    let engine = Engine::with_options(
-        &lib,
-        HlsOptions::default(),
-        EngineOptions {
-            threads: o.num("--threads", 0usize)?,
-            skip_infeasible: o.flag("--skip-infeasible"),
-            point_mode: mode,
-        },
-    );
+    let pool = build_pool(&o)?;
     let t0 = std::time::Instant::now();
-    let result = if o.flag("--serial") {
-        engine.evaluate_serial(&points)
-    } else {
-        engine.evaluate(&points)
-    }
-    .map_err(|e| format!("exploration failed: {e} (use --skip-infeasible to drop such points)"))?;
+    let result = pool.evaluate_mode(&points, mode).map_err(|e| {
+        format!("exploration failed: {e} (use --skip-infeasible to drop such points)")
+    })?;
     let elapsed = t0.elapsed();
 
     // One constrained front per requested plane; the first plane is the
@@ -151,9 +139,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if let Some(path) = o.get("--csv") {
         write_out(path, &rows_to_csv(&result.rows), "sweep CSV")?;
     }
-    // The engine's scoped workers have no installed registry, so their
-    // pipeline spans fell through to the global one we enabled above.
-    crate::profile::emit(&o, adhls_telemetry::global().snapshot())?;
+    crate::profile::emit(&o, pool.metrics_snapshot())?;
     Ok(())
 }
 
@@ -163,8 +149,28 @@ fn profiling(o: &Opts) -> bool {
     o.flag("--profile") || o.get("--metrics-out").is_some()
 }
 
+/// The one evaluator every explore run uses: `--threads` (or one thread
+/// with `--serial`), recording into the global registry, which `run`
+/// enabled when profiling.
+fn build_pool(o: &Opts) -> Result<EvaluatorPool, String> {
+    let threads = if o.flag("--serial") {
+        1
+    } else {
+        o.num("--threads", 0usize)?
+    };
+    Ok(EvaluatorPool::with_options(
+        &adhls_reslib::tsmc90::library(),
+        HlsOptions::default(),
+        PoolOptions {
+            threads,
+            skip_infeasible: o.flag("--skip-infeasible"),
+            ..PoolOptions::default()
+        },
+    ))
+}
+
 /// `adhls explore --adaptive`: refine the Pareto front of a workload grid
-/// through a persistent evaluator pool instead of sweeping every cell.
+/// through the evaluator pool instead of sweeping every cell.
 fn run_adaptive(o: &Opts) -> Result<(), String> {
     if !o.positional.is_empty() {
         return Err("--adaptive explores workload grids, not DSL files".into());
@@ -238,64 +244,11 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
         point_mode: mode,
         ..Default::default()
     };
-    let skip = o.flag("--skip-infeasible");
-    let threads = o.num("--threads", 0usize)?;
+    let pool = build_pool(o)?;
     let t0 = std::time::Instant::now();
     // One pass over one evaluator steers every requested plane (the same
     // loop a `refine` request runs).
-    let run = |eval: &dyn adhls_explore::refine::Evaluator| {
-        refine_multi(eval, &grid, &prefix, build, &opts, &spaces)
-    };
-    // The pool appends its cache counters at snapshot time; remember that
-    // unified snapshot before the pool is dropped so the profile carries
-    // them too. The serial path reads the global registry instead.
-    let mut pool_snapshot = None;
-    let outcome = if o.flag("--serial") {
-        let lib = adhls_reslib::tsmc90::library();
-        let engine = Engine::with_options(
-            &lib,
-            HlsOptions::default(),
-            EngineOptions {
-                threads: 1,
-                skip_infeasible: skip,
-                point_mode: mode,
-            },
-        );
-        run(&engine)
-    } else {
-        // Pool workers record into the pool's own registry; handing them
-        // the (enabled) global one lands their spans next to the refine
-        // driver's counters. Without --profile the pool keeps its private
-        // disabled registry and every recording op is a cheap no-op.
-        let pool = if profiling(o) {
-            EvaluatorPool::with_telemetry(
-                adhls_reslib::tsmc90::library(),
-                HlsOptions::default(),
-                PoolOptions {
-                    threads,
-                    skip_infeasible: skip,
-                    point_mode: mode,
-                    ..Default::default()
-                },
-                adhls_telemetry::global().clone(),
-            )
-        } else {
-            EvaluatorPool::new(
-                adhls_reslib::tsmc90::library(),
-                HlsOptions::default(),
-                PoolOptions {
-                    threads,
-                    skip_infeasible: skip,
-                    point_mode: mode,
-                    ..Default::default()
-                },
-            )
-        };
-        let outcome = run(&pool);
-        pool_snapshot = Some(pool.metrics_snapshot());
-        outcome
-    }
-    .map_err(|e| {
+    let outcome = refine_multi(&pool, &grid, &prefix, build, &opts, &spaces).map_err(|e| {
         format!(
             "adaptive exploration failed: {e} (use --skip-infeasible to drop unschedulable cells)"
         )
@@ -334,10 +287,7 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
     if let Some(path) = o.get("--csv") {
         write_out(path, &rows_to_csv(&outcome.rows), "sweep CSV")?;
     }
-    crate::profile::emit(
-        o,
-        pool_snapshot.unwrap_or_else(|| adhls_telemetry::global().snapshot()),
-    )?;
+    crate::profile::emit(o, pool.metrics_snapshot())?;
     Ok(())
 }
 

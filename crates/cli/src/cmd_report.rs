@@ -4,7 +4,7 @@
 use crate::opts::Opts;
 use adhls_core::dse::{summarize, table4, DseSummary};
 use adhls_core::sched::{run_hls, Flow, HlsOptions};
-use adhls_explore::Engine;
+use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_workloads::{interpolation, sweep};
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -42,7 +42,7 @@ fn report_table4() -> Result<(), String> {
     let lib = adhls_reslib::tsmc90::library();
     let points = sweep::idct_table4();
     let t0 = std::time::Instant::now();
-    let result = Engine::new(&lib, HlsOptions::default())
+    let result = EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default())
         .evaluate(&points)
         .map_err(|e| format!("table4 sweep failed: {e}"))?;
     println!("=== Paper Table 4 (reproduced; paper avg 8.9%, 3 regressions) ===");

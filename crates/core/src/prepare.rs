@@ -45,8 +45,8 @@ use std::sync::{Arc, Mutex};
 /// Validity: the artifacts are a pure function of `(design, library)`. A
 /// prefix cache must therefore key on the design (e.g.
 /// `fingerprint::design_fingerprint` in `adhls-explore`) and hold the
-/// library fixed — exactly the shape of `Engine`/`EvaluatorPool`, which own
-/// one library for their whole lifetime.
+/// library fixed — exactly the shape of `EvaluatorPool`, which owns one
+/// library for its whole lifetime.
 #[derive(Debug)]
 pub struct PreparedDesign {
     /// Shared with the points evaluated over this prefix, never copied.

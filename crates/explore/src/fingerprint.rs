@@ -3,7 +3,7 @@
 //! Two designs that are structurally identical (same CFG shape, same
 //! operations with the same kinds/widths/operands/birth edges) fingerprint
 //! identically, so re-sweeping a grid that revisits a (design, options)
-//! pair hits the [`crate::engine`] cache instead of re-running HLS. The
+//! pair hits the [`crate::pool`] cache instead of re-running HLS. The
 //! hash is FNV-1a over a canonical byte walk — stable across runs and
 //! platforms, independent of allocation order or pointer identity.
 
@@ -106,7 +106,7 @@ pub fn options_fingerprint(opts: &HlsOptions) -> u64 {
 /// [`adhls_core::PreparedDesign`] artifact.
 ///
 /// This is the **soundness contract of the prefix cache key**, stated as a
-/// function. The cache in [`crate::engine`] keys on [`design_fingerprint`]
+/// function. The prefix cache in [`crate::pool`] keys on [`design_fingerprint`]
 /// alone — legitimate precisely because preparation reads *no* options
 /// today — but any future options-dependent artifact must widen the key by
 /// exactly this fingerprint, never by [`options_fingerprint`] (which would
@@ -119,7 +119,7 @@ pub fn options_fingerprint(opts: &HlsOptions) -> u64 {
 /// on both sides of this split: preparation is mode-independent, so full,
 /// recover, and auto evaluations of one design share a single prefix,
 /// while their *rows* never alias because the mode is folded into the
-/// per-point result cache key instead (`engine::point_key`).
+/// per-point result cache key instead (`pool::point_key`).
 #[must_use]
 pub fn prefix_options_fingerprint(opts: &HlsOptions) -> u64 {
     let norm = HlsOptions {

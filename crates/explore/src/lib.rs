@@ -6,9 +6,11 @@
 //!
 //! * [`sweep`] — grid generators that expand a workload over
 //!   clock × latency-budget × pipelining axes into [`DsePoint`] fleets,
-//! * [`engine`] — a work-stealing parallel evaluator fanning
-//!   `run_hls` calls across cores, with a memoizing result cache keyed by
-//!   (design fingerprint, options fingerprint) so repeated points are free,
+//! * [`pool`] — the evaluator: worker threads fanning HLS runs across
+//!   cores, a memoizing result cache keyed by (design fingerprint,
+//!   options fingerprint) so repeated points are free, and a prefix cache
+//!   sharing each design's elaboration; one-shot runs and the server's
+//!   concurrent submitters use the same pool,
 //! * [`pareto`] — Pareto-front extraction through pluggable
 //!   [`ObjectiveSpace`]s (ordered selections of the area / latency /
 //!   power / throughput axes) with dominance pruning and deterministic
@@ -17,15 +19,13 @@
 //!   slice every extraction and refinement down to the feasible region,
 //! * [`export`] — JSON/CSV renderers for sweeps and fronts,
 //! * [`fingerprint`] — stable structural hashing of designs and options,
-//! * [`pool`] — a persistent evaluator pool sharing worker threads and a
-//!   budgeted cross-request cache between concurrent submitters,
 //! * [`refine`](mod@refine) — adaptive Pareto-front refinement with warm
 //!   starts,
 //! * [`server`] — the `adhls serve` daemon: a line-delimited JSON protocol
 //!   multiplexing sweep/refine requests onto one pool, with cache
 //!   eviction for long-lived processes.
 //!
-//! The engine's contract: **parallel evaluation returns bit-identical rows
+//! The evaluator's contract: **parallel evaluation returns bit-identical rows
 //! to serial evaluation, in input order.** Each point's result depends only
 //! on that point, the library, and the options, so worker interleaving
 //! cannot change any value; ordering is restored from the input index.
@@ -50,17 +50,16 @@
 //!         interpolation::build(&cfg).0
 //!     })
 //!     .unwrap();
-//! let engine = Engine::new(&lib, HlsOptions::default());
-//! let sweep = engine.evaluate(&points).unwrap();
+//! let pool = EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default());
+//! let sweep = pool.evaluate(&points).unwrap();
 //! let front = pareto_front(&sweep.rows);
 //! assert!(!front.is_empty());
-//! assert_eq!(sweep.rows, engine.evaluate_serial(&points).unwrap().rows);
+//! assert_eq!(sweep.rows, pool.evaluate_serial(&points).unwrap().rows);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod constraint;
-pub mod engine;
 pub mod export;
 pub mod fingerprint;
 pub mod pareto;
@@ -70,7 +69,6 @@ pub mod server;
 pub mod sweep;
 
 pub use constraint::{Constraint, ConstraintOp};
-pub use engine::{Engine, EngineOptions, HitMiss, SweepResult};
 pub use pareto::{
     dominates, objectives, pareto_front, pareto_front_in, pareto_front_in_constrained,
     pareto_indices, pareto_indices_in, pareto_indices_in_constrained, staircase_indices,
@@ -78,11 +76,11 @@ pub use pareto::{
     tradeoff_staircase_in, tradeoff_staircase_in_constrained, Objective, ObjectiveSpace,
     Objectives, Sense,
 };
-pub use pool::{EvaluatorPool, PoolOptions};
+pub use pool::{Engine, EngineOptions, EvaluatorPool, PoolOptions, SweepResult};
 pub use refine::CancelToken;
 pub use refine::{
-    refine, refine_multi, refine_multi_with_progress, warm_start_cells, Evaluator,
-    MultiRefineResult, MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
+    refine, refine_multi, refine_multi_with_progress, warm_start_cells, MultiRefineResult,
+    MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
 };
 pub use server::{CacheStats, Router, RouterOptions, Server};
 pub use sweep::{SweepCell, SweepGrid};
@@ -94,7 +92,6 @@ pub use adhls_core::dse::{DsePoint, DseRow};
 /// The most common imports in one place.
 pub mod prelude {
     pub use crate::constraint::{Constraint, ConstraintOp};
-    pub use crate::engine::{Engine, EngineOptions, HitMiss, SweepResult};
     pub use crate::export::{
         front_to_json, front_to_json_constrained, front_to_json_in, fronts_to_json_multi,
         refine_multi_to_json, refine_to_json, rows_to_csv, rows_to_json,
@@ -104,11 +101,11 @@ pub mod prelude {
         tradeoff_staircase, tradeoff_staircase_in, tradeoff_staircase_in_constrained, Objective,
         ObjectiveSpace, Objectives, Sense,
     };
-    pub use crate::pool::{EvaluatorPool, PoolOptions};
+    pub use crate::pool::{Engine, EngineOptions, EvaluatorPool, PoolOptions, SweepResult};
     pub use crate::refine::CancelToken;
     pub use crate::refine::{
-        refine, refine_multi, refine_multi_with_progress, warm_start_cells, Evaluator,
-        MultiRefineResult, MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
+        refine, refine_multi, refine_multi_with_progress, warm_start_cells, MultiRefineResult,
+        MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
     };
     pub use crate::server::{CacheStats, Router, RouterOptions, Server, WorkloadSpec};
     pub use crate::sweep::{SweepCell, SweepGrid};

@@ -1,32 +1,32 @@
-//! Persistent evaluator pool: worker threads and a sharded result cache
+//! The sweep evaluator: worker threads, a result cache and a prefix cache
 //! that outlive individual sweeps.
 //!
-//! [`Engine`](crate::engine::Engine) spawns scoped workers per sweep — fine
-//! for one-shot CLI runs, wasteful when a server handles many concurrent
-//! exploration requests (thread churn, and every request starts cold).
-//! [`EvaluatorPool`] keeps the workers and the memo cache alive across
-//! requests: share the pool via `Arc`, submit batches from any thread, and
-//! cells revisited by later sweeps (adaptive refinement re-deriving a
-//! neighborhood, two clients exploring overlapping grids) are free.
+//! [`EvaluatorPool`] is the one evaluator. A one-shot run (`adhls explore`,
+//! `adhls report`) builds one with [`EvaluatorPool::with_options`],
+//! evaluates and drops it; `adhls serve` keeps one alive across requests
+//! and shares it via `Arc`, so cells revisited by later sweeps (adaptive
+//! refinement re-deriving a neighborhood, two clients exploring
+//! overlapping grids) are free.
 //!
-//! Determinism contract, inherited from the engine: each point's row is a
-//! pure function of (design, library, options), rows are published into
-//! per-index slots, and cache hits return bit-identical rows — so a batch's
-//! result does not depend on which thread ran which point, how many worker
-//! threads exist, or what other batches are in flight.
+//! Determinism contract: each point's row is a pure function of (design,
+//! library, options), rows are published into per-index slots, and cache
+//! hits return bit-identical rows — so a batch's result does not depend on
+//! which thread ran which point, how many worker threads exist, or what
+//! other batches are in flight. [`EvaluatorPool::evaluate_serial`] is the
+//! serial reference.
 //!
 //! The submitting thread always helps drain its own batch, so a batch makes
 //! progress even on a pool with zero background workers (`threads: 1`
-//! behaves exactly like the serial engine) and submitters cannot deadlock
-//! waiting on a saturated pool.
+//! evaluates serially) and submitters cannot deadlock waiting on a
+//! saturated pool. A panicking evaluation becomes an [`Error::Internal`]
+//! for its point rather than unwinding through the caller.
 
-use crate::engine::{point_key, HitMiss, PrefixCache, SweepResult};
-use crate::fingerprint::design_fingerprint;
+use crate::fingerprint::{design_fingerprint, options_fingerprint, Fnv};
 use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
 use adhls_core::dse::{DsePoint, DseRow};
 use adhls_core::recover::evaluate_mode_prepared;
 use adhls_core::sched::HlsOptions;
-use adhls_core::PointMode;
+use adhls_core::{PointMode, PreparedDesign};
 use adhls_ir::Design;
 use adhls_reslib::Library;
 use adhls_telemetry::{Registry, Snapshot};
@@ -38,8 +38,11 @@ use std::time::Instant;
 
 use adhls_ir::{Error, Result};
 
+/// Number of independent prefix-cache shards (reduces lock contention).
+const CACHE_SHARDS: usize = 16;
+
 /// Tuning knobs for [`EvaluatorPool`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolOptions {
     /// Total evaluation threads per batch, counting the submitter; `0` =
     /// one per available core. `1` means no background workers at all
@@ -52,22 +55,136 @@ pub struct PoolOptions {
     /// (`None` = unbounded, the one-shot CLI default). Long-lived servers
     /// should set this; see [`crate::server::eviction`].
     pub cache_bytes: Option<usize>,
-    /// Evaluation mode for batches submitted without a per-call mode
-    /// ([`EvaluatorPool::evaluate`]): full two-flow synthesis (default),
-    /// slack recovery, or per-cell auto (see [`PointMode`]). Per-request
-    /// modes ([`EvaluatorPool::evaluate_mode`]) share the same workers and
-    /// cache — the mode is part of every row's cache key.
-    pub point_mode: PointMode,
 }
 
-impl Default for PoolOptions {
-    fn default() -> Self {
-        PoolOptions {
-            threads: 0,
-            skip_infeasible: false,
-            cache_bytes: None,
-            point_mode: PointMode::Full,
+/// Another name for [`EvaluatorPool`], which callers outside this crate
+/// (the `perfbench` harness among them) still use. The lifetime is unused.
+pub type Engine<'a> = EvaluatorPool;
+
+/// Another name for [`PoolOptions`], used alongside [`Engine`].
+pub type EngineOptions = PoolOptions;
+
+/// Outcome of one sweep evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepResult {
+    /// One row per feasible point, in input order.
+    pub rows: Vec<DseRow>,
+    /// Infeasible points as (name, error message), in input order. Empty
+    /// unless [`PoolOptions::skip_infeasible`] is set.
+    pub skipped: Vec<(String, String)>,
+    /// Cache hits observed during this evaluation.
+    pub cache_hits: u64,
+    /// Evaluation threads: the pool's thread count, or 1 for
+    /// [`EvaluatorPool::evaluate_serial`].
+    pub workers: usize,
+}
+
+impl SweepResult {
+    /// The result's Pareto front projected through `space` — the rows
+    /// non-dominated under exactly the space's axes, deterministically
+    /// ordered (see [`crate::pareto::pareto_front_in`]).
+    #[must_use]
+    pub fn front_in(&self, space: &crate::pareto::ObjectiveSpace) -> Vec<DseRow> {
+        crate::pareto::pareto_front_in(space, &self.rows)
+    }
+
+    /// The result's tradeoff staircase in `space`'s plane (see
+    /// [`crate::pareto::tradeoff_staircase_in`]).
+    #[must_use]
+    pub fn staircase_in(&self, space: &crate::pareto::ObjectiveSpace) -> Vec<DseRow> {
+        crate::pareto::tradeoff_staircase_in(space, &self.rows)
+    }
+}
+
+/// Memo key for one point under `base` options. `design_fp` is the
+/// point's [`design_fingerprint`], computed once by the caller and shared
+/// with the prefix lookup.
+///
+/// The pipeline-II option is encoded as a separate tag word plus the raw
+/// value: the old `ii + 1` trick both overflowed at `u32::MAX` (debug
+/// panic) and, in release, wrapped `Some(u32::MAX)` onto the same word as
+/// `None` — a silent key collision between a pipelined and a sequential
+/// point.
+///
+/// The evaluation mode is part of the key (its one-byte
+/// [`PointMode::cache_tag`]): full, recover, and auto rows are distinct
+/// results for the same point, so they may never alias in the result
+/// cache. The *prefix* cache deliberately stays mode-blind — elaboration
+/// artifacts are identical across modes and recovery must never
+/// re-elaborate (see
+/// [`crate::fingerprint::prefix_options_fingerprint`]).
+fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64, mode: PointMode) -> u64 {
+    let mut h = Fnv::default();
+    h.u64(design_fp);
+    h.u64(options_fingerprint(base));
+    h.u64(p.clock_ps);
+    match p.pipeline_ii {
+        None => h.u64(0),
+        Some(ii) => h.u64(1).u64(u64::from(ii)),
+    };
+    h.u64(u64::from(p.cycles_per_item));
+    h.str(&p.name);
+    h.u64(u64::from(mode.cache_tag()));
+    h.digest()
+}
+
+/// A sharded cache of prepared phase-artifact prefixes, keyed by
+/// [`design_fingerprint`] — the clock/flow/II-independent half of the
+/// point key, so every cell of a sweep axis over one design (and every
+/// serve request touching it) shares one [`PreparedDesign`].
+///
+/// Soundness: prefix artifacts are a pure function of `(design, library)`;
+/// a pool holds one library for its whole lifetime, so the design
+/// fingerprint alone identifies the prefix. The satellite proptests in
+/// `tests/incremental_equivalence.rs` pin the key contract (insensitive to
+/// clock/flow/II/latency knobs, sensitive to structure).
+///
+/// Consults count `pipeline.prefix.{hit,miss}` on the thread's registry.
+/// The retained bytes are read from the cache itself at snapshot time
+/// ([`EvaluatorPool::metrics_snapshot`]), so the gauge cannot drift.
+#[derive(Debug, Default)]
+struct PrefixCache {
+    shards: [Mutex<HashMap<u64, Arc<PreparedDesign>>>; CACHE_SHARDS],
+}
+
+impl PrefixCache {
+    /// The prepared prefix for `design`, whose [`design_fingerprint`] is
+    /// `key`, elaborating and inserting on miss. The prefix keeps the
+    /// caller's shared design rather than a copy.
+    ///
+    /// Concurrent first touches of one design may prepare twice; the first
+    /// insert wins and both callers see the same artifacts thereafter (the
+    /// preparation is a pure function, so the race is benign and the rows
+    /// stay deterministic).
+    fn get_or_prepare(
+        &self,
+        key: u64,
+        design: &Arc<Design>,
+        lib: &Library,
+    ) -> Result<Arc<PreparedDesign>> {
+        let shard = &self.shards[(key % CACHE_SHARDS as u64) as usize];
+        if let Some(prep) = shard.lock().expect("prefix shard poisoned").get(&key) {
+            adhls_telemetry::counter_add("pipeline.prefix.hit", 1);
+            return Ok(Arc::clone(prep));
         }
+        adhls_telemetry::counter_add("pipeline.prefix.miss", 1);
+        let prep = Arc::new(PreparedDesign::from_shared(Arc::clone(design), lib)?);
+        let mut guard = shard.lock().expect("prefix shard poisoned");
+        Ok(Arc::clone(guard.entry(key).or_insert(prep)))
+    }
+
+    /// Summed [`PreparedDesign::approx_bytes`] of the retained prefixes.
+    fn bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .expect("prefix shard poisoned")
+                    .values()
+                    .map(|p| p.approx_bytes())
+                    .sum::<usize>()
+            })
+            .sum()
     }
 }
 
@@ -119,8 +236,8 @@ impl PointSet {
 ///
 /// Claiming is a single shared counter, so claimed indices always form a
 /// contiguous prefix and every claimed slot is eventually filled by its
-/// claimer — the same publication scheme the engine uses, which is what
-/// makes pool results bit-identical to serial evaluation.
+/// claimer — which is what makes pool results bit-identical to serial
+/// evaluation.
 struct Batch {
     points: Arc<PointSet>,
     /// Evaluation mode for every point in this batch; batches with
@@ -229,11 +346,9 @@ impl Shared {
     /// replayed failure is a cache hit but not a sweep's `cache_hits`.
     ///
     /// A panic inside HLS evaluation is caught and surfaced as an
-    /// [`Error::Internal`], which the cache never keeps: on a persistent
-    /// pool the panicking thread may be a background worker, and a
-    /// claimed-but-never-filled slot would leave the submitter waiting
-    /// forever (the scoped-thread engine propagates such panics at join; a
-    /// pool has no equivalent joining point per batch).
+    /// [`Error::Internal`], which the cache never keeps: the panicking
+    /// thread may be a background worker, and a claimed-but-never-filled
+    /// slot would leave the submitter waiting forever.
     fn evaluate_one(
         &self,
         p: &DsePoint,
@@ -350,12 +465,12 @@ impl Shared {
     }
 }
 
-/// A persistent, shareable sweep evaluator.
+/// The parallel, memoizing, shareable sweep evaluator.
 ///
 /// Construct once (wrapping in `Arc` to share across request handlers),
 /// then call [`EvaluatorPool::evaluate`] from any number of threads
-/// concurrently. All requests share the worker threads and the sharded
-/// result cache.
+/// concurrently. All requests share the worker threads, the sharded
+/// result cache and the prefix cache.
 ///
 /// # Example
 ///
@@ -403,6 +518,19 @@ impl EvaluatorPool {
         Self::with_telemetry(lib, base, opts, Registry::new())
     }
 
+    /// A pool for a one-shot run over a copy of `lib`, recording into the
+    /// registry current on this thread ([`adhls_telemetry::current`]: the
+    /// global one unless the caller installed another), so the submitter's
+    /// and the workers' spans land in one place. Like every pool it reports
+    /// its thread count as [`SweepResult::workers`], turns a panicking
+    /// evaluation into an [`Error::Internal`] for that point, and keeps
+    /// deterministic failures in its row cache — unbounded unless
+    /// [`PoolOptions::cache_bytes`] is set.
+    #[must_use]
+    pub fn with_options(lib: &Library, base: HlsOptions, opts: PoolOptions) -> Self {
+        Self::with_telemetry(lib.clone(), base, opts, adhls_telemetry::current())
+    }
+
     /// [`EvaluatorPool::new`], collecting metrics into `registry`: queue
     /// depth, batch latencies, worker busy/idle time, and — because the
     /// registry is installed on worker threads and around submitter
@@ -446,18 +574,30 @@ impl EvaluatorPool {
         }
     }
 
-    /// Evaluates a batch through the pool: bit-identical rows to
-    /// [`Engine::evaluate_serial`](crate::engine::Engine::evaluate_serial)
-    /// under the same library/options, in input order. The submitting
-    /// thread participates in the work, and background workers join in
-    /// (also finishing older batches first).
+    /// Evaluates a batch through the pool in [`PointMode::Full`]:
+    /// bit-identical rows to [`EvaluatorPool::evaluate_serial`], in input
+    /// order. The submitting thread participates in the work, and
+    /// background workers join in (also finishing older batches first).
     ///
     /// # Errors
     ///
     /// Returns the first (by input order) point's scheduling error unless
     /// [`PoolOptions::skip_infeasible`] is set.
     pub fn evaluate(&self, points: &[DsePoint]) -> Result<SweepResult> {
-        self.evaluate_mode(points, self.opts.point_mode)
+        self.evaluate_mode(points, PointMode::Full)
+    }
+
+    /// The serial reference: the submitting thread evaluates the batch
+    /// alone, in input order, through the same caches, without queueing
+    /// it for the background workers. The result reports one worker.
+    ///
+    /// # Errors
+    ///
+    /// As [`EvaluatorPool::evaluate`]; in strict mode the points after the
+    /// first failure are never evaluated.
+    pub fn evaluate_serial(&self, points: &[DsePoint]) -> Result<SweepResult> {
+        let points = Arc::new(PointSet::new(points.to_vec()));
+        self.run(&points, PointMode::Full, false)
     }
 
     /// [`EvaluatorPool::evaluate`] with an explicit per-batch evaluation
@@ -480,6 +620,12 @@ impl EvaluatorPool {
     ///
     /// As [`EvaluatorPool::evaluate`].
     pub fn evaluate_set(&self, points: &Arc<PointSet>, mode: PointMode) -> Result<SweepResult> {
+        self.run(points, mode, true)
+    }
+
+    /// Evaluates `points` on the submitting thread, with the background
+    /// workers helping when `queued`.
+    fn run(&self, points: &Arc<PointSet>, mode: PointMode, queued: bool) -> Result<SweepResult> {
         // Route the submitting thread's own evaluations (it always helps
         // drain) to the pool registry, like the background workers.
         let _telemetry = adhls_telemetry::install(&self.shared.registry);
@@ -489,7 +635,7 @@ impl EvaluatorPool {
             self.opts.skip_infeasible,
             self.shared.registry.is_enabled(),
         ));
-        {
+        if queued {
             let mut q = self.shared.queue.lock().expect("pool queue poisoned");
             q.push_back(Arc::clone(&batch));
             self.shared
@@ -518,7 +664,7 @@ impl EvaluatorPool {
         // also pop exhausted fronts opportunistically, but on a pool with
         // no background workers (threads: 1) nobody else ever would, and a
         // long-lived pool would leak one finished batch per request.
-        {
+        if queued {
             let mut q = self.shared.queue.lock().expect("pool queue poisoned");
             q.retain(|b| !Arc::ptr_eq(b, &batch));
             self.shared
@@ -548,23 +694,17 @@ impl EvaluatorPool {
             rows,
             skipped,
             cache_hits: hits,
-            workers: self.workers.len() + 1,
+            workers: if queued { self.thread_count() } else { 1 },
         })
     }
 
-    /// Hit/miss totals across the pool's lifetime, all batches combined.
-    /// Hits include coalesced in-flight waits — both avoided an HLS run.
-    /// See [`EvaluatorPool::cache_metrics`] for the full breakdown.
+    /// Result-cache counters and gauges across the pool's lifetime, all
+    /// batches combined (hits, coalesced waits, misses, evictions, live
+    /// entries/bytes, configured budget) — what the server's `stats`
+    /// request reports. Lookups that avoided an evaluation are
+    /// `hits + coalesced`.
     #[must_use]
-    pub fn cache_stats(&self) -> HitMiss {
-        self.shared.cache.stats().hit_miss()
-    }
-
-    /// Full cache counters and gauges (hits, coalesced waits, misses,
-    /// evictions, live entries/bytes, configured budget) — what the
-    /// server's `stats` request reports.
-    #[must_use]
-    pub fn cache_metrics(&self) -> CacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
     }
 
@@ -595,10 +735,12 @@ impl EvaluatorPool {
     }
 
     /// One unified snapshot: everything in the registry plus the eviction
-    /// cache's own counters (`cache.*`) and the pool's structural gauges
-    /// (`pool.threads`, `cache.capacity_bytes` when budgeted) — appended
-    /// here so every export surface (`stats`, `metrics`, exposition,
-    /// `--metrics-out`) reads the same numbers from the same place.
+    /// cache's own counters (`cache.*`), the bytes the prefix cache retains
+    /// (`pipeline.prefix.bytes`) and the pool's structural gauges
+    /// (`pool.threads`, `cache.capacity_bytes` when budgeted) — read here,
+    /// at snapshot time, so every export surface (`stats`, `metrics`,
+    /// exposition, `--metrics-out`) sees the same numbers and none can
+    /// drift.
     #[must_use]
     #[allow(clippy::cast_possible_wrap)]
     pub fn metrics_snapshot(&self) -> Snapshot {
@@ -613,6 +755,7 @@ impl EvaluatorPool {
         if let Some(cap) = s.capacity_bytes {
             snap.push_gauge("cache.capacity_bytes", cap as i64);
         }
+        snap.push_gauge("pipeline.prefix.bytes", self.shared.prefixes.bytes() as i64);
         snap.push_gauge("pool.threads", self.thread_count() as i64);
         snap.sort();
         snap
@@ -644,7 +787,6 @@ impl Drop for EvaluatorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
     use adhls_ir::builder::DesignBuilder;
     use adhls_ir::OpKind;
     use adhls_reslib::tsmc90;
@@ -675,36 +817,111 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn pool_rows_match_serial_engine_bit_for_bit() {
-        let lib = tsmc90::library();
-        let pts = fleet();
-        let serial = Engine::new(&lib, HlsOptions::default())
-            .evaluate_serial(&pts)
-            .unwrap();
-        let pool = EvaluatorPool::new(
+    fn pool(threads: usize) -> EvaluatorPool {
+        EvaluatorPool::new(
             tsmc90::library(),
             HlsOptions::default(),
             PoolOptions {
-                threads: 4,
+                threads,
                 ..Default::default()
             },
-        );
-        let r = pool.evaluate(&pts).unwrap();
+        )
+    }
+
+    #[test]
+    fn pool_rows_match_serial_engine_bit_for_bit() {
+        let pts = fleet();
+        let serial = pool(4).evaluate_serial(&pts).unwrap();
+        assert_eq!(serial.workers, 1);
+        let r = pool(4).evaluate(&pts).unwrap();
         assert_eq!(r.rows, serial.rows);
         assert_eq!(r.workers, 4);
     }
 
     #[test]
-    fn single_thread_pool_works_without_background_workers() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
+    fn parallel_matches_serial_bit_for_bit() {
+        // The one-shot constructor over a borrowed library: a parallel
+        // sweep equals the serial reference row for row.
+        let lib = tsmc90::library();
+        let pts = fleet();
+        let serial =
+            EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default())
+                .evaluate_serial(&pts)
+                .unwrap();
+        let par = EvaluatorPool::with_options(
+            &lib,
             HlsOptions::default(),
             PoolOptions {
-                threads: 1,
+                threads: 4,
+                ..Default::default()
+            },
+        )
+        .evaluate(&pts)
+        .unwrap();
+        assert_eq!(par.rows, serial.rows);
+        assert!(
+            par.workers > 1,
+            "expected a parallel run, got {} worker",
+            par.workers
+        );
+    }
+
+    #[test]
+    fn cache_makes_repeat_sweeps_free() {
+        let lib = tsmc90::library();
+        let pts = fleet();
+        let pool = EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default());
+        let first = pool.evaluate(&pts).unwrap();
+        assert_eq!(first.cache_hits, 0);
+        let second = pool.evaluate(&pts).unwrap();
+        assert_eq!(second.cache_hits, pts.len() as u64);
+        assert_eq!(first.rows, second.rows);
+    }
+
+    #[test]
+    fn infeasible_point_fails_or_skips_by_policy() {
+        let lib = tsmc90::library();
+        // 1 ps clock: nothing fits — guaranteed infeasible.
+        let bad = point("bad", 0, 1);
+        let good = point("good", 3, 1400);
+        let strict =
+            EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default());
+        assert!(strict.evaluate(&[good.clone(), bad.clone()]).is_err());
+        let lenient = EvaluatorPool::with_options(
+            &lib,
+            HlsOptions::default(),
+            PoolOptions {
+                skip_infeasible: true,
                 ..Default::default()
             },
         );
+        let r = lenient.evaluate(&[good, bad]).unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.skipped.len(), 1);
+        assert_eq!(r.skipped[0].0, "bad");
+    }
+
+    #[test]
+    fn recover_mode_rows_dominate_full_mode_baseline() {
+        // Same grid in both modes on a fresh one-shot pool: every recovered
+        // row's reported implementation must not exceed its own
+        // conventional baseline, and the baselines must agree bit-for-bit
+        // with full mode's.
+        let lib = tsmc90::library();
+        let pts = fleet();
+        let pool = EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default());
+        let full = pool.evaluate_mode(&pts, PointMode::Full).unwrap();
+        let rec = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
+        assert_eq!(full.rows.len(), rec.rows.len());
+        for (f, r) in full.rows.iter().zip(&rec.rows) {
+            assert_eq!(f.a_conv, r.a_conv, "shared conventional baseline");
+            assert!(r.a_slack <= r.a_conv, "recovered area exceeds baseline");
+        }
+    }
+
+    #[test]
+    fn single_thread_pool_works_without_background_workers() {
+        let pool = pool(1);
         assert_eq!(pool.thread_count(), 1);
         let r = pool.evaluate(&fleet()).unwrap();
         assert_eq!(r.rows.len(), 12);
@@ -712,14 +929,7 @@ mod tests {
 
     #[test]
     fn cache_persists_across_batches() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 3,
-                ..Default::default()
-            },
-        );
+        let pool = pool(3);
         let pts = fleet();
         let first = pool.evaluate(&pts).unwrap();
         assert_eq!(first.cache_hits, 0);
@@ -730,19 +940,21 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_points_hit_within_one_sweep() {
+        let p = point("dup", 2, 1100);
+        let pts = vec![p.clone(), p.clone(), p];
+        let r = pool(2).evaluate_serial(&pts).unwrap();
+        assert_eq!(r.cache_hits, 2);
+        assert_eq!(r.rows[0], r.rows[1]);
+        assert_eq!(r.rows[0], r.rows[2]);
+    }
+
+    #[test]
     fn strict_failure_propagates_and_skip_policy_skips() {
         // 1 ps clock: nothing fits — guaranteed infeasible.
         let bad = point("bad", 0, 1);
         let good = point("good", 3, 1400);
-        let strict = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        assert!(strict.evaluate(&[good.clone(), bad.clone()]).is_err());
+        assert!(pool(2).evaluate(&[good.clone(), bad.clone()]).is_err());
         let lenient = EvaluatorPool::new(
             tsmc90::library(),
             HlsOptions::default(),
@@ -758,16 +970,22 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_completes_immediately() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
+    fn strict_failure_short_circuits_remaining_points() {
+        // 1 ps clock: nothing fits — guaranteed infeasible.
+        let bad = point("bad", 0, 1);
+        let good = point("good", 3, 1400);
+        let pool = pool(2);
+        assert!(pool.evaluate_serial(&[bad, good]).is_err());
+        assert_eq!(
+            pool.cache_stats().misses,
+            1,
+            "the point after the failure must not be evaluated"
         );
-        let r = pool.evaluate(&[]).unwrap();
+    }
+
+    #[test]
+    fn empty_batch_completes_immediately() {
+        let r = pool(2).evaluate(&[]).unwrap();
         assert!(r.rows.is_empty());
         assert!(r.skipped.is_empty());
     }
@@ -776,14 +994,7 @@ mod tests {
     fn completed_batches_are_retired_from_the_queue() {
         // With no background workers, only the submitter can retire its
         // batch; a long-lived pool must not accumulate finished batches.
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let pool = pool(1);
         let pts = fleet();
         for _ in 0..3 {
             pool.evaluate(&pts).unwrap();
@@ -797,14 +1008,7 @@ mod tests {
 
     #[test]
     fn telemetry_collects_pipeline_and_pool_metrics() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let pool = pool(2);
         pool.telemetry().set_enabled(true);
         let pts = fleet();
         let r = pool.evaluate(&pts).unwrap();
@@ -829,16 +1033,37 @@ mod tests {
         assert_eq!(snap.gauge("pool.threads"), Some(2));
         assert_eq!(snap.gauge("pool.queue_depth"), Some(0));
         // Telemetry observes, never steers: rows match the disabled pool.
-        let quiet = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let quiet = self::pool(2);
         assert_eq!(quiet.evaluate(&pts).unwrap().rows, r.rows);
         assert!(quiet.metrics_snapshot().counter("pool.batches").is_none());
+    }
+
+    #[test]
+    fn with_options_records_into_the_current_registry() {
+        // The submitter and the background worker both meter into the
+        // registry current at construction.
+        let registry = Registry::new();
+        registry.set_enabled(true);
+        let lib = tsmc90::library();
+        let pool = {
+            let _installed = adhls_telemetry::install(&registry);
+            Engine::with_options(
+                &lib,
+                HlsOptions::default(),
+                EngineOptions {
+                    threads: 2,
+                    ..Default::default()
+                },
+            )
+        };
+        let pts = fleet();
+        pool.evaluate(&pts).unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.histogram("pipeline.evaluate").map(|h| h.count),
+            Some(pts.len() as u64)
+        );
+        assert_eq!(snap.counter("pool.points"), Some(pts.len() as u64));
     }
 
     #[test]
@@ -846,14 +1071,7 @@ mod tests {
         // One pool, three modes over the same grid: rows must come from the
         // right evaluator (recover rows report the recovered binding, full
         // rows the slack flow) and repeats must hit per mode.
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let pool = pool(2);
         let pts = fleet();
         let full = pool.evaluate_mode(&pts, PointMode::Full).unwrap();
         let rec = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
@@ -868,26 +1086,80 @@ mod tests {
     }
 
     #[test]
-    fn prefix_bytes_gauge_returns_to_zero_when_caches_drop() {
-        let registry = Registry::new();
-        registry.set_enabled(true);
-        let gauge = || registry.snapshot().gauge("pipeline.prefix.bytes");
+    fn point_key_distinguishes_max_ii_from_sequential() {
+        // `ii + 1` used to wrap Some(u32::MAX) onto None's encoding (and
+        // panic in debug); the tag+value encoding must keep them distinct
+        // without overflowing.
+        let base = HlsOptions::default();
+        let m = PointMode::Full;
+        let seq = point("k", 2, 1100);
+        let fp = design_fingerprint(&seq.design);
+        let mut max_ii = seq.clone();
+        max_ii.pipeline_ii = Some(u32::MAX);
+        assert_ne!(
+            point_key(&base, &seq, fp, m),
+            point_key(&base, &max_ii, fp, m)
+        );
+        let mut ii0 = seq.clone();
+        ii0.pipeline_ii = Some(0);
+        assert_ne!(point_key(&base, &seq, fp, m), point_key(&base, &ii0, fp, m));
+        assert_ne!(
+            point_key(&base, &max_ii, fp, m),
+            point_key(&base, &ii0, fp, m)
+        );
+        // Same point, same key — the memo still works.
+        assert_eq!(
+            point_key(&base, &max_ii, fp, m),
+            point_key(&base, &max_ii.clone(), fp, m)
+        );
+    }
+
+    #[test]
+    fn point_key_distinguishes_modes() {
+        // Full, recover, and auto rows for one point are distinct results;
+        // a shared cache must never serve one for another.
+        let base = HlsOptions::default();
+        let p = point("k", 2, 1100);
+        let fp = design_fingerprint(&p.design);
+        let keys = [
+            point_key(&base, &p, fp, PointMode::Full),
+            point_key(&base, &p, fp, PointMode::Recover),
+            point_key(&base, &p, fp, PointMode::Auto),
+        ];
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
+    }
+
+    #[test]
+    fn prefix_bytes_gauge_is_read_from_the_retained_prefixes() {
         let lib = tsmc90::library();
         let pts = fleet();
-        {
-            let _installed = adhls_telemetry::install(&registry);
-            let engine = Engine::new(&lib, HlsOptions::default());
-            engine.evaluate_serial(&pts).unwrap();
-            assert!(gauge() > Some(0), "the engine's prefixes were charged");
-            // The refund must not depend on the registry still recording.
-            registry.set_enabled(false);
-        }
-        registry.set_enabled(true);
+        let pool = pool(2);
         assert_eq!(
-            gauge(),
-            Some(0),
-            "a dropped engine still holds prefix bytes"
+            pool.metrics_snapshot().gauge("pipeline.prefix.bytes"),
+            Some(0)
         );
+        pool.evaluate(&pts).unwrap();
+        let mut designs: HashMap<u64, usize> = HashMap::new();
+        for p in &pts {
+            designs
+                .entry(design_fingerprint(&p.design))
+                .or_insert_with(|| PreparedDesign::new(&p.design, &lib).unwrap().approx_bytes());
+        }
+        let retained: usize = designs.values().sum();
+        assert!(retained > 0);
+        // The registry is disabled; the gauge is read from the cache.
+        assert_eq!(
+            pool.metrics_snapshot().gauge("pipeline.prefix.bytes"),
+            Some(retained as i64)
+        );
+    }
+
+    #[test]
+    fn a_registry_outliving_its_pool_holds_no_prefix_bytes() {
+        let registry = Registry::new();
+        registry.set_enabled(true);
         let pool = EvaluatorPool::with_telemetry(
             tsmc90::library(),
             HlsOptions::default(),
@@ -897,29 +1169,19 @@ mod tests {
             },
             registry.clone(),
         );
-        pool.evaluate(&pts).unwrap();
-        assert!(gauge() > Some(0), "the pool's prefixes were charged");
-        registry.set_enabled(false);
+        pool.evaluate(&fleet()).unwrap();
+        assert!(pool.metrics_snapshot().gauge("pipeline.prefix.bytes") > Some(0));
         drop(pool);
-        registry.set_enabled(true);
-        assert_eq!(gauge(), Some(0), "a dropped pool still holds prefix bytes");
+        let snap = registry.snapshot();
+        assert!(snap.counter("pipeline.prefix.miss") > Some(0));
+        assert_eq!(snap.gauge("pipeline.prefix.bytes"), None);
     }
 
     #[test]
     fn concurrent_submitters_share_one_pool() {
-        let pool = Arc::new(EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        ));
-        let lib = tsmc90::library();
+        let pool = Arc::new(pool(4));
         let pts = fleet();
-        let reference = Engine::new(&lib, HlsOptions::default())
-            .evaluate_serial(&pts)
-            .unwrap();
+        let reference = self::pool(1).evaluate_serial(&pts).unwrap();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -932,5 +1194,36 @@ mod tests {
                 assert_eq!(h.join().unwrap().rows, reference.rows);
             }
         });
+    }
+
+    #[test]
+    fn concurrent_sweeps_each_count_their_own_hits() {
+        // Two sweeps racing on one shared pool must not attribute each
+        // other's hits to themselves.
+        let pool = pool(2);
+        let pts = fleet();
+        pool.evaluate_serial(&pts).unwrap(); // warm the cache
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| pool.evaluate(&pts).unwrap()))
+                .collect();
+            for h in handles {
+                let r = h.join().unwrap();
+                assert_eq!(
+                    r.cache_hits,
+                    pts.len() as u64,
+                    "each warm sweep sees exactly its own hits"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn one_shot_helper_matches_core_explore() {
+        let lib = tsmc90::library();
+        let pts = fleet();
+        let via_pool = pool(2).evaluate(&pts).unwrap().rows;
+        let via_core = adhls_core::dse::explore(&pts, &lib, &HlsOptions::default()).unwrap();
+        assert_eq!(via_pool, via_core);
     }
 }

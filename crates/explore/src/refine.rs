@@ -45,13 +45,12 @@
 //!
 //! The driver is deterministic: candidate generation iterates the front in
 //! its deterministic order, candidate batches are sorted by cell index, and
-//! evaluation goes through an [`Evaluator`] whose rows are bit-identical to
-//! serial evaluation — so two refinements of the same grid (serial,
+//! evaluation goes through an [`EvaluatorPool`] whose rows are bit-identical
+//! to serial evaluation — so two refinements of the same grid (serial,
 //! parallel, or racing each other on one shared pool) produce the same
 //! rows, front, and trace.
 
 use crate::constraint::{constraints_from_json, validate_constraints, Constraint};
-use crate::engine::{Engine, SweepResult};
 use crate::pareto::{
     dominates, objectives, pareto_indices_in_constrained, staircase_indices_in, Objective,
     ObjectiveSpace, Objectives,
@@ -63,54 +62,6 @@ use adhls_core::PointMode;
 use adhls_ir::{Design, Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-/// Anything that can evaluate a batch of points: the per-sweep
-/// [`Engine`] or the persistent [`EvaluatorPool`]. Rows must come back in
-/// input order, bit-identical to serial evaluation (both implementors
-/// guarantee this).
-pub trait Evaluator {
-    /// Evaluates `points`, returning rows in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling failures per the implementor's policy (strict
-    /// evaluators fail the batch; skip-infeasible evaluators record them).
-    fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult>;
-
-    /// Evaluates `points` in an explicit [`PointMode`]. The default
-    /// ignores the mode and delegates to [`Evaluator::evaluate_points`] —
-    /// right for mode-unaware evaluators, whose single behavior *is*
-    /// their full evaluation; [`Engine`] and [`EvaluatorPool`] override
-    /// it with their per-call mode entries.
-    ///
-    /// # Errors
-    ///
-    /// As [`Evaluator::evaluate_points`].
-    fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        let _ = mode;
-        self.evaluate_points(points)
-    }
-}
-
-impl Evaluator for Engine<'_> {
-    fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult> {
-        self.evaluate(points)
-    }
-
-    fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        self.evaluate_mode(points, mode)
-    }
-}
-
-impl Evaluator for EvaluatorPool {
-    fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult> {
-        self.evaluate(points)
-    }
-
-    fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        self.evaluate_mode(points, mode)
-    }
-}
 
 /// Tuning knobs for [`refine`] (and, per plane, for [`refine_multi`]).
 ///
@@ -596,7 +547,7 @@ where
 
     /// Submits `cells` (deterministically ordered by the caller) and
     /// integrates rows/skips back into the cell map.
-    fn evaluate_cells(&mut self, eval: &dyn Evaluator, cells: &[Cell]) -> Result<()> {
+    fn evaluate_cells(&mut self, eval: &EvaluatorPool, cells: &[Cell]) -> Result<()> {
         let points: Vec<DsePoint> = cells
             .iter()
             .map(|&c| {
@@ -610,7 +561,7 @@ where
                 )
             })
             .collect();
-        let result = eval.evaluate_points_mode(&points, self.mode)?;
+        let result = eval.evaluate_mode(&points, self.mode)?;
         let mut row_it = result.rows.into_iter();
         let mut skip_it = result.skipped.into_iter().peekable();
         for (p, &cell) in points.iter().zip(cells) {
@@ -1041,11 +992,11 @@ fn seed_indices(len: usize) -> Vec<usize> {
 ///
 /// [`Error::Interp`] for a single-axis space or a constraint on an axis
 /// the space does not select; [`Error::Capacity`] when the grid's cell
-/// count overflows `usize`; otherwise propagates the evaluator's
-/// scheduling failures (use a skip-infeasible evaluator to explore grids
+/// count overflows `usize`; otherwise propagates the pool's scheduling
+/// failures (use a skip-infeasible pool to explore grids
 /// with infeasible corners).
 pub fn refine<F, D>(
-    eval: &dyn Evaluator,
+    eval: &EvaluatorPool,
     grid: &SweepGrid,
     prefix: &str,
     build: F,
@@ -1145,7 +1096,7 @@ pub struct MultiRefineResult {
 /// As [`refine`], plus a message when `planes` is empty or repeats a
 /// plane.
 pub fn refine_multi<F, D>(
-    eval: &dyn Evaluator,
+    eval: &EvaluatorPool,
     grid: &SweepGrid,
     prefix: &str,
     build: F,
@@ -1170,7 +1121,7 @@ where
 ///
 /// As [`refine_multi`].
 pub fn refine_multi_with_progress<F, D>(
-    eval: &dyn Evaluator,
+    eval: &EvaluatorPool,
     grid: &SweepGrid,
     prefix: &str,
     build: F,
@@ -1451,7 +1402,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineOptions;
+    use crate::pool::{Engine, EngineOptions};
     use adhls_ir::builder::DesignBuilder;
     use adhls_ir::OpKind;
     use adhls_reslib::tsmc90;
@@ -1488,23 +1439,27 @@ mod tests {
         )
     }
 
-    /// Fires `token` while evaluation batch `at` runs (0 = the seed).
-    struct CancelDuring<'a> {
-        inner: Engine<'a>,
-        token: CancelToken,
-        at: usize,
-        calls: std::cell::Cell<usize>,
+    /// [`build_cell`], firing `token` as it builds cell number `fire_at`.
+    /// Cells are built just before their round's batch is evaluated, so
+    /// the first cell of round `at` (the sum of the uncancelled trace's
+    /// `new_points` over rounds `0..at`) cancels while round `at`
+    /// evaluates.
+    fn cancel_during(token: &CancelToken, fire_at: usize) -> impl FnMut(&SweepCell) -> Design {
+        let token = token.clone();
+        let mut built = 0;
+        move |cell| {
+            if built == fire_at {
+                token.cancel();
+            }
+            built += 1;
+            build_cell(cell)
+        }
     }
 
-    impl Evaluator for CancelDuring<'_> {
-        fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult> {
-            let k = self.calls.get();
-            self.calls.set(k + 1);
-            if k == self.at {
-                self.token.cancel();
-            }
-            self.inner.evaluate_points(points)
-        }
+    /// Build index of round `at`'s first cell: the cells evaluated by the
+    /// rounds before it, given each round's `new_points`.
+    fn first_cell_of(new_points: impl Iterator<Item = usize>, at: usize) -> usize {
+        new_points.take(at).sum()
     }
 
     #[test]
@@ -1537,42 +1492,47 @@ mod tests {
             // next boundary with more work, or — in the last round, which
             // can no longer close its token — takes that round back.
             let kept = if at == last { last } else { at + 1 };
-            let eval = CancelDuring {
-                inner: engine(&lib),
-                token: CancelToken::new(),
-                at,
-                calls: std::cell::Cell::new(0),
-            };
+            let token = CancelToken::new();
             let opts = RefineOptions {
-                cancel: Some(eval.token.clone()),
+                cancel: Some(token.clone()),
                 ..plain.clone()
             };
+            let build = cancel_during(
+                &token,
+                first_cell_of(full.trace.iter().map(|t| t.new_points), at),
+            );
             let mut streamed = Vec::new();
             let one_plane = [plain.objectives.clone()];
-            let r =
-                refine_multi_with_progress(&eval, &g, "syn", build_cell, &opts, &one_plane, |t| {
+            let r = refine_multi_with_progress(
+                &engine(&lib),
+                &g,
+                "syn",
+                build,
+                &opts,
+                &one_plane,
+                |t| {
                     streamed.push(t.clone());
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             assert_eq!(streamed, r.trace, "only kept rounds are streamed");
             let r = &r.planes[0];
             assert!(r.cancelled, "cancel in round {at}");
             assert_eq!(r.trace[..], full.trace[..kept], "cancel in round {at}");
             assert_eq!(r.rows[..], full.rows[..r.rows.len()]);
-            assert!(eval.token.try_cancel(), "a cancelled token stays cancelled");
+            assert!(token.try_cancel(), "a cancelled token stays cancelled");
 
-            let eval = CancelDuring {
-                inner: engine(&lib),
-                token: CancelToken::new(),
-                at,
-                calls: std::cell::Cell::new(0),
-            };
+            let token = CancelToken::new();
             let opts = RefineOptions {
-                cancel: Some(eval.token.clone()),
+                cancel: Some(token.clone()),
                 ..plain.clone()
             };
+            let build = cancel_during(
+                &token,
+                first_cell_of(full_multi.trace.iter().map(|t| t.new_points), at),
+            );
             let m =
-                refine_multi_with_progress(&eval, &g, "syn", build_cell, &opts, &planes, |_| {})
+                refine_multi_with_progress(&engine(&lib), &g, "syn", build, &opts, &planes, |_| {})
                     .unwrap();
             let multi_last = full_multi.trace.len() - 1;
             if at <= multi_last {
@@ -1605,7 +1565,7 @@ mod tests {
         assert_eq!(r.evaluated, 9);
         assert_eq!(r.grid_cells, 9);
         let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).unwrap().rows;
         assert_eq!(r.front, crate::pareto::pareto_front(&ex_rows));
         assert_eq!(r.trace[0].round, 0);
         assert_eq!(r.trace[0].new_points, 9);
@@ -1636,7 +1596,7 @@ mod tests {
         // Every evaluated row is bit-identical to the exhaustive sweep's
         // row for the same cell (name match ⇒ full row match).
         let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).unwrap().rows;
         for row in &r.rows {
             let twin = ex_rows
                 .iter()
@@ -1880,7 +1840,7 @@ mod tests {
         );
         // Every evaluated cell is still a cell of the exhaustive grid.
         let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).unwrap().rows;
         for row in &r.rows {
             assert!(
                 ex_rows.iter().any(|e| e == row),
@@ -1934,7 +1894,7 @@ mod tests {
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
         // Reference: the unconstrained exhaustive sweep.
         let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).unwrap().rows;
         // A latency budget cutting through the middle of the plane.
         let lats: Vec<f64> = ex_rows.iter().map(|r| r.latency_ps).collect();
         let mid = lats.iter().copied().fold(f64::NEG_INFINITY, f64::max) / 2.0;

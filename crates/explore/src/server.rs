@@ -34,8 +34,9 @@
 //!   `stats`/`metrics` aggregation.
 //!
 //! Determinism carries through from the pool: a request's rows and front
-//! are bit-identical to a direct serial [`Engine`](crate::engine::Engine)
-//! run of the same points, no matter how many clients are connected, how
+//! are bit-identical to a direct
+//! [`EvaluatorPool::evaluate_serial`](crate::pool::EvaluatorPool::evaluate_serial)
+//! of the same points, no matter how many clients are connected, how
 //! the cache evicts, or which worker evaluated what.
 //!
 //! See `docs/PROTOCOL.md` for the wire format and `docs/ARCHITECTURE.md`

@@ -1,9 +1,10 @@
 //! Cache lifecycle management for long-lived evaluator processes.
 //!
-//! The engine's [`ResultCache`](crate::engine::ResultCache) grows without
-//! bound — fine for one-shot CLI sweeps, fatal for a server that evaluates
-//! millions of cells over weeks. [`EvictingCache`] is the server-grade
-//! replacement the [`EvaluatorPool`](crate::pool::EvaluatorPool) uses:
+//! [`EvictingCache`] is the result cache of the
+//! [`EvaluatorPool`](crate::pool::EvaluatorPool): unbounded for a one-shot
+//! run, under a byte budget for a server that evaluates millions of cells
+//! over weeks.
+//!
 //!
 //! * **results, not just rows** — a deterministic failure (a point the
 //!   scheduler's relaxation loop gave up on, often the costliest cells to
@@ -49,7 +50,6 @@
 //! returns. The proptests in `tests/pool_eviction.rs` pin this down
 //! against the unbudgeted pool.
 
-use crate::engine::HitMiss;
 use adhls_core::dse::DseRow;
 use adhls_ir::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Number of independent shards (same fan-out as the engine's cache).
+/// Number of independent shards (same fan-out as the pool's prefix cache).
 const SHARDS: usize = 16;
 
 /// Approximate per-entry bookkeeping overhead (hash-map slot, key, rank
@@ -179,19 +179,6 @@ pub struct CacheStats {
     pub bytes: usize,
     /// The configured byte budget (`None` = unbounded).
     pub capacity_bytes: Option<usize>,
-}
-
-impl CacheStats {
-    /// Collapses the counters to the named hit/miss pair every cache
-    /// surface shares (see [`HitMiss`]). Coalesced in-flight waits count as
-    /// hits: from the caller's perspective both avoided an HLS run.
-    #[must_use]
-    pub fn hit_miss(&self) -> HitMiss {
-        HitMiss {
-            hits: self.hits + self.coalesced,
-            misses: self.misses,
-        }
-    }
 }
 
 struct Entry<K, V> {
@@ -673,20 +660,20 @@ mod tests {
 
     #[test]
     fn lru_keeps_recently_used_entries() {
-        let per_entry = row_cost(&row("r0"));
-        let c = EvictingCache::new(Some(per_entry * 2 * SHARDS));
-        let k = |i: u64| i * SHARDS as u64; // all in shard 0
-        c.get_or_compute(k(1), || Ok(row("r1"))).0.unwrap();
-        c.get_or_compute(k(2), || Ok(row("r2"))).0.unwrap();
+        // Equal, explicit costs straight into a shard, so only the
+        // least-recently-used tie-break decides (no measured time can).
+        let mut s = Shard::default();
+        let slice = Some(row_cost(&row("r1")) * 2);
+        s.insert(k(1), Ok(row("r1")), 1000, slice);
+        s.insert(k(2), Ok(row("r2")), 1000, slice);
         // Touch r1 so r2 is the LRU when r3 arrives.
-        assert_eq!(c.get_or_compute(k(1), || unreachable!()).1, Outcome::Hit);
-        c.get_or_compute(k(3), || Ok(row("r3"))).0.unwrap();
-        assert_eq!(c.get_or_compute(k(1), || unreachable!()).1, Outcome::Hit);
-        assert_eq!(
-            c.get_or_compute(k(2), || Ok(row("r2"))).1,
-            Outcome::Computed,
+        assert!(matches!(s.touch(&k(1)), Found::Hit(_)));
+        assert_eq!(s.insert(k(3), Ok(row("r3")), 1000, slice), 1);
+        assert!(
+            !s.map.contains_key(&k(2)),
             "r2 was the LRU and must have been evicted"
         );
+        assert!(s.map.contains_key(&k(1)) && s.map.contains_key(&k(3)));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! with worked examples.
 
 use crate::constraint::{constraints_from_json, constraints_to_json, Constraint};
-use crate::engine::SweepResult;
 use crate::export::{objectives_to_json, rows_to_json_line};
 use crate::pareto::{tradeoff_staircase_in_constrained, ObjectiveSpace};
+use crate::pool::SweepResult;
 use crate::refine::{MultiRefineResult, MultiRoundTrace, RefineResult, RoundTrace};
 use adhls_core::dse::{summarize, DseRow};
 use adhls_core::json::{escape_into, Value};

@@ -825,7 +825,6 @@ mod tests {
                 threads,
                 skip_infeasible: true,
                 cache_bytes,
-                ..Default::default()
             },
         ))
     }
@@ -1183,7 +1182,7 @@ mod tests {
 
     #[test]
     fn refine_request_streams_rounds_then_result_matching_direct_run() {
-        use crate::engine::{Engine, EngineOptions};
+        use crate::pool::{Engine, EngineOptions};
         use crate::refine::refine;
         let srv = server(2, None);
         let lines = roundtrip(

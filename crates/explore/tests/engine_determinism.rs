@@ -1,6 +1,6 @@
-//! The engine's headline contract on real workloads: a parallel sweep over
-//! ≥ 12 design points returns bit-identical rows to the serial evaluator
-//! while using more than one worker thread.
+//! The evaluator's headline contract on real workloads: a parallel sweep
+//! over ≥ 12 design points returns bit-identical rows to the serial
+//! reference while using more than one worker thread.
 
 use adhls_core::sched::HlsOptions;
 use adhls_explore::{pareto_front, Engine, EngineOptions};
@@ -8,16 +8,17 @@ use adhls_reslib::tsmc90;
 use adhls_workloads::sweep;
 
 fn engines(lib: &adhls_reslib::Library, threads: usize) -> (Engine<'_>, Engine<'_>) {
-    let serial = Engine::new(lib, HlsOptions::default());
-    let parallel = Engine::with_options(
-        lib,
-        HlsOptions::default(),
-        EngineOptions {
-            threads,
-            ..Default::default()
-        },
-    );
-    (serial, parallel)
+    let engine = |threads| {
+        Engine::with_options(
+            lib,
+            HlsOptions::default(),
+            EngineOptions {
+                threads,
+                ..Default::default()
+            },
+        )
+    };
+    (engine(1), engine(threads))
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! produced through shared phase-artifact prefixes must be bit-identical
 //! to the from-scratch reference pipeline
 //! ([`evaluate_point_from_scratch`]). These properties sweep random grids
-//! through the engine and the pool and compare them with a from-scratch
+//! through one-shot and shared pools and compare them with a from-scratch
 //! loop over the same points, walk the degenerate `cycles_per_item == 0`
 //! clamp, and check the prefix cache really was live
 //! (`pipeline.prefix.hit` > 0) while it happened.
@@ -10,7 +10,6 @@
 use adhls_core::dse::{evaluate_point_from_scratch, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::refine::Evaluator;
 use adhls_explore::sweep::SweepCell;
 use adhls_explore::{Engine, EngineOptions, SweepGrid};
 use adhls_ir::builder::DesignBuilder;
@@ -80,7 +79,7 @@ fn from_scratch(points: &[DsePoint]) -> (Vec<DseRow>, Vec<(String, String)>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Engine sweeps: prefix-shared rows are bit-identical to from-scratch
+    /// One-shot sweeps: prefix-shared rows are bit-identical to from-scratch
     /// rows, serially and in parallel, skips included.
     #[test]
     fn engine_incremental_rows_equal_from_scratch(
@@ -140,7 +139,7 @@ proptest! {
         let warm = mk(1, registry.clone());
         let (rows, skipped) = from_scratch(&points);
         for pool in [&warm, &mk(threads, Registry::new())] {
-            let a = pool.evaluate_points(&points).expect("incremental sweep runs");
+            let a = pool.evaluate(&points).expect("incremental sweep runs");
             prop_assert_eq!(&a.rows, &rows, "prefix sharing changed a row");
             prop_assert_eq!(&a.skipped, &skipped);
         }

@@ -1,6 +1,6 @@
 //! The persistent pool's headline contract: sweeps and adaptive
 //! refinements submitted concurrently through one shared pool are
-//! bit-identical to their serial-engine references — worker count, request
+//! bit-identical to their serial references — worker count, request
 //! interleaving, and cache state must not leak into any result.
 
 use adhls_core::sched::HlsOptions;
@@ -21,6 +21,17 @@ fn interp_cell(cell: &SweepCell) -> Design {
     interpolation::build(&cfg).0
 }
 
+fn serial_engine(lib: &adhls_reslib::Library) -> Engine<'_> {
+    Engine::with_options(
+        lib,
+        HlsOptions::default(),
+        EngineOptions {
+            threads: 1,
+            ..Default::default()
+        },
+    )
+}
+
 fn interp_grid() -> SweepGrid {
     SweepGrid::new()
         .clocks_ps([1100, 1400, 1800, 2400])
@@ -31,7 +42,7 @@ fn interp_grid() -> SweepGrid {
 fn pool_sweep_matches_serial_engine_on_a_real_workload() {
     let lib = tsmc90::library();
     let points = sweep::interpolation_default();
-    let serial = Engine::new(&lib, HlsOptions::default())
+    let serial = serial_engine(&lib)
         .evaluate_serial(&points)
         .expect("serial sweep schedules");
     let pool = EvaluatorPool::new(
@@ -50,7 +61,7 @@ fn pool_sweep_matches_serial_engine_on_a_real_workload() {
 fn concurrent_sweeps_through_one_pool_stay_bit_identical_to_serial() {
     let lib = tsmc90::library();
     let points = sweep::interpolation_default();
-    let reference = Engine::new(&lib, HlsOptions::default())
+    let reference = serial_engine(&lib)
         .evaluate_serial(&points)
         .expect("serial sweep schedules")
         .rows;
@@ -113,7 +124,7 @@ fn concurrent_adaptive_refinements_share_one_pool_bit_identically() {
                 let pool = Arc::clone(&pool);
                 let opts = opts.clone();
                 scope.spawn(move || {
-                    refine(&*pool, &interp_grid(), "interp", interp_cell, &opts)
+                    refine(&pool, &interp_grid(), "interp", interp_cell, &opts)
                         .expect("pooled refinement runs")
                 })
             })
@@ -150,7 +161,7 @@ fn pool_cache_survives_across_refinements() {
     assert_eq!(first, second, "refinement must be reproducible");
     assert_eq!(s1.misses, s0.misses, "no new HLS runs on the second pass");
     assert_eq!(
-        s1.hits - s0.hits,
+        (s1.hits + s1.coalesced) - (s0.hits + s0.coalesced),
         first.evaluated as u64,
         "every resubmitted cell is a cache hit"
     );

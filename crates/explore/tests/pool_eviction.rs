@@ -6,7 +6,6 @@ use adhls_core::dse::DsePoint;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::eviction::row_cost;
-use adhls_explore::Engine;
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::OpKind;
 use adhls_reslib::tsmc90;
@@ -51,8 +50,7 @@ fn mixed_fleet() -> Vec<DsePoint> {
 /// The approximate cost of one cached fleet row, measured on a real row so
 /// budgets scale with the entry size instead of hard-coding it.
 fn one_row_cost() -> usize {
-    let lib = tsmc90::library();
-    let rows = Engine::new(&lib, HlsOptions::default())
+    let rows = pool(None, 1, false)
         .evaluate_serial(&fleet()[..1])
         .unwrap()
         .rows;
@@ -67,7 +65,6 @@ fn pool(cache_bytes: Option<usize>, threads: usize, skip_infeasible: bool) -> Ev
             threads,
             skip_infeasible,
             cache_bytes,
-            ..Default::default()
         },
     )
 }
@@ -103,7 +100,7 @@ proptest! {
             );
             prop_assert!(evicting.skipped.is_empty());
         }
-        let m = budgeted.cache_metrics();
+        let m = budgeted.cache_stats();
         prop_assert_eq!(m.capacity_bytes, Some(budget));
         prop_assert!(
             m.bytes <= budget,
@@ -111,7 +108,7 @@ proptest! {
         );
         // A budgeted pool can only hit as often as the unbudgeted one —
         // eviction converts hits into recomputation, never the reverse.
-        let free = unbudgeted.cache_metrics();
+        let free = unbudgeted.cache_stats();
         prop_assert!(m.hits + m.coalesced <= free.hits + free.coalesced);
     }
 
@@ -147,9 +144,9 @@ proptest! {
             .histogram("pipeline.evaluate")
             .map_or(0, |h| h.count);
         prop_assert_eq!(evaluated, distinct.len() as u64);
-        prop_assert_eq!(unbudgeted.cache_metrics().misses, evaluated);
+        prop_assert_eq!(unbudgeted.cache_stats().misses, evaluated);
         prop_assert_eq!(unbudgeted.cache_len(), distinct.len());
-        let m = budgeted.cache_metrics();
+        let m = budgeted.cache_stats();
         prop_assert!(
             m.bytes <= budget,
             "cache holds {} bytes over the {} budget", m.bytes, budget
@@ -170,16 +167,13 @@ fn cache_budget_holds_under_concurrent_submitters() {
     // insert and must evict — no reliance on hash luck.
     let budget = cost * 16;
     let shared = Arc::new(pool(Some(budget), 4, false));
-    let lib = tsmc90::library();
     let pts: Vec<DsePoint> = (1..=8)
         .flat_map(|soft| {
             [1100u64, 1250, 1400].map(|clock| point(&format!("p{soft}c{clock}"), soft, clock))
         })
         .collect();
     assert_eq!(pts.len(), 24);
-    let reference = Engine::new(&lib, HlsOptions::default())
-        .evaluate_serial(&pts)
-        .unwrap();
+    let reference = pool(None, 1, false).evaluate_serial(&pts).unwrap();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -190,7 +184,7 @@ fn cache_budget_holds_under_concurrent_submitters() {
                 scope.spawn(move || {
                     for _ in 0..3 {
                         let r = pool.evaluate(&batch).unwrap();
-                        let m = pool.cache_metrics();
+                        let m = pool.cache_stats();
                         assert!(
                             m.bytes <= budget,
                             "cache at {} bytes exceeds the {} budget mid-run",
@@ -206,7 +200,7 @@ fn cache_budget_holds_under_concurrent_submitters() {
             h.join().unwrap();
         }
     });
-    let m = shared.cache_metrics();
+    let m = shared.cache_stats();
     assert!(m.evictions > 0, "budget was sized to force evictions");
     assert!(m.bytes <= budget);
     assert!(m.entries > 0, "budget was sized to cache something");
@@ -222,7 +216,7 @@ fn unbounded_pool_never_evicts() {
     let pts = fleet();
     p.evaluate(&pts).unwrap();
     p.evaluate(&pts).unwrap();
-    let m = p.cache_metrics();
+    let m = p.cache_stats();
     assert_eq!(m.evictions, 0);
     assert_eq!(m.capacity_bytes, None);
     assert_eq!(m.entries, pts.len());

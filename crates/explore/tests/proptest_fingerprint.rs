@@ -1,6 +1,6 @@
 //! The prefix-cache key soundness contract, as properties.
 //!
-//! The prefix cache (`engine::PrefixCache`) shares one `PreparedDesign`
+//! The pool's prefix cache (`pool::PrefixCache`) shares one `PreparedDesign`
 //! across every clock/flow/II cell of a design; its key must therefore be
 //! **insensitive** to exactly the knobs the prefix survives — clock
 //! period, flow, initiation interval — and **sensitive** to everything

@@ -5,7 +5,7 @@
 
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pareto::{objectives, pareto_front};
-use adhls_explore::refine::{refine, Evaluator, RefineOptions};
+use adhls_explore::refine::{refine, RefineOptions};
 use adhls_explore::sweep::SweepCell;
 use adhls_explore::{Engine, EngineOptions, SweepGrid};
 use adhls_ir::builder::DesignBuilder;
@@ -66,7 +66,7 @@ proptest! {
         let r = refine(&engine(&lib), &g, "syn", build_cell, &RefineOptions::default())
             .expect("refinement runs");
         let exhaustive = g.expand("syn", build_cell).expect("grid expands");
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).expect("sweep runs").rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).expect("sweep runs").rows;
         prop_assert!(r.evaluated <= r.grid_cells);
         for row in &r.rows {
             let twin = ex_rows.iter().find(|e| e.name == row.name);
@@ -97,7 +97,7 @@ proptest! {
         )
         .expect("refinement runs");
         let exhaustive = g.expand("syn", build_cell).expect("grid expands");
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).expect("sweep runs").rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).expect("sweep runs").rows;
         let ex_front = pareto_front(&ex_rows);
         prop_assert!(!ex_front.is_empty());
         // Normalization box of the exhaustive front.
@@ -189,7 +189,7 @@ proptest! {
         // ...and every evaluated row is bit-identical to the exhaustive
         // sweep's row for the same cell.
         let exhaustive = g.expand("syn", build_cell).expect("grid expands");
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).expect("sweep").rows;
+        let ex_rows = engine(&lib).evaluate(&exhaustive).expect("sweep").rows;
         for row in &r.rows {
             prop_assert!(
                 ex_rows.iter().any(|e| e == row),

@@ -245,3 +245,109 @@ fn oversized_lines_are_refused_by_the_router_too() {
         "router refusal missing: {text}"
     );
 }
+
+/// Inline DSL sources that once overflowed a thread's stack or grew
+/// without bound, each with the error it now gets.
+fn hostile_dsl() -> Vec<(String, &'static str)> {
+    let proc = |body: String| format!("proc p(in a: u16, out o: u16) {{ {body} }}");
+    vec![
+        (
+            proc(format!(
+                "let x: u16 = {}read(a){}; write(o, x);",
+                "(".repeat(1000),
+                ")".repeat(1000)
+            )),
+            "nesting deeper than 64 levels",
+        ),
+        (
+            proc(format!(
+                "let x: u16 = read(a){}; write(o, x);",
+                "+1".repeat(99_999)
+            )),
+            "expression deeper than 256 levels",
+        ),
+        (
+            proc(
+                "let y: u16 = read(a); for i in 0..100000000 unroll { y = y + 1; } write(o, y);"
+                    .into(),
+            ),
+            "more than 2048 CFG nodes and DFG ops",
+        ),
+        (
+            proc("budget 100000000; write(o, read(a));".into()),
+            "more than 2048 CFG nodes and DFG ops",
+        ),
+        (
+            proc("budget 4294967298; write(o, read(a));".into()),
+            "budget must be between 0 and 4294967295",
+        ),
+    ]
+}
+
+/// Sends each hostile DSL sweep, then a `ping`, through `handle`, and
+/// checks the structured refusal and the answered probe.
+fn refuses_hostile_dsl(handle: impl Fn(&str, &mut Vec<u8>)) {
+    for (i, (source, expected)) in hostile_dsl().iter().enumerate() {
+        let mut line = format!("{{\"id\":{i},\"cmd\":\"sweep\",\"dsl\":");
+        adhls_core::json::escape_into(&mut line, source);
+        line.push('}');
+        let mut out = Vec::new();
+        handle(&line, &mut out);
+        handle(r#"{"id":"probe","cmd":"ping"}"#, &mut out);
+        let lines: Vec<String> = String::from_utf8(out)
+            .expect("responses are UTF-8")
+            .lines()
+            .map(str::to_string)
+            .collect();
+        let context = format!("hostile DSL {i} ({expected})");
+        assert_structured(&lines, &context);
+        let first = Value::parse(&lines[0]).expect("structured above");
+        assert_eq!(first.get("ok"), Some(&Value::Bool(false)), "{context}");
+        let error = first.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(
+            error.starts_with("dsl: ") && error.contains(expected),
+            "{context}: {error}"
+        );
+        assert_probe_answered(&lines, &context);
+    }
+}
+
+/// Hostile inline DSL gets a structured `ok:false` from a server and from
+/// a two-worker router, on a thread with a 2-MiB stack, and the next
+/// request is still answered.
+#[test]
+fn hostile_dsl_sources_get_structured_errors() {
+    use adhls_explore::server::{in_process_factory, Router, RouterOptions};
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let srv = server();
+            refuses_hostile_dsl(|line, out| {
+                srv.handle_line(line, out).expect("in-memory response");
+            });
+            let router = Router::new(
+                in_process_factory(|_| {
+                    EvaluatorPool::new(
+                        tsmc90::library(),
+                        HlsOptions::default(),
+                        PoolOptions {
+                            threads: 1,
+                            skip_infeasible: true,
+                            ..Default::default()
+                        },
+                    )
+                }),
+                RouterOptions {
+                    workers: 2,
+                    ..Default::default()
+                },
+            )
+            .expect("router spawns");
+            refuses_hostile_dsl(|line, out| {
+                router.handle_line(line, out).expect("routed response");
+            });
+        })
+        .expect("spawns")
+        .join()
+        .expect("no stack overflow, no panic");
+}

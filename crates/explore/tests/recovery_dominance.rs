@@ -66,9 +66,9 @@ fn fir_points() -> Vec<DsePoint> {
     pts
 }
 
-/// A metered pool evaluating in `mode` by default; each test gives every
-/// mode its own registry so counters never mix.
-fn metered_pool(mode: PointMode) -> (EvaluatorPool, Registry) {
+/// A metered pool; each test gives every mode its own pool and registry so
+/// counters never mix.
+fn metered_pool() -> (EvaluatorPool, Registry) {
     let registry = Registry::new();
     registry.set_enabled(true);
     let pool = EvaluatorPool::with_telemetry(
@@ -77,7 +77,6 @@ fn metered_pool(mode: PointMode) -> (EvaluatorPool, Registry) {
         PoolOptions {
             threads: 0,
             skip_infeasible: true,
-            point_mode: mode,
             ..Default::default()
         },
         registry.clone(),
@@ -101,13 +100,19 @@ fn evaluate_three_modes(
     Vec<DseRow>,
     adhls_telemetry::Snapshot,
 ) {
-    let (full_pool, full_reg) = metered_pool(PointMode::Full);
-    let (rec_pool, _) = metered_pool(PointMode::Recover);
-    let (auto_pool, auto_reg) = metered_pool(PointMode::Auto);
+    let (full_pool, full_reg) = metered_pool();
+    let (rec_pool, _) = metered_pool();
+    let (auto_pool, auto_reg) = metered_pool();
 
-    let full = full_pool.evaluate(points).expect("full sweep runs");
-    let rec = rec_pool.evaluate(points).expect("recover sweep runs");
-    let auto = auto_pool.evaluate(points).expect("auto sweep runs");
+    let full = full_pool
+        .evaluate_mode(points, PointMode::Full)
+        .expect("full sweep runs");
+    let rec = rec_pool
+        .evaluate_mode(points, PointMode::Recover)
+        .expect("recover sweep runs");
+    let auto = auto_pool
+        .evaluate_mode(points, PointMode::Auto)
+        .expect("auto sweep runs");
 
     // Both grids schedule everywhere in every mode (the conventional leg
     // gates all three), so the row sets must line up cell for cell.
@@ -293,7 +298,7 @@ fn idct_auto_refinement_reaches_full_front_with_fewer_full_syntheses() {
     const GAP_TOL: f64 = 0.05;
     let grid = idct_grid();
     let refine_with = |mode: PointMode| {
-        let (pool, registry) = metered_pool(mode);
+        let (pool, registry) = metered_pool();
         let r = refine(
             &pool,
             &grid,

@@ -327,7 +327,7 @@ fn idct_multi_plane_pass_shares_evaluations_and_matches_single_plane_runs() {
     let pool = idct_pool();
     let multi = refine_multi(&pool, &grid, "idct", idct_cell, &opts, &planes)
         .expect("multi-plane refinement runs");
-    let stats = pool.cache_metrics();
+    let stats = pool.cache_stats();
     assert_eq!(
         stats.hits + stats.coalesced,
         0,

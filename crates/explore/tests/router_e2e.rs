@@ -5,13 +5,13 @@
 
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
-use adhls_explore::engine::{Engine, EngineOptions};
 use adhls_explore::fingerprint::Fnv;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::protocol::parse_request;
 use adhls_explore::server::{
     in_process_factory, routing_fingerprint, sweep_points, Command, Router, RouterOptions, Server,
 };
+use adhls_explore::{Engine, EngineOptions};
 use adhls_reslib::tsmc90;
 
 /// Four concurrent IDCT refinements over distinct grids (distinct design

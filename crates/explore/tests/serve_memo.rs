@@ -37,7 +37,6 @@ fn memo_only_server() -> Server {
             threads: 1,
             skip_infeasible: true,
             cache_bytes: Some(0),
-            ..Default::default()
         },
     ))
 }

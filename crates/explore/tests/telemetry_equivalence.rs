@@ -7,7 +7,7 @@
 
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::refine::{refine, Evaluator, RefineOptions};
+use adhls_explore::refine::{refine, RefineOptions};
 use adhls_explore::sweep::SweepCell;
 use adhls_explore::SweepGrid;
 use adhls_ir::builder::DesignBuilder;
@@ -72,8 +72,8 @@ proptest! {
         let metered = pool(threads, metered_registry);
         let quiet = pool(threads, Registry::new());
 
-        let loud = metered.evaluate_points(&points).expect("metered sweep runs");
-        let calm = quiet.evaluate_points(&points).expect("quiet sweep runs");
+        let loud = metered.evaluate(&points).expect("metered sweep runs");
+        let calm = quiet.evaluate(&points).expect("quiet sweep runs");
         prop_assert_eq!(&loud.rows, &calm.rows);
         prop_assert_eq!(&loud.skipped, &calm.skipped);
 

@@ -37,8 +37,11 @@ use crate::error::Result;
 /// # Errors
 ///
 /// Returns [`crate::Error::Lex`] / [`crate::Error::Parse`] for malformed
-/// source and [`crate::Error::Elab`] for semantic problems (unknown
-/// variables, port misuse, non-constant unrolled loop bounds, …).
+/// source (nesting past [`parser::MAX_NESTING`] or
+/// [`parser::MAX_EXPR_DEPTH`] included), [`crate::Error::Elab`] for
+/// semantic problems (unknown variables, port misuse, non-constant
+/// unrolled loop bounds, …) and [`crate::Error::Capacity`] for source that
+/// elaborates past [`elab::MAX_GRAPH_SIZE`].
 pub fn compile(source: &str) -> Result<Design> {
     let tokens = lexer::lex(source)?;
     let proc = parser::parse(&tokens)?;

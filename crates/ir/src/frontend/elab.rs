@@ -19,12 +19,22 @@ use crate::error::{Error, Result};
 use crate::op::{Op, OpKind};
 use std::collections::BTreeMap;
 
+/// Most CFG nodes plus DFG ops one elaboration may create, each unrolled
+/// loop iteration counting as one more. `for … unroll` and `budget n` turn
+/// a few bytes of source into that many graph elements, so the cap bounds
+/// the memory and time untrusted source can claim. The CFG analysis that
+/// validation runs is quadratic in edges: on a 2-vCPU x86 VM, `adhls
+/// schedule` of a 2,000-state chain peaks at 80 MB and takes 0.3 s, of a
+/// 4,000-state chain 310 MB and 1 s.
+pub const MAX_GRAPH_SIZE: usize = 2_048;
+
 /// Elaborates a parsed process into a validated [`Design`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::Elab`] for semantic problems and propagates validation
-/// errors from the produced graphs.
+/// Returns [`Error::Elab`] for semantic problems, [`Error::Capacity`] past
+/// [`MAX_GRAPH_SIZE`], and propagates validation errors from the produced
+/// graphs.
 pub fn elaborate(proc: &Proc) -> Result<Design> {
     let mut e = Elab::new(proc)?;
     e.stmts(&proc.body)?;
@@ -49,6 +59,8 @@ struct Elab {
     ports: BTreeMap<String, (Dir, u16, bool)>,
     /// Set once an infinite `loop` has been elaborated: nothing may follow.
     terminated: bool,
+    /// Nodes, ops and unrolled iterations so far (see [`MAX_GRAPH_SIZE`]).
+    size: usize,
 }
 
 impl Elab {
@@ -74,16 +86,39 @@ impl Elab {
             vars: BTreeMap::new(),
             ports,
             terminated: false,
+            size: 0,
         })
     }
 
-    fn advance(&mut self, kind: NodeKind) -> NodeId {
+    /// Counts one more node, op or unrolled iteration.
+    fn grow(&mut self) -> Result<()> {
+        self.size += 1;
+        if self.size > MAX_GRAPH_SIZE {
+            return Err(Error::Capacity(format!(
+                "the design elaborates to more than {MAX_GRAPH_SIZE} CFG nodes and DFG ops"
+            )));
+        }
+        Ok(())
+    }
+
+    fn add_node(&mut self, kind: NodeKind) -> Result<NodeId> {
+        self.grow()?;
+        Ok(self.cfg.add_node(kind))
+    }
+
+    /// Adds `op` on the current edge.
+    fn add_op(&mut self, op: Op, operands: &[OpId]) -> Result<OpId> {
+        self.grow()?;
+        Ok(self.dfg.add_op(op, self.cur_edge, operands))
+    }
+
+    fn advance(&mut self, kind: NodeKind) -> Result<()> {
         let old_tail = self.tail;
         self.cfg.set_node_kind(old_tail, kind);
-        let new_tail = self.cfg.add_node(NodeKind::Plain);
+        let new_tail = self.add_node(NodeKind::Plain)?;
         self.cur_edge = self.cfg.add_edge(old_tail, new_tail);
         self.tail = new_tail;
-        old_tail
+        Ok(())
     }
 
     fn stmts(&mut self, body: &[Stmt]) -> Result<()> {
@@ -112,13 +147,10 @@ impl Elab {
                 self.vars.insert(name.clone(), v);
                 Ok(())
             }
-            Stmt::Wait => {
-                self.advance(NodeKind::State(StateKind::Hard));
-                Ok(())
-            }
+            Stmt::Wait => self.advance(NodeKind::State(StateKind::Hard)),
             Stmt::Budget(n) => {
                 for _ in 0..*n {
-                    self.advance(NodeKind::State(StateKind::Soft));
+                    self.advance(NodeKind::State(StateKind::Soft))?;
                 }
                 Ok(())
             }
@@ -135,7 +167,7 @@ impl Elab {
                 if sgn {
                     op = op.signed();
                 }
-                self.dfg.add_op(op, self.cur_edge, &[v.op]);
+                self.add_op(op, &[v.op])?;
                 Ok(())
             }
             Stmt::If {
@@ -159,6 +191,7 @@ impl Elab {
                         )));
                     }
                     for k in *start..*end {
+                        self.grow()?;
                         let expanded = substitute_stmts(body, var, k);
                         self.stmts(&expanded)?;
                     }
@@ -166,7 +199,7 @@ impl Elab {
                 } else {
                     // Desugar: let var = start; while var < end { body; var = var + 1; }
                     let width = 32u16;
-                    let init = self.const_op(*start, width, true);
+                    let init = self.const_op(*start, width, true)?;
                     self.vars.insert(
                         var.clone(),
                         Value {
@@ -197,7 +230,7 @@ impl Elab {
 
     fn elab_if(&mut self, cond: &Expr, then_body: &[Stmt], else_body: &[Stmt]) -> Result<()> {
         let c = self.expr(cond, None)?;
-        let cbit = self.as_bit(c);
+        let cbit = self.as_bit(c)?;
         // Current tail becomes the fork.
         let fork = self.tail;
         self.cfg.set_node_kind(fork, NodeKind::Fork);
@@ -205,7 +238,7 @@ impl Elab {
         let saved_vars = self.vars.clone();
 
         // Then branch.
-        let t_tail = self.cfg.add_node(NodeKind::Plain);
+        let t_tail = self.add_node(NodeKind::Plain)?;
         let t_edge = self.cfg.add_branch_edge(fork, t_tail, true);
         self.cur_edge = t_edge;
         self.tail = t_tail;
@@ -217,7 +250,7 @@ impl Elab {
         let then_vars = std::mem::replace(&mut self.vars, saved_vars.clone());
 
         // Else branch.
-        let e_tail = self.cfg.add_node(NodeKind::Plain);
+        let e_tail = self.add_node(NodeKind::Plain)?;
         let e_edge = self.cfg.add_branch_edge(fork, e_tail, false);
         self.cur_edge = e_edge;
         self.tail = e_tail;
@@ -229,10 +262,10 @@ impl Elab {
         let else_vars = std::mem::replace(&mut self.vars, saved_vars);
 
         // Join.
-        let join = self.cfg.add_node(NodeKind::Join);
+        let join = self.add_node(NodeKind::Join)?;
         self.cfg.add_edge(then_exit, join);
         self.cfg.add_edge(else_exit, join);
-        let new_tail = self.cfg.add_node(NodeKind::Plain);
+        let new_tail = self.add_node(NodeKind::Plain)?;
         self.cur_edge = self.cfg.add_edge(join, new_tail);
         self.tail = new_tail;
 
@@ -254,7 +287,7 @@ impl Elab {
                     if signed {
                         op = op.signed();
                     }
-                    let m = self.dfg.add_op(op, self.cur_edge, &[cbit.op, t.op, e.op]);
+                    let m = self.add_op(op, &[cbit.op, t.op, e.op])?;
                     self.vars.insert(
                         name.clone(),
                         Value {
@@ -279,7 +312,7 @@ impl Elab {
     fn elab_while(&mut self, cond: &Expr, body: &[Stmt]) -> Result<()> {
         // Header join; φs for every variable assigned in the body that
         // already exists.
-        let _header_entry = self.advance(NodeKind::Join);
+        self.advance(NodeKind::Join)?;
         let header = {
             // advance() re-kinded the old tail into the header Join and moved
             // cur_edge to header -> new tail.
@@ -293,20 +326,20 @@ impl Elab {
                 if v.signed {
                     op = op.signed();
                 }
-                let phi = self.dfg.add_op(op, self.cur_edge, &[v.op, v.op]);
+                let phi = self.add_op(op, &[v.op, v.op])?;
                 self.vars.insert(name.clone(), Value { op: phi, ..v });
                 phis.push((name.clone(), phi));
             }
         }
         // Condition on the header edge.
         let c = self.expr(cond, None)?;
-        let cbit = self.as_bit(c);
+        let cbit = self.as_bit(c)?;
         let fork = self.tail;
         self.cfg.set_node_kind(fork, NodeKind::Fork);
         self.cfg.set_cond(fork, cbit.op);
 
         // Body.
-        let b_tail = self.cfg.add_node(NodeKind::Plain);
+        let b_tail = self.add_node(NodeKind::Plain)?;
         let b_edge = self.cfg.add_branch_edge(fork, b_tail, true);
         self.cur_edge = b_edge;
         self.tail = b_tail;
@@ -331,7 +364,7 @@ impl Elab {
 
         // Exit path: values seen after the loop are the φs.
         self.vars = vars_at_header;
-        let x_tail = self.cfg.add_node(NodeKind::Plain);
+        let x_tail = self.add_node(NodeKind::Plain)?;
         let x_edge = self.cfg.add_branch_edge(fork, x_tail, false);
         self.cur_edge = x_edge;
         self.tail = x_tail;
@@ -339,7 +372,7 @@ impl Elab {
     }
 
     fn elab_loop(&mut self, body: &[Stmt]) -> Result<()> {
-        self.advance(NodeKind::Join);
+        self.advance(NodeKind::Join)?;
         let header = self.cfg.edge_from(self.cur_edge);
         let assigned = assigned_vars(body);
         let mut phis: Vec<(String, OpId)> = Vec::new();
@@ -349,7 +382,7 @@ impl Elab {
                 if v.signed {
                     op = op.signed();
                 }
-                let phi = self.dfg.add_op(op, self.cur_edge, &[v.op, v.op]);
+                let phi = self.add_op(op, &[v.op, v.op])?;
                 self.vars.insert(name.clone(), Value { op: phi, ..v });
                 phis.push((name.clone(), phi));
             }
@@ -369,28 +402,26 @@ impl Elab {
         Ok(())
     }
 
-    fn const_op(&mut self, v: i64, width: u16, signed: bool) -> OpId {
+    fn const_op(&mut self, v: i64, width: u16, signed: bool) -> Result<OpId> {
         let mut op = Op::new(OpKind::Const(v), width);
         if signed {
             op = op.signed();
         }
-        self.dfg.add_op(op, self.cur_edge, &[])
+        self.add_op(op, &[])
     }
 
-    fn as_bit(&mut self, v: Value) -> Value {
+    fn as_bit(&mut self, v: Value) -> Result<Value> {
         if v.width == 1 {
-            return v;
+            return Ok(v);
         }
         // v != 0
-        let zero = self.const_op(0, v.width, v.signed);
-        let ne = self
-            .dfg
-            .add_op(Op::new(OpKind::Ne, 1), self.cur_edge, &[v.op, zero]);
-        Value {
+        let zero = self.const_op(0, v.width, v.signed)?;
+        let ne = self.add_op(Op::new(OpKind::Ne, 1), &[v.op, zero])?;
+        Ok(Value {
             op: ne,
             width: 1,
             signed: false,
-        }
+        })
     }
 
     fn expr(&mut self, e: &Expr, hint: Option<(u16, bool)>) -> Result<Value> {
@@ -398,7 +429,7 @@ impl Elab {
             Expr::Int(v) => {
                 let (w, sgn) = hint.unwrap_or_else(|| (literal_width(*v), *v < 0));
                 Ok(Value {
-                    op: self.const_op(*v, w, sgn),
+                    op: self.const_op(*v, w, sgn)?,
                     width: w,
                     signed: sgn,
                 })
@@ -420,7 +451,7 @@ impl Elab {
                 if sgn {
                     op = op.signed();
                 }
-                let o = self.dfg.add_op(op, self.cur_edge, &[]);
+                let o = self.add_op(op, &[])?;
                 Ok(Value {
                     op: o,
                     width: w,
@@ -438,7 +469,7 @@ impl Elab {
                 if signed {
                     o = o.signed();
                 }
-                let id = self.dfg.add_op(o, self.cur_edge, &[v.op]);
+                let id = self.add_op(o, &[v.op])?;
                 Ok(Value {
                     op: id,
                     width: v.width,
@@ -484,7 +515,7 @@ impl Elab {
                 if signed {
                     o = o.signed();
                 }
-                let id = self.dfg.add_op(o, self.cur_edge, &[va.op, vb.op]);
+                let id = self.add_op(o, &[va.op, vb.op])?;
                 Ok(Value {
                     op: id,
                     width,
@@ -633,6 +664,73 @@ mod tests {
         let d = compile(src).unwrap();
         let t = run(&d, &Stimulus::new().stream("a", vec![1, 2, 3, 4]), 1000).unwrap();
         assert_eq!(t.outputs["y"], vec![10]);
+    }
+
+    /// `soft` soft states and two ops (a read and a write).
+    fn budgeted(soft: usize) -> String {
+        format!("proc p(in a: u16, out o: u16) {{ budget {soft}; write(o, read(a)); }}")
+    }
+
+    #[test]
+    fn graph_size_cap_admits_the_largest_design_and_rejects_one_more() {
+        let d = compile(&budgeted(MAX_GRAPH_SIZE - 2)).unwrap();
+        assert_eq!(d.dfg.len_ops(), 2);
+        let err = compile(&budgeted(MAX_GRAPH_SIZE - 1)).unwrap_err();
+        assert!(
+            matches!(&err, Error::Capacity(m) if m.contains("more than 2048")),
+            "{err}"
+        );
+        // `budget` past the cap stops at the cap, not after building it all.
+        assert!(matches!(
+            compile(&budgeted(100_000_000)),
+            Err(Error::Capacity(_))
+        ));
+    }
+
+    #[test]
+    fn unrolling_past_the_cap_is_a_capacity_error() {
+        for src in [
+            "proc p(in a: u16, out o: u16) { let y: u16 = read(a); \
+             for i in 0..100000000 unroll { y = y + 1; } write(o, y); }",
+            // An empty body creates nothing, but every iteration counts.
+            "proc p(out o: u16) { for i in 0..100000000 unroll { \
+             for j in 0..100000000 unroll { } } write(o, 1); }",
+        ] {
+            assert!(matches!(compile(src), Err(Error::Capacity(_))), "{src}");
+        }
+    }
+
+    #[test]
+    fn deepest_admitted_source_compiles_on_a_two_mib_stack() {
+        use crate::frontend::parser::{MAX_EXPR_DEPTH, MAX_NESTING};
+        let chain = format!("read(a){}", " + 1".repeat(MAX_EXPR_DEPTH - 1));
+        // Every block level the caps admit (the body, the `if`s and one
+        // parenthesis), the deepest expression innermost.
+        let ifs = MAX_NESTING - 2;
+        let blocks = format!(
+            "proc p(in a: u16, out o: u16) {{ {}write(o, ({chain}));{} }}",
+            "if read(a) > 1 { ".repeat(ifs),
+            " }".repeat(ifs)
+        );
+        let parens = format!(
+            "proc p(in a: u16, out o: u16) {{ write(o, {}{chain}{}); }}",
+            "(".repeat(MAX_NESTING - 1),
+            ")".repeat(MAX_NESTING - 1)
+        );
+        let negs = format!(
+            "proc p(in a: u16, out o: u16) {{ write(o, {}read(a)); }}",
+            "- ".repeat(MAX_NESTING - 1)
+        );
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for src in [blocks, parens, negs] {
+                    compile(&src).unwrap();
+                }
+            })
+            .unwrap()
+            .join()
+            .expect("compiles within 2 MiB of stack");
     }
 
     #[test]

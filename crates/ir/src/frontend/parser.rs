@@ -4,15 +4,27 @@ use super::ast::{BinOp, Dir, Expr, Port, Proc, Stmt, UnOp};
 use super::lexer::{Tok, Token};
 use crate::error::{Error, Result};
 
+/// Deepest nesting of parentheses, unary operators and blocks the parser
+/// accepts. Parsing and elaboration recurse once per level, so the cap
+/// bounds their stack use on untrusted source.
+pub const MAX_NESTING: usize = 64;
+
+/// Deepest expression tree the parser builds. An operator chain
+/// (`a + 1 + 1 …`) is parsed in a loop, but elaborated and dropped by
+/// recursion, one frame per level.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parses a token stream (from [`super::lexer::lex`]) into one [`Proc`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::Parse`] with the offending source position.
+/// Returns [`Error::Parse`] with the offending source position, including
+/// for input nested past [`MAX_NESTING`] or [`MAX_EXPR_DEPTH`].
 pub fn parse(tokens: &[Token]) -> Result<Proc> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        nesting: 0,
     };
     let proc = p.proc()?;
     p.expect_eof()?;
@@ -22,6 +34,8 @@ pub fn parse(tokens: &[Token]) -> Result<Proc> {
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Open parentheses, unary operators and blocks around `pos`.
+    nesting: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -41,6 +55,24 @@ impl<'a> Parser<'a> {
             col,
             msg: msg.into(),
         })
+    }
+
+    /// Enters one more nesting level; the caller leaves it with
+    /// `self.nesting -= 1` (an error ends the parse anyway).
+    fn nest(&mut self) -> Result<()> {
+        self.nesting += 1;
+        if self.nesting > MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        Ok(())
+    }
+
+    /// The depth of an expression node over children `depth` levels deep.
+    fn deeper(&self, depth: usize) -> Result<usize> {
+        if depth >= MAX_EXPR_DEPTH {
+            return self.err(format!("expression deeper than {MAX_EXPR_DEPTH} levels"));
+        }
+        Ok(depth + 1)
     }
 
     fn bump(&mut self) -> Tok {
@@ -168,6 +200,7 @@ impl<'a> Parser<'a> {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>> {
+        self.nest()?;
         self.expect(&Tok::LBrace, "'{'")?;
         let mut stmts = Vec::new();
         while !self.eat(&Tok::RBrace) {
@@ -176,6 +209,7 @@ impl<'a> Parser<'a> {
             }
             stmts.push(self.stmt()?);
         }
+        self.nesting -= 1;
         Ok(stmts)
     }
 
@@ -249,12 +283,11 @@ impl<'a> Parser<'a> {
         }
         if self.peek_keyword("budget") {
             self.bump();
-            let n = self.int("budget size")?;
-            if n < 0 {
-                return self.err("budget must be non-negative");
-            }
+            let Ok(n) = u32::try_from(self.int("budget size")?) else {
+                return self.err(format!("budget must be between 0 and {}", u32::MAX));
+            };
             self.expect(&Tok::Semi, "';'")?;
-            return Ok(Stmt::Budget(n as u32));
+            return Ok(Stmt::Budget(n));
         }
         if self.peek_keyword("write") {
             self.bump();
@@ -275,17 +308,18 @@ impl<'a> Parser<'a> {
     }
 
     fn expr(&mut self) -> Result<Expr> {
-        self.binary(0)
+        Ok(self.binary(0)?.0)
     }
 
     /// Precedence climbing. Levels (loosest first): `|`, `^`, `&`,
-    /// comparisons, shifts, `+ -`, `* / %`.
-    fn binary(&mut self, level: u8) -> Result<Expr> {
+    /// comparisons, shifts, `+ -`, `* / %`. Returns the expression and its
+    /// tree depth.
+    fn binary(&mut self, level: u8) -> Result<(Expr, usize)> {
         const LEVELS: usize = 7;
         if level as usize >= LEVELS {
             return self.unary();
         }
-        let mut lhs = self.binary(level + 1)?;
+        let (mut lhs, mut depth) = self.binary(level + 1)?;
         loop {
             let op = match (level, self.peek()) {
                 (0, Tok::Pipe) => BinOp::Or,
@@ -307,32 +341,38 @@ impl<'a> Parser<'a> {
                 _ => break,
             };
             self.bump();
-            let rhs = self.binary(level + 1)?;
+            let (rhs, rhs_depth) = self.binary(level + 1)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn unary(&mut self) -> Result<Expr> {
-        if self.eat(&Tok::Minus) {
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)));
-        }
-        if self.eat(&Tok::Tilde) || self.eat(&Tok::Bang) {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)));
-        }
-        self.primary()
+    fn unary(&mut self) -> Result<(Expr, usize)> {
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Tilde | Tok::Bang => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.nest()?;
+        self.bump();
+        let (e, depth) = self.unary()?;
+        self.nesting -= 1;
+        Ok((Expr::Unary(op, Box::new(e)), self.deeper(depth)?))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
+    fn primary(&mut self) -> Result<(Expr, usize)> {
         match self.peek().clone() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(v))
+                Ok((Expr::Int(v), 1))
             }
             Tok::LParen => {
+                self.nest()?;
                 self.bump();
-                let e = self.expr()?;
+                let e = self.binary(0)?;
                 self.expect(&Tok::RParen, "')'")?;
+                self.nesting -= 1;
                 Ok(e)
             }
             Tok::Ident(name) => {
@@ -341,9 +381,9 @@ impl<'a> Parser<'a> {
                     self.expect(&Tok::LParen, "'('")?;
                     let port = self.ident("port name")?;
                     self.expect(&Tok::RParen, "')'")?;
-                    Ok(Expr::Read(port))
+                    Ok((Expr::Read(port), 1))
                 } else {
-                    Ok(Expr::Ident(name))
+                    Ok((Expr::Ident(name), 1))
                 }
             }
             _ => self.err("expected expression"),
@@ -419,6 +459,80 @@ mod tests {
         match err {
             Error::Parse { line, .. } => assert_eq!(line, 1),
             other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    /// `body` inside a process with one input `a` and one output `o`; the
+    /// process body is the first nesting level.
+    fn proc_with(body: &str) -> String {
+        format!("proc p(in a: u16, out o: u16) {{ {body} }}")
+    }
+
+    /// `Some((col, msg))` when `src` fails to parse on line 1.
+    fn parse_error(src: &str) -> Option<(u32, String)> {
+        match parse_src(src) {
+            Err(Error::Parse { line: 1, col, msg }) => Some((col, msg)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn nesting_cap_counts_parentheses_unary_operators_and_blocks() {
+        let inner = MAX_NESTING - 1;
+        let parens = |n: usize| {
+            proc_with(&format!(
+                "write(o, {}read(a){});",
+                "(".repeat(n),
+                ")".repeat(n)
+            ))
+        };
+        let negs = |n: usize| proc_with(&format!("write(o, {}read(a));", "- ".repeat(n)));
+        let ifs = |n: usize| {
+            proc_with(&format!(
+                "{}wait;{}",
+                "if read(a) > 1 { ".repeat(n),
+                " }".repeat(n)
+            ))
+        };
+        for src in [parens(inner), negs(inner), ifs(inner)] {
+            assert!(parse_src(&src).is_ok(), "{src}");
+        }
+        for src in [parens(inner + 1), negs(inner + 1), ifs(inner + 1)] {
+            let (_, msg) = parse_error(&src).expect("a parse error");
+            assert!(msg.contains("nesting deeper than 64"), "{msg}");
+        }
+        // The error points at the first parenthesis past the cap.
+        let src = parens(inner + 1);
+        let run = src.find("write(o, ").unwrap() + "write(o, ".len();
+        let (col, _) = parse_error(&src).unwrap();
+        assert_eq!(col as usize, run + inner + 1);
+    }
+
+    #[test]
+    fn expression_depth_cap_admits_the_deepest_chain_and_rejects_one_more() {
+        // `read(a) + 1 + …` of n terms is a tree n levels deep.
+        let chain = |n: usize| proc_with(&format!("write(o, read(a){});", " + 1".repeat(n - 1)));
+        assert!(parse_src(&chain(MAX_EXPR_DEPTH)).is_ok());
+        let (_, msg) = parse_error(&chain(MAX_EXPR_DEPTH + 1)).expect("a parse error");
+        assert!(msg.contains("expression deeper than 256"), "{msg}");
+        // Unary operators deepen the tree too.
+        let src = proc_with(&format!(
+            "write(o, -(read(a){}));",
+            " + 1".repeat(MAX_EXPR_DEPTH - 1)
+        ));
+        assert!(parse_error(&src).is_some_and(|(_, m)| m.contains("expression deeper")));
+    }
+
+    #[test]
+    fn budget_past_u32_is_rejected_not_truncated() {
+        let p = parse_src(&proc_with(&format!("budget {};", u32::MAX))).unwrap();
+        assert_eq!(p.body[0], Stmt::Budget(u32::MAX));
+        for n in ["4294967296", "4294967298"] {
+            let (_, msg) = parse_error(&proc_with(&format!("budget {n};"))).expect(n);
+            assert!(
+                msg.contains("budget must be between 0 and 4294967295"),
+                "{msg}"
+            );
         }
     }
 

@@ -53,7 +53,8 @@ pub mod prelude {
     pub use adhls_core::sched::{run_hls, Flow, HlsOptions, HlsResult};
     pub use adhls_core::{AreaReport, Schedule};
     pub use adhls_explore::{
-        pareto_front, pareto_front_in, Engine, EngineOptions, Objective, ObjectiveSpace, SweepGrid,
+        pareto_front, pareto_front_in, Engine, EngineOptions, EvaluatorPool, Objective,
+        ObjectiveSpace, PoolOptions, SweepGrid,
     };
     pub use adhls_ir::builder::DesignBuilder;
     pub use adhls_ir::interp::{run, run_placed, Stimulus};
