@@ -22,11 +22,21 @@
 //! each streamed `round` event and the terminal `result` — exactly as a
 //! client reads them.
 //!
+//! The `recover` set covers the `idct1d`, `fir` and `fleet` points in the
+//! two slack-recovery modes, three lines per point: the `recover` and
+//! `auto` rows (or their error text), and the [`recover_prepared`]
+//! outcome — the walk's kept and reverted downgrades, its starting and
+//! final minimum slack, whether the rebind bisected (`rebind_failed`) or
+//! fell back to the baseline (`clamped`), and the reported run's
+//! relaxation rounds.
+//!
 //! Shared by `tests/golden_corpus.rs` (which only reads the committed
 //! files) and `examples/golden_corpus.rs` (which writes them).
 
-use adhls_core::dse::{evaluate_point, DsePoint};
+use adhls_core::dse::{evaluate_point, DsePoint, DseRow};
+use adhls_core::recover::{evaluate_mode_prepared, recover_prepared};
 use adhls_core::sched::{run_hls, Flow, HlsOptions, HlsResult};
+use adhls_core::{PointMode, PreparedDesign};
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::Server;
 use adhls_reslib::tsmc90;
@@ -36,7 +46,10 @@ use adhls_workloads::{fir, idct};
 use std::fmt::Write;
 
 /// Corpus sets, in file order; each is stored as `tests/golden/<set>.txt`.
-pub const SETS: [&str; 5] = ["table4", "idct1d", "fir", "fleet", "refine"];
+pub const SETS: [&str; 6] = ["table4", "idct1d", "fir", "fleet", "refine", "recover"];
+
+/// The point sets the `recover` set evaluates in both recovery modes.
+const RECOVER_SETS: [&str; 3] = ["idct1d", "fir", "fleet"];
 
 /// The requests of the `refine` set. The main grid's 900-ps column is
 /// overconstrained at low budgets, so those streams also carry skipped
@@ -141,32 +154,16 @@ fn state_bytes(r: &HlsResult) -> Vec<u8> {
 /// library.
 #[must_use]
 pub fn render(set: &str) -> String {
-    if set == "refine" {
-        return render_refine();
+    match set {
+        "refine" => return render_refine(),
+        "recover" => return render_recover(),
+        _ => {}
     }
     let lib = tsmc90::library();
     let base = HlsOptions::default();
     let mut out = String::new();
     for p in points(set) {
-        match evaluate_point(&p, &lib, &base) {
-            Ok(r) => writeln!(
-                out,
-                "{} row a_conv={:?} a_slack={:?} save_pct={:?} power={:?}/{:?}/{:?} \
-                 throughput={:?} latency_ps={:?} clock_ps={}",
-                r.name,
-                r.a_conv,
-                r.a_slack,
-                r.save_pct,
-                r.power.dynamic,
-                r.power.leakage,
-                r.power.total,
-                r.throughput,
-                r.latency_ps,
-                r.clock_ps
-            ),
-            Err(e) => writeln!(out, "{} row error: {e}", p.name),
-        }
-        .expect("writing to a String");
+        write_row(&mut out, &p.name, "row", evaluate_point(&p, &lib, &base));
         for (tag, flow) in [("conv", Flow::Conventional), ("slack", Flow::SlackBased)] {
             let opts = HlsOptions {
                 clock_ps: p.clock_ps,
@@ -186,6 +183,62 @@ pub fn render(set: &str) -> String {
             }
             .expect("writing to a String");
         }
+    }
+    out
+}
+
+/// One `<name> <tag> …` line: every field of `row`, or the error text.
+fn write_row(out: &mut String, name: &str, tag: &str, row: adhls_ir::Result<DseRow>) {
+    match row {
+        Ok(r) => writeln!(
+            out,
+            "{} {tag} a_conv={:?} a_slack={:?} save_pct={:?} power={:?}/{:?}/{:?} \
+             throughput={:?} latency_ps={:?} clock_ps={}",
+            r.name,
+            r.a_conv,
+            r.a_slack,
+            r.save_pct,
+            r.power.dynamic,
+            r.power.leakage,
+            r.power.total,
+            r.throughput,
+            r.latency_ps,
+            r.clock_ps
+        ),
+        Err(e) => writeln!(out, "{name} {tag} error: {e}"),
+    }
+    .expect("writing to a String");
+}
+
+/// Renders the `recover` set: per point of [`RECOVER_SETS`], the
+/// `recover` and `auto` rows and the recovery outcome behind them.
+fn render_recover() -> String {
+    let lib = tsmc90::library();
+    let base = HlsOptions::default();
+    let mut out = String::new();
+    for p in RECOVER_SETS.into_iter().flat_map(points) {
+        let prep = PreparedDesign::from_shared(p.design.clone(), &lib).expect("elaboration");
+        for (tag, mode) in [("recover", PointMode::Recover), ("auto", PointMode::Auto)] {
+            let row = evaluate_mode_prepared(mode, &prep, &p, &lib, &base);
+            write_row(&mut out, &p.name, tag, row);
+        }
+        match recover_prepared(&prep, &p, &lib, &base) {
+            Ok(o) => writeln!(
+                out,
+                "{} outcome downgrades={} reverted={} min_slack_fastest={} min_slack={} \
+                 clamped={} rebind_failed={} relax={}",
+                p.name,
+                o.grades.downgrades,
+                o.grades.reverted,
+                o.grades.min_slack_fastest,
+                o.grades.min_slack,
+                o.clamped,
+                o.rebind_failed,
+                o.result.relax_rounds
+            ),
+            Err(e) => writeln!(out, "{} outcome error: {e}", p.name),
+        }
+        .expect("writing to a String");
     }
     out
 }
