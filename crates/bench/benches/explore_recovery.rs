@@ -1,11 +1,12 @@
 //! Per-cell cost of the three evaluation modes — `full` (two syntheses),
 //! `recover` (one conventional synthesis + the slack walk and pinned
 //! rebind), `auto` (recovery plus full-synthesis re-checks on suspect
-//! cells) — on IDCT-1D and FIR grids.
+//! cells) — on IDCT-1D, FIR and IDCT-2D grids.
 //!
 //! Before any timing starts the recovery contract is asserted: every
 //! recovered row is dominate-or-match against its conventional baseline,
-//! and the `pipeline.recover.*` counters show the walk actually ran.
+//! and the `pipeline.recover.*` counters show the walk actually ran (and,
+//! on IDCT-2D, that a full-walk rebind failed, so the bisection ran).
 //! Tracked per PR in `BENCH_<n>.json`.
 
 use adhls_core::dse::DsePoint;
@@ -54,6 +55,20 @@ fn fir_grid() -> Vec<DsePoint> {
     pts
 }
 
+/// IDCT-2D cells, where recovery costs most: one latency budget across
+/// clocks. At 1800 ps the full walk's choices do not rebind, so that cell
+/// bisects over replayed prefixes of its walk.
+fn idct2d_grid() -> Vec<DsePoint> {
+    let design = idct::build_2d(&idct::IdctConfig {
+        cycles: 24,
+        pipelined: None,
+    });
+    [1800u64, 2200, 2600, 3000]
+        .into_iter()
+        .map(|clock| DsePoint::grid("idct2d", design.clone(), clock, 24, None))
+        .collect()
+}
+
 fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
     Engine::with_options(
         lib,
@@ -70,7 +85,12 @@ fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_recovery");
     let lib = tsmc90::library();
 
-    for (grid_name, points) in [("idct1d", idct1d_grid()), ("fir", fir_grid())] {
+    let grids = [
+        ("idct1d", idct1d_grid()),
+        ("fir", fir_grid()),
+        ("idct2d", idct2d_grid()),
+    ];
+    for (grid_name, points) in grids {
         // The contract first, the clock second: recovered rows dominate
         // their conventional baselines, full mode shares those baselines
         // bit for bit, and the walk really ran (downgrades counted).
@@ -99,9 +119,16 @@ fn bench(c: &mut Criterion) {
                 r.name
             );
         }
-        let downgrades = after.counter("pipeline.recover.downgrades").unwrap_or(0)
-            - before.counter("pipeline.recover.downgrades").unwrap_or(0);
+        let delta =
+            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+        let downgrades = delta("pipeline.recover.downgrades");
         assert!(downgrades > 0, "{grid_name}: the slack walk never moved");
+        if grid_name == "idct2d" {
+            assert!(
+                delta("pipeline.recover.rebind_failed") > 0,
+                "{grid_name}: every full-walk rebind held, so the bisection never ran"
+            );
+        }
         println!(
             "{grid_name}: {} cells, {downgrades} downgrades kept, baselines shared",
             points.len()

@@ -139,15 +139,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, when this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, when this is an array.
     #[must_use]
     pub fn as_arr(&self) -> Option<&[Value]> {

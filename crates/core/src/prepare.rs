@@ -72,9 +72,10 @@ pub struct PreparedDesign {
 
 /// The initial budgeting state of a pass — the grades and slack
 /// priorities the scheduler derives before any placement. Cached here per
-/// options only for untruncated grade caps (every restart that never
-/// tightened a grade), which the scheduler tracks explicitly; within one
-/// run the scheduler also reuses it for any restart whose caps repeat.
+/// options only for runs over the prefix's own choice table with
+/// untruncated grade caps (every restart that never tightened a grade),
+/// which the scheduler tracks explicitly; within one run the scheduler
+/// also reuses it for any restart whose caps repeat.
 #[derive(Debug, Default)]
 pub struct ClockContext {
     pub(crate) grade_idx: Vec<Option<usize>>,
@@ -229,7 +230,6 @@ struct CtxKey {
     margin_bits: u64,
     mode: SlackMode,
     engine: SlackEngine,
-    start_fastest: bool,
     overhead_ps: u64,
     zero_overhead: bool,
     max_relax_rounds: u32,
@@ -250,7 +250,6 @@ fn ctx_key(opts: &HlsOptions) -> CtxKey {
         margin_frac,
         mode,
         engine,
-        start_fastest,
         overhead_ps,
     } = budget;
     CtxKey {
@@ -259,7 +258,6 @@ fn ctx_key(opts: &HlsOptions) -> CtxKey {
         margin_bits: margin_frac.to_bits(),
         mode: *mode,
         engine: *engine,
-        start_fastest: *start_fastest,
         overhead_ps: *overhead_ps,
         zero_overhead: *zero_overhead,
         max_relax_rounds: *max_relax_rounds,
@@ -337,10 +335,6 @@ mod tests {
             }),
             budget(BudgetOptions {
                 engine: SlackEngine::BellmanFord,
-                ..b0
-            }),
-            budget(BudgetOptions {
-                start_fastest: true,
                 ..b0
             }),
             budget(BudgetOptions {

@@ -4,17 +4,19 @@
 //! Full evaluation runs two complete synthesis flows per design point
 //! (conventional and slack-based, see [`crate::dse`]). Recovery replaces
 //! the second flow with a slack walk over the fastest-grade binding: start
-//! every resource operation at its fastest grade, compute aligned
-//! sequential slack once ([`adhls_timing::slack::compute_slack`]), then
-//! greedily downgrade non-critical operations to cheaper grades while the
-//! design provably stays timing-feasible under its `latency <= L` budget.
-//! The priority is savings-per-slack-consumed, and downgrades that consume
-//! slack without saving anything ("non-convenient units") are skipped —
-//! the shape of the `brave_opt` exemplar: *bind fastest, then slow what
-//! the clock does not need*.
+//! every resource operation at its fastest grade, then greedily downgrade
+//! non-critical operations to cheaper grades while the design provably
+//! stays timing-feasible under its `latency <= L` budget. The priority is
+//! savings-per-slack-consumed, and downgrades that consume slack without
+//! saving anything ("non-convenient units") are skipped — the shape of
+//! the `brave_opt` exemplar: *bind fastest, then slow what the clock does
+//! not need*. The walk is budgeting's own loop in its recovery variant
+//! ([`adhls_timing::budget::recovery_walk`]), on the same incremental
+//! slack state; each cell walks once, and the rebind bisection replays
+//! recorded prefixes of that walk.
 //!
 //! The walk only rewrites grade choices; allocate/bind/area/power are then
-//! re-run on the recovered choices through the ordinary scheduler (with
+//! re-run on the recovered choices through the prepared scheduler (with
 //! every candidate list pinned to the chosen grade), so the reported
 //! implementation is a real validated schedule, not an estimate. Because
 //! the area model is monotone in bound resource area and the power model
@@ -42,11 +44,11 @@ use crate::dse::{evaluate_prepared, grid_item_time_ps};
 use crate::dse::{DsePoint, DseRow};
 use crate::power::{estimate, PowerReport};
 use crate::prepare::PreparedDesign;
-use crate::sched::{run_hls_fixed_grades, run_hls_prepared, Flow, HlsOptions, HlsResult};
-use adhls_ir::{OpId, Result};
+use crate::sched::{mux_penalty, run_hls_fixed_grades, run_hls_prepared};
+use crate::sched::{Flow, HlsOptions, HlsResult};
+use adhls_ir::Result;
 use adhls_reslib::Library;
-use adhls_timing::budget::OpChoice;
-use adhls_timing::slack::{compute_slack, SlackMode};
+use adhls_timing::budget::{recovery_walk, BudgetOptions, OpChoice, RecoveryWalk};
 
 /// How a design point is evaluated: the full two-flow synthesis, the
 /// slack-recovery generator, or a per-cell choice between them.
@@ -132,11 +134,52 @@ pub struct RecoveredGrades {
     pub reverted: usize,
 }
 
+impl RecoveredGrades {
+    /// The first `k` kept downgrades of `walk`, replayed from its fastest
+    /// start: exactly what the walk cut after its `k`-th kept downgrade
+    /// would have produced.
+    fn replay(walk: &RecoveryWalk, k: usize) -> RecoveredGrades {
+        let (grade_idx, delays) = walk.prefix(k);
+        let last = k.checked_sub(1).map(|j| walk.steps()[j]);
+        RecoveredGrades {
+            grade_idx,
+            delays,
+            min_slack_fastest: walk.start_min_slack(),
+            min_slack: last.map_or(walk.start_min_slack(), |s| s.min_slack),
+            downgrades: k,
+            // A cut walk took back only the moves made before its cut.
+            reverted: if k == walk.steps().len() {
+                walk.reverted()
+            } else {
+                last.map_or(0, |s| s.reverted)
+            },
+        }
+    }
+}
+
+/// The recovery walk over `prep` under `opts`: aligned slack, the
+/// topological engine, `opts.budget.margin_frac` and the scheduler's
+/// sharing overhead (none under `zero_overhead`), so feasibility here
+/// means schedulability there.
+fn walk_of(prep: &PreparedDesign, lib: &Library, opts: &HlsOptions) -> RecoveryWalk {
+    let bopts = BudgetOptions {
+        margin_frac: opts.budget.margin_frac,
+        overhead_ps: mux_penalty(lib, opts) as u64,
+        ..BudgetOptions::default()
+    };
+    recovery_walk(
+        prep.initial_tdfg(),
+        prep.base_choices(),
+        opts.clock_ps,
+        &bopts,
+    )
+}
+
 /// The slack walk alone: fastest grades → greedy downgrades, no
 /// scheduling. Deterministic — candidates are ranked by area saving per
 /// picosecond of slack consumed, ties broken toward the lower op id, and
-/// the slack recomputation after every move is exact, so two walks over
-/// the same prefix and options produce identical choices.
+/// the slack after every move is exact, so two walks over the same prefix
+/// and options produce identical choices.
 ///
 /// `opts` supplies the clock period, the `zero_overhead` switch (which
 /// drops the sharing-mux delay exactly as the scheduler does), and the
@@ -145,165 +188,19 @@ pub struct RecoveredGrades {
 /// ([`adhls_timing::slack::SlackResult::critical_ops`]) keeps its grades.
 #[must_use]
 pub fn recover_grades(prep: &PreparedDesign, lib: &Library, opts: &HlsOptions) -> RecoveredGrades {
-    recover_grades_capped(prep, lib, opts, usize::MAX)
+    let walk = walk_of(prep, lib, opts);
+    RecoveredGrades::replay(&walk, walk.steps().len())
 }
 
-/// [`recover_grades`] with an explicit cap on surviving downgrade moves.
-/// The walk is deterministic, so the capped walk is an exact prefix of the
-/// uncapped one — what lets the rebind bisect for the longest prefix that
-/// still schedules and improves on the baseline when the full walk's
-/// choices do not.
-#[must_use]
-pub fn recover_grades_capped(
-    prep: &PreparedDesign,
-    lib: &Library,
-    opts: &HlsOptions,
-    cap: usize,
-) -> RecoveredGrades {
-    let tdfg = prep.initial_tdfg();
-    let choices = prep.base_choices();
-    let n = choices.len();
-    let t = opts.clock_ps as i64;
-    let mux = if opts.zero_overhead {
-        0
-    } else {
-        lib.mux_share_delay_ps() as i64
-    };
-
-    // All-fastest starting point, with the scheduler's effective delays
-    // (grade + sharing overhead) so feasibility here means schedulability
-    // there.
-    let mut idx: Vec<Option<usize>> = vec![None; n];
-    let mut delays: Vec<i64> = vec![0; n];
-    for i in 0..n {
-        let o = OpId(i as u32);
-        if !tdfg.is_timed(o) {
-            continue;
-        }
-        let ch = &choices[i];
-        if ch.candidates.is_empty() {
-            delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
-        } else {
-            idx[i] = Some(0);
-            delays[i] = ch.candidates[0].grade.delay_ps as i64 + mux;
-        }
+/// The conventional-leg options of point `p`: the baseline's, the walk's
+/// and the rebind's.
+fn conventional(p: &DsePoint, base: &HlsOptions) -> HlsOptions {
+    HlsOptions {
+        clock_ps: p.clock_ps,
+        flow: Flow::Conventional,
+        pipeline_ii: p.pipeline_ii,
+        ..base.clone()
     }
-    let mut r = compute_slack(tdfg, &delays, t, SlackMode::Aligned);
-    let min_slack_fastest = r.min_slack();
-    let margin = ((opts.budget.margin_frac * opts.clock_ps as f64).round() as i64).max(0);
-
-    let mut downgrades = 0usize;
-    let mut reverted = 0usize;
-    if min_slack_fastest >= 0 {
-        // Per-op cap on how slow we may go, tightened on every revert so a
-        // rejected move is never re-proposed.
-        let mut max_idx: Vec<usize> = vec![usize::MAX; n];
-        let max_moves = 4 * choices
-            .iter()
-            .map(|c| c.candidates.len())
-            .sum::<usize>()
-            .max(16);
-        let mut moves = 0usize;
-        while moves < max_moves && downgrades < cap {
-            moves += 1;
-            // The binned-critical set is only protective when it is
-            // genuinely tight — when even the minimum slack exceeds the
-            // margin, every op has headroom and the per-move
-            // `cost <= slack` guard is the binding constraint.
-            let mut is_crit = vec![false; n];
-            if r.min_slack() <= margin {
-                for o in r.critical_ops(margin) {
-                    is_crit[o.0 as usize] = true;
-                }
-            }
-            let mut best: Option<(f64, usize)> = None;
-            for i in 0..n {
-                let o = OpId(i as u32);
-                if !tdfg.is_timed(o) || is_crit[i] {
-                    continue;
-                }
-                let Some(k) = idx[i] else { continue };
-                if k + 1 >= choices[i].candidates.len() || k + 1 > max_idx[i] {
-                    continue;
-                }
-                let s = r.slack[i];
-                if s <= 0 {
-                    continue;
-                }
-                let cur = choices[i].candidates[k].grade;
-                let slow = choices[i].candidates[k + 1].grade;
-                let dcost = (slow.delay_ps - cur.delay_ps) as i64;
-                if dcost > s {
-                    continue;
-                }
-                let saving = cur.area - slow.area;
-                if saving <= 0.0 {
-                    // Non-convenient unit: consumes slack, saves nothing.
-                    continue;
-                }
-                let score = saving / (dcost.max(1) as f64);
-                if best.is_none_or(|(b, _)| score > b) {
-                    best = Some((score, i));
-                }
-            }
-            let Some((_, i)) = best else { break };
-            let k = idx[i].expect("ranked candidate carries a grade");
-            idx[i] = Some(k + 1);
-            delays[i] = choices[i].candidates[k + 1].grade.delay_ps as i64 + mux;
-            let r2 = compute_slack(tdfg, &delays, t, SlackMode::Aligned);
-            // Aligned-mode boundary pushes can make a move cost more than
-            // the op's own slack: revert and cap, exactly as budgeting's
-            // downgrade phase does.
-            let made_negative = r2
-                .slack
-                .iter()
-                .zip(r.slack.iter())
-                .any(|(&s2, &s1)| s2 < 0 && s1 >= 0);
-            if r2.min_slack() < r.min_slack().min(0) || made_negative {
-                idx[i] = Some(k);
-                delays[i] = choices[i].candidates[k].grade.delay_ps as i64 + mux;
-                max_idx[i] = k;
-                reverted += 1;
-                continue;
-            }
-            r = r2;
-            downgrades += 1;
-        }
-    }
-
-    RecoveredGrades {
-        grade_idx: idx,
-        delays,
-        min_slack_fastest,
-        min_slack: r.min_slack(),
-        downgrades,
-        reverted,
-    }
-}
-
-/// Minimum aligned slack of the all-fastest binding — the cheap headroom
-/// probe [`PointMode::Auto`] decides by (positive slack → recovery). One
-/// slack computation over the shared prefix, no scheduling.
-#[must_use]
-pub fn fastest_min_slack(prep: &PreparedDesign, lib: &Library, opts: &HlsOptions) -> i64 {
-    let tdfg = prep.initial_tdfg();
-    let choices = prep.base_choices();
-    let mux = if opts.zero_overhead {
-        0
-    } else {
-        lib.mux_share_delay_ps() as i64
-    };
-    let mut delays: Vec<i64> = vec![0; choices.len()];
-    for (i, ch) in choices.iter().enumerate() {
-        if !tdfg.is_timed(OpId(i as u32)) {
-            continue;
-        }
-        delays[i] = match ch.candidates.first() {
-            Some(c) => c.grade.delay_ps as i64 + mux,
-            None => ch.fixed_ps.unwrap_or(0) as i64,
-        };
-    }
-    compute_slack(tdfg, &delays, opts.clock_ps as i64, SlackMode::Aligned).min_slack()
 }
 
 /// One recovered design point: the conventional baseline, the reported
@@ -354,7 +251,7 @@ impl RecoverOutcome {
 /// Runs the recovery generator for one design point over shared prefix
 /// artifacts: conventional baseline → slack walk → fixed-grade rebind →
 /// dominance clamp. Timed under the `pipeline.recover` span with the
-/// `pipeline.recover.{downgrades,reverted,clamped,rebind_failed}`
+/// `pipeline.recover.{downgrades,reverted,clamped,rebind_failed,retries}`
 /// counters (observational only — results are bit-identical with
 /// telemetry on or off).
 ///
@@ -372,12 +269,19 @@ pub fn recover_prepared(
     lib: &Library,
     base: &HlsOptions,
 ) -> Result<RecoverOutcome> {
-    let opts = HlsOptions {
-        clock_ps: p.clock_ps,
-        flow: Flow::Conventional,
-        pipeline_ii: p.pipeline_ii,
-        ..base.clone()
-    };
+    recover_walked(prep, p, lib, base, None)
+}
+
+/// [`recover_prepared`], over the cell's walk when the caller already
+/// made it ([`PointMode::Auto`] walks first to decide).
+fn recover_walked(
+    prep: &PreparedDesign,
+    p: &DsePoint,
+    lib: &Library,
+    base: &HlsOptions,
+    walked: Option<RecoveryWalk>,
+) -> Result<RecoverOutcome> {
+    let opts = conventional(p, base);
     let cycles_per_item = p.cycles_per_item.max(1);
     let conv = run_hls_prepared(prep, lib, &opts)?;
     let conv_power = adhls_telemetry::timed("pipeline.power", || {
@@ -391,7 +295,8 @@ pub fn recover_prepared(
     });
 
     let _span = adhls_telemetry::span("pipeline.recover");
-    let grades = recover_grades(prep, lib, &opts);
+    let walk = walked.unwrap_or_else(|| walk_of(prep, lib, &opts));
+    let grades = RecoveredGrades::replay(&walk, walk.steps().len());
     adhls_telemetry::counter_add("pipeline.recover.downgrades", grades.downgrades as u64);
     adhls_telemetry::counter_add("pipeline.recover.reverted", grades.reverted as u64);
 
@@ -399,9 +304,10 @@ pub fn recover_prepared(
     // recovered grade. The slack model is a conservative approximation of
     // the scheduler, not an oracle: sharing and alignment effects can make
     // the full walk unschedulable, or schedulable but no better than the
-    // baseline. Both ways the walk's *prefix* usually still pays off — the
-    // walk is deterministic, so bisect for the longest downgrade prefix
-    // that rebinds feasibly and improves on the baseline in both axes.
+    // baseline. Both ways the walk's *prefix* usually still pays off, so
+    // bisect for the longest downgrade prefix that rebinds feasibly and
+    // improves on the baseline in both axes, replaying prefixes of the
+    // recorded walk.
     let mut rebind_failed = false;
     let try_prefix = |g: &RecoveredGrades| -> Option<(HlsResult, PowerReport)> {
         let pinned: Vec<OpChoice> = prep
@@ -445,7 +351,7 @@ pub fn recover_prepared(
                 while hi - lo > 1 {
                     let mid = lo + (hi - lo) / 2;
                     adhls_telemetry::counter_add("pipeline.recover.retries", 1);
-                    let g = recover_grades_capped(prep, lib, &opts, mid);
+                    let g = RecoveredGrades::replay(&walk, mid);
                     match try_prefix(&g) {
                         Some((res, pw)) => {
                             lo = mid;
@@ -527,9 +433,11 @@ pub fn evaluate_recover_prepared(
 
 /// [`PointMode::Auto`] over shared artifacts. The policy, per cell:
 ///
-/// 1. No headroom (`fastest_min_slack <= 0`) or recovery errors → full
-///    synthesis only, so an auto cell's failure message is exactly the
-///    full evaluator's.
+/// 1. No headroom (the recovery walk's starting minimum slack is `<= 0`)
+///    or recovery errors → full synthesis only, so an auto cell's failure
+///    message is exactly the full evaluator's. The walk that decides is
+///    the one recovery then uses, so it runs before, and outside, the
+///    `pipeline.recover` span.
 /// 2. Clean recovery (`!`[`RecoverOutcome::suspect`]) → the recovered row,
 ///    no slack-flow synthesis at all. This is where auto saves work.
 /// 3. Suspect recovery → full synthesis *also* runs and the better
@@ -551,18 +459,13 @@ pub fn evaluate_auto_prepared(
     lib: &Library,
     base: &HlsOptions,
 ) -> Result<DseRow> {
-    let opts = HlsOptions {
-        clock_ps: p.clock_ps,
-        flow: Flow::Conventional,
-        pipeline_ii: p.pipeline_ii,
-        ..base.clone()
-    };
-    if fastest_min_slack(prep, lib, &opts) > 0 {
+    let walked = walk_of(prep, lib, &conventional(p, base));
+    if walked.start_min_slack() > 0 {
         // The span closes before any nested full synthesis so
         // `pipeline.evaluate` time is never double-counted.
         let suspect_row = {
             let _span = adhls_telemetry::span("pipeline.evaluate");
-            match recover_prepared(prep, p, lib, base) {
+            match recover_walked(prep, p, lib, base, Some(walked)) {
                 Ok(out) if !out.suspect() => {
                     adhls_telemetry::counter_add("pipeline.recover.used", 1);
                     return Ok(row_from(p, &out));
@@ -750,12 +653,8 @@ mod tests {
         let base = HlsOptions::default();
         let loose = point("cell", 3, 1400);
         let prep = PreparedDesign::new(&loose.design, &lib).unwrap();
-        let opts = HlsOptions {
-            clock_ps: loose.clock_ps,
-            flow: Flow::Conventional,
-            ..base.clone()
-        };
-        assert!(fastest_min_slack(&prep, &lib, &opts) > 0);
+        let opts = conventional(&loose, &base);
+        assert!(recover_grades(&prep, &lib, &opts).min_slack_fastest > 0);
         let auto = evaluate_auto_prepared(&prep, &loose, &lib, &base).unwrap();
         let rec = evaluate_recover_prepared(&prep, &loose, &lib, &base).unwrap();
         assert_eq!(auto, rec, "headroom cell takes the recovery path");
@@ -766,12 +665,8 @@ mod tests {
         let prep = PreparedDesign::new(&tight.design, &lib).unwrap();
         let auto = evaluate_auto_prepared(&prep, &tight, &lib, &base).unwrap();
         let full = evaluate_prepared(&prep, &tight, &lib, &base).unwrap();
-        let opts = HlsOptions {
-            clock_ps: tight.clock_ps,
-            flow: Flow::Conventional,
-            ..base
-        };
-        if fastest_min_slack(&prep, &lib, &opts) <= 0 {
+        let opts = conventional(&tight, &base);
+        if recover_grades(&prep, &lib, &opts).min_slack_fastest <= 0 {
             assert_eq!(auto, full, "no-headroom cell takes the full path");
         }
     }

@@ -213,35 +213,18 @@ pub fn run_hls_prepared(
     opts: &HlsOptions,
 ) -> Result<HlsResult> {
     let _flow = adhls_telemetry::span(flow_span_name(opts.flow));
-    let design = prep.design();
-    let scheduled = adhls_telemetry::timed("pipeline.schedule", || {
-        schedule_phase(
-            design,
-            prep.info(),
-            prep.span_analysis(),
-            lib,
-            opts,
-            prep.base_choices(),
-            Some(prep),
-        )
-    })?;
-    finish_hls(design, prep.info(), scheduled, lib, opts)
+    run_hls_fixed_grades(prep, lib, opts, prep.base_choices())
 }
 
-/// Schedules `prep`'s design with externally chosen grade candidates —
-/// the rebind step of slack recovery ([`crate::recover`]), where every
-/// resource op arrives pinned to a one-candidate list. Runs the ordinary
-/// relaxation loop (resource-limit relaxations still apply; timing
-/// relaxations have nowhere to go and surface as the overconstrained
-/// error) and the full bind/area finish, so the result is a validated
-/// schedule like any other.
-///
-/// Deliberately passes `prep = None` into the scheduling phase: the
-/// per-prepared-design `ClockContext` cache is keyed on options alone and
-/// assumes pristine (untruncated) candidate lists — a one-candidate list
-/// would look pristine to the cap check and poison the cache shared with
-/// real conventional runs. Elaboration artifacts are still reused via
-/// `prep`'s accessors, so recovery never re-elaborates.
+/// [`run_hls_prepared`] over an explicit choice table, without the flow
+/// span: the rebind step of slack recovery ([`crate::recover`]), where
+/// every resource op arrives pinned to a one-candidate list. Runs the
+/// ordinary relaxation loop (resource-limit relaxations still apply;
+/// timing relaxations have nowhere to go and surface as the
+/// overconstrained error) and the full bind/area finish, so the result is
+/// a validated schedule like any other. The prefix's `ClockContext` cache
+/// is consulted only for the prefix's own choice table, so a rebind
+/// neither reads nor overwrites a conventional run's context.
 ///
 /// # Errors
 ///
@@ -262,7 +245,7 @@ pub(crate) fn run_hls_fixed_grades(
             lib,
             opts,
             choices,
-            None,
+            Some(prep),
         )
     })?;
     finish_hls(design, prep.info(), scheduled, lib, opts)
@@ -479,9 +462,12 @@ fn relax_loop(
                 .collect()
         };
         // The initial budget: reused from the last pass computed under the
-        // same caps, or from the prefix's clock context, else computed.
+        // same caps, or from the prefix's clock context, else computed. The
+        // context cache is keyed on options, so it serves only runs over
+        // the prefix's own choice table (a pinned rebind's one-candidate
+        // lists look pristine too).
         let t0 = stats.start();
-        let ctx_cache = prep.filter(|_| pristine);
+        let ctx_cache = prep.filter(|p| pristine && std::ptr::eq(base_choices, p.base_choices()));
         let reused = match &last_init {
             Some((cap, ctx)) if *cap == grade_cap => Some(Arc::clone(ctx)),
             _ => ctx_cache.and_then(|p| p.clock_context(opts)),
@@ -626,7 +612,7 @@ fn initial_grades(
 
 /// The steering-mux delay every shared resource pays (0 in the paper's
 /// zero-overhead illustration mode).
-fn mux_penalty(lib: &Library, opts: &HlsOptions) -> i64 {
+pub(crate) fn mux_penalty(lib: &Library, opts: &HlsOptions) -> i64 {
     if opts.zero_overhead {
         0
     } else {
@@ -1808,6 +1794,65 @@ mod tests {
             Some(true)
         );
         assert_eq!(snap.histogram("pipeline.relax.rounds").unwrap().count, 2);
+    }
+
+    #[test]
+    fn fixed_grade_rebinds_keep_off_the_conventional_clock_context() {
+        // Three muls share instances over four cycles. Every resource op is
+        // pinned to a one-candidate list at its slowest grade, which looks
+        // pristine to the cap check.
+        let mut b = DesignBuilder::new("rebind");
+        let x = b.input("x", 8);
+        let y = b.input("y", 8);
+        let m1 = b.binop(OpKind::Mul, x, x, 8);
+        let m2 = b.binop(OpKind::Mul, y, y, 8);
+        let m3 = b.binop(OpKind::Mul, x, y, 8);
+        b.soft_waits(3);
+        let s1 = b.binop(OpKind::Add, m1, m2, 16);
+        let s2 = b.binop(OpKind::Add, s1, m3, 16);
+        b.write("z", s2);
+        let d = b.finish().unwrap();
+        let lib = tsmc90::library();
+        let opts = HlsOptions {
+            clock_ps: 1400,
+            flow: Flow::Conventional,
+            ..Default::default()
+        };
+        let pinned = |prep: &PreparedDesign| -> Vec<OpChoice> {
+            let pin = |ch: &OpChoice| match ch.candidates.last() {
+                Some(&c) => OpChoice {
+                    candidates: vec![c],
+                    fixed_ps: None,
+                },
+                None => ch.clone(),
+            };
+            prep.base_choices().iter().map(pin).collect()
+        };
+        let fingerprint = |r: &HlsResult| {
+            let s = &r.schedule;
+            let cols = (&s.edge_of, &s.start_ps, &s.delay_ps, &s.instance_of);
+            (format!("{cols:?}"), r.area.total.to_bits(), r.relax_rounds)
+        };
+
+        let prep = PreparedDesign::new(&d, &lib).unwrap();
+        run_hls_prepared(&prep, &lib, &opts).unwrap();
+        let stored = prep
+            .clock_context(&opts)
+            .expect("a conventional run stores its context");
+        let rebind = run_hls_fixed_grades(&prep, &lib, &opts, &pinned(&prep)).unwrap();
+        let kept = prep.clock_context(&opts).unwrap();
+        assert!(
+            Arc::ptr_eq(&stored, &kept),
+            "the rebind replaced the conventional run's context"
+        );
+
+        let fresh = PreparedDesign::new(&d, &lib).unwrap();
+        let alone = run_hls_fixed_grades(&fresh, &lib, &opts, &pinned(&fresh)).unwrap();
+        assert!(
+            fresh.clock_context(&opts).is_none(),
+            "a rebind stores no context"
+        );
+        assert_eq!(fingerprint(&rebind), fingerprint(&alone));
     }
 
     /// Runs one pass of `opts.flow` over `d` with generous instance limits

@@ -163,29 +163,6 @@ impl Schedule {
         }
         false
     }
-
-    /// Number of distinct cycles used along the longest control path (a
-    /// latency proxy for reports): 1 + max state-count to any scheduled
-    /// edge.
-    #[must_use]
-    pub fn span_cycles(&self, info: &CfgInfo) -> u32 {
-        let mut max = 0;
-        for (i, e) in self.edge_of.iter().enumerate() {
-            let _ = i;
-            if let Some(e) = *e {
-                // Distance from each root edge.
-                for r in 0..info.len_edges() {
-                    let root = EdgeId(r as u32);
-                    if info.edge_topo_pos(root) == 0 {
-                        if let Some(l) = info.latency(root, e) {
-                            max = max.max(l + self.cycles_of(OpId(i as u32)) - 1);
-                        }
-                    }
-                }
-            }
-        }
-        max + 1
-    }
 }
 
 #[cfg(test)]

@@ -14,31 +14,13 @@ use crate::constraint::{constraints_to_json, Constraint};
 use crate::pareto::ObjectiveSpace;
 use crate::refine::{MultiRefineResult, RefineResult};
 use adhls_core::dse::DseRow;
+use adhls_core::json::escape_into;
 use std::fmt::Write as _;
-
-/// JSON-escapes a string into `out` (quotes included).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Writes one row as a JSON object.
 fn json_row(out: &mut String, row: &DseRow) {
     out.push_str("{\"name\":");
-    json_string(out, &row.name);
+    escape_into(out, &row.name);
     let _ = write!(
         out,
         ",\"clock_ps\":{},\"a_conv\":{},\"a_slack\":{},\"save_pct\":{},\

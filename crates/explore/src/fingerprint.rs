@@ -7,7 +7,7 @@
 //! hash is FNV-1a over a canonical byte walk — stable across runs and
 //! platforms, independent of allocation order or pointer identity.
 
-use adhls_core::sched::{Flow, HlsOptions};
+use adhls_core::sched::HlsOptions;
 use adhls_ir::Design;
 
 /// 64-bit FNV-1a accumulator.
@@ -98,37 +98,6 @@ pub fn options_fingerprint(opts: &HlsOptions) -> u64 {
     let mut h = Fnv::default();
     h.str(&format!("{opts:?}"));
     h.digest()
-}
-
-/// The options fingerprint with every knob the clock-independent prefix
-/// survives normalized away: clock period, flow, and initiation interval.
-/// Two option sets agreeing on this fingerprint may share every
-/// [`adhls_core::PreparedDesign`] artifact.
-///
-/// This is the **soundness contract of the prefix cache key**, stated as a
-/// function. The prefix cache in [`crate::pool`] keys on [`design_fingerprint`]
-/// alone — legitimate precisely because preparation reads *no* options
-/// today — but any future options-dependent artifact must widen the key by
-/// exactly this fingerprint, never by [`options_fingerprint`] (which would
-/// split the prefix per clock/flow/II cell and silently defeat the
-/// sharing). `tests/proptest_fingerprint.rs` pins both directions:
-/// insensitive to the knobs the prefix survives, sensitive to everything
-/// else.
-///
-/// The evaluation mode ([`adhls_core::PointMode`]) is deliberately absent
-/// on both sides of this split: preparation is mode-independent, so full,
-/// recover, and auto evaluations of one design share a single prefix,
-/// while their *rows* never alias because the mode is folded into the
-/// per-point result cache key instead (`pool::point_key`).
-#[must_use]
-pub fn prefix_options_fingerprint(opts: &HlsOptions) -> u64 {
-    let norm = HlsOptions {
-        clock_ps: 0,
-        flow: Flow::SlackBased,
-        pipeline_ii: None,
-        ..opts.clone()
-    };
-    options_fingerprint(&norm)
 }
 
 #[cfg(test)]

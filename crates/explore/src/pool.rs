@@ -79,23 +79,6 @@ pub struct SweepResult {
     pub workers: usize,
 }
 
-impl SweepResult {
-    /// The result's Pareto front projected through `space` — the rows
-    /// non-dominated under exactly the space's axes, deterministically
-    /// ordered (see [`crate::pareto::pareto_front_in`]).
-    #[must_use]
-    pub fn front_in(&self, space: &crate::pareto::ObjectiveSpace) -> Vec<DseRow> {
-        crate::pareto::pareto_front_in(space, &self.rows)
-    }
-
-    /// The result's tradeoff staircase in `space`'s plane (see
-    /// [`crate::pareto::tradeoff_staircase_in`]).
-    #[must_use]
-    pub fn staircase_in(&self, space: &crate::pareto::ObjectiveSpace) -> Vec<DseRow> {
-        crate::pareto::tradeoff_staircase_in(space, &self.rows)
-    }
-}
-
 /// Memo key for one point under `base` options. `design_fp` is the
 /// point's [`design_fingerprint`], computed once by the caller and shared
 /// with the prefix lookup.
@@ -109,10 +92,10 @@ impl SweepResult {
 /// The evaluation mode is part of the key (its one-byte
 /// [`PointMode::cache_tag`]): full, recover, and auto rows are distinct
 /// results for the same point, so they may never alias in the result
-/// cache. The *prefix* cache deliberately stays mode-blind — elaboration
-/// artifacts are identical across modes and recovery must never
-/// re-elaborate (see
-/// [`crate::fingerprint::prefix_options_fingerprint`]).
+/// cache. The *prefix* cache deliberately stays mode- and options-blind
+/// (it keys on [`design_fingerprint`] alone): preparation reads no
+/// options, elaboration artifacts are identical across modes, and
+/// recovery must never re-elaborate.
 fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64, mode: PointMode) -> u64 {
     let mut h = Fnv::default();
     h.u64(design_fp);
@@ -719,12 +702,6 @@ impl EvaluatorPool {
     #[must_use]
     pub fn thread_count(&self) -> usize {
         self.workers.len() + 1
-    }
-
-    /// The base options batches are evaluated under.
-    #[must_use]
-    pub fn base_options(&self) -> &HlsOptions {
-        &self.shared.base
     }
 
     /// The pool's metrics registry. Enable it to start collecting:

@@ -177,13 +177,6 @@ impl SweepGrid {
     }
 }
 
-/// `prefix-c<clock>-l<cycles>[-ii<n>]` (delegates to the one shared
-/// definition in [`DsePoint::grid_name`]).
-#[must_use]
-pub fn cell_name(prefix: &str, cell: &SweepCell) -> String {
-    DsePoint::grid_name(prefix, cell.clock_ps, cell.cycles, cell.pipeline_ii)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,12 +70,6 @@ impl DesignBuilder {
         }
     }
 
-    /// The edge operations are currently born on.
-    #[must_use]
-    pub fn current_edge(&self) -> EdgeId {
-        self.cur_edge
-    }
-
     /// Adds a raw operation on the current edge.
     pub fn op(&mut self, op: Op, operands: &[OpId]) -> OpId {
         self.dfg.add_op(op, self.cur_edge, operands)
@@ -105,11 +99,6 @@ impl DesignBuilder {
     /// Adds a binary operation with the given result width.
     pub fn binop(&mut self, kind: OpKind, a: OpId, b: OpId, width: u16) -> OpId {
         self.op(Op::new(kind, width), &[a, b])
-    }
-
-    /// Adds a unary operation.
-    pub fn unop(&mut self, kind: OpKind, a: OpId, width: u16) -> OpId {
-        self.op(Op::new(kind, width), &[a])
     }
 
     /// Adds a 2:1 mux `mux(cond, if_true, if_false)`.

@@ -76,12 +76,6 @@ impl NodeKind {
     pub fn is_state(self) -> bool {
         matches!(self, NodeKind::State(_))
     }
-
-    /// True for hard (source-level `wait()`) states.
-    #[must_use]
-    pub fn is_hard_state(self) -> bool {
-        matches!(self, NodeKind::State(StateKind::Hard))
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -161,12 +155,6 @@ impl Cfg {
     /// Attaches a human-readable name to a node.
     pub fn set_node_name(&mut self, n: NodeId, name: impl Into<String>) {
         self.nodes[n.0 as usize].name = Some(name.into());
-    }
-
-    /// Node name, if set.
-    #[must_use]
-    pub fn node_name(&self, n: NodeId) -> Option<&str> {
-        self.nodes[n.0 as usize].name.as_deref()
     }
 
     /// Sets the branch condition of a fork node.

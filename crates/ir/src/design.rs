@@ -1,7 +1,7 @@
 //! A [`Design`] bundles the CFG and DFG of one behavioral process plus the
 //! cross-references between them.
 
-use crate::cfg::{Cfg, CfgInfo, EdgeId};
+use crate::cfg::{Cfg, CfgInfo};
 use crate::dfg::{Dfg, OpId};
 use crate::error::{Error, Result};
 use crate::op::OpKind;
@@ -101,15 +101,6 @@ impl Design {
         self.dfg
             .op_ids()
             .filter(|&o| self.dfg.op(o).kind() == OpKind::Write)
-            .collect()
-    }
-
-    /// Ids of operations born on edge `e`, in id order.
-    #[must_use]
-    pub fn ops_born_on(&self, e: EdgeId) -> Vec<OpId> {
-        self.dfg
-            .op_ids()
-            .filter(|&o| self.dfg.birth(o) == e)
             .collect()
     }
 }

@@ -82,16 +82,6 @@ impl Dfg {
         id
     }
 
-    /// Marks operand `idx` of `o` as loop-carried (flows over the loop back
-    /// edge, e.g. the second operand of a [`OpKind::LoopPhi`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_loop_carried(&mut self, o: OpId, idx: usize) {
-        self.ops[o.0 as usize].loop_carried[idx] = true;
-    }
-
     /// Connects the carried operand of a loop φ after the body is built.
     ///
     /// During elaboration the φ is created before the body defines the
@@ -186,11 +176,6 @@ impl Dfg {
     #[must_use]
     pub fn birth(&self, o: OpId) -> EdgeId {
         self.ops[o.0 as usize].birth
-    }
-
-    /// Re-homes `o` to a different birth edge (used by CFG transforms).
-    pub fn set_birth(&mut self, o: OpId, e: EdgeId) {
-        self.ops[o.0 as usize].birth = e;
     }
 
     /// Data operands of `o` in operand order (including loop-carried ones).

@@ -140,21 +140,6 @@ impl OpKind {
         matches!(self, OpKind::Div | OpKind::Rem)
     }
 
-    /// True when the operation is commutative in its two data operands.
-    #[must_use]
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            OpKind::Add
-                | OpKind::Mul
-                | OpKind::And
-                | OpKind::Or
-                | OpKind::Xor
-                | OpKind::Eq
-                | OpKind::Ne
-        )
-    }
-
     /// Short mnemonic used in reports and design fingerprints.
     #[must_use]
     pub fn mnemonic(self) -> &'static str {

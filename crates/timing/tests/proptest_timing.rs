@@ -8,7 +8,9 @@ use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpId, OpKind};
 use adhls_reslib::tsmc90;
 use adhls_timing::bellman::compute_slack_bellman;
-use adhls_timing::budget::{budget, budget_with_choices, op_choices, BudgetOptions, SlackEngine};
+use adhls_timing::budget::{
+    budget, budget_with_choices, op_choices, recovery_walk, BudgetOptions, SlackEngine,
+};
 use adhls_timing::slack::{compute_slack, SlackMode, SlackState};
 use adhls_timing::TimedDfg;
 use proptest::prelude::*;
@@ -115,13 +117,14 @@ proptest! {
 
     /// One budgeting loop, two engines: the incremental topological
     /// refresh and the Bellman-Ford full recomputation pick the same moves
-    /// and end in the same state, with and without locked ops.
+    /// and end in the same state, in the paper's variant (with and without
+    /// locked ops) and in the recovery variant (the same kept downgrades).
     #[test]
     fn budget_engines_agree(
         r in recipe(),
         clock in 500u64..3500,
         plain in any::<bool>(),
-        start_fastest in any::<bool>(),
+        recovery in any::<bool>(),
         overhead in 0u64..120,
         lock_seeds in prop::collection::vec(0usize..64, 0..4),
     ) {
@@ -134,16 +137,18 @@ proptest! {
             let c = &choices[o.0 as usize].candidates;
             (locked.contains(&o) && !c.is_empty()).then(|| c[c.len() / 2].grade.delay_ps)
         };
-        let run = |engine| {
-            let opts = BudgetOptions {
-                mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
-                engine,
-                start_fastest,
-                overhead_ps: overhead,
-                ..BudgetOptions::default()
-            };
-            budget_with_choices(&tdfg, &choices, clock, &opts, lock)
+        let opts = |engine| BudgetOptions {
+            mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
+            engine,
+            overhead_ps: overhead,
+            ..BudgetOptions::default()
         };
+        if recovery {
+            let walk = |engine| recovery_walk(&tdfg, &choices, clock, &opts(engine));
+            prop_assert_eq!(walk(SlackEngine::Topological), walk(SlackEngine::BellmanFord));
+            return Ok(());
+        }
+        let run = |engine| budget_with_choices(&tdfg, &choices, clock, &opts(engine), lock);
         let topo = run(SlackEngine::Topological);
         let bf = run(SlackEngine::BellmanFord);
         prop_assert_eq!(&topo.choice_idx, &bf.choice_idx);
