@@ -57,13 +57,14 @@ const RECOVER_SETS: [&str; 3] = ["idct1d", "fir", "fleet"];
 /// area/power plane whose one-point seed staircase takes the densify
 /// path, constraints that prune cells before evaluation, a budget cut
 /// under per-cell auto mode, a zero gap tolerance, and a two-plane pass.
-pub const REFINE_REQUESTS: [&str; 6] = [
+pub const REFINE_REQUESTS: [&str; 7] = [
     r#"{"id":1,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"warm_front":["interp-c1250-l4"]}"#,
     r#"{"id":2,"cmd":"refine","workload":"interpolation","clocks":[1800,2000,2200,2400,2600],"cycles":[6,7,8,9,10],"objectives":"area,power"}"#,
     r#"{"id":3,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"objectives":"area,latency","constraints":["area<=3000","latency<=6000"],"gap_tol":0.02}"#,
     r#"{"id":4,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"budget":14,"gap_tol":0,"mode":"auto"}"#,
     r#"{"id":5,"cmd":"refine","workload":"interpolation","clocks":[1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[3,4,5,6],"gap_tol":0}"#,
     r#"{"id":6,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"objectives":"area,latency;area,power","constraints":["area<=3000"],"gap_tol":0.02}"#,
+    r#"{"id":7,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"budget":14,"gap_tol":0}"#,
 ];
 
 /// The points of one corpus set.
