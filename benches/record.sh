@@ -33,7 +33,7 @@ SAMPLES="${ADHLS_BENCH_SAMPLE_SIZE:-5}"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-BENCHES="explore_parallel explore_adaptive explore_power serve_throughput explore_constrained explore_incremental explore_recovery"
+BENCHES="explore_parallel explore_adaptive explore_power serve_throughput explore_constrained explore_incremental"
 for b in $BENCHES; do
   echo "== $b ($SAMPLES samples) =="
   ADHLS_BENCH_METRICS_DIR="$DIR" ADHLS_BENCH_SAMPLE_SIZE="$SAMPLES" \

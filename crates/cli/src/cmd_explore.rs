@@ -10,7 +10,6 @@ use crate::opts::{write_out, Opts};
 use adhls_core::dse::{summarize, DsePoint, DseRow, DseSummary};
 use adhls_core::report::Table;
 use adhls_core::sched::HlsOptions;
-use adhls_core::PointMode;
 use adhls_explore::constraint::parse_constraints;
 use adhls_explore::export::{
     front_to_json_constrained, fronts_to_json_multi, refine_multi_to_json, rows_to_csv,
@@ -43,7 +42,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--objectives",
             "--constraint",
             "--metrics-out",
-            "--mode",
         ],
         &[
             "--serial",
@@ -53,9 +51,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--profile",
         ],
     )?;
-    // Per-point evaluation mode (full re-synthesis | slack recovery |
-    // per-cell auto), the same grammar a wire request's `mode` field uses.
-    let mode = parse_mode(&o)?;
     // Telemetry observes, never steers: enabling the global registry here
     // changes nothing about the rows or fronts below (the equivalence
     // tests hold the pipeline to that), it only starts the meters.
@@ -82,7 +77,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     let pool = build_pool(&o)?;
     let t0 = std::time::Instant::now();
-    let result = pool.evaluate_mode(&points, mode).map_err(|e| {
+    let result = pool.evaluate(&points).map_err(|e| {
         format!("exploration failed: {e} (use --skip-infeasible to drop such points)")
     })?;
     let elapsed = t0.elapsed();
@@ -235,13 +230,11 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
     if grid.is_empty() {
         return Err("the sweep is empty (check --clocks/--cycles)".into());
     }
-    let mode = parse_mode(o)?;
     let opts = RefineOptions {
         budget,
         gap_tol,
         warm_start,
         constraints: spec.constraints.clone(),
-        point_mode: mode,
         ..Default::default()
     };
     let pool = build_pool(o)?;
@@ -310,23 +303,12 @@ fn with_cli_flags(e: String) -> String {
         "seed",
         "dsl",
         "objectives",
-        "mode",
     ] {
         if let Some(rest) = e.strip_prefix(&format!("{field}:")) {
             return format!("--{field}:{rest}");
         }
     }
     e
-}
-
-/// `--mode full|recover|auto` → the per-point evaluation mode (default
-/// full, the pre-recovery behavior).
-fn parse_mode(o: &Opts) -> Result<PointMode, String> {
-    o.get("--mode")
-        .map(str::parse::<PointMode>)
-        .transpose()
-        .map_err(|e| format!("--mode: {e}"))
-        .map(Option::unwrap_or_default)
 }
 
 /// Optional `--key value` number (no default — absence means "workload
@@ -367,7 +349,7 @@ fn spec_from_opts(o: &Opts) -> Result<WorkloadSpec, String> {
         // shared constraint grammar (a wire request's `constraints`).
         constraints: parse_constraints(&o.values("--constraint"))
             .map_err(|e| format!("--constraint: {e}"))?,
-        mode: parse_mode(o)?,
+        mode: (),
     })
 }
 

@@ -58,14 +58,6 @@ EXPLORE OPTIONS:
                           staircases only show the feasible region
     --threads <N>         worker threads (0 = all cores)  [default: 0]
     --serial              force the serial reference evaluator
-    --mode <M>            per-point evaluation mode  [default: full]:
-                          `full` re-synthesizes every point; `recover`
-                          downgrades non-critical resource grades from the
-                          fastest binding while slack allows (cheaper,
-                          never worse than the conventional baseline);
-                          `auto` picks recovery per cell when the latency
-                          budget leaves positive slack, else falls back
-                          to full (see docs/EXPLORATION.md)
     --skip-infeasible     drop unschedulable points instead of failing
     --front-only          print only the Pareto front
     --json <PATH>         write sweep + front JSON with its objective
@@ -94,10 +86,6 @@ ADAPTIVE EXPLORE OPTIONS (interpolation | idct | matmul):
     --warm-start <PATH>   seed refinement from a previously exported
                           front/sweep JSON (grid-named rows only; works
                           across objective spaces)
-    --mode <M>            as in EXPLORE OPTIONS; `auto` refines with
-                          slack recovery on cells with headroom and full
-                          synthesis elsewhere (same front, fewer full
-                          evaluations)
 
 SERVE OPTIONS (line-delimited JSON protocol; see docs/PROTOCOL.md):
     --addr <HOST:PORT>    TCP listen address  [default: 127.0.0.1:7130;

@@ -432,6 +432,18 @@ fn explore_adaptive_warm_starts_from_an_exported_front() {
 }
 
 #[test]
+fn explore_rejects_the_removed_mode_flag() {
+    for extra in [&[][..], &["--adaptive"][..]] {
+        let mut args = vec!["explore", "--workload", "fir", "--mode", "recover"];
+        args.extend_from_slice(extra);
+        let out = adhls(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option --mode"), "{stderr}");
+    }
+}
+
+#[test]
 fn explore_adaptive_validates_its_flags() {
     // --budget/--gap-tol without --adaptive.
     let out = adhls(&["explore", "--workload", "idct", "--budget", "5"]);

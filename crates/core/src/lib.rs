@@ -21,10 +21,6 @@
 //! * [`prepare`] — staged, reusable phase artifacts ([`PreparedDesign`],
 //!   [`ClockContext`]) so exploration evaluates neighboring design points
 //!   incrementally yet bit-identically,
-//! * [`recover`] — post-binding slack recovery ([`PointMode`]): start
-//!   from the fastest-grade binding and greedily downgrade non-critical
-//!   ops while slack allows, the cheap second point generator for
-//!   exploration,
 //! * [`netlist`] — Verilog-flavored datapath/FSM emission,
 //! * [`dse`] — the design-space-exploration driver regenerating paper
 //!   Table 4,
@@ -65,13 +61,11 @@ pub mod json;
 pub mod netlist;
 pub mod power;
 pub mod prepare;
-pub mod recover;
 pub mod report;
 pub mod sched;
 pub mod schedule;
 
 pub use area::AreaReport;
 pub use prepare::{ClockContext, PreparedDesign};
-pub use recover::PointMode;
 pub use sched::{run_hls, run_hls_prepared, Flow, HlsOptions, HlsResult};
 pub use schedule::Schedule;

@@ -72,10 +72,9 @@ pub struct PreparedDesign {
 
 /// The initial budgeting state of a pass — the grades and slack
 /// priorities the scheduler derives before any placement. Cached here per
-/// options only for runs over the prefix's own choice table with
-/// untruncated grade caps (every restart that never tightened a grade),
-/// which the scheduler tracks explicitly; within one run the scheduler
-/// also reuses it for any restart whose caps repeat.
+/// options only for untruncated grade caps (every restart that never
+/// tightened a grade), which the scheduler tracks explicitly; within one
+/// run the scheduler also reuses it for any restart whose caps repeat.
 #[derive(Debug, Default)]
 pub struct ClockContext {
     pub(crate) grade_idx: Vec<Option<usize>>,
@@ -232,7 +231,6 @@ struct CtxKey {
     engine: SlackEngine,
     overhead_ps: u64,
     zero_overhead: bool,
-    max_relax_rounds: u32,
     area_recovery: bool,
 }
 
@@ -243,7 +241,6 @@ fn ctx_key(opts: &HlsOptions) -> CtxKey {
         budget,
         zero_overhead,
         pipeline_ii: _,
-        max_relax_rounds,
         area_recovery,
     } = opts;
     let BudgetOptions {
@@ -260,7 +257,6 @@ fn ctx_key(opts: &HlsOptions) -> CtxKey {
         engine: *engine,
         overhead_ps: *overhead_ps,
         zero_overhead: *zero_overhead,
-        max_relax_rounds: *max_relax_rounds,
         area_recovery: *area_recovery,
     }
 }
@@ -343,10 +339,6 @@ mod tests {
             }),
             HlsOptions {
                 zero_overhead: true,
-                ..base.clone()
-            },
-            HlsOptions {
-                max_relax_rounds: base.max_relax_rounds + 1,
                 ..base.clone()
             },
             HlsOptions {

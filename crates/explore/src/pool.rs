@@ -23,10 +23,9 @@
 
 use crate::fingerprint::{design_fingerprint, options_fingerprint, Fnv};
 use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
-use adhls_core::dse::{DsePoint, DseRow};
-use adhls_core::recover::evaluate_mode_prepared;
+use adhls_core::dse::{evaluate_prepared, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
-use adhls_core::{PointMode, PreparedDesign};
+use adhls_core::PreparedDesign;
 use adhls_ir::Design;
 use adhls_reslib::Library;
 use adhls_telemetry::{Registry, Snapshot};
@@ -88,15 +87,7 @@ pub struct SweepResult {
 /// panic) and, in release, wrapped `Some(u32::MAX)` onto the same word as
 /// `None` — a silent key collision between a pipelined and a sequential
 /// point.
-///
-/// The evaluation mode is part of the key (its one-byte
-/// [`PointMode::cache_tag`]): full, recover, and auto rows are distinct
-/// results for the same point, so they may never alias in the result
-/// cache. The *prefix* cache deliberately stays mode- and options-blind
-/// (it keys on [`design_fingerprint`] alone): preparation reads no
-/// options, elaboration artifacts are identical across modes, and
-/// recovery must never re-elaborate.
-fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64, mode: PointMode) -> u64 {
+fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64) -> u64 {
     let mut h = Fnv::default();
     h.u64(design_fp);
     h.u64(options_fingerprint(base));
@@ -107,7 +98,6 @@ fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64, mode: PointMode) -
     };
     h.u64(u64::from(p.cycles_per_item));
     h.str(&p.name);
-    h.u64(u64::from(mode.cache_tag()));
     h.digest()
 }
 
@@ -223,9 +213,6 @@ impl PointSet {
 /// evaluation.
 struct Batch {
     points: Arc<PointSet>,
-    /// Evaluation mode for every point in this batch; batches with
-    /// different modes coexist on one pool.
-    mode: PointMode,
     skip_infeasible: bool,
     next: AtomicUsize,
     filled: AtomicUsize,
@@ -243,11 +230,10 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(points: Arc<PointSet>, mode: PointMode, skip_infeasible: bool, timed: bool) -> Self {
+    fn new(points: Arc<PointSet>, skip_infeasible: bool, timed: bool) -> Self {
         let slots = (0..points.points.len()).map(|_| OnceLock::new()).collect();
         Batch {
             points,
-            mode,
             skip_infeasible,
             next: AtomicUsize::new(0),
             filled: AtomicUsize::new(0),
@@ -332,20 +318,14 @@ impl Shared {
     /// [`Error::Internal`], which the cache never keeps: the panicking
     /// thread may be a background worker, and a claimed-but-never-filled
     /// slot would leave the submitter waiting forever.
-    fn evaluate_one(
-        &self,
-        p: &DsePoint,
-        design_fp: u64,
-        mode: PointMode,
-        batch_hits: &AtomicU64,
-    ) -> Result<DseRow> {
-        let key = point_key(&self.base, p, design_fp, mode);
+    fn evaluate_one(&self, p: &DsePoint, design_fp: u64, batch_hits: &AtomicU64) -> Result<DseRow> {
+        let key = point_key(&self.base, p, design_fp);
         let (result, outcome) = self.cache.get_or_compute(key, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let prep = self
                     .prefixes
                     .get_or_prepare(design_fp, &p.design, &self.lib)?;
-                evaluate_mode_prepared(mode, &prep, p, &self.lib, &self.base)
+                evaluate_prepared(&prep, p, &self.lib, &self.base)
             }))
             .unwrap_or_else(|panic| {
                 let msg = panic
@@ -389,7 +369,6 @@ impl Shared {
             let out = self.evaluate_one(
                 &batch.points.points[i],
                 batch.points.fingerprints[i],
-                batch.mode,
                 &batch.hits,
             );
             if out.is_err() {
@@ -557,17 +536,17 @@ impl EvaluatorPool {
         }
     }
 
-    /// Evaluates a batch through the pool in [`PointMode::Full`]:
-    /// bit-identical rows to [`EvaluatorPool::evaluate_serial`], in input
-    /// order. The submitting thread participates in the work, and
-    /// background workers join in (also finishing older batches first).
+    /// Evaluates a batch through the pool: bit-identical rows to
+    /// [`EvaluatorPool::evaluate_serial`], in input order. The submitting
+    /// thread participates in the work, and background workers join in
+    /// (also finishing older batches first).
     ///
     /// # Errors
     ///
     /// Returns the first (by input order) point's scheduling error unless
     /// [`PoolOptions::skip_infeasible`] is set.
     pub fn evaluate(&self, points: &[DsePoint]) -> Result<SweepResult> {
-        self.evaluate_mode(points, PointMode::Full)
+        self.evaluate_set(&Arc::new(PointSet::new(points.to_vec())))
     }
 
     /// The serial reference: the submitting thread evaluates the batch
@@ -580,41 +559,28 @@ impl EvaluatorPool {
     /// first failure are never evaluated.
     pub fn evaluate_serial(&self, points: &[DsePoint]) -> Result<SweepResult> {
         let points = Arc::new(PointSet::new(points.to_vec()));
-        self.run(&points, PointMode::Full, false)
+        self.run(&points, false)
     }
 
-    /// [`EvaluatorPool::evaluate`] with an explicit per-batch evaluation
-    /// mode, so one shared server pool serves full, recover, and auto
-    /// requests concurrently (rows never alias — the mode is in the cache
-    /// key).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvaluatorPool::evaluate`].
-    pub fn evaluate_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        self.evaluate_set(&Arc::new(PointSet::new(points.to_vec())), mode)
-    }
-
-    /// [`EvaluatorPool::evaluate_mode`] over already fingerprinted points:
+    /// [`EvaluatorPool::evaluate`] over already fingerprinted points:
     /// the batch shares `points` instead of copying it, and hashes no
     /// design.
     ///
     /// # Errors
     ///
     /// As [`EvaluatorPool::evaluate`].
-    pub fn evaluate_set(&self, points: &Arc<PointSet>, mode: PointMode) -> Result<SweepResult> {
-        self.run(points, mode, true)
+    pub fn evaluate_set(&self, points: &Arc<PointSet>) -> Result<SweepResult> {
+        self.run(points, true)
     }
 
     /// Evaluates `points` on the submitting thread, with the background
     /// workers helping when `queued`.
-    fn run(&self, points: &Arc<PointSet>, mode: PointMode, queued: bool) -> Result<SweepResult> {
+    fn run(&self, points: &Arc<PointSet>, queued: bool) -> Result<SweepResult> {
         // Route the submitting thread's own evaluations (it always helps
         // drain) to the pool registry, like the background workers.
         let _telemetry = adhls_telemetry::install(&self.shared.registry);
         let batch = Arc::new(Batch::new(
             Arc::clone(points),
-            mode,
             self.opts.skip_infeasible,
             self.shared.registry.is_enabled(),
         ));
@@ -879,24 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_mode_rows_dominate_full_mode_baseline() {
-        // Same grid in both modes on a fresh one-shot pool: every recovered
-        // row's reported implementation must not exceed its own
-        // conventional baseline, and the baselines must agree bit-for-bit
-        // with full mode's.
-        let lib = tsmc90::library();
-        let pts = fleet();
-        let pool = EvaluatorPool::with_options(&lib, HlsOptions::default(), PoolOptions::default());
-        let full = pool.evaluate_mode(&pts, PointMode::Full).unwrap();
-        let rec = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
-        assert_eq!(full.rows.len(), rec.rows.len());
-        for (f, r) in full.rows.iter().zip(&rec.rows) {
-            assert_eq!(f.a_conv, r.a_conv, "shared conventional baseline");
-            assert!(r.a_slack <= r.a_conv, "recovered area exceeds baseline");
-        }
-    }
-
-    #[test]
     fn single_thread_pool_works_without_background_workers() {
         let pool = pool(1);
         assert_eq!(pool.thread_count(), 1);
@@ -1044,68 +992,25 @@ mod tests {
     }
 
     #[test]
-    fn mixed_mode_batches_share_one_pool_without_aliasing() {
-        // One pool, three modes over the same grid: rows must come from the
-        // right evaluator (recover rows report the recovered binding, full
-        // rows the slack flow) and repeats must hit per mode.
-        let pool = pool(2);
-        let pts = fleet();
-        let full = pool.evaluate_mode(&pts, PointMode::Full).unwrap();
-        let rec = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
-        assert_eq!(rec.cache_hits, 0, "modes never alias in the cache");
-        for (f, r) in full.rows.iter().zip(&rec.rows) {
-            assert_eq!(f.a_conv, r.a_conv);
-            assert!(r.a_slack <= r.a_conv);
-        }
-        let rec2 = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
-        assert_eq!(rec2.cache_hits, pts.len() as u64);
-        assert_eq!(rec2.rows, rec.rows);
-    }
-
-    #[test]
     fn point_key_distinguishes_max_ii_from_sequential() {
         // `ii + 1` used to wrap Some(u32::MAX) onto None's encoding (and
         // panic in debug); the tag+value encoding must keep them distinct
         // without overflowing.
         let base = HlsOptions::default();
-        let m = PointMode::Full;
         let seq = point("k", 2, 1100);
         let fp = design_fingerprint(&seq.design);
         let mut max_ii = seq.clone();
         max_ii.pipeline_ii = Some(u32::MAX);
-        assert_ne!(
-            point_key(&base, &seq, fp, m),
-            point_key(&base, &max_ii, fp, m)
-        );
+        assert_ne!(point_key(&base, &seq, fp), point_key(&base, &max_ii, fp));
         let mut ii0 = seq.clone();
         ii0.pipeline_ii = Some(0);
-        assert_ne!(point_key(&base, &seq, fp, m), point_key(&base, &ii0, fp, m));
-        assert_ne!(
-            point_key(&base, &max_ii, fp, m),
-            point_key(&base, &ii0, fp, m)
-        );
+        assert_ne!(point_key(&base, &seq, fp), point_key(&base, &ii0, fp));
+        assert_ne!(point_key(&base, &max_ii, fp), point_key(&base, &ii0, fp));
         // Same point, same key — the memo still works.
         assert_eq!(
-            point_key(&base, &max_ii, fp, m),
-            point_key(&base, &max_ii.clone(), fp, m)
+            point_key(&base, &max_ii, fp),
+            point_key(&base, &max_ii.clone(), fp)
         );
-    }
-
-    #[test]
-    fn point_key_distinguishes_modes() {
-        // Full, recover, and auto rows for one point are distinct results;
-        // a shared cache must never serve one for another.
-        let base = HlsOptions::default();
-        let p = point("k", 2, 1100);
-        let fp = design_fingerprint(&p.design);
-        let keys = [
-            point_key(&base, &p, fp, PointMode::Full),
-            point_key(&base, &p, fp, PointMode::Recover),
-            point_key(&base, &p, fp, PointMode::Auto),
-        ];
-        assert_ne!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
-        assert_ne!(keys[1], keys[2]);
     }
 
     #[test]

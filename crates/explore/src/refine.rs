@@ -58,10 +58,12 @@ use crate::pareto::{
 use crate::pool::EvaluatorPool;
 use crate::sweep::{SweepCell, SweepGrid};
 use adhls_core::dse::{grid_item_time_ps, DsePoint, DseRow};
-use adhls_core::PointMode;
 use adhls_ir::{Design, Error, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// Safety valve on refinement rounds.
+const MAX_ROUNDS: usize = 32;
 
 /// Tuning knobs for [`refine`] (and, per plane, for [`refine_multi`]).
 ///
@@ -99,8 +101,6 @@ pub struct RefineOptions {
     /// Non-finite or negative values are treated as `0.0` (refine until
     /// nothing new appears).
     pub gap_tol: f64,
-    /// Safety valve on refinement rounds (`0` = seed only).
-    pub max_rounds: usize,
     /// Warm-start cells — typically a previous run's exported front (see
     /// [`warm_start_cells`]) — evaluated with the seed so refinement
     /// resumes from the old front instead of re-deriving it. Cells that
@@ -132,12 +132,9 @@ pub struct RefineOptions {
     /// mid-round, so rows and trace stay a prefix of the uncancelled
     /// run's). `None` = not cancellable. See [`CancelToken`].
     pub cancel: Option<CancelToken>,
-    /// How refined cells are evaluated: full two-flow synthesis (default),
-    /// the slack-recovery generator, or a per-cell automatic choice
-    /// ([`PointMode::Auto`] — recovery where the cell's latency budget
-    /// leaves positive slack, full otherwise). Applies to every cell the
-    /// refinement submits, seed included.
-    pub point_mode: PointMode,
+    /// Carries nothing: every cell runs both flows. Kept only because
+    /// callers outside this crate (the `perfbench` harness) still name it.
+    pub point_mode: (),
 }
 
 impl Default for RefineOptions {
@@ -145,12 +142,11 @@ impl Default for RefineOptions {
         RefineOptions {
             budget: 0,
             gap_tol: 0.05,
-            max_rounds: 32,
             warm_start: Vec::new(),
             objectives: ObjectiveSpace::default(),
             constraints: Vec::new(),
             cancel: None,
-            point_mode: PointMode::Full,
+            point_mode: (),
         }
     }
 }
@@ -413,10 +409,6 @@ struct Driver<'a, F> {
     /// Cells already settled — evaluated, skipped as infeasible, or pruned
     /// — and therefore never to be submitted again.
     known: HashSet<Cell>,
-    /// Evaluation mode for every cell this driver submits
-    /// ([`RefineOptions::point_mode`]; [`PointMode::Full`] until a driver
-    /// entry sets it).
-    mode: PointMode,
     rows: Vec<DseRow>,
     row_cells: Vec<Cell>,
     skipped: Vec<(String, String)>,
@@ -473,7 +465,6 @@ where
                 build,
                 constraints: constraints.to_vec(),
                 known: HashSet::new(),
-                mode: PointMode::Full,
                 rows: Vec::new(),
                 row_cells: Vec::new(),
                 skipped: Vec::new(),
@@ -561,7 +552,7 @@ where
                 )
             })
             .collect();
-        let result = eval.evaluate_mode(&points, self.mode)?;
+        let result = eval.evaluate(&points)?;
         let mut row_it = result.rows.into_iter();
         let mut skip_it = result.skipped.into_iter().peekable();
         for (p, &cell) in points.iter().zip(cells) {
@@ -1154,7 +1145,6 @@ where
 
     let gap_tol = clamp_gap_tol(opts.gap_tol);
     let (mut driver, grid_cells) = Driver::prepare(grid, prefix, build, &opts.constraints)?;
-    driver.mode = opts.point_mode;
     let empty_result = |planes: &[ObjectiveSpace]| MultiRefineResult {
         planes: planes
             .iter()
@@ -1234,7 +1224,7 @@ where
     loop {
         let pruned_before = driver.pruned;
         let planned = 'plan: {
-            if round > opts.max_rounds {
+            if round > MAX_ROUNDS {
                 break 'plan None;
             }
             // One shared pending set: a cell several planes want this round is

@@ -15,8 +15,8 @@
 //!   shards stay exactly where they were.
 //!
 //! All three key on [`SpecKey`]: exactly the fields expansion reads. The
-//! objectives, constraints, mode and id of a request stay per request, and
-//! two specs differing only there share one entry. Points share their
+//! objectives, constraints and id of a request stay per request, and two
+//! specs differing only there share one entry. Points share their
 //! designs through `Arc`, with each other and with the pool's prefix
 //! cache, so a memo hit copies pointers, not graphs. Expansion errors are
 //! never kept: a failing spec is expanded, and answered with the same
@@ -353,7 +353,6 @@ mod tests {
             r#"{"cmd":"refine","workload":"interpolation","clocks":[1400],"cycles":[4]}"#,
             r#"{"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4],"objectives":"area,power"}"#,
             r#"{"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4],"constraints":["area<=9"]}"#,
-            r#"{"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4],"mode":"recover"}"#,
         ];
         for line in same {
             assert_eq!(SpecKey::new(&spec(line)), base, "{line}");

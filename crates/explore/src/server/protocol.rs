@@ -23,7 +23,6 @@ use crate::pool::SweepResult;
 use crate::refine::{MultiRefineResult, MultiRoundTrace, RefineResult, RoundTrace};
 use adhls_core::dse::{summarize, DseRow};
 use adhls_core::json::{escape_into, Value};
-use adhls_core::PointMode;
 use adhls_telemetry::Snapshot;
 use std::fmt::Write as _;
 
@@ -66,12 +65,10 @@ pub struct WorkloadSpec {
     /// front/staircase honors and adaptive refinement clips to. Each
     /// bound's axis must be selected by the active objective space(s).
     pub constraints: Vec<Constraint>,
-    /// How the request's points are evaluated (`mode` field:
-    /// `"full" | "recover" | "auto"`, default full). Recover replaces the
-    /// slack-based flow with post-binding slack recovery; auto chooses per
-    /// cell. One shared pool serves mixed-mode requests — the mode is part
-    /// of every row's cache key.
-    pub mode: PointMode,
+    /// Carries nothing: every point runs both flows, and a request's
+    /// `mode` field is refused. Kept only because callers outside this
+    /// crate (the `perfbench` harness) still name it.
+    pub mode: (),
 }
 
 /// One parsed request.
@@ -206,6 +203,15 @@ fn parse_command(doc: &Value) -> Result<Command, String> {
 }
 
 fn parse_spec(doc: &Value) -> Result<WorkloadSpec, String> {
+    // Refused, not ignored: an ignored `mode` would silently answer a
+    // `recover` request with full rows.
+    if doc.get("mode").is_some() {
+        return Err(
+            "`mode` was removed: every point runs the conventional and slack-based flows; \
+             omit the field"
+                .into(),
+        );
+    }
     let workload = doc
         .get("workload")
         .map(|v| {
@@ -237,21 +243,8 @@ fn parse_spec(doc: &Value) -> Result<WorkloadSpec, String> {
         },
         objectives: parse_objectives(doc)?,
         constraints: parse_constraints_field(doc)?,
-        mode: parse_mode(doc)?,
+        mode: (),
     })
-}
-
-/// Parses the `mode` request field through the one shared definition
-/// ([`PointMode`]'s `FromStr`, the same grammar as CLI `--mode`).
-fn parse_mode(doc: &Value) -> Result<PointMode, String> {
-    match doc.get("mode") {
-        None => Ok(PointMode::Full),
-        Some(v) => v
-            .as_str()
-            .ok_or("`mode` must be a string (full | recover | auto)")?
-            .parse::<PointMode>()
-            .map_err(|e| format!("`mode`: {e}")),
-    }
 }
 
 /// Parses the `objectives` request field through the one shared

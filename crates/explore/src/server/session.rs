@@ -591,7 +591,7 @@ impl Server {
                         )?;
                         ok = false;
                     }
-                    Ok(points) => match self.pool.evaluate_set(&points, spec.mode) {
+                    Ok(points) => match self.pool.evaluate_set(&points) {
                         Ok(result) => {
                             let span = adhls_telemetry::span("session.render");
                             let planes: Vec<(ObjectiveSpace, Vec<adhls_core::dse::DseRow>)> =
@@ -669,7 +669,6 @@ impl Server {
                         warm_start,
                         constraints: spec.constraints.clone(),
                         cancel,
-                        point_mode: spec.mode,
                         ..Default::default()
                     };
                     let mut stream_err: Option<std::io::Error> = None;

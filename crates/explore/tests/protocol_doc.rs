@@ -115,14 +115,10 @@ fn every_protocol_md_request_replays_against_the_server() {
         requests.iter().any(|r| r.contains("\"cancel\"")),
         "no cancel example found in PROTOCOL.md"
     );
-    for needle in ["\"recover\"", "\"auto\""] {
-        assert!(
-            requests
-                .iter()
-                .any(|r| r.contains("\"mode\"") && r.contains(needle)),
-            "no mode:{needle} example found in PROTOCOL.md"
-        );
-    }
+    assert!(
+        requests.iter().any(|r| r.contains("\"mode\":")),
+        "no example of the removed `mode` field found in PROTOCOL.md"
+    );
 
     // One pool for every replay: repeated doc examples over the same
     // grids answer from cache, like a long-lived `adhls serve` would.
@@ -164,6 +160,16 @@ fn every_protocol_md_request_replays_against_the_server() {
                     .and_then(Value::as_str)
                     .is_some_and(|e| e.contains("no in-flight request")),
                 "cancel with no target in flight must say so: {req} -> {last}"
+            );
+        } else if req.contains("\"mode\":") {
+            // The removed `mode` field is refused with the documented
+            // structured error, never silently ignored.
+            assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{req} -> {last}");
+            assert!(
+                v.get("error")
+                    .and_then(Value::as_str)
+                    .is_some_and(|e| e.contains("`mode` was removed")),
+                "a `mode` request must name the removal: {req} -> {last}"
             );
         } else {
             assert_eq!(

@@ -1,19 +1,19 @@
 //! Protocol robustness under hostile input: random malformed, truncated,
 //! mutated, and oversized request lines — plus `cancel` for ids that were
-//! never in flight — must always produce a structured protocol response
-//! (or a clean connection close), never a panic, a hang, or a connection
-//! whose next request misbehaves.
+//! never in flight and the removed `mode` field — must always produce a
+//! structured protocol response (or a clean connection close), never a
+//! panic, a hang, or a connection whose next request misbehaves.
 
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::session::MAX_REQUEST_BYTES;
-use adhls_explore::server::{protocol, Server};
+use adhls_explore::server::{in_process_factory, protocol, Router, RouterOptions, Server};
 use adhls_reslib::tsmc90;
 use proptest::prelude::*;
 
-fn server() -> Server {
-    Server::new(EvaluatorPool::new(
+fn pool() -> EvaluatorPool {
+    EvaluatorPool::new(
         tsmc90::library(),
         HlsOptions::default(),
         PoolOptions {
@@ -21,7 +21,22 @@ fn server() -> Server {
             skip_infeasible: true,
             ..Default::default()
         },
-    ))
+    )
+}
+
+fn server() -> Server {
+    Server::new(pool())
+}
+
+fn two_worker_router() -> Router {
+    Router::new(
+        in_process_factory(|_| pool()),
+        RouterOptions {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("router spawns")
 }
 
 /// Feeds one raw line (plus a trailing `ping` probe) through a fresh
@@ -212,25 +227,7 @@ fn oversized_lines_are_refused_with_a_structured_error() {
 /// front-end is refused before any worker sees it.
 #[test]
 fn oversized_lines_are_refused_by_the_router_too() {
-    use adhls_explore::server::{in_process_factory, Router, RouterOptions};
-    let router = Router::new(
-        in_process_factory(|_| {
-            EvaluatorPool::new(
-                tsmc90::library(),
-                HlsOptions::default(),
-                PoolOptions {
-                    threads: 1,
-                    skip_infeasible: true,
-                    ..Default::default()
-                },
-            )
-        }),
-        RouterOptions {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("router spawns");
+    let router = two_worker_router();
     let mut line = String::with_capacity(MAX_REQUEST_BYTES + 64);
     line.push_str("{\"cmd\":\"sweep\",\"pad\":\"");
     line.push_str(&"y".repeat(MAX_REQUEST_BYTES));
@@ -317,7 +314,6 @@ fn refuses_hostile_dsl(handle: impl Fn(&str, &mut Vec<u8>)) {
 /// request is still answered.
 #[test]
 fn hostile_dsl_sources_get_structured_errors() {
-    use adhls_explore::server::{in_process_factory, Router, RouterOptions};
     std::thread::Builder::new()
         .stack_size(2 << 20)
         .spawn(|| {
@@ -325,24 +321,7 @@ fn hostile_dsl_sources_get_structured_errors() {
             refuses_hostile_dsl(|line, out| {
                 srv.handle_line(line, out).expect("in-memory response");
             });
-            let router = Router::new(
-                in_process_factory(|_| {
-                    EvaluatorPool::new(
-                        tsmc90::library(),
-                        HlsOptions::default(),
-                        PoolOptions {
-                            threads: 1,
-                            skip_infeasible: true,
-                            ..Default::default()
-                        },
-                    )
-                }),
-                RouterOptions {
-                    workers: 2,
-                    ..Default::default()
-                },
-            )
-            .expect("router spawns");
+            let router = two_worker_router();
             refuses_hostile_dsl(|line, out| {
                 router.handle_line(line, out).expect("routed response");
             });
@@ -350,4 +329,48 @@ fn hostile_dsl_sources_get_structured_errors() {
         .expect("spawns")
         .join()
         .expect("no stack overflow, no panic");
+}
+
+/// Sends a `sweep` and a `refine` carrying each `mode` value, each
+/// followed by a `ping`, through `handle`: exactly one structured refusal
+/// naming the removal, then the answered probe.
+fn refuses_mode(handle: impl Fn(&str, &mut Vec<u8>)) {
+    for cmd in ["sweep", "refine"] {
+        for mode in [r#""recover""#, r#""auto""#, r#""full""#, "null"] {
+            let line = format!(
+                r#"{{"id":1,"cmd":"{cmd}","workload":"interpolation","clocks":[1400],"cycles":[4],"mode":{mode}}}"#
+            );
+            let mut out = Vec::new();
+            handle(&line, &mut out);
+            handle(r#"{"id":"probe","cmd":"ping"}"#, &mut out);
+            let lines: Vec<String> = String::from_utf8(out)
+                .expect("responses are UTF-8")
+                .lines()
+                .map(str::to_string)
+                .collect();
+            let context = format!("{cmd} with mode {mode}");
+            assert_structured(&lines, &context);
+            assert_eq!(lines.len(), 2, "{context}: {lines:#?}");
+            let first = Value::parse(&lines[0]).expect("structured above");
+            assert_eq!(first.get("ok"), Some(&Value::Bool(false)), "{context}");
+            let error = first.get("error").and_then(Value::as_str).unwrap_or("");
+            assert!(error.contains("`mode` was removed"), "{context}: {error}");
+            assert_probe_answered(&lines, &context);
+        }
+    }
+}
+
+/// The removed `mode` field is refused, never ignored (an ignored field
+/// would answer a `recover` request with full rows), by a server and by a
+/// two-worker router alike.
+#[test]
+fn the_removed_mode_field_is_refused_not_ignored() {
+    let srv = server();
+    refuses_mode(|line, out| {
+        srv.handle_line(line, out).expect("in-memory response");
+    });
+    let router = two_worker_router();
+    refuses_mode(|line, out| {
+        router.handle_line(line, out).expect("routed response");
+    });
 }

@@ -98,7 +98,6 @@ fn every_key_field_misses_and_every_per_request_field_hits() {
         r#"{"id":7,"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4]}"#,
         r#"{"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4],"objectives":"area,latency"}"#,
         r#"{"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4],"constraints":["area<=100000"]}"#,
-        r#"{"cmd":"sweep","workload":"interpolation","clocks":[1400],"cycles":[4],"mode":"recover"}"#,
     ];
     lines.extend(hits.into_iter().map(|l| (l.to_string(), true)));
     lines.push((dsl_sweep(RESIZER, r#","clocks":[2000],"id":"again""#), true));

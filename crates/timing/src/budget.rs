@@ -14,12 +14,6 @@
 //!
 //! The budgeting loop is generic over the slack engine so the Bellman-Ford
 //! baseline of Table 5 can be swapped in ([`SlackEngine::BellmanFord`]).
-//!
-//! One loop runs both grade walks of the system: the paper's budgeting
-//! ([`budget_with_choices`]) and slack recovery's ([`recovery_walk`]),
-//! which starts from the fastest grades and records the downgrades it
-//! keeps, so that any prefix of the walk can be replayed
-//! ([`RecoveryWalk::prefix`]).
 
 use crate::bellman::compute_slack_bellman;
 use crate::slack::{compute_slack, SlackMode, SlackResult, SlackState};
@@ -162,120 +156,6 @@ impl BudgetResult {
     }
 }
 
-/// One downgrade a recovery walk kept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Downgrade {
-    /// The op slowed by one grade.
-    pub op: OpId,
-    /// Its effective delay afterwards (grade delay + overhead), in ps.
-    pub delay: i64,
-    /// Minimum slack right after the move.
-    pub min_slack: i64,
-    /// Downgrades the walk took back before this one.
-    pub reverted: usize,
-}
-
-/// The record of a [`recovery_walk`]: its fastest start and the
-/// downgrades it kept, in order. The walk is deterministic, so the walk
-/// cut after its `k`-th kept downgrade is exactly [`RecoveryWalk::prefix`]
-/// of `k`, with the slack and revert counts of [`Downgrade`] `k − 1`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryWalk {
-    start_idx: Vec<Option<usize>>,
-    start_delays: Vec<i64>,
-    start_min_slack: i64,
-    steps: Vec<Downgrade>,
-    reverted: usize,
-}
-
-impl RecoveryWalk {
-    /// Minimum slack at the fastest start. When negative, the walk made
-    /// no move.
-    #[must_use]
-    pub fn start_min_slack(&self) -> i64 {
-        self.start_min_slack
-    }
-
-    /// The kept downgrades, in the order the walk made them.
-    #[must_use]
-    pub fn steps(&self) -> &[Downgrade] {
-        &self.steps
-    }
-
-    /// Downgrades taken back over the whole walk.
-    #[must_use]
-    pub fn reverted(&self) -> usize {
-        self.reverted
-    }
-
-    /// Grade index and effective delay per op id after the first `k` kept
-    /// downgrades, replayed from the fastest start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` exceeds the number of kept downgrades.
-    #[must_use]
-    pub fn prefix(&self, k: usize) -> (Vec<Option<usize>>, Vec<i64>) {
-        let mut idx = self.start_idx.clone();
-        let mut delays = self.start_delays.clone();
-        for step in &self.steps[..k] {
-            let i = step.op.0 as usize;
-            idx[i] = idx[i].map(|g| g + 1);
-            delays[i] = step.delay;
-        }
-        (idx, delays)
-    }
-}
-
-/// The two walks [`walk`] runs. Everything that depends on the variant is
-/// settled once per move or when a move is tabled, never in the per-op
-/// scan that picks a move.
-#[derive(Debug)]
-enum Variant<'a> {
-    /// The paper's budgeting: start slowest (or warm), repair negative
-    /// slack by upgrades, then downgrade ops whose slack exceeds the
-    /// binning margin, largest area saving first. Records nothing.
-    Paper,
-    /// Slack recovery: start fastest and move only from a feasible start;
-    /// downgrade ops above the binned-critical set, largest area saving
-    /// per picosecond of delay cost first, and never a move that saves
-    /// nothing. Records its start and every kept downgrade.
-    Recovery(&'a mut RecoveryWalk),
-}
-
-impl Variant<'_> {
-    /// Starting grade of an op with `n` candidates (fastest first).
-    fn start(&self, n: usize) -> usize {
-        match self {
-            Variant::Paper => n - 1,
-            Variant::Recovery(_) => 0,
-        }
-    }
-
-    /// The slack an op must exceed to be downgraded, under minimum slack
-    /// `min`.
-    fn floor(&self, min: i64, margin: i64) -> i64 {
-        match self {
-            Variant::Paper => margin,
-            // The binned-critical set (slack within `margin` of the
-            // minimum) keeps its grades only while it is tight: once even
-            // the minimum clears the margin, any op with slack may move.
-            Variant::Recovery(_) if min <= margin => min.saturating_add(margin),
-            Variant::Recovery(_) => 0,
-        }
-    }
-
-    /// Rank of a downgrade costing `dcost` ps and saving `saving` area
-    /// (larger is better); `None` when the variant never takes it.
-    fn score(&self, dcost: i64, saving: f64) -> Option<f64> {
-        match self {
-            Variant::Paper => Some(saving),
-            // A non-convenient unit consumes slack and saves nothing.
-            Variant::Recovery(_) => (saving > 0.0).then(|| saving / dcost.max(1) as f64),
-        }
-    }
-}
-
 /// One-call budgeting: derives choices from the library and runs
 /// [`budget_with_choices`] with nothing locked.
 ///
@@ -330,53 +210,6 @@ pub fn budget_with_choices_from(
     locked: impl Fn(OpId) -> Option<u64>,
     initial: Option<&[Option<usize>]>,
 ) -> BudgetResult {
-    walk(
-        tdfg,
-        choices,
-        clock_ps,
-        opts,
-        locked,
-        initial,
-        Variant::Paper,
-    )
-}
-
-/// Slack recovery's walk over the all-fastest grades: the recovery
-/// variant of budgeting's downgrade loop. When the fastest start has
-/// non-negative slack, it downgrades ops outside the binned-critical set,
-/// best area saving per picosecond of delay cost first (ties toward the
-/// lower op id), and takes back and caps any move that drops the minimum
-/// slack below zero or turns an op negative, so the walk never leaves
-/// feasibility. Reads the margin, slack mode, engine and overhead from
-/// `opts`.
-///
-/// # Panics
-///
-/// Panics if `clock_ps` is zero or `choices` is shorter than the id space.
-#[must_use]
-pub fn recovery_walk(
-    tdfg: &TimedDfg,
-    choices: &[OpChoice],
-    clock_ps: u64,
-    opts: &BudgetOptions,
-) -> RecoveryWalk {
-    let mut rec = RecoveryWalk::default();
-    let variant = Variant::Recovery(&mut rec);
-    let r = walk(tdfg, choices, clock_ps, opts, |_| None, None, variant);
-    rec.reverted = r.reverted;
-    rec
-}
-
-/// The grade walk both variants run.
-fn walk(
-    tdfg: &TimedDfg,
-    choices: &[OpChoice],
-    clock_ps: u64,
-    opts: &BudgetOptions,
-    locked: impl Fn(OpId) -> Option<u64>,
-    initial: Option<&[Option<usize>]>,
-    mut variant: Variant<'_>,
-) -> BudgetResult {
     assert!(clock_ps > 0, "clock period must be positive");
     assert!(choices.len() >= tdfg.len_ids(), "choices table too short");
     let t = clock_ps as i64;
@@ -404,7 +237,7 @@ fn walk(
         }
     };
 
-    // ---- initial point: the warm start, else the variant's.
+    // ---- initial point: the warm start, else the slowest grade.
     let mut idx: Vec<Option<usize>> = vec![None; n];
     let mut delays: Vec<i64> = vec![0; n];
     let mut lock_flag: Vec<bool> = vec![false; n];
@@ -433,7 +266,7 @@ fn walk(
             let warm = initial
                 .and_then(|init| init[i])
                 .filter(|&k| k < ch.candidates.len());
-            let k = warm.unwrap_or(variant.start(ch.candidates.len()));
+            let k = warm.unwrap_or(ch.candidates.len() - 1);
             idx[i] = Some(k);
             delays[i] = ch.candidates[k].grade.delay_ps as i64 + overhead;
         }
@@ -454,22 +287,16 @@ fn walk(
     let mut down: Vec<Option<(i64, f64)>> = vec![None; n];
     for i in 0..n {
         if tdfg.is_timed(OpId(i as u32)) && !lock_flag[i] {
-            (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i], &variant);
+            (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
         }
     }
 
     let mut st = SlackState::new(full(&delays));
     let mut slack_evals = full_evals;
-    if let Variant::Recovery(rec) = &mut variant {
-        rec.start_idx.clone_from(&idx);
-        rec.start_delays.clone_from(&delays);
-        rec.start_min_slack = st.min_slack();
-    }
 
-    // ---- phase 1 (paper): repair negative aligned slack by upgrading
-    // critical ops.
-    let paper = matches!(variant, Variant::Paper);
-    while paper && st.min_slack() < 0 && moves < max_moves {
+    // ---- phase 1: repair negative aligned slack by upgrading critical
+    // ops.
+    while st.min_slack() < 0 && moves < max_moves {
         // Candidates: ops with negative slack that can still be sped up,
         // preferring the binned-critical set (slack within `margin` of the
         // minimum), falling back to any negative-slack op once the most
@@ -496,29 +323,26 @@ fn walk(
         let k = idx[i].unwrap() - 1;
         idx[i] = Some(k);
         delays[i] = choices[i].candidates[k].grade.delay_ps as i64 + overhead;
-        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i], &variant);
+        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
         moves += 1;
         slack_evals += refresh(&mut st, &delays, OpId(i as u32));
     }
 
-    // ---- phase 2: spend positive slack on cheaper grades. Recovery
-    // never starts from an infeasible point.
-    let spend = paper || st.min_slack() >= 0;
-    while spend && moves < max_moves {
-        let floor = variant.floor(st.min_slack(), margin);
+    // ---- phase 2: spend positive slack on cheaper grades.
+    while moves < max_moves {
         let slack = st.slack();
         let mut best: Option<(usize, f64)> = None;
         for (i, mv) in down.iter().enumerate() {
-            let Some((dcost, score)) = *mv else { continue };
+            let Some((dcost, saving)) = *mv else { continue };
             let s = slack[i];
-            if s <= floor {
+            if s <= margin {
                 continue; // binned as zero slack
             }
             if dcost > s {
                 continue;
             }
-            if best.is_none_or(|(_, b)| score > b) {
-                best = Some((i, score));
+            if best.is_none_or(|(_, b)| saving > b) {
+                best = Some((i, saving));
             }
         }
         let Some((i, _)) = best else { break };
@@ -538,15 +362,8 @@ fn walk(
             max_idx[i] = k;
             st.revert();
             reverted += 1;
-        } else if let Variant::Recovery(rec) = &mut variant {
-            rec.steps.push(Downgrade {
-                op: OpId(i as u32),
-                delay: delays[i],
-                min_slack: st.min_slack(),
-                reverted,
-            });
         }
-        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i], &variant);
+        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
     }
 
     let mut chosen: Vec<Option<Candidate>> = vec![None; n];
@@ -574,14 +391,9 @@ fn walk(
 
 /// The one-grade moves of an op at grade `k` under slowness cap `cap`:
 /// the phase-1 upgrade score (delay gained per unit of area spent), and
-/// the phase-2 downgrade's delay cost and `variant` score; `None` where
-/// the move does not exist or the variant never takes it.
-fn moves_of(
-    ch: &OpChoice,
-    k: Option<usize>,
-    cap: usize,
-    variant: &Variant<'_>,
-) -> (Option<f64>, Option<(i64, f64)>) {
+/// the phase-2 downgrade's delay cost and area saving; `None` where the
+/// move does not exist.
+fn moves_of(ch: &OpChoice, k: Option<usize>, cap: usize) -> (Option<f64>, Option<(i64, f64)>) {
     let Some(k) = k else { return (None, None) };
     let grade = |j: usize| ch.candidates[j].grade;
     let up = (k > 0).then(|| {
@@ -590,15 +402,10 @@ fn moves_of(
         let acost = (fast.area - cur.area).max(1e-9);
         dgain / acost
     });
-    let down = (k + 1 < ch.candidates.len() && k < cap)
-        .then(|| {
-            let (cur, slow) = (grade(k), grade(k + 1));
-            let dcost = (slow.delay_ps - cur.delay_ps) as i64;
-            variant
-                .score(dcost, cur.area - slow.area)
-                .map(|s| (dcost, s))
-        })
-        .flatten();
+    let down = (k + 1 < ch.candidates.len() && k < cap).then(|| {
+        let (cur, slow) = (grade(k), grade(k + 1));
+        ((slow.delay_ps - cur.delay_ps) as i64, cur.area - slow.area)
+    });
     (up, down)
 }
 
@@ -732,50 +539,6 @@ mod tests {
         });
         assert_eq!(r.delays[m1.0 as usize], 470);
         assert!(r.min_slack >= 0);
-    }
-
-    #[test]
-    fn recovery_walk_prefixes_replay_the_walk() {
-        // Two muls and two adds over three cycles: the fastest start has
-        // slack to spend.
-        let mut b = DesignBuilder::new("walk");
-        let x = b.input("x", 16);
-        let a = b.binop(OpKind::Add, x, x, 16);
-        let m1 = b.binop(OpKind::Mul, a, x, 16);
-        let m2 = b.binop(OpKind::Mul, x, x, 16);
-        b.soft_waits(2);
-        let s = b.binop(OpKind::Add, m1, m2, 16);
-        b.write("y", s);
-        let d = b.finish().unwrap();
-        let (info, spans) = d.analyze().unwrap();
-        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
-        let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
-        let opts = BudgetOptions {
-            overhead_ps: 40,
-            ..Default::default()
-        };
-        let walk = recovery_walk(&tdfg, &choices, 1400, &opts);
-        let steps = walk.steps();
-        assert!(walk.start_min_slack() >= 0);
-        assert!(!steps.is_empty(), "headroom must be spent");
-        for k in 0..=steps.len() {
-            let (idx, delays) = walk.prefix(k);
-            for o in d.dfg.op_ids() {
-                let i = o.0 as usize;
-                if let Some(g) = idx[i] {
-                    let grade = choices[i].candidates[g].grade;
-                    assert_eq!(delays[i], grade.delay_ps as i64 + 40, "{o} at prefix {k}");
-                }
-            }
-            let min = compute_slack(&tdfg, &delays, 1400, SlackMode::Aligned).min_slack();
-            let recorded = k
-                .checked_sub(1)
-                .map_or(walk.start_min_slack(), |j| steps[j].min_slack);
-            assert_eq!(min, recorded, "prefix {k}");
-            assert!(min >= 0, "the walk never leaves feasibility");
-        }
-        let slowed: usize = walk.prefix(steps.len()).0.iter().flatten().sum();
-        assert_eq!(slowed, steps.len(), "one grade per kept downgrade");
     }
 
     #[test]

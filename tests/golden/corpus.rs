@@ -22,21 +22,11 @@
 //! each streamed `round` event and the terminal `result` — exactly as a
 //! client reads them.
 //!
-//! The `recover` set covers the `idct1d`, `fir` and `fleet` points in the
-//! two slack-recovery modes, three lines per point: the `recover` and
-//! `auto` rows (or their error text), and the [`recover_prepared`]
-//! outcome — the walk's kept and reverted downgrades, its starting and
-//! final minimum slack, whether the rebind bisected (`rebind_failed`) or
-//! fell back to the baseline (`clamped`), and the reported run's
-//! relaxation rounds.
-//!
 //! Shared by `tests/golden_corpus.rs` (which only reads the committed
 //! files) and `examples/golden_corpus.rs` (which writes them).
 
 use adhls_core::dse::{evaluate_point, DsePoint, DseRow};
-use adhls_core::recover::{evaluate_mode_prepared, recover_prepared};
 use adhls_core::sched::{run_hls, Flow, HlsOptions, HlsResult};
-use adhls_core::{PointMode, PreparedDesign};
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::Server;
 use adhls_reslib::tsmc90;
@@ -46,22 +36,18 @@ use adhls_workloads::{fir, idct};
 use std::fmt::Write;
 
 /// Corpus sets, in file order; each is stored as `tests/golden/<set>.txt`.
-pub const SETS: [&str; 6] = ["table4", "idct1d", "fir", "fleet", "refine", "recover"];
-
-/// The point sets the `recover` set evaluates in both recovery modes.
-const RECOVER_SETS: [&str; 3] = ["idct1d", "fir", "fleet"];
+pub const SETS: [&str; 5] = ["table4", "idct1d", "fir", "fleet", "refine"];
 
 /// The requests of the `refine` set. The main grid's 900-ps column is
 /// overconstrained at low budgets, so those streams also carry skipped
 /// cells. Together they cover the default plane with a warm start, an
 /// area/power plane whose one-point seed staircase takes the densify
-/// path, constraints that prune cells before evaluation, a budget cut
-/// under per-cell auto mode, a zero gap tolerance, and a two-plane pass.
-pub const REFINE_REQUESTS: [&str; 7] = [
+/// path, constraints that prune cells before evaluation, a budget cut, a
+/// zero gap tolerance, and a two-plane pass.
+pub const REFINE_REQUESTS: [&str; 6] = [
     r#"{"id":1,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"warm_front":["interp-c1250-l4"]}"#,
     r#"{"id":2,"cmd":"refine","workload":"interpolation","clocks":[1800,2000,2200,2400,2600],"cycles":[6,7,8,9,10],"objectives":"area,power"}"#,
     r#"{"id":3,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"objectives":"area,latency","constraints":["area<=3000","latency<=6000"],"gap_tol":0.02}"#,
-    r#"{"id":4,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"budget":14,"gap_tol":0,"mode":"auto"}"#,
     r#"{"id":5,"cmd":"refine","workload":"interpolation","clocks":[1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[3,4,5,6],"gap_tol":0}"#,
     r#"{"id":6,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"objectives":"area,latency;area,power","constraints":["area<=3000"],"gap_tol":0.02}"#,
     r#"{"id":7,"cmd":"refine","workload":"interpolation","clocks":[900,1100,1175,1250,1325,1400,1500,1650,1800],"cycles":[2,3,4,5,6],"budget":14,"gap_tol":0}"#,
@@ -78,7 +64,7 @@ pub fn points(set: &str) -> Vec<DsePoint> {
         // The paper's 15 Table-4 IDCT-2D points, pipelined ones included.
         "table4" => idct_table4(),
         // The IDCT-1D clock × latency acceptance grid of
-        // `recovery_dominance.rs` and `refine_idct.rs`.
+        // `refine_idct.rs`.
         "idct1d" => {
             let clocks = [1400, 1550, 1700, 1850, 2000, 2200, 2400, 2600, 2900, 3200];
             let mut pts = Vec::new();
@@ -155,10 +141,8 @@ fn state_bytes(r: &HlsResult) -> Vec<u8> {
 /// library.
 #[must_use]
 pub fn render(set: &str) -> String {
-    match set {
-        "refine" => return render_refine(),
-        "recover" => return render_recover(),
-        _ => {}
+    if set == "refine" {
+        return render_refine();
     }
     let lib = tsmc90::library();
     let base = HlsOptions::default();
@@ -209,39 +193,6 @@ fn write_row(out: &mut String, name: &str, tag: &str, row: adhls_ir::Result<DseR
         Err(e) => writeln!(out, "{name} {tag} error: {e}"),
     }
     .expect("writing to a String");
-}
-
-/// Renders the `recover` set: per point of [`RECOVER_SETS`], the
-/// `recover` and `auto` rows and the recovery outcome behind them.
-fn render_recover() -> String {
-    let lib = tsmc90::library();
-    let base = HlsOptions::default();
-    let mut out = String::new();
-    for p in RECOVER_SETS.into_iter().flat_map(points) {
-        let prep = PreparedDesign::from_shared(p.design.clone(), &lib).expect("elaboration");
-        for (tag, mode) in [("recover", PointMode::Recover), ("auto", PointMode::Auto)] {
-            let row = evaluate_mode_prepared(mode, &prep, &p, &lib, &base);
-            write_row(&mut out, &p.name, tag, row);
-        }
-        match recover_prepared(&prep, &p, &lib, &base) {
-            Ok(o) => writeln!(
-                out,
-                "{} outcome downgrades={} reverted={} min_slack_fastest={} min_slack={} \
-                 clamped={} rebind_failed={} relax={}",
-                p.name,
-                o.grades.downgrades,
-                o.grades.reverted,
-                o.grades.min_slack_fastest,
-                o.grades.min_slack,
-                o.clamped,
-                o.rebind_failed,
-                o.result.relax_rounds
-            ),
-            Err(e) => writeln!(out, "{} outcome error: {e}", p.name),
-        }
-        .expect("writing to a String");
-    }
-    out
 }
 
 /// Renders the `refine` set: each request of [`REFINE_REQUESTS`] against

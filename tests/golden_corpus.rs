@@ -39,7 +39,6 @@ fn committed(set: &str) -> &'static str {
         "fir" => include_str!("golden/fir.txt"),
         "fleet" => include_str!("golden/fleet.txt"),
         "refine" => include_str!("golden/refine.txt"),
-        "recover" => include_str!("golden/recover.txt"),
         other => panic!("no committed corpus for `{other}`"),
     }
 }
@@ -74,14 +73,4 @@ fn random_fleet_rows_match_the_corpus() {
 #[test]
 fn refine_streams_match_the_corpus() {
     check("refine", committed("refine"));
-}
-
-#[test]
-fn recovery_rows_and_outcomes_match_the_corpus() {
-    let committed = committed("recover");
-    assert!(
-        committed.contains("rebind_failed=true"),
-        "the recover set must hold a cell whose full-walk rebind failed, so the bisection runs"
-    );
-    check("recover", committed);
 }
