@@ -26,34 +26,44 @@
 use crate::sched::{Flow, HlsOptions};
 use adhls_ir::cfg::CfgInfo;
 use adhls_ir::span::{SpanAnalysis, SpanBounds};
-use adhls_ir::{Design, EdgeId, OpId, Result};
+use adhls_ir::{vec_heap_bytes, Design, EdgeId, OpId, Result};
 use adhls_reslib::Library;
-use adhls_timing::budget::{op_choices, BudgetOptions, OpChoice, SlackEngine};
+use adhls_timing::budget::{op_choices, BudgetOptions, OpChoices, SlackEngine};
 use adhls_timing::slack::SlackMode;
 use adhls_timing::TimedDfg;
-use std::collections::HashMap;
+use std::collections::VecDeque;
+use std::mem::size_of;
 use std::sync::{Arc, Mutex};
+
+/// How many [`ClockContext`]s one prefix keeps. A prefix's byte count
+/// reserves room for this many, and storing one more replaces the oldest,
+/// so a prefix never grows past its count however many clocks it serves.
+pub const CLOCK_CONTEXTS: usize = 8;
 
 /// The clock-independent prefix of an HLS run over one design: everything
 /// `run_hls` computes before the first grade or placement decision that
 /// could depend on the clock period, flow, or initiation interval.
 ///
-/// Immutable once built (the [`ClockContext`] cache inside is interior
-/// mutability over *appended* derived values, never mutation of existing
-/// ones), so it is shared freely across threads behind an [`Arc`].
+/// Immutable once built (the [`ClockContext`] slots inside are interior
+/// mutability over derived values, never mutation of existing ones), so it
+/// is shared freely across threads behind an [`Arc`].
+///
+/// Every artifact is stored flat — adjacency, legal lists and candidate
+/// lists as one table each, not one small vector per op — so a prefix is
+/// a few dozen heap blocks whatever the design's size, and
+/// [`PreparedDesign::approx_bytes`] sums them exactly.
 ///
 /// Validity: the artifacts are a pure function of `(design, library)`. A
-/// prefix cache must therefore key on the design (e.g.
-/// `fingerprint::design_fingerprint` in `adhls-explore`) and hold the
-/// library fixed — exactly the shape of `EvaluatorPool`, which owns one
-/// library for its whole lifetime.
+/// prefix cache must therefore key on the design (as `EvaluatorPool` in
+/// `adhls-explore` does) and hold the library fixed — exactly the shape of
+/// `EvaluatorPool`, which owns one library for its whole lifetime.
 #[derive(Debug)]
 pub struct PreparedDesign {
     /// Shared with the points evaluated over this prefix, never copied.
     design: Arc<Design>,
     info: CfgInfo,
     span_analysis: SpanAnalysis,
-    base_choices: Vec<OpChoice>,
+    base_choices: OpChoices,
     /// `bounds_pinned(|_| None)` — the ASAP/ALAP mobility labels every pass
     /// starts from (recomputed per restart on the from-scratch path).
     initial_bounds: SpanBounds,
@@ -64,9 +74,13 @@ pub struct PreparedDesign {
     /// Per-CFG-edge legality index: ops `o` with `e ∈ legal(o)`, in `OpId`
     /// order. A superset of any edge's ready set (the scheduler's bounds
     /// only ever narrow spans), so placement scans this instead of all ops.
-    edge_ops: Vec<Vec<OpId>>,
-    /// Clock-keyed second-stage artifacts, populated on first use.
-    clock_ctxs: Mutex<HashMap<CtxKey, Arc<ClockContext>>>,
+    /// Edge `e`'s ops are `edge_ops[edge_ops_start[e]..edge_ops_start[e + 1]]`.
+    edge_ops: Vec<OpId>,
+    edge_ops_start: Vec<u32>,
+    /// Clock-keyed second-stage artifacts, populated on first use, oldest
+    /// first; at most [`CLOCK_CONTEXTS`], with room for all of them
+    /// reserved up front.
+    clock_ctxs: Mutex<VecDeque<(CtxKey, Arc<ClockContext>)>>,
     approx_bytes: usize,
 }
 
@@ -77,15 +91,46 @@ pub struct PreparedDesign {
 /// run the scheduler also reuses it for any restart whose caps repeat.
 #[derive(Debug, Default)]
 pub struct ClockContext {
-    pub(crate) grade_idx: Vec<Option<usize>>,
-    pub(crate) prio: Vec<i64>,
-    pub(crate) eff_delay: Vec<i64>,
+    /// Per op id, in one allocation: the slack priority of op `i` at `i`,
+    /// then its grade index at `n + i` (`-1` for fixed-delay ops).
+    per_op: Box<[i64]>,
     /// Moves, reverted moves and slack evaluations of the budgeting call
     /// that produced the grades (0 outside the slack flow), so a run that
     /// reuses the context reports the same counts as one that computed it.
     pub(crate) budget_moves: usize,
     pub(crate) budget_reverted: usize,
     pub(crate) slack_evals: usize,
+}
+
+impl ClockContext {
+    /// A context over per-op-id priorities and grade indices (equal
+    /// lengths).
+    pub(crate) fn new(prio: &[i64], grade_idx: &[Option<usize>]) -> Self {
+        debug_assert_eq!(prio.len(), grade_idx.len());
+        let grades = grade_idx.iter().map(|g| g.map_or(-1, |k| k as i64));
+        ClockContext {
+            per_op: prio.iter().copied().chain(grades).collect(),
+            ..ClockContext::default()
+        }
+    }
+
+    /// Slack priority per op id.
+    pub(crate) fn prio(&self) -> &[i64] {
+        &self.per_op[..self.per_op.len() / 2]
+    }
+
+    /// Grade index per op id (`None` for fixed-delay ops).
+    pub(crate) fn grade_idx(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.per_op[self.per_op.len() / 2..]
+            .iter()
+            .map(|&g| usize::try_from(g).ok())
+    }
+
+    /// Heap bytes one stored context of a design with `n_ids` op ids
+    /// holds: its `Arc` block and its per-op table.
+    fn bytes(n_ids: usize) -> usize {
+        2 * size_of::<usize>() + size_of::<ClockContext>() + 2 * n_ids * size_of::<i64>()
+    }
 }
 
 impl PreparedDesign {
@@ -122,14 +167,24 @@ impl PreparedDesign {
                 |o| initial_bounds.early(o),
                 |o| initial_bounds.late(o),
             )?;
-            let mut edge_ops: Vec<Vec<OpId>> = vec![Vec::new(); info.len_edges()];
+            let mut edge_ops_start = vec![0u32; info.len_edges() + 1];
             for o in design.dfg.op_ids() {
                 for &e in span_analysis.legal(o) {
-                    edge_ops[e.0 as usize].push(o);
+                    edge_ops_start[e.0 as usize + 1] += 1;
                 }
             }
-            let approx_bytes = approx_bytes(&design, &span_analysis, &base_choices, &initial_tdfg);
-            Ok(PreparedDesign {
+            for e in 0..info.len_edges() {
+                edge_ops_start[e + 1] += edge_ops_start[e];
+            }
+            let mut edge_ops = vec![OpId(0); edge_ops_start[info.len_edges()] as usize];
+            let mut next = edge_ops_start.clone();
+            for o in design.dfg.op_ids() {
+                for &e in span_analysis.legal(o) {
+                    edge_ops[next[e.0 as usize] as usize] = o;
+                    next[e.0 as usize] += 1;
+                }
+            }
+            let mut prep = PreparedDesign {
                 design,
                 info,
                 span_analysis,
@@ -137,9 +192,12 @@ impl PreparedDesign {
                 initial_bounds,
                 initial_tdfg,
                 edge_ops,
-                clock_ctxs: Mutex::new(HashMap::new()),
-                approx_bytes,
-            })
+                edge_ops_start,
+                clock_ctxs: Mutex::new(VecDeque::with_capacity(CLOCK_CONTEXTS)),
+                approx_bytes: 0,
+            };
+            prep.approx_bytes = prep.count_bytes();
+            Ok(prep)
         })
     }
 
@@ -163,7 +221,7 @@ impl PreparedDesign {
 
     /// Untruncated per-op grade candidates from the library.
     #[must_use]
-    pub fn base_choices(&self) -> &[OpChoice] {
+    pub fn base_choices(&self) -> &OpChoices {
         &self.base_choices
     }
 
@@ -182,39 +240,70 @@ impl PreparedDesign {
     /// Ops that may legally sit on edge `e` (superset of any ready set).
     #[must_use]
     pub fn edge_ops(&self, e: EdgeId) -> &[OpId] {
-        &self.edge_ops[e.0 as usize]
+        let e = e.0 as usize;
+        &self.edge_ops[self.edge_ops_start[e] as usize..self.edge_ops_start[e + 1] as usize]
     }
 
-    /// Rough retained size of the prefix artifacts, for the
-    /// `pipeline.prefix.bytes` cache gauge. An estimate, not an accounting.
+    /// The heap bytes this prefix holds behind its `Arc`, counted from
+    /// every allocation it owns: its own block, each flat artifact table
+    /// (CFG analysis with its edge-pair tables, span analysis, candidate
+    /// table, initial bounds, timed DFG, legality index) and the
+    /// clock-context slots with room for [`CLOCK_CONTEXTS`] full contexts,
+    /// stored or not. Fixed when the prefix is built, so a cache can charge
+    /// it once. The design is shared with the points evaluated over the
+    /// prefix and is not counted.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
 
-    /// The cached [`ClockContext`] for these options, if one was stored.
+    fn count_bytes(&self) -> usize {
+        2 * size_of::<usize>()
+            + size_of::<PreparedDesign>()
+            + self.info.heap_bytes()
+            + self.span_analysis.heap_bytes()
+            + self.base_choices.heap_bytes()
+            + self.initial_bounds.heap_bytes()
+            + self.initial_tdfg.heap_bytes()
+            + vec_heap_bytes(&self.edge_ops)
+            + vec_heap_bytes(&self.edge_ops_start)
+            + self
+                .clock_ctxs
+                .lock()
+                .expect("clock-context lock poisoned")
+                .capacity()
+                * size_of::<(CtxKey, Arc<ClockContext>)>()
+            + CLOCK_CONTEXTS * ClockContext::bytes(self.design.dfg.len_ids())
+    }
+
+    /// The cached [`ClockContext`] for these options, if one is stored.
     /// Keyed exactly by every option *except* the initiation interval
     /// (which cannot affect budgeting — it only constrains placement), so
     /// II cells at the same clock share one context.
     #[must_use]
     pub fn clock_context(&self, opts: &HlsOptions) -> Option<Arc<ClockContext>> {
         let key = ctx_key(opts);
-        self.clock_ctxs
-            .lock()
-            .expect("clock-context lock poisoned")
-            .get(&key)
-            .cloned()
+        let ctxs = self.clock_ctxs.lock().expect("clock-context lock poisoned");
+        ctxs.iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, ctx)| Arc::clone(ctx))
     }
 
-    /// Stores the [`ClockContext`] computed for these options. Last write
-    /// wins; concurrent writers compute identical values (the context is a
-    /// pure function of the prefix and the key).
+    /// Stores the [`ClockContext`] computed for these options, replacing
+    /// the oldest stored context once [`CLOCK_CONTEXTS`] are kept. Last
+    /// write wins; concurrent writers compute identical values (the
+    /// context is a pure function of the prefix and the key).
     pub fn store_clock_context(&self, opts: &HlsOptions, ctx: Arc<ClockContext>) {
         let key = ctx_key(opts);
-        self.clock_ctxs
-            .lock()
-            .expect("clock-context lock poisoned")
-            .insert(key, ctx);
+        let mut ctxs = self.clock_ctxs.lock().expect("clock-context lock poisoned");
+        if let Some(slot) = ctxs.iter_mut().find(|(k, _)| *k == key) {
+            slot.1 = ctx;
+            return;
+        }
+        if ctxs.len() == CLOCK_CONTEXTS {
+            ctxs.pop_front();
+        }
+        ctxs.push_back((key, ctx));
     }
 }
 
@@ -259,30 +348,6 @@ fn ctx_key(opts: &HlsOptions) -> CtxKey {
         zero_overhead: *zero_overhead,
         area_recovery: *area_recovery,
     }
-}
-
-fn approx_bytes(
-    design: &Design,
-    span_analysis: &SpanAnalysis,
-    base_choices: &[OpChoice],
-    tdfg: &TimedDfg,
-) -> usize {
-    let n = design.dfg.len_ids();
-    let legal: usize = design
-        .dfg
-        .op_ids()
-        .map(|o| span_analysis.legal(o).len())
-        .sum();
-    // Per-op fixed overhead (design node + bounds + choice headers) plus the
-    // variable parts: legal lists appear twice (analysis + edge index),
-    // timed edges twice (preds + succs), one candidate record per grade.
-    n * 128
-        + legal * 2 * std::mem::size_of::<EdgeId>()
-        + tdfg.len_edges() * 2 * std::mem::size_of::<(OpId, u32)>()
-        + base_choices
-            .iter()
-            .map(|c| c.candidates.len() * 32)
-            .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -349,5 +414,27 @@ mod tests {
         for v in &variants {
             assert!(prep.clock_context(v).is_none(), "shared a context: {v:?}");
         }
+    }
+
+    #[test]
+    fn a_full_context_table_replaces_its_oldest_entry() {
+        let mut b = DesignBuilder::new("cap");
+        let x = b.input("x", 8);
+        let m = b.binop(OpKind::Mul, x, x, 8);
+        b.write("y", m);
+        let prep = PreparedDesign::new(&b.finish().unwrap(), &tsmc90::library()).unwrap();
+        let bytes = prep.approx_bytes();
+        let at = |clock_ps| HlsOptions {
+            clock_ps,
+            ..HlsOptions::default()
+        };
+        for c in 0..=CLOCK_CONTEXTS as u64 {
+            prep.store_clock_context(&at(1000 + c), Arc::new(ClockContext::default()));
+        }
+        assert!(prep.clock_context(&at(1000)).is_none(), "the oldest went");
+        for c in 1..=CLOCK_CONTEXTS as u64 {
+            assert!(prep.clock_context(&at(1000 + c)).is_some(), "{c} kept");
+        }
+        assert_eq!(prep.approx_bytes(), bytes, "room was reserved up front");
     }
 }

@@ -54,7 +54,7 @@ use adhls_reslib::class::classes_for;
 use adhls_reslib::library::op_resource_width;
 use adhls_reslib::{Library, ResClass};
 use adhls_timing::aligned::align_start_up;
-use adhls_timing::budget::{budget_with_choices_from, op_choices, BudgetOptions, OpChoice};
+use adhls_timing::budget::{budget_with_choices_from, op_choices, BudgetOptions, OpChoices};
 use adhls_timing::slack::{compute_slack, SlackMode};
 use adhls_timing::TimedDfg;
 use std::borrow::Cow;
@@ -343,7 +343,7 @@ fn schedule_phase(
     span_analysis: &SpanAnalysis,
     lib: &Library,
     opts: &HlsOptions,
-    base_choices: &[OpChoice],
+    base_choices: &OpChoices,
     prep: Option<&PreparedDesign>,
 ) -> Result<Scheduled> {
     let mut stats = RunStats::new();
@@ -378,7 +378,7 @@ fn relax_loop(
     span_analysis: &SpanAnalysis,
     lib: &Library,
     opts: &HlsOptions,
-    base_choices: &[OpChoice],
+    base_choices: &OpChoices,
     prep: Option<&PreparedDesign>,
     stats: &mut RunStats,
     relax_rounds: &mut u32,
@@ -424,20 +424,13 @@ fn relax_loop(
         let pristine = grade_cap
             .iter()
             .enumerate()
-            .all(|(i, &c)| c == base_choices[i].candidates.len().saturating_sub(1));
+            .all(|(i, &c)| c == base_choices.candidates(i).len().saturating_sub(1));
         // Apply caps by truncating candidate lists; untruncated caps leave
         // the base choices untouched, so borrow instead of deep-cloning.
-        let choices: Cow<[OpChoice]> = if pristine {
+        let choices: Cow<OpChoices> = if pristine {
             Cow::Borrowed(base_choices)
         } else {
-            base_choices
-                .iter()
-                .enumerate()
-                .map(|(i, c)| OpChoice {
-                    candidates: c.candidates[..(grade_cap[i] + 1).min(c.candidates.len())].to_vec(),
-                    fixed_ps: c.fixed_ps,
-                })
-                .collect()
+            Cow::Owned(base_choices.truncated(&grade_cap))
         };
         // The initial budget: reused from the last pass computed under the
         // same caps, or from the prefix's clock context, else computed.
@@ -505,7 +498,7 @@ fn relax_loop(
                         g => g - 1,
                     };
                     for (i, cap) in grade_cap.iter_mut().enumerate() {
-                        let n = base_choices[i].candidates.len();
+                        let n = base_choices.candidates(i).len();
                         if n > 0 {
                             *cap = (*cap).min(global_cap.min(n - 1));
                         }
@@ -528,23 +521,20 @@ fn initial_grades(
     design: &Design,
     lib: &Library,
     opts: &HlsOptions,
-    choices: &[OpChoice],
+    choices: &OpChoices,
     tdfg: &TimedDfg,
 ) -> ClockContext {
     let n = design.dfg.len_ids();
     let mux = mux_penalty(lib, opts);
     let mut grade_idx = vec![None; n];
-    let mut eff_delay = vec![0i64; n];
-    let mut ctx = ClockContext::default();
     match opts.flow {
         Flow::Conventional | Flow::SlowestUpgrade => {
             let mut delays = vec![0i64; n];
             for o in design.dfg.op_ids() {
                 let i = o.0 as usize;
-                let ch = &choices[i];
+                let ch = choices.get(i);
                 if ch.candidates.is_empty() {
-                    eff_delay[i] = ch.fixed_ps.unwrap_or(0) as i64;
-                    delays[i] = eff_delay[i];
+                    delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
                 } else {
                     let k = if opts.flow == Flow::Conventional {
                         0
@@ -555,7 +545,8 @@ fn initial_grades(
                     delays[i] = ch.candidates[k].grade.delay_ps as i64 + mux;
                 }
             }
-            ctx.prio = compute_slack(tdfg, &delays, opts.clock_ps as i64, SlackMode::Aligned).slack;
+            let prio = compute_slack(tdfg, &delays, opts.clock_ps as i64, SlackMode::Aligned).slack;
+            ClockContext::new(&prio, &grade_idx)
         }
         Flow::SlackBased => {
             let r = budget_with_choices_from(
@@ -568,21 +559,17 @@ fn initial_grades(
             );
             for o in design.dfg.op_ids() {
                 let i = o.0 as usize;
-                if choices[i].candidates.is_empty() {
-                    eff_delay[i] = choices[i].fixed_ps.unwrap_or(0) as i64;
-                } else {
+                if !choices.candidates(i).is_empty() {
                     grade_idx[i] = r.choice_idx[i];
                 }
             }
-            ctx.prio = r.slack.slack;
+            let mut ctx = ClockContext::new(&r.slack.slack, &grade_idx);
             ctx.budget_moves = r.moves;
             ctx.budget_reverted = r.reverted;
             ctx.slack_evals = r.slack_evals;
+            ctx
         }
     }
-    ctx.grade_idx = grade_idx;
-    ctx.eff_delay = eff_delay;
-    ctx
 }
 
 /// The steering-mux delay every shared resource pays (0 in the paper's
@@ -661,7 +648,7 @@ fn count_states(info: &CfgInfo) -> usize {
 /// the remedy applied.
 fn apply_relaxation(
     design: &Design,
-    base_choices: &[OpChoice],
+    base_choices: &OpChoices,
     limits: &mut std::collections::BTreeMap<ResClass, usize>,
     grade_cap: &mut [usize],
     f: &PassFailure,
@@ -684,7 +671,7 @@ fn apply_relaxation(
             // Tighten the failing op if it can still go faster.
             let oi = f.op.0 as usize;
             let cur = f.grade_at_failure.unwrap_or(grade_cap[oi]);
-            if !base_choices[oi].candidates.is_empty() && cur > 0 && grade_cap[oi] >= cur {
+            if !base_choices.candidates(oi).is_empty() && cur > 0 && grade_cap[oi] >= cur {
                 grade_cap[oi] = cur - 1;
                 return Ok(Remedy::TightenOp);
             }
@@ -725,11 +712,9 @@ fn apply_relaxation(
                 seen[o.0 as usize] = true;
                 for p in design.dfg.forward_operands(o) {
                     let pi = p.0 as usize;
-                    if grade_cap[pi] > 0 && !base_choices[pi].candidates.is_empty() {
-                        let d = base_choices[pi].candidates
-                            [grade_cap[pi].min(base_choices[pi].candidates.len() - 1)]
-                        .grade
-                        .delay_ps;
+                    let cands = base_choices.candidates(pi);
+                    if grade_cap[pi] > 0 && !cands.is_empty() {
+                        let d = cands[grade_cap[pi].min(cands.len() - 1)].grade.delay_ps;
                         if cone.is_none_or(|(_, bd)| d > bd) {
                             cone = Some((p, d));
                         }
@@ -739,7 +724,7 @@ fn apply_relaxation(
             }
             let cone_cost = cone.map(|(p, _)| {
                 let pi = p.0 as usize;
-                let cands = &base_choices[pi].candidates;
+                let cands = base_choices.candidates(pi);
                 let old = cands[grade_cap[pi].min(cands.len() - 1)].grade.area;
                 let new = cands[(grade_cap[pi] / 2).min(cands.len() - 1)].grade.area;
                 (new - old).max(0.0)
@@ -805,7 +790,7 @@ struct Pass<'a> {
     span_analysis: &'a SpanAnalysis,
     lib: &'a Library,
     opts: &'a HlsOptions,
-    choices: &'a [OpChoice],
+    choices: &'a OpChoices,
     spans: SpanBounds,
     /// Current grade index per op (None for fixed-delay ops).
     grade_idx: Vec<Option<usize>>,
@@ -875,7 +860,7 @@ impl<'a> Pass<'a> {
         span_analysis: &'a SpanAnalysis,
         lib: &'a Library,
         opts: &'a HlsOptions,
-        choices: &'a [OpChoice],
+        choices: &'a OpChoices,
         prep: Option<&'a PreparedDesign>,
         init_bounds: &SpanBounds,
         init_tdfg: &'a TimedDfg,
@@ -893,6 +878,15 @@ impl<'a> Pass<'a> {
                 .count() as u32;
         }
         let root_edge = info.edge_topo().first().copied().unwrap_or(EdgeId(0));
+        // Fixed-delay ops start at their intrinsic delay, resource-backed
+        // ones at 0 until placed.
+        let eff_delay = choices
+            .iter()
+            .map(|c| match c.candidates {
+                [] => c.fixed_ps.unwrap_or(0) as i64,
+                _ => 0,
+            })
+            .collect();
         Pass {
             design,
             info,
@@ -901,11 +895,11 @@ impl<'a> Pass<'a> {
             opts,
             choices,
             spans: init_bounds.clone(),
-            grade_idx: init.grade_idx.clone(),
-            prio: init.prio.clone(),
+            grade_idx: init.grade_idx().collect(),
+            prio: init.prio().to_vec(),
             sched_edge: vec![None; n],
             start: vec![0; n],
-            eff_delay: init.eff_delay.clone(),
+            eff_delay,
             inst_of: vec![None; n],
             alloc: Allocation::new(),
             uses: Vec::new(),
@@ -1010,7 +1004,7 @@ impl<'a> Pass<'a> {
         let mut moved = false;
         for o in dfg.op_ids() {
             let i = o.0 as usize;
-            if self.sched_edge[i].is_none() && !self.choices[i].candidates.is_empty() {
+            if self.sched_edge[i].is_none() && !self.choices.candidates(i).is_empty() {
                 moved |= self.grade_idx[i] != r.choice_idx[i];
                 self.grade_idx[i] = r.choice_idx[i];
             }
@@ -1356,7 +1350,7 @@ impl<'a> Pass<'a> {
         let i = o.0 as usize;
         let t = self.clock();
         let avail = self.avail_at(o, e).ok_or(NoFit::Timing)?.max(0);
-        let ch = &self.choices[i];
+        let ch = self.choices.get(i);
 
         if ch.candidates.is_empty() {
             // Fixed-delay op (I/O, φ, const, input): no instance needed.

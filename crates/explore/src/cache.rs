@@ -1,10 +1,10 @@
-//! Cache lifecycle management for long-lived evaluator processes.
+//! The evicting cache behind the [`EvaluatorPool`](crate::pool::EvaluatorPool)
+//! and the serve tier's memos.
 //!
-//! [`EvictingCache`] is the result cache of the
-//! [`EvaluatorPool`](crate::pool::EvaluatorPool): unbounded for a one-shot
-//! run, under a byte budget for a server that evaluates millions of cells
-//! over weeks.
-//!
+//! [`EvictingCache`] holds the pool's rows and failures — unbounded for a
+//! one-shot run, under a byte budget for a server that evaluates millions
+//! of cells over weeks — and the pool's prepared prefixes, always under
+//! their own fixed budget.
 //!
 //! * **results, not just rows** — a deterministic failure (a point the
 //!   scheduler's relaxation loop gave up on, often the costliest cells to
@@ -30,10 +30,12 @@
 //!   what makes cross-request sharing deterministic rather than a race,
 //! * **one implementation, several tenants** — the cache is generic over
 //!   its key ([`CacheKey`]) and value ([`CacheValue`]). Rows and failures
-//!   under 64-bit point keys ([`EvictingCache::new`]) are the pool's
-//!   tenant; the serve tier's spec-expansion, cell-design and route-key
-//!   memos ([`crate::server::memo`]) are three more, each under its own
-//!   fixed budget,
+//!   under 64-bit point keys ([`EvictingCache::new`]) are the pool's first
+//!   tenant and prepared prefixes keyed by their design its second
+//!   ([`crate::pool::PREFIX_BUDGET`]); the serve tier's spec-expansion,
+//!   cell-design and route-key memos ([`crate::server::memo`]) are three
+//!   more, each under its own fixed budget. A value larger than its
+//!   shard's slice is returned to its caller but never kept,
 //! * **verified hits** — an entry keeps its full key, and a hit compares
 //!   it: two keys that share a 64-bit [`CacheKey::index`] never answer for
 //!   each other. The mismatch counts as a collision and is served as a
@@ -57,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Number of independent shards (same fan-out as the pool's prefix cache).
+/// Number of independent shards; a budget is split evenly across them.
 const SHARDS: usize = 16;
 
 /// Approximate per-entry bookkeeping overhead (hash-map slot, key, rank

@@ -8,7 +8,7 @@
 //! platforms, independent of allocation order or pointer identity.
 
 use adhls_core::sched::HlsOptions;
-use adhls_ir::Design;
+use adhls_ir::{Design, NodeKind};
 
 /// 64-bit FNV-1a accumulator.
 #[derive(Debug, Clone, Copy)]
@@ -47,45 +47,83 @@ impl Fnv {
     }
 }
 
-/// Fingerprints a design's structure: CFG nodes/edges, every live
-/// operation's kind, width, signedness, operands, and birth edge.
-#[must_use]
-pub fn design_fingerprint(design: &Design) -> u64 {
-    let mut h = Fnv::default();
-    h.str(design.cfg.name());
-    // CFG shape: node kinds in id order, edges as (from, to, branch, back).
-    h.u64(design.cfg.len_nodes() as u64);
-    for n in design.cfg.node_ids() {
-        h.str(&format!("{:?}", design.cfg.node_kind(n)));
+/// One item of a design's canonical walk: a number, a string, or a CFG
+/// node kind.
+#[derive(PartialEq)]
+enum Token<'a> {
+    Word(u64),
+    Text(&'a str),
+    Node(NodeKind),
+}
+
+/// Visits the canonical walk of a design's structure, in a fixed order:
+/// the CFG name, node kinds in id order, edges as (from, to, branch,
+/// back), then every live op's id, kind, width, signedness, name, birth
+/// edge and operands. A constant's value is not part of it.
+fn walk<'a>(design: &'a Design, mut visit: impl FnMut(Token<'a>)) {
+    use Token::{Node, Text, Word};
+    let (cfg, dfg) = (&design.cfg, &design.dfg);
+    visit(Text(cfg.name()));
+    visit(Word(cfg.len_nodes() as u64));
+    for n in cfg.node_ids() {
+        visit(Node(cfg.node_kind(n)));
     }
-    h.u64(design.cfg.len_edges() as u64);
-    for e in design.cfg.edge_ids() {
-        h.u64(u64::from(design.cfg.edge_from(e).0));
-        h.u64(u64::from(design.cfg.edge_to(e).0));
-        h.u64(match design.cfg.edge_branch(e) {
+    visit(Word(cfg.len_edges() as u64));
+    for e in cfg.edge_ids() {
+        visit(Word(cfg.edge_from(e).0.into()));
+        visit(Word(cfg.edge_to(e).0.into()));
+        visit(Word(match cfg.edge_branch(e) {
             None => 0,
             Some(false) => 1,
             Some(true) => 2,
-        });
-        h.u64(u64::from(design.cfg.edge_is_back(e)));
+        }));
+        visit(Word(cfg.edge_is_back(e).into()));
     }
-    // DFG: ops in id order.
-    h.u64(design.dfg.len_ids() as u64);
-    for o in design.dfg.op_ids() {
-        let op = design.dfg.op(o);
-        h.u64(u64::from(o.0));
-        h.str(op.kind().mnemonic());
-        h.u64(u64::from(op.width()));
-        h.u64(u64::from(op.is_signed()));
+    visit(Word(dfg.len_ids() as u64));
+    for o in dfg.op_ids() {
+        let op = dfg.op(o);
+        visit(Word(o.0.into()));
+        visit(Text(op.kind().mnemonic()));
+        visit(Word(op.width().into()));
+        visit(Word(op.is_signed().into()));
         if let Some(name) = op.name() {
-            h.str(name);
+            visit(Text(name));
         }
-        h.u64(u64::from(design.dfg.birth(o).0));
-        for &p in design.dfg.operands(o) {
-            h.u64(u64::from(p.0));
+        visit(Word(dfg.birth(o).0.into()));
+        for &p in dfg.operands(o) {
+            visit(Word(p.0.into()));
         }
     }
+}
+
+/// Fingerprints a design's structure: FNV-1a over its canonical walk,
+/// numbers as 8 little-endian bytes and strings (node kinds by their
+/// `Debug` rendering) with a length prefix. Designs that differ only in
+/// constants share a fingerprint (no evaluation phase reads the value).
+#[must_use]
+pub fn design_fingerprint(design: &Design) -> u64 {
+    let mut h = Fnv::default();
+    walk(design, |token| {
+        match token {
+            Token::Word(v) => h.u64(v),
+            Token::Text(s) => h.str(s),
+            Token::Node(k) => h.str(&format!("{k:?}")),
+        };
+    });
     h.digest()
+}
+
+/// Whether two designs are equal under the canonical walk
+/// [`design_fingerprint`] hashes — what a hit on a fingerprint-indexed
+/// cache must verify before it trusts the 64-bit index.
+#[must_use]
+pub fn same_structure(a: &Design, b: &Design) -> bool {
+    let mut items = Vec::new();
+    walk(a, |token| items.push(token));
+    let mut expected = items.into_iter();
+    let mut same = true;
+    walk(b, |token| same &= expected.next() == Some(token));
+    same && expected.next().is_none()
 }
 
 /// Fingerprints the HLS options that affect a point's result.
@@ -120,11 +158,21 @@ mod tests {
     #[test]
     fn identical_structures_collide() {
         assert_eq!(design_fingerprint(&mk(8)), design_fingerprint(&mk(8)));
+        assert!(same_structure(&mk(8), &mk(8)));
     }
 
     #[test]
     fn width_changes_the_fingerprint() {
         assert_ne!(design_fingerprint(&mk(8)), design_fingerprint(&mk(16)));
+        assert!(!same_structure(&mk(8), &mk(16)));
+    }
+
+    #[test]
+    fn the_walk_hashes_as_it_always_has() {
+        // Routing and row keys hash this walk; a changed byte order would
+        // move every served spec to another worker.
+        let idct = adhls_workloads::idct::build_1d(4);
+        assert_eq!(design_fingerprint(&idct), 0xe62e_ea9f_ad25_9535);
     }
 
     #[test]

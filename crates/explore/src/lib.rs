@@ -8,9 +8,12 @@
 //!   clock × latency-budget × pipelining axes into [`DsePoint`] fleets,
 //! * [`pool`] — the evaluator: worker threads fanning HLS runs across
 //!   cores, a memoizing result cache keyed by (design fingerprint,
-//!   options fingerprint) so repeated points are free, and a prefix cache
-//!   sharing each design's elaboration; one-shot runs and the server's
-//!   concurrent submitters use the same pool,
+//!   options fingerprint) so repeated points are free, and a byte-bounded
+//!   prefix cache sharing each design's elaboration; one-shot runs and the
+//!   server's concurrent submitters use the same pool,
+//! * [`cache`] — the one evicting cache behind both of the pool's caches
+//!   and the server's memos: sharded, byte-budgeted, GreedyDual-Size
+//!   eviction, verified hits and in-flight coalescing,
 //! * [`pareto`] — Pareto-front extraction through pluggable
 //!   [`ObjectiveSpace`]s (ordered selections of the area / latency /
 //!   power / throughput axes) with dominance pruning and deterministic
@@ -59,6 +62,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod constraint;
 pub mod export;
 pub mod fingerprint;
@@ -68,6 +72,7 @@ pub mod refine;
 pub mod server;
 pub mod sweep;
 
+pub use cache::CacheStats;
 pub use constraint::{Constraint, ConstraintOp};
 pub use pareto::{
     dominates, objectives, pareto_front, pareto_front_in, pareto_front_in_constrained,
@@ -82,7 +87,7 @@ pub use refine::{
     refine, refine_multi, refine_multi_with_progress, warm_start_cells, MultiRefineResult,
     MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
 };
-pub use server::{CacheStats, Router, RouterOptions, Server};
+pub use server::{Router, RouterOptions, Server};
 pub use sweep::{SweepCell, SweepGrid};
 
 // Re-exported so downstream code can name the point/row types without a
@@ -91,6 +96,7 @@ pub use adhls_core::dse::{DsePoint, DseRow};
 
 /// The most common imports in one place.
 pub mod prelude {
+    pub use crate::cache::CacheStats;
     pub use crate::constraint::{Constraint, ConstraintOp};
     pub use crate::export::{
         front_to_json, front_to_json_constrained, front_to_json_in, fronts_to_json_multi,
@@ -107,7 +113,7 @@ pub mod prelude {
         refine, refine_multi, refine_multi_with_progress, warm_start_cells, MultiRefineResult,
         MultiRoundTrace, RefineOptions, RefineResult, RoundTrace, WarmStart,
     };
-    pub use crate::server::{CacheStats, Router, RouterOptions, Server, WorkloadSpec};
+    pub use crate::server::{Router, RouterOptions, Server, WorkloadSpec};
     pub use crate::sweep::{SweepCell, SweepGrid};
     pub use adhls_core::dse::{DsePoint, DseRow};
 }

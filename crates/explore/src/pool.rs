@@ -1,5 +1,6 @@
 //! The sweep evaluator: worker threads, a result cache and a prefix cache
-//! that outlive individual sweeps.
+//! that outlive individual sweeps, both instances of the evicting
+//! [`cache`](crate::cache).
 //!
 //! [`EvaluatorPool`] is the one evaluator. A one-shot run (`adhls explore`,
 //! `adhls report`) builds one with [`EvaluatorPool::with_options`],
@@ -21,8 +22,8 @@
 //! saturated pool. A panicking evaluation becomes an [`Error::Internal`]
 //! for its point rather than unwinding through the caller.
 
-use crate::fingerprint::{design_fingerprint, options_fingerprint, Fnv};
-use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
+use crate::cache::{CacheKey, CacheStats, CacheValue, EvictingCache, Outcome, ENTRY_OVERHEAD};
+use crate::fingerprint::{design_fingerprint, options_fingerprint, same_structure, Fnv};
 use adhls_core::dse::{evaluate_prepared, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
 use adhls_core::PreparedDesign;
@@ -37,9 +38,6 @@ use std::time::Instant;
 
 use adhls_ir::{Error, Result};
 
-/// Number of independent prefix-cache shards (reduces lock contention).
-const CACHE_SHARDS: usize = 16;
-
 /// Tuning knobs for [`EvaluatorPool`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolOptions {
@@ -52,7 +50,8 @@ pub struct PoolOptions {
     pub skip_infeasible: bool,
     /// Approximate byte budget for the cross-request result cache
     /// (`None` = unbounded, the one-shot CLI default). Long-lived servers
-    /// should set this; see [`crate::server::eviction`].
+    /// should set this; see [`crate::cache`]. Prepared prefixes are kept
+    /// apart, always under [`PREFIX_BUDGET`].
     pub cache_bytes: Option<usize>,
 }
 
@@ -101,63 +100,62 @@ fn point_key(base: &HlsOptions, p: &DsePoint, design_fp: u64) -> u64 {
     h.digest()
 }
 
-/// A sharded cache of prepared phase-artifact prefixes, keyed by
+/// Byte budget of a pool's prefix cache, split evenly across the cache's
+/// 16 shards. A shard's 1-MiB slice holds the largest paper prefix
+/// (IDCT-2D at 32 cycles, 0.6 MB), and perfbench's `serve-mix` keeps
+/// all of its prefixes well inside the budget; a prefix larger than its
+/// slice serves its request and is not kept.
+pub const PREFIX_BUDGET: usize = 16 << 20;
+
+/// A prefix-cache key: the design itself, indexed by its
 /// [`design_fingerprint`] — the clock/flow/II-independent half of the
 /// point key, so every cell of a sweep axis over one design (and every
 /// serve request touching it) shares one [`PreparedDesign`].
 ///
-/// Soundness: prefix artifacts are a pure function of `(design, library)`;
-/// a pool holds one library for its whole lifetime, so the design
-/// fingerprint alone identifies the prefix. The satellite proptests in
-/// `tests/incremental_equivalence.rs` pin the key contract (insensitive to
-/// clock/flow/II/latency knobs, sensitive to structure).
-///
-/// Consults count `pipeline.prefix.{hit,miss}` on the thread's registry.
-/// The retained bytes are read from the cache itself at snapshot time
-/// ([`EvaluatorPool::metrics_snapshot`]), so the gauge cannot drift.
-#[derive(Debug, Default)]
-struct PrefixCache {
-    shards: [Mutex<HashMap<u64, Arc<PreparedDesign>>>; CACHE_SHARDS],
+/// A hit is verified, never trusted to the 64-bit index: two keys are
+/// equal when they share the design, or when the designs are equal under
+/// the canonical walk the fingerprint hashes
+/// ([`same_structure`](crate::fingerprint::same_structure)). Constants
+/// are not part of that walk, so designs that differ only in constants
+/// share a prefix; that is sound because prefix artifacts never read a
+/// constant's value, and the library is fixed for the pool's lifetime.
+/// The design is shared with the points and is not charged to the cache.
+#[derive(Clone)]
+struct PrefixKey {
+    index: u64,
+    design: Arc<Design>,
 }
 
-impl PrefixCache {
-    /// The prepared prefix for `design`, whose [`design_fingerprint`] is
-    /// `key`, elaborating and inserting on miss. The prefix keeps the
-    /// caller's shared design rather than a copy.
-    ///
-    /// Concurrent first touches of one design may prepare twice; the first
-    /// insert wins and both callers see the same artifacts thereafter (the
-    /// preparation is a pure function, so the race is benign and the rows
-    /// stay deterministic).
-    fn get_or_prepare(
-        &self,
-        key: u64,
-        design: &Arc<Design>,
-        lib: &Library,
-    ) -> Result<Arc<PreparedDesign>> {
-        let shard = &self.shards[(key % CACHE_SHARDS as u64) as usize];
-        if let Some(prep) = shard.lock().expect("prefix shard poisoned").get(&key) {
-            adhls_telemetry::counter_add("pipeline.prefix.hit", 1);
-            return Ok(Arc::clone(prep));
-        }
-        adhls_telemetry::counter_add("pipeline.prefix.miss", 1);
-        let prep = Arc::new(PreparedDesign::from_shared(Arc::clone(design), lib)?);
-        let mut guard = shard.lock().expect("prefix shard poisoned");
-        Ok(Arc::clone(guard.entry(key).or_insert(prep)))
+impl PartialEq for PrefixKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.index == other.index
+            && (Arc::ptr_eq(&self.design, &other.design)
+                || same_structure(&self.design, &other.design))
+    }
+}
+
+impl Eq for PrefixKey {}
+
+impl CacheKey for PrefixKey {
+    fn index(&self) -> u64 {
+        self.index
     }
 
-    /// Summed [`PreparedDesign::approx_bytes`] of the retained prefixes.
-    fn bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("prefix shard poisoned")
-                    .values()
-                    .map(|p| p.approx_bytes())
-                    .sum::<usize>()
-            })
-            .sum()
+    fn key_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// A prefix is charged its exact [`PreparedDesign::approx_bytes`]; a
+/// design that fails to elaborate is never kept (the row cache keeps the
+/// failure).
+impl CacheValue for Result<Arc<PreparedDesign>> {
+    fn charge(&self) -> usize {
+        ENTRY_OVERHEAD + self.as_ref().map_or(0, |p| p.approx_bytes())
+    }
+
+    fn keep(&self) -> bool {
+        self.is_ok()
     }
 }
 
@@ -293,9 +291,12 @@ struct Shared {
     lib: Library,
     base: HlsOptions,
     cache: EvictingCache,
-    /// Prefix artifacts shared across batches (see
-    /// [`PreparedDesign`](adhls_core::PreparedDesign)).
-    prefixes: PrefixCache,
+    /// Prefix artifacts shared across batches (see [`PreparedDesign`]),
+    /// under [`PREFIX_BUDGET`].
+    prefixes: EvictingCache<PrefixKey, Result<Arc<PreparedDesign>>>,
+    /// Applied to every prefix index: the identity in service; tests
+    /// force collisions with a constant.
+    prefix_mix: fn(u64) -> u64,
     queue: Mutex<VecDeque<Arc<Batch>>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
@@ -322,9 +323,7 @@ impl Shared {
         let key = point_key(&self.base, p, design_fp);
         let (result, outcome) = self.cache.get_or_compute(key, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let prep = self
-                    .prefixes
-                    .get_or_prepare(design_fp, &p.design, &self.lib)?;
+                let prep = self.prefix(design_fp, &p.design)?;
                 evaluate_prepared(&prep, p, &self.lib, &self.base)
             }))
             .unwrap_or_else(|panic| {
@@ -343,6 +342,27 @@ impl Shared {
             batch_hits.fetch_add(1, Ordering::Relaxed);
         }
         result
+    }
+
+    /// The prepared prefix for `design`, whose [`design_fingerprint`] is
+    /// `design_fp`, elaborated on a miss (concurrent misses on one design
+    /// coalesce onto one elaboration). The prefix keeps the caller's shared
+    /// design rather than a copy. Counts `pipeline.prefix.{hit,miss}` on
+    /// the thread's registry.
+    fn prefix(&self, design_fp: u64, design: &Arc<Design>) -> Result<Arc<PreparedDesign>> {
+        let key = PrefixKey {
+            index: (self.prefix_mix)(design_fp),
+            design: Arc::clone(design),
+        };
+        let (prep, outcome) = self.prefixes.get_or_compute(key, || {
+            PreparedDesign::from_shared(Arc::clone(design), &self.lib).map(Arc::new)
+        });
+        let counter = match outcome {
+            Outcome::Computed => "pipeline.prefix.miss",
+            Outcome::Hit | Outcome::Coalesced => "pipeline.prefix.hit",
+        };
+        adhls_telemetry::counter_add(counter, 1);
+        prep
     }
 
     /// Claims and evaluates points from `batch` until it is exhausted.
@@ -505,11 +525,24 @@ impl EvaluatorPool {
         opts: PoolOptions,
         registry: Registry,
     ) -> Self {
+        Self::spawn(lib, base, opts, registry, std::convert::identity)
+    }
+
+    /// [`EvaluatorPool::with_telemetry`] with every prefix index passed
+    /// through `prefix_mix`.
+    fn spawn(
+        lib: Library,
+        base: HlsOptions,
+        opts: PoolOptions,
+        registry: Registry,
+        prefix_mix: fn(u64) -> u64,
+    ) -> Self {
         let shared = Arc::new(Shared {
             lib,
             base,
             cache: EvictingCache::new(opts.cache_bytes),
-            prefixes: PrefixCache::default(),
+            prefixes: EvictingCache::with_capacity(Some(PREFIX_BUDGET)),
+            prefix_mix,
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -677,13 +710,13 @@ impl EvaluatorPool {
         &self.shared.registry
     }
 
-    /// One unified snapshot: everything in the registry plus the eviction
-    /// cache's own counters (`cache.*`), the bytes the prefix cache retains
-    /// (`pipeline.prefix.bytes`) and the pool's structural gauges
-    /// (`pool.threads`, `cache.capacity_bytes` when budgeted) — read here,
-    /// at snapshot time, so every export surface (`stats`, `metrics`,
-    /// exposition, `--metrics-out`) sees the same numbers and none can
-    /// drift.
+    /// One unified snapshot: everything in the registry plus the row
+    /// cache's own counters (`cache.*`), the prefix cache's retained bytes,
+    /// evictions and collisions (`pipeline.prefix.{bytes,evictions,
+    /// collisions}`) and the pool's structural gauges (`pool.threads`,
+    /// `cache.capacity_bytes` when budgeted) — read here, at snapshot time,
+    /// so every export surface (`stats`, `metrics`, exposition,
+    /// `--metrics-out`) sees the same numbers and none can drift.
     #[must_use]
     #[allow(clippy::cast_possible_wrap)]
     pub fn metrics_snapshot(&self) -> Snapshot {
@@ -698,7 +731,10 @@ impl EvaluatorPool {
         if let Some(cap) = s.capacity_bytes {
             snap.push_gauge("cache.capacity_bytes", cap as i64);
         }
-        snap.push_gauge("pipeline.prefix.bytes", self.shared.prefixes.bytes() as i64);
+        let p = self.shared.prefixes.stats();
+        snap.push_gauge("pipeline.prefix.bytes", p.bytes as i64);
+        snap.push_counter("pipeline.prefix.evictions", p.evictions);
+        snap.push_counter("pipeline.prefix.collisions", p.collisions);
         snap.push_gauge("pool.threads", self.thread_count() as i64);
         snap.sort();
         snap
@@ -1027,14 +1063,110 @@ mod tests {
         for p in &pts {
             designs
                 .entry(design_fingerprint(&p.design))
-                .or_insert_with(|| PreparedDesign::new(&p.design, &lib).unwrap().approx_bytes());
+                .or_insert_with(|| {
+                    ENTRY_OVERHEAD + PreparedDesign::new(&p.design, &lib).unwrap().approx_bytes()
+                });
         }
         let retained: usize = designs.values().sum();
-        assert!(retained > 0);
+        assert!(retained > 0 && retained <= PREFIX_BUDGET);
         // The registry is disabled; the gauge is read from the cache.
         assert_eq!(
             pool.metrics_snapshot().gauge("pipeline.prefix.bytes"),
             Some(retained as i64)
+        );
+    }
+
+    /// A design named `name` computing `(x + k) * y` over `soft` soft
+    /// states, built afresh (its own allocation) on every call.
+    fn shaped(name: &str, soft: u32, k: i64, clock: u64) -> DsePoint {
+        let mut b = DesignBuilder::new(name);
+        let x = b.input("x", 8);
+        let y = b.input("y", 8);
+        let c = b.constant(k, 8);
+        let a = b.binop(OpKind::Add, x, c, 8);
+        let m = b.binop(OpKind::Mul, a, y, 16);
+        b.soft_waits(soft);
+        b.write("z", m);
+        DsePoint {
+            name: format!("{name}k{k}@{clock}"),
+            design: b.finish().unwrap().into(),
+            clock_ps: clock,
+            pipeline_ii: None,
+            cycles_per_item: soft + 1,
+        }
+    }
+
+    #[test]
+    fn forced_prefix_collisions_never_share_a_prefix() {
+        // Every design on one prefix index: the one slot holds one prefix
+        // at a time, and a lookup must verify the resident is its own.
+        // Each design comes twice, as a separate allocation (the second
+        // lookup is a verified hit on an equal design), and designs that
+        // differ only in a constant share a prefix.
+        let mut pts = Vec::new();
+        for soft in 1..=3 {
+            for (k, clock) in [(3, 1100), (3, 1400), (5, 1400)] {
+                pts.push(shaped(&format!("s{soft}"), soft, k, clock));
+            }
+        }
+        pts.push(shaped("s1", 1, 3, 1800));
+        let reference = pool(1).evaluate_serial(&pts).unwrap();
+        let colliding = EvaluatorPool::spawn(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions {
+                threads: 2,
+                ..Default::default()
+            },
+            Registry::new(),
+            |_| 0,
+        );
+        colliding.telemetry().set_enabled(true);
+        assert_eq!(
+            colliding.evaluate_serial(&pts).unwrap().rows,
+            reference.rows
+        );
+        let snap = colliding.metrics_snapshot();
+        // In order: each design misses once and hits for its other two
+        // cells; the last point collides with s3's resident prefix.
+        assert_eq!(snap.counter("pipeline.prefix.miss"), Some(4));
+        assert_eq!(snap.counter("pipeline.prefix.hit"), Some(6));
+        assert_eq!(snap.counter("pipeline.prefix.collisions"), Some(3));
+        // Concurrent workers racing on the one slot return the same rows.
+        let racing = EvaluatorPool::spawn(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions {
+                threads: 4,
+                ..Default::default()
+            },
+            Registry::new(),
+            |_| 0,
+        );
+        for _ in 0..3 {
+            assert_eq!(racing.evaluate(&pts).unwrap().rows, reference.rows);
+        }
+    }
+
+    #[test]
+    fn a_prefix_larger_than_its_slice_is_served_not_kept() {
+        // 600 soft states: the CFG's edge-pair tables alone outgrow a
+        // shard's 1-MiB slice of `PREFIX_BUDGET`.
+        let long = |clock| shaped("long", 600, 3, clock);
+        let pool = pool(1);
+        let first = pool.evaluate_serial(&[long(2000)]).unwrap();
+        let prep = PreparedDesign::new(&long(2000).design, &tsmc90::library()).unwrap();
+        assert!(prep.approx_bytes() > PREFIX_BUDGET / 16);
+        let snap = pool.metrics_snapshot();
+        assert_eq!(snap.gauge("pipeline.prefix.bytes"), Some(0));
+        assert_eq!(snap.counter("pipeline.prefix.evictions"), Some(1));
+        // The row cache still answers the repeat; a fresh clock misses it
+        // and elaborates the prefix again.
+        let again = pool.evaluate_serial(&[long(2000), long(2400)]).unwrap();
+        assert_eq!((again.cache_hits, &again.rows[..1]), (1, &first.rows[..]));
+        assert_eq!(
+            pool.metrics_snapshot().counter("pipeline.prefix.evictions"),
+            Some(2)
         );
     }
 

@@ -13,15 +13,10 @@
 //! * `transport` — the one connection loop both front-ends share: capped
 //!   request lines, the TCP accept loop (one thread per connection,
 //!   Nagle off, buffered responses) and the Prometheus scrape listener,
-//! * [`eviction`] — cache lifecycle for long-lived processes: rows and
-//!   deterministic failures share a byte budget, evicted per shard by
-//!   GreedyDual-Size (what is cheapest to recompute per byte goes first;
-//!   LRU among equal costs), plus in-flight coalescing so concurrent
-//!   requests for the same cell run HLS once,
 //! * [`memo`] — per-process memos of what a spec expands to: a worker's
 //!   sweep points with their fingerprints and refine cell designs, the
-//!   router's routing keys — each an instance of the eviction cache under
-//!   a fixed byte budget,
+//!   router's routing keys — each an instance of the pool's evicting
+//!   [`cache`](crate::cache) under a fixed byte budget,
 //! * [`worker`] — worker backends for multi-worker serving: the
 //!   [`WorkerLink`] transport trait with in-process (pipe + thread) and
 //!   child-process (TCP) implementations, and the [`WorkerHandle`] that
@@ -42,7 +37,6 @@
 //! See `docs/PROTOCOL.md` for the wire format and `docs/ARCHITECTURE.md`
 //! for the request lifecycle.
 
-pub mod eviction;
 pub mod memo;
 pub mod protocol;
 pub mod router;
@@ -50,7 +44,6 @@ pub mod session;
 mod transport;
 pub mod worker;
 
-pub use eviction::{CacheStats, EvictingCache, Outcome};
 pub use protocol::{Command, WorkloadSpec};
 pub use router::{Router, RouterOptions};
 pub use session::{

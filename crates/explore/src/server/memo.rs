@@ -24,8 +24,8 @@
 //!
 //! [`routing_fingerprint`]: crate::server::session::routing_fingerprint
 
+use crate::cache::{CacheKey, CacheStats, CacheValue, EvictingCache, ENTRY_OVERHEAD};
 use crate::pool::PointSet;
-use crate::server::eviction::{CacheKey, CacheStats, CacheValue, EvictingCache, ENTRY_OVERHEAD};
 use crate::server::protocol::WorkloadSpec;
 use crate::server::session::{sweep_points, BuildFn};
 use crate::sweep::SweepCell;

@@ -47,8 +47,8 @@
 //! owning worker's control link so it bypasses the data links and reaches
 //! a mid-refine worker immediately.
 
+use crate::cache::EvictingCache;
 use crate::fingerprint::Fnv;
-use crate::server::eviction::EvictingCache;
 use crate::server::memo::{self, SpecKey};
 use crate::server::protocol::{self, Command, WorkloadSpec};
 use crate::server::session::routing_fingerprint;

@@ -4,8 +4,8 @@
 
 use adhls_core::dse::DsePoint;
 use adhls_core::sched::HlsOptions;
+use adhls_explore::cache::row_cost;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::server::eviction::row_cost;
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::OpKind;
 use adhls_reslib::tsmc90;

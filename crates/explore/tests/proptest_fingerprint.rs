@@ -1,15 +1,16 @@
 //! The cache key soundness contract, as properties.
 //!
-//! The pool's prefix cache (`pool::PrefixCache`) shares one `PreparedDesign`
-//! across every clock/flow/II cell of a design. Preparation reads no
-//! options, so its key is the design fingerprint alone, which must be
-//! **sensitive** to every structural design knob, the latency budget
-//! included (soft wait states change the ASAP/ALAP bounds baked into the
-//! prefix, so latency cells are distinct designs with distinct prefixes).
+//! The pool's prefix cache shares one `PreparedDesign` across every
+//! clock/flow/II cell of a design. Preparation reads no options, so its
+//! key is the design alone — indexed by the design fingerprint and
+//! verified by `same_structure` — and both must be **sensitive** to every
+//! structural design knob, the latency budget included (soft wait states
+//! change the ASAP/ALAP bounds baked into the prefix, so latency cells are
+//! distinct designs with distinct prefixes).
 //! The row cache's key must be sensitive to every options knob.
 
 use adhls_core::sched::{Flow, HlsOptions};
-use adhls_explore::fingerprint::{design_fingerprint, options_fingerprint};
+use adhls_explore::fingerprint::{design_fingerprint, options_fingerprint, same_structure};
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpKind};
 use adhls_timing::budget::SlackEngine;
@@ -129,25 +130,26 @@ proptest! {
         ops in 1usize..5,
     ) {
         let base = chain(width, waits, ops);
+        let rebuilt = chain(width, waits, ops);
         prop_assert_eq!(
             design_fingerprint(&base),
-            design_fingerprint(&chain(width, waits, ops)),
+            design_fingerprint(&rebuilt),
             "identical rebuilds must share a prefix"
         );
-        prop_assert_ne!(
-            design_fingerprint(&base),
-            design_fingerprint(&chain(width, waits + 1, ops)),
-            "a latency-budget bump must get a fresh prefix"
-        );
-        prop_assert_ne!(
-            design_fingerprint(&base),
-            design_fingerprint(&chain(width.wrapping_mul(2).max(4), waits, ops)),
-            "a width change must get a fresh prefix"
-        );
-        prop_assert_ne!(
-            design_fingerprint(&base),
-            design_fingerprint(&chain(width, waits, ops + 1)),
-            "a structure change must get a fresh prefix"
-        );
+        prop_assert!(same_structure(&base, &rebuilt));
+        let changed = [
+            (chain(width, waits + 1, ops), "a latency-budget bump"),
+            (chain(width.wrapping_mul(2).max(4), waits, ops), "a width change"),
+            (chain(width, waits, ops + 1), "a structure change"),
+        ];
+        for (other, what) in changed {
+            prop_assert_ne!(
+                design_fingerprint(&base),
+                design_fingerprint(&other),
+                "{} must get a fresh prefix",
+                what
+            );
+            prop_assert!(!same_structure(&base, &other), "{} matched", what);
+        }
     }
 }

@@ -346,13 +346,14 @@ pub struct CfgInfo {
     /// Forward edges sorted topologically (by source node position, then id).
     edge_topo: Vec<EdgeId>,
     edge_topo_pos: Vec<u32>,
-    /// `reach[e][f]`: forward path `head(e) ->* tail(f)` exists, or `e == f`.
-    reach: Vec<Vec<bool>>,
-    /// `latency[e][f]` per paper Def. V.1; `None` when `f` unreachable.
-    latency: Vec<Vec<Option<u32>>>,
-    /// Hard-state-only latency (counts only `Hard` states); used for sink
-    /// legality.
-    hard_latency: Vec<Vec<Option<u32>>>,
+    /// Bit `(e, f)`: forward path `head(e) ->* tail(f)` exists, or `e == f`.
+    reach: BitMatrix,
+    /// Entry `e * n_edges + f`: `latency(e, f)` per paper Def. V.1, or
+    /// [`NO_LATENCY`] when `f` is unreachable.
+    latency: Vec<u32>,
+    /// Hard-state-only latency (counts only `Hard` states), laid out like
+    /// `latency`; used for sink legality.
+    hard_latency: Vec<u32>,
     /// Immediate dominator of each edge in the edge graph (None for roots).
     edge_idom: Vec<Option<EdgeId>>,
     edge_dom_depth: Vec<u32>,
@@ -363,9 +364,37 @@ pub struct CfgInfo {
     edge_loops: Vec<u64>,
     /// Back edges in discovery order (defines loop bit indices).
     back_edges: Vec<EdgeId>,
-    /// `same_cycle[e][f]`: some execution evaluates both edges in one clock
+    /// Bit `(e, f)`: some execution evaluates both edges in one clock
     /// cycle (zero-state directed path between them, in the full graph).
-    same_cycle: Vec<Vec<bool>>,
+    same_cycle: BitMatrix,
+}
+
+/// Marks an unreachable pair in the flat latency tables.
+const NO_LATENCY: u32 = u32::MAX;
+
+/// A dense square matrix of bits over edge pairs, in one allocation.
+#[derive(Debug, Clone)]
+struct BitMatrix {
+    words_per_row: usize,
+    words: Vec<u64>,
+}
+
+impl BitMatrix {
+    fn new(n: usize) -> Self {
+        let words_per_row = n.div_ceil(64);
+        BitMatrix {
+            words_per_row,
+            words: vec![0; words_per_row * n],
+        }
+    }
+
+    fn get(&self, r: usize, c: usize) -> bool {
+        self.words[r * self.words_per_row + c / 64] & (1 << (c % 64)) != 0
+    }
+
+    fn set(&mut self, r: usize, c: usize) {
+        self.words[r * self.words_per_row + c / 64] |= 1 << (c % 64);
+    }
 }
 
 impl CfgInfo {
@@ -434,10 +463,11 @@ impl CfgInfo {
         }
 
         // ---- reachability and latency tables (per source edge, DP in topo order)
-        let mut reach = vec![vec![false; n_edges]; n_edges];
-        let mut latency = vec![vec![None; n_edges]; n_edges];
-        let mut hard_latency = vec![vec![None; n_edges]; n_edges];
+        let mut reach = BitMatrix::new(n_edges);
+        let mut latency = vec![NO_LATENCY; n_edges * n_edges];
+        let mut hard_latency = vec![NO_LATENCY; n_edges * n_edges];
         for &e in &edge_topo {
+            let row = e.0 as usize * n_edges..(e.0 as usize + 1) * n_edges;
             Self::latency_from(
                 e,
                 n_nodes,
@@ -448,9 +478,9 @@ impl CfgInfo {
                 &edge_to,
                 &edge_back,
                 &node_kind,
-                &mut reach[e.0 as usize],
-                &mut latency[e.0 as usize],
-                &mut hard_latency[e.0 as usize],
+                &mut reach,
+                &mut latency[row.clone()],
+                &mut hard_latency[row],
             );
         }
 
@@ -627,9 +657,9 @@ impl CfgInfo {
         edge_to: &[NodeId],
         edge_back: &[bool],
         node_kind: &[NodeKind],
-        reach_row: &mut [bool],
-        lat_row: &mut [Option<u32>],
-        hard_row: &mut [Option<u32>],
+        reach: &mut BitMatrix,
+        lat_row: &mut [u32],
+        hard_row: &mut [u32],
     ) {
         // dist[n] = min #states (inclusive) on forward paths head(e) ->* n.
         let head = edge_to[e.0 as usize]; // head of edge e is its target node
@@ -665,11 +695,12 @@ impl CfgInfo {
         }
         // Edge f is reachable from e when its source node (tail(f)) got a
         // distance; latency is the accumulated state count at that node.
+        let r = e.0 as usize;
         for f in 0..lat_row.len() {
-            if f == e.0 as usize {
-                reach_row[f] = true;
-                lat_row[f] = Some(0);
-                hard_row[f] = Some(0);
+            if f == r {
+                reach.set(r, f);
+                lat_row[f] = 0;
+                hard_row[f] = 0;
                 continue;
             }
             if edge_back[f] {
@@ -678,9 +709,9 @@ impl CfgInfo {
             let src = edge_from[f];
             let d = dist[src.0 as usize];
             if d != u32::MAX {
-                reach_row[f] = true;
-                lat_row[f] = Some(d);
-                hard_row[f] = Some(hdist[src.0 as usize]);
+                reach.set(r, f);
+                lat_row[f] = d;
+                hard_row[f] = hdist[src.0 as usize];
             }
         }
     }
@@ -1017,7 +1048,7 @@ impl CfgInfo {
         edge_from: &[NodeId],
         edge_to: &[NodeId],
         node_kind: &[NodeKind],
-    ) -> Result<Vec<Vec<bool>>> {
+    ) -> Result<BitMatrix> {
         // Zero-state reachability between nodes on the full graph with state
         // nodes removed. Detect state-free cycles (illegal).
         let is_state = |n: NodeId| node_kind[n.0 as usize].is_state();
@@ -1056,7 +1087,7 @@ impl CfgInfo {
         // tail(f) through non-state nodes (or vice versa). head/tail
         // themselves must not be states for the connection to be state-free;
         // if head(e) is a state, e's evaluation ends that cycle.
-        let mut sc = vec![vec![false; n_edges]; n_edges];
+        let mut sc = BitMatrix::new(n_edges);
         let zreach = |a: NodeId, b: NodeId| -> bool {
             if is_state(a) || is_state(b) {
                 return false;
@@ -1066,7 +1097,7 @@ impl CfgInfo {
         for e in 0..n_edges {
             for f in 0..n_edges {
                 if e == f {
-                    sc[e][f] = true;
+                    sc.set(e, f);
                     continue;
                 }
                 let he = edge_to[e]; // head of e
@@ -1074,7 +1105,7 @@ impl CfgInfo {
                 let hf = edge_to[f];
                 let te = edge_from[e];
                 if zreach(he, tf) || zreach(hf, te) {
-                    sc[e][f] = true;
+                    sc.set(e, f);
                 }
             }
         }
@@ -1137,7 +1168,7 @@ impl CfgInfo {
     /// `true` when a forward path `head(e) ->* tail(f)` exists or `e == f`.
     #[must_use]
     pub fn reaches(&self, e: EdgeId, f: EdgeId) -> bool {
-        self.reach[e.0 as usize][f.0 as usize]
+        self.reach.get(e.0 as usize, f.0 as usize)
     }
 
     /// Paper Definition V.1: the minimum number of state nodes on forward
@@ -1145,14 +1176,16 @@ impl CfgInfo {
     /// from `e`. `latency(e, e) == Some(0)`.
     #[must_use]
     pub fn latency(&self, e: EdgeId, f: EdgeId) -> Option<u32> {
-        self.latency[e.0 as usize][f.0 as usize]
+        let l = self.latency[e.0 as usize * self.n_edges + f.0 as usize];
+        (l != NO_LATENCY).then_some(l)
     }
 
     /// Like [`CfgInfo::latency`] but counting only **hard** states; used to
     /// decide whether sinking an operation would cross a `wait()`.
     #[must_use]
     pub fn hard_latency(&self, e: EdgeId, f: EdgeId) -> Option<u32> {
-        self.hard_latency[e.0 as usize][f.0 as usize]
+        let l = self.hard_latency[e.0 as usize * self.n_edges + f.0 as usize];
+        (l != NO_LATENCY).then_some(l)
     }
 
     /// `true` when edge `a` dominates edge `b` in the forward edge graph
@@ -1210,7 +1243,7 @@ impl CfgInfo {
     /// cycle (used for resource-conflict detection).
     #[must_use]
     pub fn same_cycle(&self, e: EdgeId, f: EdgeId) -> bool {
-        self.same_cycle[e.0 as usize][f.0 as usize]
+        self.same_cycle.get(e.0 as usize, f.0 as usize)
     }
 
     /// Position of a node in the forward topological order.
@@ -1229,6 +1262,32 @@ impl CfgInfo {
     #[must_use]
     pub fn edge_pdom_depth(&self, e: EdgeId) -> u32 {
         self.edge_pdom_depth[e.0 as usize]
+    }
+
+    /// Heap bytes the snapshot holds: its per-node and per-edge tables
+    /// plus the four edge-pair tables (`reach` and `same_cycle` one bit
+    /// per pair, `latency` and `hard_latency` four bytes per pair).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use crate::vec_heap_bytes as b;
+        b(&self.node_kind)
+            + b(&self.edge_from)
+            + b(&self.edge_to)
+            + b(&self.edge_back)
+            + b(&self.node_topo)
+            + b(&self.node_topo_pos)
+            + b(&self.edge_topo)
+            + b(&self.edge_topo_pos)
+            + b(&self.reach.words)
+            + b(&self.latency)
+            + b(&self.hard_latency)
+            + b(&self.edge_idom)
+            + b(&self.edge_dom_depth)
+            + b(&self.edge_ipdom)
+            + b(&self.edge_pdom_depth)
+            + b(&self.edge_loops)
+            + b(&self.back_edges)
+            + b(&self.same_cycle.words)
     }
 
     /// Source node of `e` (snapshot copy).

@@ -57,3 +57,9 @@ pub use dfg::{Dfg, OpId};
 pub use error::{Error, Result};
 pub use op::{Op, OpKind};
 pub use span::{OpSpans, SpanInfo};
+
+/// Bytes of the heap block `v` holds: its capacity, not its length.
+#[must_use]
+pub fn vec_heap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}

@@ -70,8 +70,10 @@ impl SpanInfo {
 /// scheduling pins operations.
 #[derive(Debug, Clone)]
 pub struct SpanAnalysis {
-    /// Per op id: legal edges sorted by topological position.
-    legal: Vec<Vec<EdgeId>>,
+    /// Legal edges of every op id, each op's sorted by topological
+    /// position; op `o`'s are `legal[legal_start[o]..legal_start[o + 1]]`.
+    legal: Vec<EdgeId>,
+    legal_start: Vec<u32>,
     /// Cached forward topological order of the DFG (invariant under
     /// pinning).
     topo: Vec<OpId>,
@@ -88,16 +90,17 @@ impl SpanAnalysis {
     /// edge (cannot host operations).
     pub fn new(dfg: &Dfg, info: &CfgInfo) -> Result<Self> {
         let topo = dfg.topo_order()?;
-        let mut legal = vec![Vec::new(); dfg.len_ids()];
+        let mut legal: Vec<EdgeId> = Vec::new();
+        let mut legal_start = vec![0u32; dfg.len_ids() + 1];
         for o in dfg.op_ids() {
             let birth = dfg.birth(o);
             if info.is_back_edge(birth) {
                 return Err(Error::BadBirth(format!("{o} born on back edge {birth}")));
             }
             let kind = dfg.op(o).kind();
-            let mut set: Vec<EdgeId> = Vec::new();
+            let from = legal.len();
             if kind.is_fixed() || kind.is_source_like() {
-                set.push(birth);
+                legal.push(birth);
             } else {
                 let birth_loops = info.loops_of(birth);
                 for f in 0..info.len_edges() {
@@ -110,24 +113,43 @@ impl SpanAnalysis {
                         && info.edge_postdominates(e, birth)
                         && info.hard_latency(birth, e) == Some(0);
                     if hoist || sink {
-                        set.push(e);
+                        legal.push(e);
                     }
                 }
             }
-            set.sort_by_key(|&e| info.edge_topo_pos(e));
-            legal[o.0 as usize] = set;
+            legal[from..].sort_by_key(|&e| info.edge_topo_pos(e));
+            legal_start[o.0 as usize + 1] = legal.len() as u32;
         }
+        // A dead id's range is empty: it starts and ends where the last
+        // live id before it ended.
+        for i in 1..legal_start.len() {
+            legal_start[i] = legal_start[i].max(legal_start[i - 1]);
+        }
+        legal.shrink_to_fit();
         let mut pos = vec![u32::MAX; dfg.len_ids()];
         for (k, &o) in topo.iter().enumerate() {
             pos[o.0 as usize] = k as u32;
         }
-        Ok(SpanAnalysis { legal, topo, pos })
+        Ok(SpanAnalysis {
+            legal,
+            legal_start,
+            topo,
+            pos,
+        })
     }
 
     /// Legal edges for `o`, in topological order.
     #[must_use]
     pub fn legal(&self, o: OpId) -> &[EdgeId] {
-        &self.legal[o.0 as usize]
+        let i = o.0 as usize;
+        &self.legal[self.legal_start[i] as usize..self.legal_start[i + 1] as usize]
+    }
+
+    /// Heap bytes the analysis holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use crate::vec_heap_bytes as b;
+        b(&self.legal) + b(&self.legal_start) + b(&self.topo) + b(&self.pos)
     }
 
     /// Computes spans with no operations pinned (the pre-scheduling
@@ -385,6 +407,12 @@ pub struct SpanBounds {
 }
 
 impl SpanBounds {
+    /// Heap bytes the bounds hold.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        crate::vec_heap_bytes(&self.early) + crate::vec_heap_bytes(&self.late)
+    }
+
     /// Early edge of `o`.
     ///
     /// # Panics

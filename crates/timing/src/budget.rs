@@ -60,13 +60,83 @@ impl Default for BudgetOptions {
 }
 
 /// Delay alternatives of one operation: either a library grade curve or a
-/// fixed intrinsic delay (I/O, φs, constants).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpChoice {
+/// fixed intrinsic delay (I/O, φs, constants). A view into an
+/// [`OpChoices`] table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpChoice<'a> {
     /// Pareto candidates, fastest first (empty for fixed-delay ops).
-    pub candidates: Vec<Candidate>,
+    pub candidates: &'a [Candidate],
     /// Intrinsic delay for ops without resource candidates.
     pub fixed_ps: Option<u64>,
+}
+
+/// The delay alternatives of every operation of a DFG, indexed by op id,
+/// in one candidate table: two allocations whatever the design's size.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpChoices {
+    /// Per op id: its run of `candidates` and its intrinsic delay.
+    ops: Vec<ChoiceRun>,
+    /// Every op's candidates, op after op.
+    candidates: Vec<Candidate>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ChoiceRun {
+    start: u32,
+    len: u32,
+    fixed_ps: Option<u64>,
+}
+
+impl OpChoices {
+    /// The alternatives of op id `i`.
+    #[must_use]
+    pub fn get(&self, i: usize) -> OpChoice<'_> {
+        let r = self.ops[i];
+        OpChoice {
+            candidates: &self.candidates[r.start as usize..(r.start + r.len) as usize],
+            fixed_ps: r.fixed_ps,
+        }
+    }
+
+    /// The alternatives of every op id, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = OpChoice<'_>> {
+        (0..self.ops.len()).map(|i| self.get(i))
+    }
+
+    /// The Pareto candidates of op id `i`, fastest first.
+    #[must_use]
+    pub fn candidates(&self, i: usize) -> &[Candidate] {
+        self.get(i).candidates
+    }
+
+    /// The table with op id `i` limited to its `caps[i] + 1` fastest
+    /// candidates (ops without candidates keep none).
+    #[must_use]
+    pub fn truncated(&self, caps: &[usize]) -> OpChoices {
+        OpChoices {
+            ops: self
+                .ops
+                .iter()
+                .zip(caps)
+                .map(|(r, &cap)| ChoiceRun {
+                    len: (r.len as usize).min(cap.saturating_add(1)) as u32,
+                    ..*r
+                })
+                .collect(),
+            candidates: self.candidates.clone(),
+        }
+    }
+
+    /// Heap bytes the table holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        adhls_ir::vec_heap_bytes(&self.ops) + adhls_ir::vec_heap_bytes(&self.candidates)
+    }
+
+    /// Candidates summed over every op.
+    fn total_candidates(&self) -> usize {
+        self.ops.iter().map(|r| r.len as usize).sum()
+    }
 }
 
 /// Builds the per-operation delay alternatives from a library.
@@ -78,14 +148,14 @@ pub struct OpChoice {
 ///
 /// Returns [`Error::MalformedDfg`] if a resource-backed operation has no
 /// library candidates at its width.
-pub fn op_choices(dfg: &Dfg, lib: &Library) -> Result<Vec<OpChoice>> {
-    let mut out = vec![
-        OpChoice {
-            candidates: Vec::new(),
-            fixed_ps: Some(0)
-        };
-        dfg.len_ids()
-    ];
+pub fn op_choices(dfg: &Dfg, lib: &Library) -> Result<OpChoices> {
+    let fixed = |fixed_ps| ChoiceRun {
+        start: 0,
+        len: 0,
+        fixed_ps: Some(fixed_ps),
+    };
+    let mut ops = vec![fixed(0); dfg.len_ids()];
+    let mut candidates = Vec::new();
     for o in dfg.op_ids() {
         let kind = dfg.op(o).kind();
         let const_shift = matches!(kind, adhls_ir::OpKind::Shl | adhls_ir::OpKind::Shr)
@@ -93,32 +163,29 @@ pub fn op_choices(dfg: &Dfg, lib: &Library) -> Result<Vec<OpChoice>> {
                 .operands(o)
                 .get(1)
                 .is_some_and(|&p| dfg.op(p).kind().is_const());
-        let choice = if const_shift {
-            OpChoice {
-                candidates: Vec::new(),
-                fixed_ps: Some(0),
-            }
+        ops[o.0 as usize] = if const_shift {
+            fixed(0)
         } else if let Some(f) = lib.fixed_delay_ps(kind) {
-            OpChoice {
-                candidates: Vec::new(),
-                fixed_ps: Some(f),
-            }
+            fixed(f)
         } else {
             let w = op_resource_width(dfg, o);
-            let candidates = lib.candidates(kind, w);
-            if candidates.is_empty() {
+            let cands = lib.candidates(kind, w);
+            if cands.is_empty() {
                 return Err(Error::MalformedDfg(format!(
                     "no library candidates for {o} ({kind} at width {w})"
                 )));
             }
-            OpChoice {
-                candidates,
+            let start = candidates.len() as u32;
+            candidates.extend_from_slice(&cands);
+            ChoiceRun {
+                start,
+                len: cands.len() as u32,
                 fixed_ps: None,
             }
         };
-        out[o.0 as usize] = choice;
     }
-    Ok(out)
+    candidates.shrink_to_fit();
+    Ok(OpChoices { ops, candidates })
 }
 
 /// Result of slack budgeting: a grade per operation plus the final slack
@@ -185,7 +252,7 @@ pub fn budget(
 #[must_use]
 pub fn budget_with_choices(
     tdfg: &TimedDfg,
-    choices: &[OpChoice],
+    choices: &OpChoices,
     clock_ps: u64,
     opts: &BudgetOptions,
     locked: impl Fn(OpId) -> Option<u64>,
@@ -204,14 +271,17 @@ pub fn budget_with_choices(
 #[must_use]
 pub fn budget_with_choices_from(
     tdfg: &TimedDfg,
-    choices: &[OpChoice],
+    choices: &OpChoices,
     clock_ps: u64,
     opts: &BudgetOptions,
     locked: impl Fn(OpId) -> Option<u64>,
     initial: Option<&[Option<usize>]>,
 ) -> BudgetResult {
     assert!(clock_ps > 0, "clock period must be positive");
-    assert!(choices.len() >= tdfg.len_ids(), "choices table too short");
+    assert!(
+        choices.ops.len() >= tdfg.len_ids(),
+        "choices table too short"
+    );
     let t = clock_ps as i64;
     let n = tdfg.len_ids();
     let overhead = opts.overhead_ps as i64;
@@ -253,13 +323,13 @@ pub fn budget_with_choices_from(
             delays[i] = d as i64;
             lock_flag[i] = true;
             // Keep the matching candidate index if one matches exactly.
-            idx[i] = choices[i]
-                .candidates
+            idx[i] = choices
+                .candidates(i)
                 .iter()
                 .position(|c| c.grade.delay_ps == d);
             continue;
         }
-        let ch = &choices[i];
+        let ch = choices.get(i);
         if ch.candidates.is_empty() {
             delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
         } else {
@@ -274,11 +344,7 @@ pub fn budget_with_choices_from(
 
     let mut moves = 0usize;
     let mut reverted = 0usize;
-    let max_moves = 4 * choices
-        .iter()
-        .map(|c| c.candidates.len())
-        .sum::<usize>()
-        .max(16);
+    let max_moves = 4 * choices.total_candidates().max(16);
 
     // The one-grade moves open to each op at its current grade, refreshed
     // whenever its grade or cap changes, so every pick is one scan of
@@ -287,7 +353,7 @@ pub fn budget_with_choices_from(
     let mut down: Vec<Option<(i64, f64)>> = vec![None; n];
     for i in 0..n {
         if tdfg.is_timed(OpId(i as u32)) && !lock_flag[i] {
-            (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
+            (up[i], down[i]) = moves_of(choices.get(i), idx[i], max_idx[i]);
         }
     }
 
@@ -322,8 +388,8 @@ pub fn budget_with_choices_from(
         };
         let k = idx[i].unwrap() - 1;
         idx[i] = Some(k);
-        delays[i] = choices[i].candidates[k].grade.delay_ps as i64 + overhead;
-        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
+        delays[i] = choices.candidates(i)[k].grade.delay_ps as i64 + overhead;
+        (up[i], down[i]) = moves_of(choices.get(i), idx[i], max_idx[i]);
         moves += 1;
         slack_evals += refresh(&mut st, &delays, OpId(i as u32));
     }
@@ -348,7 +414,7 @@ pub fn budget_with_choices_from(
         let Some((i, _)) = best else { break };
         let k = idx[i].unwrap();
         idx[i] = Some(k + 1);
-        delays[i] = choices[i].candidates[k + 1].grade.delay_ps as i64 + overhead;
+        delays[i] = choices.candidates(i)[k + 1].grade.delay_ps as i64 + overhead;
         moves += 1;
         let before = st.min_slack();
         slack_evals += refresh(&mut st, &delays, OpId(i as u32));
@@ -358,19 +424,19 @@ pub fn budget_with_choices_from(
         // global minimum of an infeasible design can mask new violations).
         if st.min_slack() < before.min(0) || st.turned_negative() {
             idx[i] = Some(k);
-            delays[i] = choices[i].candidates[k].grade.delay_ps as i64 + overhead;
+            delays[i] = choices.candidates(i)[k].grade.delay_ps as i64 + overhead;
             max_idx[i] = k;
             st.revert();
             reverted += 1;
         }
-        (up[i], down[i]) = moves_of(&choices[i], idx[i], max_idx[i]);
+        (up[i], down[i]) = moves_of(choices.get(i), idx[i], max_idx[i]);
     }
 
     let mut chosen: Vec<Option<Candidate>> = vec![None; n];
     let mut dedicated_area = 0.0;
     for i in 0..n {
         if let Some(k) = idx[i] {
-            let c = choices[i].candidates[k];
+            let c = choices.candidates(i)[k];
             chosen[i] = Some(c);
             dedicated_area += c.grade.area;
         }
@@ -393,7 +459,7 @@ pub fn budget_with_choices_from(
 /// the phase-1 upgrade score (delay gained per unit of area spent), and
 /// the phase-2 downgrade's delay cost and area saving; `None` where the
 /// move does not exist.
-fn moves_of(ch: &OpChoice, k: Option<usize>, cap: usize) -> (Option<f64>, Option<(i64, f64)>) {
+fn moves_of(ch: OpChoice, k: Option<usize>, cap: usize) -> (Option<f64>, Option<(i64, f64)>) {
     let Some(k) = k else { return (None, None) };
     let grade = |j: usize| ch.candidates[j].grade;
     let up = (k > 0).then(|| {
@@ -445,6 +511,32 @@ mod tests {
         // With the 2-cycle budget they may even go slower; either way the
         // area must be far below 2x the fastest grade.
         assert!(r.dedicated_area < 2.0 * 878.0 * 0.8);
+    }
+
+    #[test]
+    fn a_truncated_table_keeps_each_ops_fastest_candidates() {
+        let mut b = DesignBuilder::new("trunc");
+        let x = b.input("x", 8);
+        let m = b.binop(OpKind::Mul, x, x, 8);
+        let a = b.binop(OpKind::Add, m, x, 8);
+        b.write("y", a);
+        let d = b.finish().unwrap();
+        let full = op_choices(&d.dfg, &tsmc90::library()).unwrap();
+        let n = d.dfg.len_ids();
+        let caps: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let cut = full.truncated(&caps);
+        for (i, cap) in caps.iter().enumerate() {
+            let (f, c) = (full.get(i), cut.get(i));
+            assert_eq!(c.fixed_ps, f.fixed_ps);
+            let keep = f.candidates.len().min(cap + 1);
+            assert_eq!(c.candidates, &f.candidates[..keep], "op {i}");
+        }
+        // Budgeting's move cap counts the truncated candidates.
+        assert!(cut.total_candidates() < full.total_candidates());
+        assert_eq!(
+            cut.total_candidates(),
+            cut.iter().map(|c| c.candidates.len()).sum::<usize>()
+        );
     }
 
     #[test]

@@ -62,23 +62,6 @@ impl SlackResult {
     pub fn min_slack(&self) -> i64 {
         self.slack.iter().copied().min().unwrap_or(i64::MAX)
     }
-
-    /// Ops whose slack is within `margin` of the minimum — the paper's
-    /// *slack binning* (§V: a 5%-of-clock margin speeds budgeting with
-    /// negligible quality impact).
-    #[must_use]
-    pub fn critical_ops(&self, margin: i64) -> Vec<OpId> {
-        let min = self.min_slack();
-        if min == i64::MAX {
-            return Vec::new();
-        }
-        self.slack
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s <= min.saturating_add(margin))
-            .map(|(i, _)| OpId(i as u32))
-            .collect()
-    }
 }
 
 /// Computes sequential (or aligned) slack for the timed DFG under the given
@@ -497,10 +480,9 @@ mod tests {
             };
         }
         let r = compute_slack(&tdfg, &delays, 1100, SlackMode::Plain);
-        let crit = r.critical_ops(0);
         let names: Vec<&str> = ops
             .iter()
-            .filter(|(_, o)| crit.contains(o))
+            .filter(|(_, o)| r.slack(*o) == r.min_slack())
             .map(|(n, _)| *n)
             .collect();
         assert_eq!(names, vec!["rd_a", "add", "div", "sub", "mux"]);
@@ -548,26 +530,5 @@ mod tests {
         }
         let r = compute_slack(&tdfg, &delays, 1000, SlackMode::Aligned);
         assert!(r.min_slack() < 0);
-    }
-
-    #[test]
-    fn slack_binning_groups_near_critical() {
-        let (design, ops) = resizer();
-        let (info, spans) = design.analyze().unwrap();
-        let tdfg = TimedDfg::build(&design.dfg, &info, &spans).unwrap();
-        let mut delays = vec![0i64; design.dfg.len_ids()];
-        for (name, o) in &ops {
-            delays[o.0 as usize] = match *name {
-                "rd_a" | "rd_b" | "wr" => 100,
-                "gt" => 0,
-                _ => 600,
-            };
-        }
-        let r = compute_slack(&tdfg, &delays, 1100, SlackMode::Plain);
-        // With a huge margin every timed op is "critical".
-        let all = r.critical_ops(1_000_000);
-        assert_eq!(all.len(), tdfg.topo().len());
-        // Binning is monotone in the margin.
-        assert!(r.critical_ops(0).len() <= r.critical_ops(100).len());
     }
 }

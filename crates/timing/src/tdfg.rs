@@ -17,16 +17,22 @@ use adhls_ir::{Dfg, Error, OpId, Result};
 
 /// The timed DFG: weighted forward adjacency over live, non-constant
 /// operations, plus per-operation sink weights.
+///
+/// Adjacency is stored flat: op `o`'s predecessor edges are
+/// `preds[pred_start[o]..pred_start[o + 1]]` (successors likewise), so the
+/// graph is a handful of allocations whatever its size.
 #[derive(Debug)]
 pub struct TimedDfg {
     /// Id-space size of the underlying DFG (dense indexing by `OpId`).
     n_ids: usize,
     /// Whether the op participates in timing (live, non-constant).
     timed: Vec<bool>,
-    /// Weighted predecessor edges `(pred, latency)`.
-    preds: Vec<Vec<(OpId, u32)>>,
-    /// Weighted successor edges `(succ, latency)`.
-    succs: Vec<Vec<(OpId, u32)>>,
+    /// Weighted predecessor edges `(pred, latency)`, grouped by op.
+    preds: Vec<(OpId, u32)>,
+    pred_start: Vec<u32>,
+    /// Weighted successor edges `(succ, latency)`, grouped by op.
+    succs: Vec<(OpId, u32)>,
+    succ_start: Vec<u32>,
     /// Sink-edge weight per op: `latency(early(o), late(o))`.
     sink_w: Vec<u32>,
     /// Timed ops in forward topological order.
@@ -41,7 +47,9 @@ impl Clone for TimedDfg {
             n_ids: self.n_ids,
             timed: self.timed.clone(),
             preds: self.preds.clone(),
+            pred_start: self.pred_start.clone(),
             succs: self.succs.clone(),
+            succ_start: self.succ_start.clone(),
             sink_w: self.sink_w.clone(),
             topo: self.topo.clone(),
             pos: self.pos.clone(),
@@ -49,12 +57,14 @@ impl Clone for TimedDfg {
     }
 
     /// Field-wise, so resetting a reweighted copy to its source reuses
-    /// every adjacency allocation.
+    /// every allocation.
     fn clone_from(&mut self, src: &Self) {
         self.n_ids = src.n_ids;
         self.timed.clone_from(&src.timed);
         self.preds.clone_from(&src.preds);
+        self.pred_start.clone_from(&src.pred_start);
         self.succs.clone_from(&src.succs);
+        self.succ_start.clone_from(&src.succ_start);
         self.sink_w.clone_from(&src.sink_w);
         self.topo.clone_from(&src.topo);
         self.pos.clone_from(&src.pos);
@@ -90,20 +100,34 @@ impl TimedDfg {
         for o in dfg.op_ids() {
             timed[o.0 as usize] = !dfg.op(o).kind().is_const();
         }
-        let mut preds: Vec<Vec<(OpId, u32)>> = vec![Vec::new(); n_ids];
-        let mut succs: Vec<Vec<(OpId, u32)>> = vec![Vec::new(); n_ids];
-        let mut sink_w = vec![0u32; n_ids];
-        for o in dfg.op_ids() {
-            if !timed[o.0 as usize] {
-                continue;
+        // Timed edges `p -> o`, in op order and each op's operand order.
+        let timed_ops = || dfg.op_ids().filter(|o| timed[o.0 as usize]);
+        let timed_operands = |o: OpId| dfg.forward_operands(o).filter(|p| timed[p.0 as usize]);
+        let mut pred_start = vec![0u32; n_ids + 1];
+        let mut succ_start = vec![0u32; n_ids + 1];
+        for o in timed_ops() {
+            for p in timed_operands(o) {
+                pred_start[o.0 as usize + 1] += 1;
+                succ_start[p.0 as usize + 1] += 1;
             }
-            for p in dfg.forward_operands(o) {
-                if !timed[p.0 as usize] {
-                    continue; // constant input removed
-                }
+        }
+        for i in 0..n_ids {
+            pred_start[i + 1] += pred_start[i];
+            succ_start[i + 1] += succ_start[i];
+        }
+        let n_edges = pred_start[n_ids] as usize;
+        // Ops come in id order, so predecessor edges arrive grouped.
+        let mut preds = Vec::with_capacity(n_edges);
+        let mut succs = vec![(OpId(0), 0u32); n_edges];
+        let mut succ_next = succ_start.clone();
+        let mut sink_w = vec![0u32; n_ids];
+        for o in timed_ops() {
+            for p in timed_operands(o) {
                 let w = edge_latency(info, &early, p, o)?;
-                preds[o.0 as usize].push((p, w));
-                succs[p.0 as usize].push((o, w));
+                preds.push((p, w));
+                let j = &mut succ_next[p.0 as usize];
+                succs[*j as usize] = (o, w);
+                *j += 1;
             }
             sink_w[o.0 as usize] = sink_latency(info, &early, &late, o)?;
         }
@@ -120,7 +144,9 @@ impl TimedDfg {
             n_ids,
             timed,
             preds,
+            pred_start,
             succs,
+            succ_start,
             sink_w,
             topo,
             pos,
@@ -155,17 +181,19 @@ impl TimedDfg {
             if !self.timed[oi] {
                 continue;
             }
-            for k in 0..self.preds[oi].len() {
-                let p = self.preds[oi][k].0;
+            for k in range(&self.pred_start, oi) {
+                let p = self.preds[k].0;
                 let w = edge_latency(info, &early, p, o)?;
-                self.preds[oi][k].1 = w;
-                set_weight(&mut self.succs[p.0 as usize], o, w);
+                self.preds[k].1 = w;
+                let succs = range(&self.succ_start, p.0 as usize);
+                set_weight(&mut self.succs[succs], o, w);
             }
-            for k in 0..self.succs[oi].len() {
-                let s = self.succs[oi][k].0;
+            for k in range(&self.succ_start, oi) {
+                let s = self.succs[k].0;
                 let w = edge_latency(info, &early, o, s)?;
-                self.succs[oi][k].1 = w;
-                set_weight(&mut self.preds[s.0 as usize], o, w);
+                self.succs[k].1 = w;
+                let preds = range(&self.pred_start, s.0 as usize);
+                set_weight(&mut self.preds[preds], o, w);
             }
             self.sink_w[oi] = sink_latency(info, &early, &late, o)?;
         }
@@ -187,13 +215,13 @@ impl TimedDfg {
     /// Weighted predecessors of `o`.
     #[must_use]
     pub fn preds(&self, o: OpId) -> &[(OpId, u32)] {
-        &self.preds[o.0 as usize]
+        &self.preds[range(&self.pred_start, o.0 as usize)]
     }
 
     /// Weighted successors of `o`.
     #[must_use]
     pub fn succs(&self, o: OpId) -> &[(OpId, u32)] {
-        &self.succs[o.0 as usize]
+        &self.succs[range(&self.succ_start, o.0 as usize)]
     }
 
     /// Sink-edge weight of `o` (paper: `latency(early(o), late(o))`).
@@ -219,8 +247,27 @@ impl TimedDfg {
     /// claim).
     #[must_use]
     pub fn len_edges(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.preds.len()
     }
+
+    /// Heap bytes the graph holds.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use adhls_ir::vec_heap_bytes as b;
+        b(&self.timed)
+            + b(&self.preds)
+            + b(&self.pred_start)
+            + b(&self.succs)
+            + b(&self.succ_start)
+            + b(&self.sink_w)
+            + b(&self.topo)
+            + b(&self.pos)
+    }
+}
+
+/// Op `i`'s slice of a flat adjacency list with offsets `start`.
+fn range(start: &[u32], i: usize) -> std::ops::Range<usize> {
+    start[i] as usize..start[i + 1] as usize
 }
 
 /// Weight of timed edge `p -> o`: `latency(early(p), early(o))`.

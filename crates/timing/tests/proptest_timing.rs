@@ -130,7 +130,7 @@ proptest! {
         let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
         let locked: Vec<OpId> = lock_seeds.iter().map(|&k| pool[k % pool.len()]).collect();
         let lock = |o: OpId| {
-            let c = &choices[o.0 as usize].candidates;
+            let c = choices.candidates(o.0 as usize);
             (locked.contains(&o) && !c.is_empty()).then(|| c[c.len() / 2].grade.delay_ps)
         };
         let opts = |engine| BudgetOptions {
