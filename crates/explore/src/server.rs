@@ -37,6 +37,8 @@
 //! See `docs/PROTOCOL.md` for the wire format and `docs/ARCHITECTURE.md`
 //! for the request lifecycle.
 
+// The row cache's policy tests, through the cache's public surface.
+mod eviction;
 pub mod memo;
 pub mod protocol;
 pub mod router;
