@@ -1,20 +1,15 @@
-//! Incremental-evaluation payoff: per-cell sweep cost through shared
-//! phase-artifact prefixes vs the from-scratch reference pipeline
-//! (`dse::evaluate_point_from_scratch`, point by point) on IDCT-1D and FIR
-//! grids.
+//! Incremental evaluation: per-cell sweep cost through phase-artifact
+//! prefixes shared across the cells of a design, on IDCT-1D and FIR grids.
 //!
 //! Each grid holds few distinct designs and many clock/II cells per
 //! design — the shape real explorations have — so the prepared prefix
 //! (elaboration, timed DFG, mobility bounds, clock contexts) amortizes
-//! across cells. Rows are bit-identical on both paths (asserted below
-//! before timing starts, alongside prefix-cache activity); only the cost
-//! moves. Measured per-cell cost reduction on these grids is ~2×: the
-//! prefix (elaboration + per-pass bounds/timed-DFG rebuilds + first-restart
-//! budgeting) is about half of a from-scratch cell, and the remainder —
-//! the relaxation passes themselves — is per-cell work both paths must
-//! pay. Tracked per PR in `BENCH_<n>.json`.
+//! across cells. Before timing starts, the sweep's rows are asserted
+//! bit-identical to `dse::explore`'s, which prepares every point afresh,
+//! and the prefix cache is asserted to have hit. Tracked per PR in
+//! `BENCH_<n>.json`.
 
-use adhls_core::dse::{evaluate_point_from_scratch, DsePoint, DseRow};
+use adhls_core::dse::{explore, DsePoint};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::{Engine, EngineOptions};
 use adhls_reslib::tsmc90;
@@ -65,23 +60,14 @@ fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
     )
 }
 
-/// Every point from scratch, in order.
-fn from_scratch(lib: &adhls_reslib::Library, points: &[DsePoint]) -> Vec<DseRow> {
-    points
-        .iter()
-        .map(|p| evaluate_point_from_scratch(p, lib, &HlsOptions::default()))
-        .collect::<Result<_, _>>()
-        .expect("grid schedules")
-}
-
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_incremental");
     let lib = tsmc90::library();
 
     for (grid_name, points) in [("idct1d", idct1d_grid()), ("fir", fir_grid())] {
-        // The contract first, the clock second: both paths must produce
-        // bit-identical rows, and the prefix cache must actually have been
-        // consulted (hits > 0) while the incremental sweep ran.
+        // The contract first, the clock second: the shared-prefix sweep must
+        // reproduce the point-by-point rows bit for bit, and the prefix
+        // cache must actually have been consulted (hits > 0) while it ran.
         let was = adhls_telemetry::global().is_enabled();
         adhls_telemetry::global().set_enabled(true);
         let before = adhls_telemetry::global().snapshot();
@@ -91,7 +77,7 @@ fn bench(c: &mut Criterion) {
             .rows;
         let after = adhls_telemetry::global().snapshot();
         adhls_telemetry::global().set_enabled(was);
-        let cold_rows = from_scratch(&lib, &points);
+        let cold_rows = explore(&points, &lib, &HlsOptions::default()).expect("grid schedules");
         assert_eq!(warm_rows, cold_rows, "{grid_name}: rows must not move");
         let hits = after.counter("pipeline.prefix.hit").unwrap_or(0)
             - before.counter("pipeline.prefix.hit").unwrap_or(0);
@@ -115,9 +101,6 @@ fn bench(c: &mut Criterion) {
                         .len(),
                 )
             })
-        });
-        c.bench_function(&format!("explore/{grid_name}_scratch"), |b| {
-            b.iter(|| black_box(from_scratch(&lib, &points).len()))
         });
     }
 }

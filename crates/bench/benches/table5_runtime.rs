@@ -3,10 +3,11 @@
 //! Columns: conventional scheduling (no in-loop timing analysis),
 //! slack-based with the paper's linear sequential-slack engine, and
 //! slack-based with the Bellman-Ford engine of prior work \[10\].
-//! The paper reports 1 / 1.18 / 10.2 on its D1 design; EXPERIMENTS.md
-//! discusses how our architecture shifts those ratios (restarts and
-//! re-analysis overheads are included in our flow times, while the pure
-//! per-call analysis ratio is measured by the `table3` bench).
+//! The paper reports 1 / 1.18 / 10.2 on its D1 design; this bench prints
+//! its own ratios before criterion's timings. Ours include relaxation
+//! restarts, re-analysis and each run's prefix preparation in the flow
+//! times, while the pure per-call analysis ratio is measured by the
+//! `table3` bench.
 
 use adhls_core::sched::{run_hls, Flow, HlsOptions};
 use adhls_reslib::tsmc90;

@@ -4,8 +4,9 @@
 
 use crate::opts::{parse_flow, write_out, Opts};
 use adhls_core::netlist;
+use adhls_core::prepare::PreparedDesign;
 use adhls_core::report::Table;
-use adhls_core::sched::{run_hls, HlsOptions};
+use adhls_core::sched::{run_hls_prepared, HlsOptions};
 use adhls_ir::frontend;
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -48,14 +49,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
         adhls_telemetry::global().set_enabled(true);
     }
     let lib = adhls_reslib::tsmc90::library();
-    let res = run_hls(&design, &lib, &hls).map_err(|e| format!("scheduling failed: {e}"))?;
+    // One prefix serves the run and the netlist's CFG analysis.
+    let prep = PreparedDesign::from_shared(design.into(), &lib)
+        .map_err(|e| format!("scheduling failed: {e}"))?;
+    let design = prep.design();
+    let res = run_hls_prepared(&prep, &lib, &hls).map_err(|e| format!("scheduling failed: {e}"))?;
     crate::profile::emit(&o, adhls_telemetry::global().snapshot())?;
 
     if let Some(out) = o.get("--netlist") {
-        let info = design
-            .validate()
-            .map_err(|e| format!("validating the design for netlist emission: {e}"))?;
-        let text = netlist::emit(&design, &info, &res.schedule, &res.regs);
+        let text = netlist::emit(design, prep.info(), &res.schedule, &res.regs);
         write_out(out, &text, "netlist")?;
         // Dumping to stdout? The report table would corrupt the netlist
         // stream a consumer is piping away — same rule as JSON exports.

@@ -8,7 +8,7 @@
 use crate::power::{estimate, PowerReport};
 use crate::prepare::PreparedDesign;
 use crate::report::Table;
-use crate::sched::{run_hls, run_hls_prepared, Flow, HlsOptions, HlsResult};
+use crate::sched::{run_hls_prepared, Flow, HlsOptions, HlsResult};
 use adhls_ir::{Design, Result};
 use adhls_reslib::Library;
 use std::sync::Arc;
@@ -173,15 +173,14 @@ pub fn grid_item_time_ps(clock_ps: u64, cycles_per_item: u32) -> f64 {
 }
 
 /// Evaluates one design point under both flows — the single-point kernel
-/// shared by the serial [`explore`] driver here and the parallel engine in
+/// shared by the serial [`explore`] loop here and the pool in
 /// `adhls-explore`.
 ///
-/// Prepares the design's phase artifacts once and evaluates through
-/// [`evaluate_prepared`] — bit-identical to the pre-refactor monolithic
-/// evaluator (and to [`evaluate_point_from_scratch`]), just without
-/// elaborating twice. Callers holding a prefix cache (the exploration
-/// engine/pool) should prepare once per design and call
-/// [`evaluate_prepared`] directly.
+/// Prepares a fresh prefix for the point and evaluates through
+/// [`evaluate_prepared`], so both flow runs share one elaboration and
+/// nothing is shared across points. Callers holding a prefix cache (the
+/// exploration pool) prepare once per design and call
+/// [`evaluate_prepared`] directly; their rows equal this function's.
 ///
 /// # Errors
 ///
@@ -194,11 +193,11 @@ pub fn evaluate_point(p: &DsePoint, lib: &Library, base: &HlsOptions) -> Result<
 }
 
 /// [`evaluate_point`] over shared phase artifacts: both flow runs reuse the
-/// prepared clock-independent prefix (and each other's clock context), so
-/// neighboring grid cells of the same design skip elaboration entirely.
-/// `prep` must have been built from `p.design` with the same `lib` — the
-/// engine/pool prefix caches guarantee this by keying on the design
-/// fingerprint and holding one library for their lifetime.
+/// prepared clock-independent prefix (and the clock contexts earlier cells
+/// stored in it), so neighboring grid cells of the same design skip
+/// elaboration entirely. `prep` must have been built from `p.design` with
+/// the same `lib` — the pool's prefix cache guarantees this by keying on
+/// the design and holding one library for its lifetime.
 ///
 /// # Errors
 ///
@@ -214,26 +213,8 @@ pub fn evaluate_prepared(
     assemble_row(p, base, |opts| run_hls_prepared(prep, lib, opts))
 }
 
-/// The monolithic evaluator: every phase from scratch, per flow, with no
-/// shared artifacts. Reference implementation for the incremental ==
-/// from-scratch equivalence suite, and the baseline the
-/// `explore_incremental` bench measures against.
-///
-/// # Errors
-///
-/// Propagates scheduling failures (a point whose clock/latency combination
-/// is overconstrained).
-pub fn evaluate_point_from_scratch(
-    p: &DsePoint,
-    lib: &Library,
-    base: &HlsOptions,
-) -> Result<DseRow> {
-    let _span = adhls_telemetry::span("pipeline.evaluate");
-    assemble_row(p, base, |opts| run_hls(&p.design, lib, opts))
-}
-
-/// Shared row assembly: run both flows through `run`, model power, derive
-/// the row. The whole-point `pipeline.evaluate` span (opened by the public
+/// Row assembly: run both flows through `run`, model power, derive the
+/// row. The whole-point `pipeline.evaluate` span (opened by the public
 /// entry points around this) wraps both HLS runs and the power model, so a
 /// `metrics` snapshot attributes per-cell cost; each HLS run opens its own
 /// `pipeline.flow.*` span, which is what reconciles per-phase counts with

@@ -19,8 +19,8 @@
 //! * [`area`] — the structural area model and continuous area recovery,
 //! * [`power`] — a simple switched-area dynamic power model,
 //! * [`prepare`] — staged, reusable phase artifacts ([`PreparedDesign`],
-//!   [`ClockContext`]) so exploration evaluates neighboring design points
-//!   incrementally yet bit-identically,
+//!   [`ClockContext`]): the prefix every HLS run schedules over, which
+//!   exploration shares across neighboring design points bit-identically,
 //! * [`netlist`] — Verilog-flavored datapath/FSM emission,
 //! * [`dse`] — the design-space-exploration driver regenerating paper
 //!   Table 4,

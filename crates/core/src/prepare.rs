@@ -14,14 +14,15 @@
 //! SDC-style "aligned delays and bounds" of a clock) per `(clock, flow)`,
 //! shared across initiation-interval cells at the same clock.
 //!
-//! The contract throughout is **bit-identical results**: a run through
-//! [`crate::sched::run_hls_prepared`] must produce exactly the bytes the
-//! from-scratch [`crate::sched::run_hls`] produces. Artifacts are therefore
-//! only ever (a) cached values of pure computations the monolithic path
-//! performs verbatim, or (b) inputs to provably order-preserving
-//! replacements of its inner loops (see `schedule_edge_indexed` in
-//! `sched.rs`). Nothing is warm-started across cells in a way that could
-//! steer the search.
+//! Every HLS run schedules over a prefix: [`crate::sched::run_hls`]
+//! builds a fresh one per call, and exploration shares one across every
+//! run of a design through [`crate::sched::run_hls_prepared`]. The
+//! contract throughout is **bit-identical results**: a run over a shared
+//! prefix produces exactly the bytes it would over a fresh one. Artifacts
+//! are therefore only ever values of pure functions of the design and the
+//! library, and clock contexts pure functions of the prefix and their
+//! key. Nothing is warm-started across cells in a way that could steer
+//! the search.
 
 use crate::sched::{Flow, HlsOptions};
 use adhls_ir::cfg::CfgInfo;
@@ -41,8 +42,8 @@ use std::sync::{Arc, Mutex};
 pub const CLOCK_CONTEXTS: usize = 8;
 
 /// The clock-independent prefix of an HLS run over one design: everything
-/// `run_hls` computes before the first grade or placement decision that
-/// could depend on the clock period, flow, or initiation interval.
+/// a run needs before the first grade or placement decision that could
+/// depend on the clock period, flow, or initiation interval.
 ///
 /// Immutable once built (the [`ClockContext`] slots inside are interior
 /// mutability over derived values, never mutation of existing ones), so it
@@ -65,7 +66,7 @@ pub struct PreparedDesign {
     span_analysis: SpanAnalysis,
     base_choices: OpChoices,
     /// `bounds_pinned(|_| None)` — the ASAP/ALAP mobility labels every pass
-    /// starts from (recomputed per restart on the from-scratch path).
+    /// of every run over this prefix starts from.
     initial_bounds: SpanBounds,
     /// Timed DFG over the initial bounds. Its *structure* (timed set,
     /// adjacency, topological order) depends only on the DFG, so re-budgeting
@@ -73,7 +74,8 @@ pub struct PreparedDesign {
     initial_tdfg: TimedDfg,
     /// Per-CFG-edge legality index: ops `o` with `e ∈ legal(o)`, in `OpId`
     /// order. A superset of any edge's ready set (the scheduler's bounds
-    /// only ever narrow spans), so placement scans this instead of all ops.
+    /// only ever narrow spans), so placement seeds from this instead of
+    /// scanning all ops.
     /// Edge `e`'s ops are `edge_ops[edge_ops_start[e]..edge_ops_start[e + 1]]`.
     edge_ops: Vec<OpId>,
     edge_ops_start: Vec<u32>,
@@ -146,15 +148,14 @@ impl PreparedDesign {
 
     /// Elaborates `design` against `lib` and materializes the prefix
     /// artifacts, keeping the shared design itself rather than a copy.
-    /// Timed under the `pipeline.elab` span — on the incremental path
-    /// elaboration runs once per prefix-cache miss rather than once per
-    /// HLS run.
+    /// Timed under the `pipeline.elab` span, once per prefix built: per
+    /// [`crate::sched::run_hls`] call, and per prefix-cache miss in the
+    /// exploration pool.
     ///
     /// # Errors
     ///
-    /// Same conditions as the elaboration prefix of
-    /// [`crate::sched::run_hls`]: a malformed design or an operation with no
-    /// library implementation.
+    /// A malformed design (CFG or DFG validation, span analysis) or an
+    /// operation with no library implementation.
     pub fn from_shared(design: Arc<Design>, lib: &Library) -> Result<PreparedDesign> {
         adhls_telemetry::timed("pipeline.elab", || {
             let info = design.validate()?;

@@ -24,9 +24,14 @@
 //!
 //! # Incremental state
 //!
-//! Every per-edge layer of a pass updates what the previous edge left
-//! instead of recomputing it, and each update is exact — it produces the
-//! values a from-scratch computation would, so schedules are unchanged:
+//! Every run schedules over a [`PreparedDesign`], the design's
+//! clock-independent prefix: CFG analysis, spans, grade candidates, the
+//! initial bounds and timed DFG, and a per-edge legality index.
+//! [`run_hls`] builds a fresh one; exploration shares one across the
+//! runs of a design. Every per-edge layer of a pass updates what the
+//! previous edge left instead of recomputing it, and each update is
+//! exact — it produces the values a full recomputation would, so
+//! schedules are unchanged:
 //!
 //! * **Bounds.** New pins move only the early bounds of their fan-out and
 //!   the late bounds of their fan-in ([`SpanAnalysis::repin`]); the timed
@@ -35,12 +40,15 @@
 //! * **Budgeting.** Each grade move updates a
 //!   [`SlackState`](adhls_timing::slack::SlackState) over the moved op's
 //!   fan-out and fan-in cones; a rejected move replays its undo log.
-//! * **Placement.** Instances are listed per compatible class set in
-//!   (slowest first, id) order, and each keeps a bitset of the edges where
-//!   a one-cycle use would conflict with it, filled on commit by the same
-//!   per-use predicate the multi-cycle scan evaluates (`use_conflicts`).
+//! * **Placement.** Each edge seeds a heap of ready ops from the legality
+//!   index and feeds it the users each commit makes ready. Instances are
+//!   listed per compatible class set in (slowest first, id) order, and
+//!   each keeps a bitset of the edges where a one-cycle use would conflict
+//!   with it, filled on commit by the same per-use predicate the
+//!   multi-cycle scan evaluates (`use_conflicts`).
 //! * **Restarts.** A pass whose grade caps equal an earlier pass's reuses
-//!   that pass's initial budget.
+//!   that pass's initial budget, and a pass with untruncated caps reuses
+//!   the prefix's clock context for its options.
 
 use crate::alloc::{Allocation, InstId};
 use crate::area::{self, AreaReport};
@@ -54,7 +62,7 @@ use adhls_reslib::class::classes_for;
 use adhls_reslib::library::op_resource_width;
 use adhls_reslib::{Library, ResClass};
 use adhls_timing::aligned::align_start_up;
-use adhls_timing::budget::{budget_with_choices_from, op_choices, BudgetOptions, OpChoices};
+use adhls_timing::budget::{budget_with_choices_from, BudgetOptions, OpChoices};
 use adhls_timing::slack::{compute_slack, SlackMode};
 use adhls_timing::TimedDfg;
 use std::borrow::Cow;
@@ -164,7 +172,9 @@ fn flow_span_name(flow: Flow) -> &'static str {
     }
 }
 
-/// Runs high-level synthesis on a validated design.
+/// Runs high-level synthesis on a validated design: prepares its
+/// clock-independent prefix ([`PreparedDesign::new`]) and schedules over
+/// it with [`run_hls_prepared`].
 ///
 /// # Errors
 ///
@@ -172,38 +182,15 @@ fn flow_span_name(flow: Flow) -> &'static str {
 /// after [`MAX_RELAX_ROUNDS`] relaxations (overconstrained, paper Fig. 8
 /// step 5).
 pub fn run_hls(design: &Design, lib: &Library, opts: &HlsOptions) -> Result<HlsResult> {
-    // Telemetry phase spans ("pipeline.*" histograms) time each stage on
-    // the thread's current registry; they observe only and never steer —
-    // results are bit-identical with telemetry on or off. The flow span
-    // wraps the whole run so per-flow counts reconcile with per-phase ones.
-    let _flow = adhls_telemetry::span(flow_span_name(opts.flow));
-    let (info, span_analysis, base_choices) =
-        adhls_telemetry::timed("pipeline.elab", || -> Result<_> {
-            let info = design.validate()?;
-            let span_analysis = SpanAnalysis::new(&design.dfg, &info)?;
-            let base_choices = op_choices(&design.dfg, lib)?;
-            Ok((info, span_analysis, base_choices))
-        })?;
-    let scheduled = adhls_telemetry::timed("pipeline.schedule", || {
-        schedule_phase(
-            design,
-            &info,
-            &span_analysis,
-            lib,
-            opts,
-            &base_choices,
-            None,
-        )
-    })?;
-    finish_hls(design, &info, scheduled, lib, opts)
+    run_hls_prepared(&PreparedDesign::new(design, lib)?, lib, opts)
 }
 
-/// [`run_hls`] over pre-elaborated phase artifacts: skips elaboration,
-/// starts every pass from the shared initial bounds/timed-DFG, reuses the
-/// clock context across restarts and II cells, and schedules through the
-/// per-edge legality index. **Bit-identical to [`run_hls`]** on the design
-/// the artifacts were prepared from, with the same library — only cached
-/// pure values and order-preserving replacements of inner loops differ.
+/// Runs high-level synthesis over a prepared prefix: every pass starts
+/// from the prefix's initial bounds and timed DFG, the first pass's
+/// budget is shared through the prefix's clock contexts, and placement
+/// walks the per-edge legality index. `prep` must have been built with
+/// `lib`; a prefix shared across runs gives each run the rows a fresh
+/// prefix would.
 ///
 /// # Errors
 ///
@@ -213,28 +200,44 @@ pub fn run_hls_prepared(
     lib: &Library,
     opts: &HlsOptions,
 ) -> Result<HlsResult> {
+    // Telemetry phase spans ("pipeline.*" histograms) time each stage on
+    // the thread's current registry; they observe only and never steer —
+    // results are bit-identical with telemetry on or off. The flow span
+    // wraps the whole run so per-flow counts reconcile with per-phase ones.
     let _flow = adhls_telemetry::span(flow_span_name(opts.flow));
-    let design = prep.design();
-    let scheduled = adhls_telemetry::timed("pipeline.schedule", || {
-        schedule_phase(
-            design,
-            prep.info(),
-            prep.span_analysis(),
-            lib,
-            opts,
-            prep.base_choices(),
-            Some(prep),
-        )
+    let (design, info) = (prep.design(), prep.info());
+    // The scheduling phase: the relaxation loop of `Schedule_pass`
+    // attempts (paper Fig. 8 steps 2–4), its accounting reported once.
+    let mut stats = RunStats::new();
+    let mut relax_rounds = 0;
+    let (mut schedule, spans) = adhls_telemetry::timed("pipeline.schedule", || {
+        let r = relax_loop(prep, lib, opts, &mut stats, &mut relax_rounds);
+        stats.emit(relax_rounds);
+        r
     })?;
-    finish_hls(design, prep.info(), scheduled, lib, opts)
-}
-
-/// What the scheduling phase hands to binding.
-struct Scheduled {
-    schedule: Schedule,
-    spans: adhls_ir::span::OpSpans,
-    relax_rounds: u32,
-    budget_moves: usize,
+    let regs = adhls_telemetry::timed("pipeline.bind", || {
+        bind::bind_registers(design, info, &schedule, lib)
+    });
+    let area = adhls_telemetry::timed("pipeline.area", || -> Result<_> {
+        if opts.area_recovery {
+            area::area_recovery(design, info, &mut schedule, lib, opts.zero_overhead);
+            schedule.validate(design, info, &spans)?;
+        }
+        Ok(area::area_report(
+            design,
+            &schedule,
+            &regs,
+            lib,
+            opts.zero_overhead,
+        ))
+    })?;
+    Ok(HlsResult {
+        schedule,
+        area,
+        regs,
+        relax_rounds,
+        budget_moves: stats.budget_moves,
+    })
 }
 
 /// Relaxation remedies, in `pipeline.relax.*` counter order.
@@ -335,67 +338,17 @@ fn lap(acc: &mut Duration, t0: Option<Instant>) {
     }
 }
 
-/// The scheduling phase: the relaxation loop of `Schedule_pass` attempts
-/// (paper Fig. 8 steps 2–4), with its accounting reported once per run.
-fn schedule_phase(
-    design: &Design,
-    info: &CfgInfo,
-    span_analysis: &SpanAnalysis,
-    lib: &Library,
-    opts: &HlsOptions,
-    base_choices: &OpChoices,
-    prep: Option<&PreparedDesign>,
-) -> Result<Scheduled> {
-    let mut stats = RunStats::new();
-    let mut relax_rounds = 0;
-    let r = relax_loop(
-        design,
-        info,
-        span_analysis,
-        lib,
-        opts,
-        base_choices,
-        prep,
-        &mut stats,
-        &mut relax_rounds,
-    );
-    stats.emit(relax_rounds);
-    let (schedule, spans) = r?;
-    Ok(Scheduled {
-        schedule,
-        spans,
-        relax_rounds,
-        budget_moves: stats.budget_moves,
-    })
-}
-
-/// Shared verbatim by the from-scratch and prepared paths; `prep` only
-/// swaps recomputation for cached artifacts.
-#[allow(clippy::too_many_arguments)]
+/// Schedules passes until one succeeds, relaxing limits and grade caps
+/// after each failure; every pass starts from the prefix's initial bounds.
 fn relax_loop(
-    design: &Design,
-    info: &CfgInfo,
-    span_analysis: &SpanAnalysis,
+    prep: &PreparedDesign,
     lib: &Library,
     opts: &HlsOptions,
-    base_choices: &OpChoices,
-    prep: Option<&PreparedDesign>,
     stats: &mut RunStats,
     relax_rounds: &mut u32,
 ) -> Result<(Schedule, adhls_ir::span::OpSpans)> {
-    // The unpinned bounds and the timed DFG over them are the same on every
-    // restart: borrowed from the prepared prefix, or computed once here.
-    let (init_bounds, init_tdfg): (Cow<SpanBounds>, Cow<TimedDfg>) = match prep {
-        Some(p) => (
-            Cow::Borrowed(p.initial_bounds()),
-            Cow::Borrowed(p.initial_tdfg()),
-        ),
-        None => {
-            let b = span_analysis.bounds_pinned(&design.dfg, info, |_| None)?;
-            let t = TimedDfg::build_with(&design.dfg, info, |o| b.early(o), |o| b.late(o))?;
-            (Cow::Owned(b), Cow::Owned(t))
-        }
-    };
+    let (design, info) = (prep.design(), prep.info());
+    let base_choices = prep.base_choices();
     // Relaxation state: per-class instance limits and per-op grade
     // caps (maximum candidate index; lower = faster).
     let cycles = count_states(info).max(1);
@@ -435,16 +388,16 @@ fn relax_loop(
         // The initial budget: reused from the last pass computed under the
         // same caps, or from the prefix's clock context, else computed.
         let t0 = stats.start();
-        let ctx_cache = prep.filter(|_| pristine);
         let reused = match &last_init {
             Some((cap, ctx)) if *cap == grade_cap => Some(Arc::clone(ctx)),
-            _ => ctx_cache.and_then(|p| p.clock_context(opts)),
+            _ if pristine => prep.clock_context(opts),
+            _ => None,
         };
         let computed = reused.is_none();
         let init = reused.unwrap_or_else(|| {
-            let ctx = Arc::new(initial_grades(design, lib, opts, &choices, &init_tdfg));
-            if let Some(p) = ctx_cache {
-                p.store_clock_context(opts, Arc::clone(&ctx));
+            let ctx = Arc::new(initial_grades(prep, lib, opts, &choices));
+            if pristine {
+                prep.store_clock_context(opts, Arc::clone(&ctx));
             }
             ctx
         });
@@ -456,27 +409,15 @@ fn relax_loop(
             stats.rebudget_elided += 1;
         }
         stats.add_budget(&init);
-        let mut pass = Pass::new(
-            design,
-            info,
-            span_analysis,
-            lib,
-            opts,
-            &choices,
-            prep,
-            &init_bounds,
-            &init_tdfg,
-            &mut tdfg_buf,
-            &init,
-            stats,
-        );
+        let mut pass = Pass::new(prep, lib, opts, &choices, &mut tdfg_buf, &init, stats);
         for (class, lim) in &limits {
             pass.alloc.set_limit(*class, *lim);
         }
         match pass.run() {
             Ok(()) => {
                 let schedule = pass.into_schedule();
-                let spans_final = span_analysis
+                let spans_final = prep
+                    .span_analysis()
                     .compute_pinned(&design.dfg, info, |o| schedule.edge_of[o.0 as usize])?;
                 schedule.validate(design, info, &spans_final)?;
                 return Ok((schedule, spans_final));
@@ -518,12 +459,12 @@ fn relax_loop(
 /// (conventional) or slowest (slowest-upgrade) grades with one slack
 /// analysis for priorities, or a full slack budget (slack flow).
 fn initial_grades(
-    design: &Design,
+    prep: &PreparedDesign,
     lib: &Library,
     opts: &HlsOptions,
     choices: &OpChoices,
-    tdfg: &TimedDfg,
 ) -> ClockContext {
+    let (design, tdfg) = (prep.design(), prep.initial_tdfg());
     let n = design.dfg.len_ids();
     let mux = mux_penalty(lib, opts);
     let mut grade_idx = vec![None; n];
@@ -589,46 +530,6 @@ fn budget_opts(lib: &Library, opts: &HlsOptions) -> BudgetOptions {
         overhead_ps: mux_penalty(lib, opts) as u64,
         ..opts.budget
     }
-}
-
-/// Post-scheduling phases shared by both paths: register binding, area
-/// recovery, and the area report.
-fn finish_hls(
-    design: &Design,
-    info: &CfgInfo,
-    scheduled: Scheduled,
-    lib: &Library,
-    opts: &HlsOptions,
-) -> Result<HlsResult> {
-    let Scheduled {
-        mut schedule,
-        spans,
-        relax_rounds,
-        budget_moves,
-    } = scheduled;
-    let regs = adhls_telemetry::timed("pipeline.bind", || {
-        bind::bind_registers(design, info, &schedule, lib)
-    });
-    let area = adhls_telemetry::timed("pipeline.area", || -> Result<_> {
-        if opts.area_recovery {
-            area::area_recovery(design, info, &mut schedule, lib, opts.zero_overhead);
-            schedule.validate(design, info, &spans)?;
-        }
-        Ok(area::area_report(
-            design,
-            &schedule,
-            &regs,
-            lib,
-            opts.zero_overhead,
-        ))
-    })?;
-    Ok(HlsResult {
-        schedule,
-        area,
-        regs,
-        relax_rounds,
-        budget_moves,
-    })
 }
 
 /// Clock cycles available to one iteration: the number of state nodes, plus
@@ -817,11 +718,10 @@ struct Pass<'a> {
     pressure: std::collections::BTreeMap<ResClass, u32>,
     /// Last deferral reason per op (diagnoses must-schedule failures).
     defer_reason: Vec<Option<NoFit>>,
-    /// Shared prefix artifacts (incremental path); `None` runs from scratch.
-    prep: Option<&'a PreparedDesign>,
-    /// The timed DFG over the unpinned bounds, copied into `tdfg` on the
-    /// pass's first rebudget (only the slack flow rebudgets).
-    init_tdfg: &'a TimedDfg,
+    /// The prefix the pass runs over: its legality index seeds placement,
+    /// and its initial timed DFG is copied into `tdfg` on the pass's first
+    /// rebudget (only the slack flow rebudgets).
+    prep: &'a PreparedDesign,
     /// Timed DFG over `spans`, reweighted in place per rebudget; the run
     /// keeps one buffer for all its passes.
     tdfg: &'a mut Option<TimedDfg>,
@@ -853,21 +753,16 @@ struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        design: &'a Design,
-        info: &'a CfgInfo,
-        span_analysis: &'a SpanAnalysis,
+        prep: &'a PreparedDesign,
         lib: &'a Library,
         opts: &'a HlsOptions,
         choices: &'a OpChoices,
-        prep: Option<&'a PreparedDesign>,
-        init_bounds: &SpanBounds,
-        init_tdfg: &'a TimedDfg,
         tdfg: &'a mut Option<TimedDfg>,
         init: &ClockContext,
         stats: &'a mut RunStats,
     ) -> Self {
+        let (design, info) = (prep.design(), prep.info());
         let n = design.dfg.len_ids();
         let mut preds_left = vec![0u32; n];
         for o in design.dfg.op_ids() {
@@ -890,11 +785,11 @@ impl<'a> Pass<'a> {
         Pass {
             design,
             info,
-            span_analysis,
+            span_analysis: prep.span_analysis(),
             lib,
             opts,
             choices,
-            spans: init_bounds.clone(),
+            spans: prep.initial_bounds().clone(),
             grade_idx: init.grade_idx().collect(),
             prio: init.prio().to_vec(),
             sched_edge: vec![None; n],
@@ -910,7 +805,6 @@ impl<'a> Pass<'a> {
             pressure: std::collections::BTreeMap::new(),
             defer_reason: vec![None; n],
             prep,
-            init_tdfg,
             tdfg,
             tdfg_ready: false,
             new_pins: Vec::new(),
@@ -940,7 +834,7 @@ impl<'a> Pass<'a> {
     /// (`budget_stable`), rerunning it would return exactly the values
     /// already in `grade_idx`/`prio` — the call returns immediately. Both
     /// elisions are input-identity arguments, not heuristics, so results
-    /// stay bit-identical on every path.
+    /// stay bit-identical.
     fn rebudget(&mut self) -> Result<()> {
         if !self.pins_dirty && self.budget_stable {
             self.stats.rebudget_elided += 1;
@@ -965,10 +859,10 @@ impl<'a> Pass<'a> {
             let tdfg = match (self.tdfg_ready, &mut *self.tdfg) {
                 (true, Some(t)) => t,
                 (false, Some(t)) => {
-                    t.clone_from(self.init_tdfg);
+                    t.clone_from(self.prep.initial_tdfg());
                     t
                 }
-                (_, slot) => slot.insert(self.init_tdfg.clone()),
+                (_, slot) => slot.insert(self.prep.initial_tdfg().clone()),
             };
             self.tdfg_ready = true;
             let spans = &self.spans;
@@ -1072,10 +966,7 @@ impl<'a> Pass<'a> {
     /// Places ready operations on edge `e`, then runs the must-schedule
     /// check for the ops whose span ends there.
     fn place_edge(&mut self, e: EdgeId) -> std::result::Result<(), PassFailure> {
-        match self.prep {
-            Some(p) => self.schedule_edge_indexed(e, p),
-            None => self.schedule_edge(e),
-        }
+        self.schedule_edge(e);
         if self.unscheduled == 0 {
             return Ok(());
         }
@@ -1104,36 +995,53 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// Places ready operations on edge `e`, most critical first.
+    /// Places ready operations on edge `e`, most critical first: each
+    /// ready op — unscheduled, no pending operands, bounds containing `e` —
+    /// is attempted once, in `(prio, id)` order.
+    ///
+    /// Within one call the bounds and priorities are fixed (rebudgeting
+    /// happens between edges), so readiness can only switch from false to
+    /// true, and only when a placement commits. A min-heap seeded with the
+    /// ops ready at the start and fed each commit's newly ready users
+    /// therefore always pops the least `(prio, id)` ready op not yet
+    /// attempted. Seeding reads the prefix's legality index instead of all
+    /// ops: every ready op has `e ∈ legal(o)` (`contains` requires it, and
+    /// an unpinned op's early edge is drawn from its legal list).
     fn schedule_edge(&mut self, e: EdgeId) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let dfg = &self.design.dfg;
-        // Worklist of ready ops, re-sorted lazily; each op attempted once.
-        let mut attempted = vec![false; dfg.len_ids()];
-        loop {
-            let mut ready: Vec<OpId> = dfg
-                .op_ids()
-                .filter(|&o| {
-                    let i = o.0 as usize;
-                    self.sched_edge[i].is_none()
-                        && !attempted[i]
-                        && self.preds_left[i] == 0
-                        && self.spans.contains(self.span_analysis, self.info, o, e)
-                })
-                .collect();
-            if ready.is_empty() {
-                return;
+        let mut queued = vec![false; dfg.len_ids()];
+        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
+        for &o in self.prep.edge_ops(e) {
+            let i = o.0 as usize;
+            if self.sched_edge[i].is_none()
+                && self.preds_left[i] == 0
+                && self.spans.contains(self.span_analysis, self.info, o, e)
+            {
+                queued[i] = true;
+                heap.push(Reverse((self.prio[i], o.0)));
             }
-            ready.sort_by_key(|&o| (self.prio[o.0 as usize], o.0));
-            let mut placed_any = false;
-            for o in ready {
-                attempted[o.0 as usize] = true;
-                if self.attempt(o, e) {
-                    placed_any = true;
-                    break; // refresh ready set: users may now be ready
+        }
+        while let Some(Reverse((_, oi))) = heap.pop() {
+            let o = OpId(oi);
+            if self.attempt(o, e) {
+                // Users whose last pending operand just committed become
+                // ready now.
+                for &(u, idx) in dfg.users(o) {
+                    if dfg.is_loop_carried(u, idx) {
+                        continue;
+                    }
+                    let ui = u.0 as usize;
+                    if !queued[ui]
+                        && self.sched_edge[ui].is_none()
+                        && self.preds_left[ui] == 0
+                        && self.spans.contains(self.span_analysis, self.info, u, e)
+                    {
+                        queued[ui] = true;
+                        heap.push(Reverse((self.prio[ui], u.0)));
+                    }
                 }
-            }
-            if !placed_any {
-                return;
             }
         }
     }
@@ -1153,60 +1061,6 @@ impl<'a> Pass<'a> {
                     self.defer_reason[i] = Some(r);
                 }
                 upgraded
-            }
-        }
-    }
-
-    /// [`Pass::schedule_edge`] over the prepared per-edge legality index: a
-    /// worklist heap seeded from `edge_ops(e)` instead of repeated all-ops
-    /// rescans after every placement.
-    ///
-    /// **Attempt-order equivalence.** Within one `schedule_edge` call the
-    /// bounds and priorities are fixed (rebudgeting happens between edges),
-    /// so an op's readiness — unscheduled, no pending operands, bounds
-    /// contain `e` — can only switch from false to true, and only when a
-    /// placement commits. The rescan loop attempts, after each commit, the
-    /// not-yet-attempted ready op with the least `(prio, id)`; a min-heap
-    /// seeded with the initially-ready ops and fed the newly-ready users on
-    /// each commit pops exactly that op. Every candidate satisfies
-    /// `e ∈ legal(o)` (`contains` requires it; an unpinned op's early edge
-    /// is drawn from its legal list), so seeding from the legality index
-    /// instead of all ops drops no one.
-    fn schedule_edge_indexed(&mut self, e: EdgeId, prep: &PreparedDesign) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let dfg = &self.design.dfg;
-        let mut queued = vec![false; dfg.len_ids()];
-        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
-        for &o in prep.edge_ops(e) {
-            let i = o.0 as usize;
-            if self.sched_edge[i].is_none()
-                && self.preds_left[i] == 0
-                && self.spans.contains(self.span_analysis, self.info, o, e)
-            {
-                queued[i] = true;
-                heap.push(Reverse((self.prio[i], o.0)));
-            }
-        }
-        while let Some(Reverse((_, oi))) = heap.pop() {
-            let o = OpId(oi);
-            if self.attempt(o, e) {
-                // Users whose last pending operand just committed become
-                // ready now — exactly when the rescan would first see them.
-                for &(u, idx) in dfg.users(o) {
-                    if dfg.is_loop_carried(u, idx) {
-                        continue;
-                    }
-                    let ui = u.0 as usize;
-                    if !queued[ui]
-                        && self.sched_edge[ui].is_none()
-                        && self.preds_left[ui] == 0
-                        && self.spans.contains(self.span_analysis, self.info, u, e)
-                    {
-                        queued[ui] = true;
-                        heap.push(Reverse((self.prio[ui], u.0)));
-                    }
-                }
             }
         }
     }
@@ -1742,7 +1596,7 @@ mod tests {
         let conv = run_hls(&d, &lib, &opts(Flow::Conventional)).unwrap();
         assert_eq!(conv.budget_moves, 0);
 
-        // The prepared path reports the same count whether it computes the
+        // A shared prefix reports the same count whether a run computes the
         // initial budget or restores it from the clock context, and the
         // `pipeline.budget.moves` counter sums exactly these counts.
         let prep = PreparedDesign::new(&d, &lib).unwrap();
@@ -1773,23 +1627,10 @@ mod tests {
         let lib = tsmc90::library();
         let prep = PreparedDesign::new(d, &lib).unwrap();
         let choices = prep.base_choices();
-        let init = initial_grades(d, &lib, opts, choices, prep.initial_tdfg());
+        let init = initial_grades(&prep, &lib, opts, choices);
         let mut stats = RunStats::default();
         let mut tdfg = None;
-        let mut pass = Pass::new(
-            d,
-            prep.info(),
-            prep.span_analysis(),
-            &lib,
-            opts,
-            choices,
-            Some(&prep),
-            prep.initial_bounds(),
-            prep.initial_tdfg(),
-            &mut tdfg,
-            &init,
-            &mut stats,
-        );
+        let mut pass = Pass::new(&prep, &lib, opts, choices, &mut tdfg, &init, &mut stats);
         for class in ResClass::ALL {
             pass.alloc.set_limit(class, 64);
         }

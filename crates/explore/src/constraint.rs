@@ -38,9 +38,6 @@ use crate::pareto::{Objective, Objectives, Sense};
 use adhls_core::json::Value;
 use std::fmt;
 
-#[cfg(test)]
-use crate::pareto::ObjectiveSpace;
-
 /// Which side of the bound is feasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstraintOp {
@@ -293,6 +290,7 @@ pub fn constraints_to_json(cs: &[Constraint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::ObjectiveSpace;
 
     fn obj(area: f64, latency_ps: f64, power: f64, throughput: f64) -> Objectives {
         Objectives {

@@ -1,13 +1,14 @@
-//! Incremental evaluation is an optimization, never a semantic: every row
-//! produced through shared phase-artifact prefixes must be bit-identical
-//! to the from-scratch reference pipeline
-//! ([`evaluate_point_from_scratch`]). These properties sweep random grids
-//! through one-shot and shared pools and compare them with a from-scratch
-//! loop over the same points, walk the degenerate `cycles_per_item == 0`
-//! clamp, and check the prefix cache really was live
-//! (`pipeline.prefix.hit` > 0) while it happened.
+//! Prefix sharing is an optimization, never a semantic: every row the
+//! pool produces over prefixes and clock contexts shared across cells must
+//! be bit-identical to the row [`evaluate_point`] computes for the point
+//! alone, over a fresh prefix that shares nothing. These properties sweep
+//! random grids through one-shot and shared pools and compare them with a
+//! point-by-point loop over the same points, share clock contexts across
+//! the initiation-interval cells of IDCT-1D, walk the degenerate
+//! `cycles_per_item == 0` clamp, and check the prefix cache really was
+//! live (`pipeline.prefix.hit` > 0) while it happened.
 
-use adhls_core::dse::{evaluate_point_from_scratch, DsePoint, DseRow};
+use adhls_core::dse::{evaluate_point, explore, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::sweep::SweepCell;
@@ -16,7 +17,9 @@ use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpKind};
 use adhls_reslib::tsmc90;
 use adhls_telemetry::Registry;
+use adhls_workloads::idct;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The synthetic workload the other equivalence suites use: a
 /// multiply-multiply-add chain whose latency budget arrives as soft
@@ -60,15 +63,15 @@ fn engine(lib: &adhls_reslib::Library, threads: usize) -> Engine<'_> {
     )
 }
 
-/// The reference: every point from scratch, in input order, failures
-/// recorded as `(name, message)` the way a skip-infeasible sweep records
-/// them.
-fn from_scratch(points: &[DsePoint]) -> (Vec<DseRow>, Vec<(String, String)>) {
+/// The reference: every point over its own fresh prefix, in input order,
+/// failures recorded as `(name, message)` the way a skip-infeasible sweep
+/// records them.
+fn point_by_point(points: &[DsePoint]) -> (Vec<DseRow>, Vec<(String, String)>) {
     let lib = tsmc90::library();
     let mut rows = Vec::new();
     let mut skipped = Vec::new();
     for p in points {
-        match evaluate_point_from_scratch(p, &lib, &HlsOptions::default()) {
+        match evaluate_point(p, &lib, &HlsOptions::default()) {
             Ok(row) => rows.push(row),
             Err(e) => skipped.push((p.name.clone(), e.to_string())),
         }
@@ -79,10 +82,10 @@ fn from_scratch(points: &[DsePoint]) -> (Vec<DseRow>, Vec<(String, String)>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// One-shot sweeps: prefix-shared rows are bit-identical to from-scratch
-    /// rows, serially and in parallel, skips included.
+    /// One-shot sweeps: prefix-shared rows are bit-identical to
+    /// point-by-point rows, serially and in parallel, skips included.
     #[test]
-    fn engine_incremental_rows_equal_from_scratch(
+    fn engine_incremental_rows_equal_point_by_point(
         clock_seeds in prop::collection::vec(0u16..10, 2..5),
         cycle_seeds in prop::collection::vec(0u16..7, 2..5),
         threads in 1usize..4,
@@ -92,7 +95,7 @@ proptest! {
             .expand("inc", build_cell)
             .expect("grid expands");
 
-        let (rows, skipped) = from_scratch(&points);
+        let (rows, skipped) = point_by_point(&points);
         let a = engine(&lib, threads).evaluate(&points).expect("incremental sweep runs");
         prop_assert_eq!(&a.rows, &rows, "prefix sharing changed a row");
         prop_assert_eq!(&a.skipped, &skipped);
@@ -109,7 +112,7 @@ proptest! {
     /// — every cell after the first at a given cycle budget shares that
     /// budget's prefix, so hits are exactly `points - distinct designs`.
     #[test]
-    fn pool_incremental_rows_equal_from_scratch_and_prefixes_hit(
+    fn pool_incremental_rows_equal_point_by_point_and_prefixes_hit(
         clock_seeds in prop::collection::vec(0u16..10, 2..5),
         cycle_seeds in prop::collection::vec(0u16..7, 2..5),
         threads in 1usize..4,
@@ -137,7 +140,7 @@ proptest! {
             )
         };
         let warm = mk(1, registry.clone());
-        let (rows, skipped) = from_scratch(&points);
+        let (rows, skipped) = point_by_point(&points);
         for pool in [&warm, &mk(threads, Registry::new())] {
             let a = pool.evaluate(&points).expect("incremental sweep runs");
             prop_assert_eq!(&a.rows, &rows, "prefix sharing changed a row");
@@ -156,9 +159,58 @@ proptest! {
     }
 }
 
+/// Clock contexts are keyed without the initiation interval, so the II
+/// cells of one design at one clock share a context in the pool, while
+/// `dse::explore` prepares every point afresh. IDCT-1D at 12 cycles over
+/// two clocks and three II settings: the pool's rows at one and two
+/// threads equal `explore`'s, and the one-thread pool restores the slack
+/// flow's first budget for both pipelined cells of each clock — four
+/// budgets fewer computed, four more elided.
+#[test]
+fn ii_cells_share_clock_contexts_without_moving_rows() {
+    let design = Arc::new(idct::build_1d(12));
+    let mut points = Vec::new();
+    for clock in [1800u64, 2600] {
+        for ii in [None, Some(4), Some(6)] {
+            points.push(DsePoint::grid("idct1d", Arc::clone(&design), clock, 12, ii));
+        }
+    }
+    let reference = Registry::new();
+    reference.set_enabled(true);
+    let rows = {
+        let _installed = adhls_telemetry::install(&reference);
+        explore(&points, &tsmc90::library(), &HlsOptions::default()).expect("IDCT-1D schedules")
+    };
+    let shared = Registry::new();
+    shared.set_enabled(true);
+    for (threads, registry) in [(1, shared.clone()), (2, Registry::new())] {
+        let pool = EvaluatorPool::with_telemetry(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions {
+                threads,
+                ..Default::default()
+            },
+            registry,
+        );
+        let swept = pool.evaluate(&points).expect("pool sweep runs");
+        assert_eq!(swept.rows, rows, "{threads} threads moved a row");
+    }
+    let count = |r: &Registry, name: &str| r.snapshot().counter(name).unwrap_or(0);
+    assert_eq!(
+        count(&shared, "pipeline.rebudget.run") + 4,
+        count(&reference, "pipeline.rebudget.run")
+    );
+    assert_eq!(
+        count(&shared, "pipeline.rebudget.elided"),
+        count(&reference, "pipeline.rebudget.elided") + 4
+    );
+}
+
 /// The degenerate `cycles_per_item == 0` point exercises the clamp at the
 /// head of evaluation (a zero interval counts as one cycle so throughput
-/// stays finite); the clamp must land identically on both paths.
+/// stays finite); the clamp must land identically in the pool and point
+/// by point.
 #[test]
 fn degenerate_zero_cycles_per_item_clamps_identically() {
     let lib = tsmc90::library();
@@ -178,7 +230,7 @@ fn degenerate_zero_cycles_per_item_clamps_identically() {
     let warm = engine(&lib, 1)
         .evaluate_serial(&points)
         .expect("degenerate point schedules");
-    assert_eq!(warm.rows, from_scratch(&points).0);
+    assert_eq!(warm.rows, point_by_point(&points).0);
     let row = &warm.rows[0];
     assert!(
         row.throughput.is_finite() && row.throughput > 0.0,

@@ -195,7 +195,7 @@ mod tests {
     fn table2_interpolation_points() {
         // Paper Table 2 "Opt." row: muls at 550 ps, adders at 550 ps. Our
         // piecewise-linear curves give 565 (paper prints 572) and ~229.8
-        // (paper prints 232) — within 1.5%, see EXPERIMENTS.md.
+        // (paper prints 232) — within 1.5%.
         let lib = library();
         let mul = lib.area_at(ResClass::Multiplier, 8, 550).unwrap();
         let add = lib.area_at(ResClass::Adder, 16, 550).unwrap();

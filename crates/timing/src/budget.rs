@@ -613,6 +613,42 @@ mod tests {
         }
     }
 
+    /// Phase 2 takes a downgrade whose extra delay equals the op's slack
+    /// exactly: the op ends at zero slack, which still meets timing.
+    #[test]
+    fn a_downgrade_that_spends_exactly_the_slack_is_taken() {
+        let mut b = DesignBuilder::new("tie");
+        let x = b.input("x", 8);
+        let m = b.binop(OpKind::Mul, x, x, 8);
+        b.write("y", m);
+        let d = b.finish().unwrap();
+        let (info, spans) = d.analyze().unwrap();
+        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
+        let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
+        let grades = choices.candidates(m.0 as usize);
+        let cost = (grades[1].grade.delay_ps - grades[0].grade.delay_ps) as i64;
+        let opts = BudgetOptions {
+            margin_frac: 0.0,
+            mode: SlackMode::Plain,
+            ..BudgetOptions::default()
+        };
+        let fastest = |clock: u64| {
+            let r = budget_with_choices(&tdfg, &choices, clock, &opts, |o| {
+                (o == m).then_some(grades[0].grade.delay_ps)
+            });
+            r.slack.slack(m)
+        };
+        // The clock at which the fastest grade leaves exactly `cost` slack.
+        let clock = (4000 - fastest(4000) + cost) as u64;
+        assert_eq!(fastest(clock), cost);
+        let warm: Vec<Option<usize>> = (0..tdfg.len_ids())
+            .map(|i| (i == m.0 as usize).then_some(0))
+            .collect();
+        let r = budget_with_choices_from(&tdfg, &choices, clock, &opts, |_| None, Some(&warm));
+        assert_eq!(r.choice_idx[m.0 as usize], Some(1));
+        assert_eq!(r.slack.slack(m), 0);
+    }
+
     #[test]
     fn locked_ops_keep_their_delay() {
         let mut b = DesignBuilder::new("lock");

@@ -5,17 +5,18 @@
 //! Each point of a row set renders as three lines:
 //!
 //! * `row`: the [`evaluate_point`] row — both areas, the save percentage,
-//!   power, throughput and latency — or the exact error text of an
-//!   infeasible point;
-//! * `conv` / `slack`: one from-scratch [`run_hls`] per flow, with its
-//!   relaxation rounds and an FNV-1a digest of the full schedule (every
-//!   op's edge, start, delay and instance, the allocation and its limits)
-//!   and the area report, or that flow's error text.
+//!   power, throughput and latency — over a fresh prefix for the point,
+//!   or the exact error text of an infeasible point;
+//! * `conv` / `slack`: one [`run_hls`] per flow, over a fresh prefix per
+//!   run, with its relaxation rounds and an FNV-1a digest of the full
+//!   schedule (every op's edge, start, delay and instance, the allocation
+//!   and its limits) and the area report, or that flow's error text.
 //!
-//! The row goes through the prepared path and the digests through the
-//! from-scratch path, so a divergence in either one, or in code both
-//! share, changes the text. Floats print with `{:?}`, which round-trips
-//! exactly.
+//! Both kinds of line run the one scheduling path; the digests pin whole
+//! schedules, not just the areas a row reports. They were first recorded
+//! from a separate rescanning scheduler, since deleted, so they also
+//! hold that scheduler's output as data. Floats print with `{:?}`, which
+//! round-trips exactly.
 //!
 //! The `refine` set is one block per request of [`REFINE_REQUESTS`]: the
 //! request line, then every line a fresh [`Server`] answers it with —

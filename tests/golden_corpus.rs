@@ -2,9 +2,9 @@
 //! committed `refine` requests, and diffs the rendering byte for byte
 //! against `tests/golden/<set>.txt`.
 //!
-//! The equivalence suites compare two evaluation paths with each other;
-//! this one compares both against rows recorded earlier, so a change that
-//! moves a shared piece of the scheduler cannot go unseen. The corpus is
+//! The equivalence suites compare shared-prefix rows with point-by-point
+//! rows; this one compares both against rows recorded earlier, so a
+//! change that moves the scheduler itself cannot go unseen. The corpus is
 //! written only by `examples/golden_corpus.rs`; this test never rewrites
 //! it. See `tests/golden/corpus.rs` for the format.
 

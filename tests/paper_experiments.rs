@@ -1,6 +1,7 @@
 //! Cross-crate integration tests asserting the *shape* of every paper
-//! experiment (exact measured values live in EXPERIMENTS.md; these tests
-//! pin the qualitative claims so regressions are caught).
+//! experiment (the `table*` criterion benches in `crates/bench` print the
+//! measured values; these tests pin the qualitative claims so
+//! regressions are caught).
 
 use adhls::core::dse::{explore, summarize, DsePoint};
 use adhls::prelude::*;
