@@ -1,10 +1,11 @@
 //! Property-based tests for the IR: span invariants, incremental bounds,
-//! placement equivalence under code motion.
+//! placement equivalence under code motion, and CFG analysis against the
+//! path definitions of its relations on random structured CFGs.
 
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::interp::{run, run_placed, Stimulus};
 use adhls_ir::span::SpanAnalysis;
-use adhls_ir::{Design, EdgeId, OpId, OpKind};
+use adhls_ir::{Cfg, Design, EdgeId, NodeId, NodeKind, OpId, OpKind, StateKind};
 use proptest::prelude::*;
 
 /// A recipe for a random straight-line design with soft-state budget.
@@ -204,6 +205,221 @@ proptest! {
                         "latency triangle violated: {ac} > {ab} + {bc}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// A random structured control-flow program, one step per (selector,
+/// variant) pair: a hard or soft state, a plain node, an `if`, an `else`
+/// for the innermost open `if`, a loop, or the end of the innermost open
+/// `if` or loop. A loop's variant says whether a state ends its body
+/// (three in four do; the rest wait only where their body happens to,
+/// often on one branch, so many of them must be rejected) and whether its
+/// back edge is added pre-marked or left for classification to find.
+/// 400 programs average ~36 edges, ~3 back edges and ~1 parallel
+/// fork→join pair, and about a quarter of them hold a state-free cycle.
+fn cfg_program() -> impl Strategy<Value = Vec<(u8, u8)>> {
+    prop::collection::vec((0u8..20, 0u8..8), 1..64)
+}
+
+/// An open `if` or loop while a program is laid out.
+enum Frame {
+    /// The fork, and where the `then` branch ended once `else` was seen.
+    If {
+        fork: NodeId,
+        then_end: Option<NodeId>,
+    },
+    /// The loop header, whether a state ends the body, and whether the
+    /// closing edge is pre-marked.
+    Loop {
+        header: NodeId,
+        guarded: bool,
+        marked: bool,
+    },
+}
+
+/// Lays out a program as a raw [`Cfg`]: each node hangs off the current
+/// tail, an `if` joins both branches (an empty branch is a direct
+/// fork→join edge, so an empty `if` makes a parallel pair), and a loop
+/// ends in a fork whose edge back to the header closes it. Returns the
+/// graph and each edge's intended back-edge flag.
+fn lay_out(steps: &[(u8, u8)]) -> (Cfg, Vec<bool>) {
+    let mut g = Cfg::new("oracle");
+    let mut back = Vec::new();
+    let mut cur = g.add_node(NodeKind::Start);
+    let mut open: Vec<Frame> = Vec::new();
+    let append = |g: &mut Cfg, back: &mut Vec<bool>, cur: &mut NodeId, kind| {
+        let n = g.add_node(kind);
+        g.add_edge(*cur, n);
+        back.push(false);
+        *cur = n;
+    };
+    let close = |g: &mut Cfg, back: &mut Vec<bool>, cur: &mut NodeId, frame| match frame {
+        Frame::If { fork, then_end } => {
+            let join = g.add_node(NodeKind::Join);
+            g.add_edge(then_end.unwrap_or(fork), join);
+            g.add_edge(*cur, join);
+            back.extend([false, false]);
+            *cur = join;
+        }
+        Frame::Loop {
+            header,
+            guarded,
+            marked,
+        } => {
+            if guarded {
+                append(g, back, cur, NodeKind::State(StateKind::Hard));
+            }
+            append(g, back, cur, NodeKind::Fork);
+            if marked {
+                g.add_back_edge(*cur, header);
+            } else {
+                g.add_edge(*cur, header);
+            }
+            back.push(true);
+        }
+    };
+    for &(sel, variant) in steps {
+        match sel {
+            0..=6 => append(
+                &mut g,
+                &mut back,
+                &mut cur,
+                NodeKind::State(StateKind::Hard),
+            ),
+            7 => append(
+                &mut g,
+                &mut back,
+                &mut cur,
+                NodeKind::State(StateKind::Soft),
+            ),
+            8 => append(&mut g, &mut back, &mut cur, NodeKind::Plain),
+            9 | 10 => {
+                append(&mut g, &mut back, &mut cur, NodeKind::Fork);
+                open.push(Frame::If {
+                    fork: cur,
+                    then_end: None,
+                });
+            }
+            11 => {
+                if let Some(Frame::If {
+                    fork,
+                    then_end: then_end @ None,
+                }) = open.last_mut()
+                {
+                    *then_end = Some(cur);
+                    cur = *fork;
+                }
+            }
+            12 | 13 => {
+                append(&mut g, &mut back, &mut cur, NodeKind::Join);
+                open.push(Frame::Loop {
+                    header: cur,
+                    guarded: variant >= 2,
+                    marked: variant % 2 == 0,
+                });
+            }
+            _ => {
+                if let Some(frame) = open.pop() {
+                    close(&mut g, &mut back, &mut cur, frame);
+                }
+            }
+        }
+    }
+    while let Some(frame) = open.pop() {
+        close(&mut g, &mut back, &mut cur, frame);
+    }
+    (g, back)
+}
+
+/// Nodes reachable from `from` over the edges `keep` admits.
+fn reachable(g: &Cfg, from: NodeId, keep: impl Fn(EdgeId) -> bool) -> Vec<bool> {
+    let mut seen = vec![false; g.len_nodes()];
+    seen[from.0 as usize] = true;
+    let mut stack = vec![from];
+    while let Some(n) = stack.pop() {
+        for e in g.out_edges(n).filter(|&e| keep(e)) {
+            let t = g.edge_to(e);
+            if !seen[t.0 as usize] {
+                seen[t.0 as usize] = true;
+                stack.push(t);
+            }
+        }
+    }
+    seen
+}
+
+/// Whether a walk from `from` to `to` passes no state node, the two ends
+/// included: every edge of such a walk runs in one clock cycle.
+fn state_free_walk(g: &Cfg, from: NodeId, to: NodeId) -> bool {
+    let state = |n: NodeId| g.node_kind(n).is_state();
+    !state(from) && !state(to) && reachable(g, from, |e| !state(g.edge_to(e)))[to.0 as usize]
+}
+
+/// Whether the graph holds a cycle of non-state nodes (a loop that never
+/// waits for a clock edge).
+fn has_state_free_cycle(g: &Cfg) -> bool {
+    g.edge_ids()
+        .any(|e| state_free_walk(g, g.edge_to(e), g.edge_from(e)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Analysis of a random structured CFG (branches with empty arms,
+    /// nested loops, back edges pre-marked or found by classification)
+    /// fails exactly when a state-free cycle exists, and otherwise finds
+    /// exactly the loop-closing edges as back edges.
+    #[test]
+    fn cfg_analysis_fails_exactly_on_state_free_cycles(steps in cfg_program()) {
+        let (g, back) = lay_out(&steps);
+        match g.analyze() {
+            Ok(info) => {
+                prop_assert!(!has_state_free_cycle(&g), "state-free cycle accepted");
+                for e in g.edge_ids() {
+                    prop_assert_eq!(info.is_back_edge(e), back[e.0 as usize], "{} back", e);
+                }
+            }
+            Err(err) => {
+                prop_assert!(has_state_free_cycle(&g), "rejected without a state-free cycle: {}", err);
+            }
+        }
+    }
+
+    /// On every edge pair of a random structured CFG, edge dominance,
+    /// post-dominance and same-cycle co-execution equal their path
+    /// definitions: `a` dominates `b` when cutting `a` leaves `b`
+    /// unreachable from the start; `a` post-dominates `b` when, with `a`
+    /// cut, no forward walk from `b` reaches a node without forward
+    /// successors; and two edges share a cycle when a walk from one to
+    /// the other passes no state node. Relations involving a back edge
+    /// are reflexive only.
+    #[test]
+    fn cfg_relations_equal_path_definitions(steps in cfg_program()) {
+        let (g, back) = lay_out(&steps);
+        let Ok(info) = g.analyze() else { return Ok(()) };
+        let fwd = |e: EdgeId| !back[e.0 as usize];
+        let sink: Vec<bool> = g
+            .node_ids()
+            .map(|n| g.out_edges(n).all(|e| !fwd(e)))
+            .collect();
+        for a in g.edge_ids() {
+            let without_a = reachable(&g, g.start(), |e| fwd(e) && e != a);
+            for b in g.edge_ids() {
+                let both = a == b || (fwd(a) && fwd(b));
+                let dom = a == b || (both && !without_a[g.edge_from(b).0 as usize]);
+                prop_assert_eq!(info.edge_dominates(a, b), dom, "{} dominates {}", a, b);
+                let escapes = reachable(&g, g.edge_to(b), |e| fwd(e) && e != a)
+                    .iter()
+                    .zip(&sink)
+                    .any(|(&r, &s)| r && s);
+                let pdom = a == b || (both && !escapes);
+                prop_assert_eq!(info.edge_postdominates(a, b), pdom, "{} post-dominates {}", a, b);
+                let same = a == b
+                    || state_free_walk(&g, g.edge_to(a), g.edge_from(b))
+                    || state_free_walk(&g, g.edge_to(b), g.edge_from(a));
+                prop_assert_eq!(info.same_cycle(a, b), same, "{} same cycle as {}", a, b);
             }
         }
     }
