@@ -18,6 +18,13 @@
 //! All derived facts (topological orders, dominators, latency tables,
 //! reachability, loop membership, same-cycle co-execution) live in
 //! [`CfgInfo`], an immutable analysis snapshot produced by [`Cfg::analyze`].
+//! The analysis groups edges by source and by target node once, and every
+//! pass walks those two arrays. One dominator routine runs twice over the
+//! forward DAG, for node dominators and node post-dominators, and edge
+//! dominance is read off those node trees: edge `a` dominates edge `b`
+//! when `a` is the only forward edge into its head and that head
+//! dominates `b`'s tail (post-dominance mirrors it). Same-cycle pairs come
+//! from walks through non-state nodes.
 
 use crate::error::{Error, Result};
 use crate::OpId;
@@ -277,11 +284,6 @@ impl Cfg {
         self.edge_ids().filter(move |&e| self.edge_from(e) == n)
     }
 
-    /// Incoming edges of a node (forward and back).
-    pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edge_ids().filter(move |&e| self.edge_to(e) == n)
-    }
-
     /// Splits edge `e` by inserting `k` **soft** state nodes along it.
     ///
     /// Edge `e` keeps its identity as the first segment (so operation birth
@@ -339,10 +341,6 @@ pub struct CfgInfo {
     edge_from: Vec<NodeId>,
     edge_to: Vec<NodeId>,
     edge_back: Vec<bool>,
-    /// Topological order of nodes over the forward subgraph.
-    node_topo: Vec<NodeId>,
-    /// Position of each node in `node_topo`.
-    node_topo_pos: Vec<u32>,
     /// Forward edges sorted topologically (by source node position, then id).
     edge_topo: Vec<EdgeId>,
     edge_topo_pos: Vec<u32>,
@@ -354,12 +352,16 @@ pub struct CfgInfo {
     /// Hard-state-only latency (counts only `Hard` states), laid out like
     /// `latency`; used for sink legality.
     hard_latency: Vec<u32>,
-    /// Immediate dominator of each edge in the edge graph (None for roots).
-    edge_idom: Vec<Option<EdgeId>>,
-    edge_dom_depth: Vec<u32>,
-    /// Immediate post-dominator of each edge (towards virtual exit).
-    edge_ipdom: Vec<Option<EdgeId>>,
-    edge_pdom_depth: Vec<u32>,
+    /// Node dominators over the forward subgraph, from the start node.
+    dom: DomTree,
+    /// Node post-dominators over the forward subgraph, toward a virtual
+    /// exit (vertex `n_nodes`) that follows every node without forward
+    /// successors.
+    pdom: DomTree,
+    /// Per edge: a forward edge that is the only forward edge into its
+    /// head, and one that is the only forward edge out of its tail.
+    sole_in: Vec<bool>,
+    sole_out: Vec<bool>,
     /// Loop membership bitmask per edge (bit i = natural loop of back edge i).
     edge_loops: Vec<u64>,
     /// Back edges in discovery order (defines loop bit indices).
@@ -397,6 +399,97 @@ impl BitMatrix {
     }
 }
 
+/// Edge ids grouped by one end node in one flat array (compressed sparse
+/// rows): node `n`'s edges are `edges[first[n]..first[n + 1]]`, in id
+/// order. Back edges included.
+struct Adjacency {
+    first: Vec<u32>,
+    edges: Vec<EdgeId>,
+}
+
+impl Adjacency {
+    /// Groups edge `e` under node `end[e]`.
+    fn new(n_nodes: usize, end: &[NodeId]) -> Adjacency {
+        let mut first = vec![0u32; n_nodes + 1];
+        for n in end {
+            first[n.0 as usize + 1] += 1;
+        }
+        for i in 0..n_nodes {
+            first[i + 1] += first[i];
+        }
+        let mut next = first.clone();
+        let mut edges = vec![EdgeId(0); end.len()];
+        for (e, n) in end.iter().enumerate() {
+            let slot = &mut next[n.0 as usize];
+            edges[*slot as usize] = EdgeId(e as u32);
+            *slot += 1;
+        }
+        Adjacency { first, edges }
+    }
+
+    fn of(&self, n: NodeId) -> &[EdgeId] {
+        let i = n.0 as usize;
+        &self.edges[self.first[i] as usize..self.first[i + 1] as usize]
+    }
+}
+
+/// A dominator tree over vertices `0..n`: each vertex's immediate
+/// dominator (the root's is itself) and its position in the topological
+/// order the tree was built in, where dominators come first.
+#[derive(Debug, Clone)]
+struct DomTree {
+    idom: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl DomTree {
+    /// `true` when vertex `a` dominates vertex `b` (reflexive). Walks up
+    /// from `b` only while it is later in the order than `a`.
+    fn dominates(&self, a: u32, mut b: u32) -> bool {
+        while self.pos[b as usize] > self.pos[a as usize] {
+            b = self.idom[b as usize];
+        }
+        a == b
+    }
+}
+
+/// Immediate dominators of a DAG whose vertices are listed by `order`,
+/// topologically and root first, where `preds(v)` yields the predecessors
+/// of `v`. One Cooper–Harvey–Kennedy pass is exact here: every predecessor
+/// comes before its vertex, so its dominator is final when it is read.
+fn immediate_dominators<I: IntoIterator<Item = u32>>(
+    order: &[u32],
+    preds: impl Fn(u32) -> I,
+) -> DomTree {
+    let mut pos = vec![0u32; order.len()];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v as usize] = i as u32;
+    }
+    let mut idom = vec![u32::MAX; order.len()];
+    idom[order[0] as usize] = order[0];
+    for &v in &order[1..] {
+        let mut dom: Option<u32> = None;
+        for p in preds(v) {
+            let Some(mut a) = dom else {
+                dom = Some(p);
+                continue;
+            };
+            let mut b = p;
+            while a != b {
+                while pos[a as usize] > pos[b as usize] {
+                    a = idom[a as usize];
+                }
+                while pos[b as usize] > pos[a as usize] {
+                    b = idom[b as usize];
+                }
+            }
+            dom = Some(a);
+        }
+        idom[v as usize] = dom.expect("every vertex but the root has a predecessor");
+    }
+    DomTree { idom, pos }
+}
+
 impl CfgInfo {
     fn build(cfg: &Cfg) -> Result<CfgInfo> {
         let n_nodes = cfg.len_nodes();
@@ -408,27 +501,18 @@ impl CfgInfo {
         let node_kind: Vec<NodeKind> = cfg.nodes.iter().map(|n| n.kind).collect();
         let edge_from: Vec<NodeId> = cfg.edges.iter().map(|e| e.from).collect();
         let edge_to: Vec<NodeId> = cfg.edges.iter().map(|e| e.to).collect();
+        let out = Adjacency::new(n_nodes, &edge_from);
+        let inn = Adjacency::new(n_nodes, &edge_to);
 
         // ---- back-edge classification (DFS from start over the full graph),
-        // honoring pre-marked back edges.
+        // honoring pre-marked back edges. It visits exactly the nodes the
+        // forward subgraph reaches: its tree edges are forward.
         let mut edge_back: Vec<bool> = cfg.edges.iter().map(|e| e.back).collect();
-        Self::classify_back_edges(cfg, start, &mut edge_back)?;
-
-        // ---- forward adjacency
-        let mut fwd_out: Vec<Vec<EdgeId>> = vec![Vec::new(); n_nodes];
-        for e in 0..n_edges {
-            if !edge_back[e] {
-                fwd_out[edge_from[e].0 as usize].push(EdgeId(e as u32));
-            }
-        }
+        let reachable = classify_back_edges(&out, &edge_to, start, &mut edge_back);
+        let fwd = |e: &&EdgeId| !edge_back[e.0 as usize];
 
         // ---- topological order over forward subgraph (must be a DAG)
-        let node_topo = Self::topo_nodes(n_nodes, start, &fwd_out, &edge_to)?;
-        let mut node_topo_pos = vec![u32::MAX; n_nodes];
-        for (i, &n) in node_topo.iter().enumerate() {
-            node_topo_pos[n.0 as usize] = i as u32;
-        }
-        // Reachability check: all nodes reachable from start.
+        let node_topo = topo_nodes(&out, &edge_to, &edge_back, &reachable)?;
         if node_topo.len() != n_nodes {
             return Err(Error::MalformedCfg(format!(
                 "{} of {} nodes unreachable from start",
@@ -437,14 +521,35 @@ impl CfgInfo {
             )));
         }
 
+        // ---- node dominators and post-dominators on the forward DAG
+        let order: Vec<u32> = node_topo.iter().map(|n| n.0).collect();
+        let dom = immediate_dominators(&order, |v| {
+            inn.of(NodeId(v))
+                .iter()
+                .filter(fwd)
+                .map(|e| edge_from[e.0 as usize].0)
+        });
+        let exit = n_nodes as u32;
+        let succs = |v: u32| {
+            out.of(NodeId(v))
+                .iter()
+                .filter(fwd)
+                .map(|e| edge_to[e.0 as usize].0)
+        };
+        let rev_order: Vec<u32> = std::iter::once(exit)
+            .chain(order.iter().rev().copied())
+            .collect();
+        let pdom = immediate_dominators(&rev_order, |v| {
+            let sink = succs(v).next().is_none();
+            succs(v).chain(sink.then_some(exit))
+        });
+
         // Reducibility: every back edge must target a node that forward-
-        // dominates its source. We check using node dominators.
-        let node_idom =
-            Self::node_dominators(n_nodes, start, &node_topo, &node_topo_pos, cfg, &edge_back);
+        // dominates its source.
         for e in 0..n_edges {
             if edge_back[e] {
                 let (u, h) = (edge_from[e], edge_to[e]);
-                if !Self::node_dominates(&node_idom, &node_topo_pos, h, u) {
+                if !dom.dominates(h.0, u.0) {
                     return Err(Error::MalformedCfg(format!(
                         "irreducible back edge e{e}: header {h} does not dominate {u}"
                     )));
@@ -452,45 +557,75 @@ impl CfgInfo {
             }
         }
 
-        let mut edge_topo: Vec<EdgeId> = (0..n_edges as u32)
-            .map(EdgeId)
-            .filter(|&e| !edge_back[e.0 as usize])
-            .collect();
-        edge_topo.sort_by_key(|&e| (node_topo_pos[edge_from[e.0 as usize].0 as usize], e.0));
+        let mut edge_topo: Vec<EdgeId> = Vec::with_capacity(n_edges);
+        for &n in &node_topo {
+            edge_topo.extend(out.of(n).iter().filter(fwd));
+        }
         let mut edge_topo_pos = vec![u32::MAX; n_edges];
         for (i, &e) in edge_topo.iter().enumerate() {
             edge_topo_pos[e.0 as usize] = i as u32;
         }
+        let sole = |edges: &[EdgeId]| edges.iter().filter(fwd).count() == 1;
+        let sole_in = (0..n_edges)
+            .map(|e| !edge_back[e] && sole(inn.of(edge_to[e])))
+            .collect();
+        let sole_out = (0..n_edges)
+            .map(|e| !edge_back[e] && sole(out.of(edge_from[e])))
+            .collect();
 
         // ---- reachability and latency tables (per source edge, DP in topo order)
         let mut reach = BitMatrix::new(n_edges);
         let mut latency = vec![NO_LATENCY; n_edges * n_edges];
         let mut hard_latency = vec![NO_LATENCY; n_edges * n_edges];
+        let w = |n: NodeId, hard_only: bool| -> u32 {
+            match node_kind[n.0 as usize] {
+                NodeKind::State(StateKind::Hard) => 1,
+                NodeKind::State(StateKind::Soft) => u32::from(!hard_only),
+                _ => 0,
+            }
+        };
+        // dist[n] = min #states (inclusive) on forward paths head(e) ->* n.
+        let mut dist = vec![u32::MAX; n_nodes];
+        let mut hdist = vec![u32::MAX; n_nodes];
         for &e in &edge_topo {
-            let row = e.0 as usize * n_edges..(e.0 as usize + 1) * n_edges;
-            Self::latency_from(
-                e,
-                n_nodes,
-                &node_topo,
-                &node_topo_pos,
-                &fwd_out,
-                &edge_from,
-                &edge_to,
-                &edge_back,
-                &node_kind,
-                &mut reach,
-                &mut latency[row.clone()],
-                &mut hard_latency[row],
-            );
+            let r = e.0 as usize;
+            let head = edge_to[r];
+            dist.fill(u32::MAX);
+            hdist.fill(u32::MAX);
+            dist[head.0 as usize] = w(head, false);
+            hdist[head.0 as usize] = w(head, true);
+            // The dominator tree's positions are topological positions.
+            let from = dom.pos[head.0 as usize] as usize;
+            for &n in &node_topo[from..] {
+                let (dn, hn) = (dist[n.0 as usize], hdist[n.0 as usize]);
+                if dn == u32::MAX {
+                    continue;
+                }
+                for oe in out.of(n).iter().filter(fwd) {
+                    let t = edge_to[oe.0 as usize];
+                    dist[t.0 as usize] = dist[t.0 as usize].min(dn + w(t, false));
+                    hdist[t.0 as usize] = hdist[t.0 as usize].min(hn + w(t, true));
+                }
+            }
+            // Edge f is reachable from e when its source node (tail(f)) got
+            // a distance; latency is the accumulated state count at that
+            // node.
+            let row = r * n_edges;
+            for f in 0..n_edges {
+                if f == r {
+                    reach.set(r, f);
+                    latency[row + f] = 0;
+                    hard_latency[row + f] = 0;
+                } else if !edge_back[f] && dist[edge_from[f].0 as usize] != u32::MAX {
+                    reach.set(r, f);
+                    latency[row + f] = dist[edge_from[f].0 as usize];
+                    hard_latency[row + f] = hdist[edge_from[f].0 as usize];
+                }
+            }
         }
 
-        // ---- edge dominators / post-dominators on the forward edge graph
-        let (edge_idom, edge_dom_depth) =
-            Self::edge_dominators(n_edges, &edge_topo, &edge_from, &edge_to, &edge_back);
-        let (edge_ipdom, edge_pdom_depth) =
-            Self::edge_postdominators(n_edges, &edge_topo, &edge_from, &edge_to, &edge_back);
-
-        // ---- natural loops
+        // ---- natural loops: a back edge's header plus the nodes that reach
+        // its source without passing the header.
         let back_edges: Vec<EdgeId> = (0..n_edges as u32)
             .map(EdgeId)
             .filter(|&e| edge_back[e.0 as usize])
@@ -501,19 +636,28 @@ impl CfgInfo {
                 back_edges.len()
             )));
         }
-        let edge_loops = Self::loop_membership(
-            cfg,
-            &back_edges,
-            &edge_back,
-            &edge_from,
-            &edge_to,
-            n_nodes,
-            n_edges,
-        );
+        let mut node_loops = vec![0u64; n_nodes];
+        for (bit, &be) in back_edges.iter().enumerate() {
+            let mask = 1u64 << bit;
+            let (u, h) = (edge_from[be.0 as usize], edge_to[be.0 as usize]);
+            node_loops[h.0 as usize] |= mask;
+            node_loops[u.0 as usize] |= mask;
+            let mut stack = vec![u];
+            while let Some(n) = stack.pop() {
+                for e in inn.of(n) {
+                    let p = edge_from[e.0 as usize];
+                    if node_loops[p.0 as usize] & mask == 0 {
+                        node_loops[p.0 as usize] |= mask;
+                        stack.push(p);
+                    }
+                }
+            }
+        }
+        let edge_loops = (0..n_edges)
+            .map(|e| node_loops[edge_from[e].0 as usize] & node_loops[edge_to[e].0 as usize])
+            .collect();
 
-        // ---- same-cycle co-execution on the state-free full graph
-        let same_cycle =
-            Self::compute_same_cycle(n_nodes, n_edges, &edge_from, &edge_to, &node_kind)?;
+        let same_cycle = same_cycle(&out, &inn, &edge_to, &node_kind)?;
 
         Ok(CfgInfo {
             n_nodes,
@@ -523,593 +667,19 @@ impl CfgInfo {
             edge_from,
             edge_to,
             edge_back,
-            node_topo,
-            node_topo_pos,
             edge_topo,
             edge_topo_pos,
             reach,
             latency,
             hard_latency,
-            edge_idom,
-            edge_dom_depth,
-            edge_ipdom,
-            edge_pdom_depth,
+            dom,
+            pdom,
+            sole_in,
+            sole_out,
             edge_loops,
             back_edges,
             same_cycle,
         })
-    }
-
-    fn classify_back_edges(cfg: &Cfg, start: NodeId, edge_back: &mut [bool]) -> Result<()> {
-        // Iterative DFS; gray-set detection marks retreating edges as back
-        // edges (in addition to any pre-marked ones).
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let n = cfg.len_nodes();
-        let mut color = vec![Color::White; n];
-        // stack of (node, out-edge iterator index)
-        let out: Vec<Vec<EdgeId>> = (0..n)
-            .map(|i| cfg.out_edges(NodeId(i as u32)).collect())
-            .collect();
-        let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
-        color[start.0 as usize] = Color::Gray;
-        while let Some(&mut (n_id, ref mut idx)) = stack.last_mut() {
-            let o = &out[n_id.0 as usize];
-            if *idx < o.len() {
-                let e = o[*idx];
-                *idx += 1;
-                if edge_back[e.0 as usize] {
-                    continue; // pre-marked, skip traversal through it? No: still traverse target.
-                }
-                let t = cfg.edge_to(e);
-                match color[t.0 as usize] {
-                    Color::White => {
-                        color[t.0 as usize] = Color::Gray;
-                        stack.push((t, 0));
-                    }
-                    Color::Gray => {
-                        edge_back[e.0 as usize] = true;
-                    }
-                    Color::Black => {}
-                }
-            } else {
-                color[n_id.0 as usize] = Color::Black;
-                stack.pop();
-            }
-        }
-        Ok(())
-    }
-
-    fn topo_nodes(
-        n_nodes: usize,
-        start: NodeId,
-        fwd_out: &[Vec<EdgeId>],
-        edge_to: &[NodeId],
-    ) -> Result<Vec<NodeId>> {
-        // Kahn's algorithm restricted to nodes reachable from start.
-        let mut reachable = vec![false; n_nodes];
-        let mut stack = vec![start];
-        reachable[start.0 as usize] = true;
-        while let Some(n) = stack.pop() {
-            for &e in &fwd_out[n.0 as usize] {
-                let t = edge_to[e.0 as usize];
-                if !reachable[t.0 as usize] {
-                    reachable[t.0 as usize] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        let mut indeg = vec![0usize; n_nodes];
-        for (n, outs) in fwd_out.iter().enumerate() {
-            if !reachable[n] {
-                continue;
-            }
-            for &e in outs {
-                indeg[edge_to[e.0 as usize].0 as usize] += 1;
-            }
-        }
-        let mut order = Vec::with_capacity(n_nodes);
-        let mut ready: Vec<NodeId> = (0..n_nodes)
-            .filter(|&i| reachable[i] && indeg[i] == 0)
-            .map(|i| NodeId(i as u32))
-            .collect();
-        // Deterministic order: smallest id first.
-        ready.sort();
-        ready.reverse();
-        while let Some(n) = ready.pop() {
-            order.push(n);
-            let mut newly = Vec::new();
-            for &e in &fwd_out[n.0 as usize] {
-                let t = edge_to[e.0 as usize];
-                indeg[t.0 as usize] -= 1;
-                if indeg[t.0 as usize] == 0 {
-                    newly.push(t);
-                }
-            }
-            newly.sort();
-            newly.reverse();
-            // keep `ready` roughly sorted for determinism
-            for t in newly {
-                ready.push(t);
-            }
-        }
-        let n_reach = reachable.iter().filter(|&&r| r).count();
-        if order.len() != n_reach {
-            return Err(Error::MalformedCfg(
-                "forward subgraph contains a cycle (missing back-edge classification)".into(),
-            ));
-        }
-        Ok(order)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn latency_from(
-        e: EdgeId,
-        n_nodes: usize,
-        node_topo: &[NodeId],
-        node_topo_pos: &[u32],
-        fwd_out: &[Vec<EdgeId>],
-        edge_from: &[NodeId],
-        edge_to: &[NodeId],
-        edge_back: &[bool],
-        node_kind: &[NodeKind],
-        reach: &mut BitMatrix,
-        lat_row: &mut [u32],
-        hard_row: &mut [u32],
-    ) {
-        // dist[n] = min #states (inclusive) on forward paths head(e) ->* n.
-        let head = edge_to[e.0 as usize]; // head of edge e is its target node
-        let w = |n: NodeId, hard_only: bool| -> u32 {
-            match node_kind[n.0 as usize] {
-                NodeKind::State(StateKind::Hard) => 1,
-                NodeKind::State(StateKind::Soft) => u32::from(!hard_only),
-                _ => 0,
-            }
-        };
-        let mut dist = vec![u32::MAX; n_nodes];
-        let mut hdist = vec![u32::MAX; n_nodes];
-        dist[head.0 as usize] = w(head, false);
-        hdist[head.0 as usize] = w(head, true);
-        let start_pos = node_topo_pos[head.0 as usize] as usize;
-        for &n in &node_topo[start_pos..] {
-            let dn = dist[n.0 as usize];
-            if dn == u32::MAX {
-                continue;
-            }
-            let hn = hdist[n.0 as usize];
-            for &oe in &fwd_out[n.0 as usize] {
-                let t = edge_to[oe.0 as usize];
-                let nd = dn + w(t, false);
-                let nh = hn + w(t, true);
-                if nd < dist[t.0 as usize] {
-                    dist[t.0 as usize] = nd;
-                }
-                if nh < hdist[t.0 as usize] {
-                    hdist[t.0 as usize] = nh;
-                }
-            }
-        }
-        // Edge f is reachable from e when its source node (tail(f)) got a
-        // distance; latency is the accumulated state count at that node.
-        let r = e.0 as usize;
-        for f in 0..lat_row.len() {
-            if f == r {
-                reach.set(r, f);
-                lat_row[f] = 0;
-                hard_row[f] = 0;
-                continue;
-            }
-            if edge_back[f] {
-                continue; // latency is a forward-path notion
-            }
-            let src = edge_from[f];
-            let d = dist[src.0 as usize];
-            if d != u32::MAX {
-                reach.set(r, f);
-                lat_row[f] = d;
-                hard_row[f] = hdist[src.0 as usize];
-            }
-        }
-    }
-
-    fn node_dominators(
-        n_nodes: usize,
-        start: NodeId,
-        node_topo: &[NodeId],
-        node_topo_pos: &[u32],
-        cfg: &Cfg,
-        edge_back: &[bool],
-    ) -> Vec<Option<NodeId>> {
-        // Cooper–Harvey–Kennedy iterative algorithm on the forward subgraph.
-        let mut idom: Vec<Option<NodeId>> = vec![None; n_nodes];
-        idom[start.0 as usize] = Some(start);
-        let preds: Vec<Vec<NodeId>> = (0..n_nodes)
-            .map(|i| {
-                cfg.in_edges(NodeId(i as u32))
-                    .filter(|&e| !edge_back[e.0 as usize])
-                    .map(|e| cfg.edge_from(e))
-                    .collect()
-            })
-            .collect();
-        let intersect = |idom: &[Option<NodeId>], pos: &[u32], mut a: NodeId, mut b: NodeId| {
-            while a != b {
-                while pos[a.0 as usize] > pos[b.0 as usize] {
-                    a = idom[a.0 as usize].unwrap();
-                }
-                while pos[b.0 as usize] > pos[a.0 as usize] {
-                    b = idom[b.0 as usize].unwrap();
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &n in node_topo {
-                if n == start {
-                    continue;
-                }
-                let mut new_idom: Option<NodeId> = None;
-                for &p in &preds[n.0 as usize] {
-                    if idom[p.0 as usize].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, node_topo_pos, cur, p),
-                    });
-                }
-                if new_idom != idom[n.0 as usize] && new_idom.is_some() {
-                    idom[n.0 as usize] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        idom
-    }
-
-    fn node_dominates(idom: &[Option<NodeId>], _pos: &[u32], a: NodeId, mut b: NodeId) -> bool {
-        // Walk up from b.
-        loop {
-            if a == b {
-                return true;
-            }
-            match idom[b.0 as usize] {
-                Some(p) if p != b => b = p,
-                _ => return false,
-            }
-        }
-    }
-
-    /// Dominators over the *edge graph*: vertices are forward edges, with an
-    /// arc `e -> f` when `head(e) == tail(f)`. Roots are the edges leaving
-    /// the start node.
-    fn edge_dominators(
-        n_edges: usize,
-        edge_topo: &[EdgeId],
-        edge_from: &[NodeId],
-        edge_to: &[NodeId],
-        edge_back: &[bool],
-    ) -> (Vec<Option<EdgeId>>, Vec<u32>) {
-        // Predecessor edges of f: forward edges e with head(e)==tail(f).
-        let mut idom: Vec<Option<EdgeId>> = vec![None; n_edges];
-        let mut depth: Vec<u32> = vec![0; n_edges];
-        let pos: Vec<u32> = {
-            let mut p = vec![u32::MAX; n_edges];
-            for (i, &e) in edge_topo.iter().enumerate() {
-                p[e.0 as usize] = i as u32;
-            }
-            p
-        };
-        let preds: Vec<Vec<EdgeId>> = (0..n_edges)
-            .map(|f| {
-                if edge_back[f] {
-                    return Vec::new();
-                }
-                let tail = edge_from[f];
-                (0..n_edges)
-                    .filter(|&e| !edge_back[e] && edge_to[e] == tail)
-                    .map(|e| EdgeId(e as u32))
-                    .collect()
-            })
-            .collect();
-        // Iterative CHK over the edge graph in topo order. A root edge (no
-        // predecessors, i.e. leaving the start node) is marked by self-idom.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &f in edge_topo {
-                let fi = f.0 as usize;
-                let ps = &preds[fi];
-                if ps.is_empty() {
-                    if idom[fi] != Some(f) {
-                        idom[fi] = Some(f);
-                        changed = true;
-                    }
-                    continue;
-                }
-                let mut new_idom: Option<EdgeId> = None;
-                let mut hit_root_split = false;
-                for &p in ps {
-                    if idom[p.0 as usize].is_none() {
-                        continue; // pred not yet processed
-                    }
-                    new_idom = match new_idom {
-                        None => Some(p),
-                        Some(cur) => match Self::intersect_generic(&idom, &pos, cur, p) {
-                            Some(c) => Some(c),
-                            None => {
-                                hit_root_split = true;
-                                Some(cur)
-                            }
-                        },
-                    };
-                }
-                if hit_root_split {
-                    // Paths diverge all the way to distinct roots: dominated
-                    // only by the virtual root → treat as root-like (self).
-                    new_idom = Some(f);
-                }
-                if new_idom.is_some() && idom[fi] != new_idom {
-                    idom[fi] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        // Depths (self-idom = root, depth 0).
-        for &f in edge_topo {
-            let fi = f.0 as usize;
-            let mut d = 0;
-            let mut cur = f;
-            while let Some(p) = idom[cur.0 as usize] {
-                if p == cur {
-                    break;
-                }
-                d += 1;
-                cur = p;
-                if d > n_edges as u32 {
-                    break; // defensive
-                }
-            }
-            depth[fi] = d;
-        }
-        (idom, depth)
-    }
-
-    fn edge_postdominators(
-        n_edges: usize,
-        edge_topo: &[EdgeId],
-        edge_from: &[NodeId],
-        edge_to: &[NodeId],
-        edge_back: &[bool],
-    ) -> (Vec<Option<EdgeId>>, Vec<u32>) {
-        // Same construction on the reversed edge graph; roots are edges with
-        // no forward successors (they post-dominate themselves).
-        let succs: Vec<Vec<EdgeId>> = (0..n_edges)
-            .map(|e| {
-                if edge_back[e] {
-                    return Vec::new();
-                }
-                let head = edge_to[e];
-                (0..n_edges)
-                    .filter(|&f| !edge_back[f] && edge_from[f] == head)
-                    .map(|f| EdgeId(f as u32))
-                    .collect()
-            })
-            .collect();
-        let rev_topo: Vec<EdgeId> = edge_topo.iter().rev().copied().collect();
-        let pos: Vec<u32> = {
-            let mut p = vec![u32::MAX; n_edges];
-            for (i, &e) in rev_topo.iter().enumerate() {
-                p[e.0 as usize] = i as u32;
-            }
-            p
-        };
-        let mut ipdom: Vec<Option<EdgeId>> = vec![None; n_edges];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &f in &rev_topo {
-                let fi = f.0 as usize;
-                let ss = &succs[fi];
-                if ss.is_empty() {
-                    if ipdom[fi] != Some(f) {
-                        ipdom[fi] = Some(f);
-                        changed = true;
-                    }
-                    continue;
-                }
-                let mut new_ipdom: Option<EdgeId> = None;
-                let mut hit_root_split = false;
-                for &s in ss {
-                    if ipdom[s.0 as usize].is_none() {
-                        continue;
-                    }
-                    new_ipdom = match new_ipdom {
-                        None => Some(s),
-                        Some(cur) => match Self::intersect_generic(&ipdom, &pos, cur, s) {
-                            Some(c) => Some(c),
-                            None => {
-                                hit_root_split = true;
-                                Some(cur)
-                            }
-                        },
-                    };
-                }
-                if hit_root_split {
-                    new_ipdom = Some(f);
-                }
-                if new_ipdom.is_some() && ipdom[fi] != new_ipdom {
-                    ipdom[fi] = new_ipdom;
-                    changed = true;
-                }
-            }
-        }
-        let mut depth = vec![0u32; n_edges];
-        for &f in &rev_topo {
-            let fi = f.0 as usize;
-            let mut d = 0;
-            let mut cur = f;
-            while let Some(p) = ipdom[cur.0 as usize] {
-                if p == cur {
-                    break;
-                }
-                d += 1;
-                cur = p;
-                if d > n_edges as u32 {
-                    break;
-                }
-            }
-            depth[fi] = d;
-        }
-        (ipdom, depth)
-    }
-
-    fn intersect_generic(
-        idom: &[Option<EdgeId>],
-        pos: &[u32],
-        a: EdgeId,
-        b: EdgeId,
-    ) -> Option<EdgeId> {
-        let (mut a, mut b) = (a, b);
-        loop {
-            if a == b {
-                return Some(a);
-            }
-            while pos[a.0 as usize] > pos[b.0 as usize] {
-                match idom[a.0 as usize] {
-                    Some(p) if p != a => a = p,
-                    _ => return None,
-                }
-            }
-            while pos[b.0 as usize] > pos[a.0 as usize] {
-                match idom[b.0 as usize] {
-                    Some(p) if p != b => b = p,
-                    _ => return None,
-                }
-            }
-            if a == b {
-                return Some(a);
-            }
-            match (idom[a.0 as usize], idom[b.0 as usize]) {
-                (Some(pa), _) if pa != a => a = pa,
-                (_, Some(pb)) if pb != b => b = pb,
-                _ => return None,
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn loop_membership(
-        cfg: &Cfg,
-        back_edges: &[EdgeId],
-        edge_back: &[bool],
-        edge_from: &[NodeId],
-        edge_to: &[NodeId],
-        n_nodes: usize,
-        n_edges: usize,
-    ) -> Vec<u64> {
-        let mut node_loops = vec![0u64; n_nodes];
-        for (bit, &be) in back_edges.iter().enumerate() {
-            let (u, h) = (edge_from[be.0 as usize], edge_to[be.0 as usize]);
-            // Natural loop: h plus nodes that reach u without passing h.
-            let mut in_loop = vec![false; n_nodes];
-            in_loop[h.0 as usize] = true;
-            let mut stack = vec![u];
-            in_loop[u.0 as usize] = true;
-            while let Some(n) = stack.pop() {
-                for e in cfg.in_edges(n) {
-                    let p = cfg.edge_from(e);
-                    if !in_loop[p.0 as usize] {
-                        in_loop[p.0 as usize] = true;
-                        stack.push(p);
-                    }
-                }
-            }
-            for (i, &m) in in_loop.iter().enumerate() {
-                if m {
-                    node_loops[i] |= 1 << bit;
-                }
-            }
-        }
-        let _ = edge_back;
-        (0..n_edges)
-            .map(|e| node_loops[edge_from[e].0 as usize] & node_loops[edge_to[e].0 as usize])
-            .collect()
-    }
-
-    fn compute_same_cycle(
-        n_nodes: usize,
-        n_edges: usize,
-        edge_from: &[NodeId],
-        edge_to: &[NodeId],
-        node_kind: &[NodeKind],
-    ) -> Result<BitMatrix> {
-        // Zero-state reachability between nodes on the full graph with state
-        // nodes removed. Detect state-free cycles (illegal).
-        let is_state = |n: NodeId| node_kind[n.0 as usize].is_state();
-        // node-to-node closure among non-state nodes
-        let mut adj = vec![vec![false; n_nodes]; n_nodes];
-        for e in 0..n_edges {
-            let (u, v) = (edge_from[e], edge_to[e]);
-            if !is_state(u) && !is_state(v) {
-                adj[u.0 as usize][v.0 as usize] = true;
-            }
-        }
-        // Floyd–Warshall style closure (CFGs are small).
-        let mut closure = adj.clone();
-        for k in 0..n_nodes {
-            if is_state(NodeId(k as u32)) {
-                continue;
-            }
-            let reach_k = closure[k].clone();
-            for row in closure.iter_mut() {
-                if !row[k] {
-                    continue;
-                }
-                for (dst, &via) in row.iter_mut().zip(&reach_k) {
-                    *dst = *dst || via;
-                }
-            }
-        }
-        for (i, row) in closure.iter().enumerate() {
-            if row[i] {
-                return Err(Error::MalformedCfg(format!(
-                    "state-free control cycle through n{i} (a loop must contain a state)"
-                )));
-            }
-        }
-        // Edges e,f co-execute in one cycle iff e==f, or head(e) reaches
-        // tail(f) through non-state nodes (or vice versa). head/tail
-        // themselves must not be states for the connection to be state-free;
-        // if head(e) is a state, e's evaluation ends that cycle.
-        let mut sc = BitMatrix::new(n_edges);
-        let zreach = |a: NodeId, b: NodeId| -> bool {
-            if is_state(a) || is_state(b) {
-                return false;
-            }
-            a == b || closure[a.0 as usize][b.0 as usize]
-        };
-        for e in 0..n_edges {
-            for f in 0..n_edges {
-                if e == f {
-                    sc.set(e, f);
-                    continue;
-                }
-                let he = edge_to[e]; // head of e
-                let tf = edge_from[f]; // tail of f
-                let hf = edge_to[f];
-                let te = edge_from[e];
-                if zreach(he, tf) || zreach(hf, te) {
-                    sc.set(e, f);
-                }
-            }
-        }
-        Ok(sc)
     }
 
     // ------------------------------------------------------------------
@@ -1159,12 +729,6 @@ impl CfgInfo {
         self.edge_topo_pos[e.0 as usize]
     }
 
-    /// Nodes in forward topological order.
-    #[must_use]
-    pub fn node_topo(&self) -> &[NodeId] {
-        &self.node_topo
-    }
-
     /// `true` when a forward path `head(e) ->* tail(f)` exists or `e == f`.
     #[must_use]
     pub fn reaches(&self, e: EdgeId, f: EdgeId) -> bool {
@@ -1190,40 +754,28 @@ impl CfgInfo {
 
     /// `true` when edge `a` dominates edge `b` in the forward edge graph
     /// (every control path executing `b` executed `a` first). Reflexive.
+    /// Read off the node dominator tree: `a` must be the only forward edge
+    /// into its head, and that head must dominate `b`'s tail.
     #[must_use]
     pub fn edge_dominates(&self, a: EdgeId, b: EdgeId) -> bool {
-        if self.edge_back[a.0 as usize] || self.edge_back[b.0 as usize] {
-            return a == b;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.edge_idom[cur.0 as usize] {
-                Some(p) if p != cur => cur = p,
-                _ => return false,
-            }
-        }
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        a == b
+            || (self.sole_in[a]
+                && !self.edge_back[b]
+                && self.dom.dominates(self.edge_to[a].0, self.edge_from[b].0))
     }
 
     /// `true` when edge `a` post-dominates edge `b` (every execution of `b`
     /// eventually executes `a` before leaving the forward region). Reflexive.
+    /// Read off the node post-dominator tree: `a` must be the only forward
+    /// edge out of its tail, and that tail must post-dominate `b`'s head.
     #[must_use]
     pub fn edge_postdominates(&self, a: EdgeId, b: EdgeId) -> bool {
-        if self.edge_back[a.0 as usize] || self.edge_back[b.0 as usize] {
-            return a == b;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.edge_ipdom[cur.0 as usize] {
-                Some(p) if p != cur => cur = p,
-                _ => return false,
-            }
-        }
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        a == b
+            || (self.sole_out[a]
+                && !self.edge_back[b]
+                && self.pdom.dominates(self.edge_from[a].0, self.edge_to[b].0))
     }
 
     /// Loop-membership bitmask of edge `e` (bit *i* set when `e` lies inside
@@ -1246,24 +798,6 @@ impl CfgInfo {
         self.same_cycle.get(e.0 as usize, f.0 as usize)
     }
 
-    /// Position of a node in the forward topological order.
-    #[must_use]
-    pub fn node_topo_pos(&self, n: NodeId) -> u32 {
-        self.node_topo_pos[n.0 as usize]
-    }
-
-    /// Depth of `e` in the edge dominator tree (0 for root edges).
-    #[must_use]
-    pub fn edge_dom_depth(&self, e: EdgeId) -> u32 {
-        self.edge_dom_depth[e.0 as usize]
-    }
-
-    /// Depth of `e` in the edge post-dominator tree (0 for exit edges).
-    #[must_use]
-    pub fn edge_pdom_depth(&self, e: EdgeId) -> u32 {
-        self.edge_pdom_depth[e.0 as usize]
-    }
-
     /// Heap bytes the snapshot holds: its per-node and per-edge tables
     /// plus the four edge-pair tables (`reach` and `same_cycle` one bit
     /// per pair, `latency` and `hard_latency` four bytes per pair).
@@ -1274,17 +808,17 @@ impl CfgInfo {
             + b(&self.edge_from)
             + b(&self.edge_to)
             + b(&self.edge_back)
-            + b(&self.node_topo)
-            + b(&self.node_topo_pos)
             + b(&self.edge_topo)
             + b(&self.edge_topo_pos)
             + b(&self.reach.words)
             + b(&self.latency)
             + b(&self.hard_latency)
-            + b(&self.edge_idom)
-            + b(&self.edge_dom_depth)
-            + b(&self.edge_ipdom)
-            + b(&self.edge_pdom_depth)
+            + b(&self.dom.idom)
+            + b(&self.dom.pos)
+            + b(&self.pdom.idom)
+            + b(&self.pdom.pos)
+            + b(&self.sole_in)
+            + b(&self.sole_out)
             + b(&self.edge_loops)
             + b(&self.back_edges)
             + b(&self.same_cycle.words)
@@ -1301,6 +835,147 @@ impl CfgInfo {
     pub fn edge_to(&self, e: EdgeId) -> NodeId {
         self.edge_to[e.0 as usize]
     }
+}
+
+/// Marks retreating edges (those closing a cycle on the DFS stack) as back
+/// edges, beside the pre-marked ones, which the DFS does not follow.
+/// Returns which nodes the DFS from `start` visited.
+fn classify_back_edges(
+    out: &Adjacency,
+    edge_to: &[NodeId],
+    start: NodeId,
+    edge_back: &mut [bool],
+) -> Vec<bool> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Gray,
+        Black,
+    }
+    let mut color = vec![Color::White; out.first.len() - 1];
+    // stack of (node, index of its next out-edge)
+    let mut stack: Vec<(NodeId, usize)> = vec![(start, 0)];
+    color[start.0 as usize] = Color::Gray;
+    while let Some(&mut (n, ref mut idx)) = stack.last_mut() {
+        let Some(&e) = out.of(n).get(*idx) else {
+            color[n.0 as usize] = Color::Black;
+            stack.pop();
+            continue;
+        };
+        *idx += 1;
+        if edge_back[e.0 as usize] {
+            continue;
+        }
+        let t = edge_to[e.0 as usize];
+        match color[t.0 as usize] {
+            Color::White => {
+                color[t.0 as usize] = Color::Gray;
+                stack.push((t, 0));
+            }
+            Color::Gray => edge_back[e.0 as usize] = true,
+            Color::Black => {}
+        }
+    }
+    color.iter().map(|&c| c == Color::Black).collect()
+}
+
+/// Kahn's algorithm over the forward edges of the `reachable` nodes,
+/// taking the smallest ready id first among those made ready together.
+fn topo_nodes(
+    out: &Adjacency,
+    edge_to: &[NodeId],
+    edge_back: &[bool],
+    reachable: &[bool],
+) -> Result<Vec<NodeId>> {
+    let fwd_targets = |n: NodeId| {
+        out.of(n)
+            .iter()
+            .filter(|e| !edge_back[e.0 as usize])
+            .map(|e| edge_to[e.0 as usize])
+    };
+    let mut indeg = vec![0usize; reachable.len()];
+    for n in (0..reachable.len()).filter(|&n| reachable[n]) {
+        for t in fwd_targets(NodeId(n as u32)) {
+            indeg[t.0 as usize] += 1;
+        }
+    }
+    let mut ready: Vec<NodeId> = (0..reachable.len() as u32)
+        .rev()
+        .map(NodeId)
+        .filter(|n| reachable[n.0 as usize] && indeg[n.0 as usize] == 0)
+        .collect();
+    let mut order = Vec::with_capacity(reachable.len());
+    let mut newly = Vec::new();
+    while let Some(n) = ready.pop() {
+        order.push(n);
+        for t in fwd_targets(n) {
+            indeg[t.0 as usize] -= 1;
+            if indeg[t.0 as usize] == 0 {
+                newly.push(t);
+            }
+        }
+        newly.sort_unstable_by(|a, b| b.cmp(a));
+        ready.append(&mut newly);
+    }
+    if order.len() != reachable.iter().filter(|&&r| r).count() {
+        return Err(Error::MalformedCfg(
+            "forward subgraph contains a cycle (missing back-edge classification)".into(),
+        ));
+    }
+    Ok(order)
+}
+
+/// Same-cycle co-execution, by walks through non-state nodes over the full
+/// graph: from each non-state node `s`, every edge into `s` shares a cycle
+/// with every edge out of a node the walk reaches, `s` included. A walk
+/// that comes back to `s` is a state-free control cycle; nodes are tried
+/// in id order, so the error names the lowest such node.
+fn same_cycle(
+    out: &Adjacency,
+    inn: &Adjacency,
+    edge_to: &[NodeId],
+    node_kind: &[NodeKind],
+) -> Result<BitMatrix> {
+    let n_edges = edge_to.len();
+    let mut sc = BitMatrix::new(n_edges);
+    for e in 0..n_edges {
+        sc.set(e, e);
+    }
+    let mut walked = vec![u32::MAX; node_kind.len()];
+    let mut reached = Vec::new();
+    for s in (0..node_kind.len() as u32).map(NodeId) {
+        if node_kind[s.0 as usize].is_state() {
+            continue;
+        }
+        walked[s.0 as usize] = s.0;
+        reached.clear();
+        reached.push(s);
+        let mut i = 0;
+        while let Some(&n) = reached.get(i) {
+            i += 1;
+            for f in out.of(n) {
+                let t = edge_to[f.0 as usize];
+                if t == s {
+                    return Err(Error::MalformedCfg(format!(
+                        "state-free control cycle through {s} (a loop must contain a state)"
+                    )));
+                }
+                if !node_kind[t.0 as usize].is_state() && walked[t.0 as usize] != s.0 {
+                    walked[t.0 as usize] = s.0;
+                    reached.push(t);
+                }
+            }
+        }
+        for e in inn.of(s) {
+            for &n in &reached {
+                for f in out.of(n) {
+                    sc.set(e.0 as usize, f.0 as usize);
+                    sc.set(f.0 as usize, e.0 as usize);
+                }
+            }
+        }
+    }
+    Ok(sc)
 }
 
 #[cfg(test)]
