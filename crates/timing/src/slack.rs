@@ -531,4 +531,40 @@ mod tests {
         let r = compute_slack(&tdfg, &delays, 1000, SlackMode::Aligned);
         assert!(r.min_slack() < 0);
     }
+
+    #[test]
+    fn a_zero_slack_op_turning_negative_is_seen_under_a_lower_minimum() {
+        // Two independent chains in one 1000ps cycle: three chained 600ps
+        // muls (far negative slack) and a lone mul set to exactly zero
+        // slack. Slowing the lone mul by 10ps drives its chain from 0 to
+        // -10 while the global minimum stays put, so only
+        // `turned_negative` can see the change.
+        let mut b = DesignBuilder::new("masked");
+        let x = b.input("x", 8);
+        let m1 = b.binop(OpKind::Mul, x, x, 8);
+        let m2 = b.binop(OpKind::Mul, m1, m1, 8);
+        let m3 = b.binop(OpKind::Mul, m2, m2, 8);
+        b.write("y", m3);
+        let z = b.input("z", 8);
+        let lone = b.binop(OpKind::Mul, z, z, 8);
+        b.write("w", lone);
+        let d = b.finish().unwrap();
+        let (info, spans) = d.analyze().unwrap();
+        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
+        let mut delays = vec![0i64; d.dfg.len_ids()];
+        for o in [m1, m2, m3] {
+            delays[o.0 as usize] = 600;
+        }
+        let free = compute_slack(&tdfg, &delays, 1000, SlackMode::Plain).slack(lone);
+        delays[lone.0 as usize] = free;
+        let mut st = SlackState::new(compute_slack(&tdfg, &delays, 1000, SlackMode::Plain));
+        let min = st.min_slack();
+        assert_eq!(st.slack()[lone.0 as usize], 0);
+        assert!(min < -10, "the muls' chain sets the minimum: {min}");
+        delays[lone.0 as usize] = free + 10;
+        st.update(&tdfg, &delays, lone);
+        assert_eq!(st.slack()[lone.0 as usize], -10);
+        assert_eq!(st.min_slack(), min);
+        assert!(st.turned_negative());
+    }
 }

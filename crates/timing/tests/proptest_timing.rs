@@ -8,7 +8,9 @@ use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpId, OpKind};
 use adhls_reslib::tsmc90;
 use adhls_timing::bellman::compute_slack_bellman;
-use adhls_timing::budget::{budget, budget_with_choices, op_choices, BudgetOptions, SlackEngine};
+use adhls_timing::budget::{
+    budget, budget_with_choices, budget_with_choices_from, op_choices, BudgetOptions, SlackEngine,
+};
 use adhls_timing::slack::{compute_slack, SlackMode, SlackState};
 use adhls_timing::TimedDfg;
 use proptest::prelude::*;
@@ -148,6 +150,48 @@ proptest! {
         prop_assert_eq!(topo.min_slack, bf.min_slack);
         prop_assert_eq!(topo.moves, bf.moves);
         prop_assert_eq!(topo.reverted, bf.reverted);
+    }
+
+    /// A budgeting call makes at most two moves per candidate, on either
+    /// engine and from the slowest grades or a warm start: phase 1 only
+    /// upgrades, phase 2 only downgrades, and a reverted downgrade caps its
+    /// op at its grade, so no loop needs a move cap.
+    #[test]
+    fn budget_moves_stay_within_twice_the_candidates(
+        r in recipe(),
+        clock in 300u64..3500,
+        plain in any::<bool>(),
+        warm_seeds in prop::collection::vec(0usize..8, 1..16),
+    ) {
+        let (d, _) = build(&r);
+        let (info, spans) = d.analyze().unwrap();
+        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
+        let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
+        let bound = 2 * choices.iter().map(|c| c.candidates.len()).sum::<usize>();
+        let warm: Vec<Option<usize>> = (0..d.dfg.len_ids())
+            .map(|i| {
+                let n = choices.candidates(i).len();
+                (n > 0).then(|| warm_seeds[i % warm_seeds.len()] % n)
+            })
+            .collect();
+        for engine in [SlackEngine::Topological, SlackEngine::BellmanFord] {
+            let opts = BudgetOptions {
+                mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
+                engine,
+                ..BudgetOptions::default()
+            };
+            for initial in [None, Some(warm.as_slice())] {
+                let b = budget_with_choices_from(&tdfg, &choices, clock, &opts, |_| None, initial);
+                prop_assert!(
+                    b.moves <= bound,
+                    "{:?} warm {}: {} moves over {} candidates",
+                    engine,
+                    initial.is_some(),
+                    b.moves,
+                    bound / 2
+                );
+            }
+        }
     }
 
     /// Speeding any single op up never decreases any op's slack (monotone

@@ -3,7 +3,7 @@
 //! fleet documented in DESIGN.md §5.
 
 use adhls::prelude::*;
-use adhls::workloads::random;
+use adhls::workloads::{idct, random};
 
 /// Every fleet design synthesizes under both flows; the slack flow wins on
 /// average and never catastrophically regresses.
@@ -80,5 +80,52 @@ fn fleet_schedules_preserve_semantics() {
         let reference = run(&design, &stim, 10_000).unwrap();
         let placed = run_placed(&design, &stim, 10_000, |o| r.schedule.edge(o)).unwrap();
         assert_eq!(placed.outputs, reference.outputs, "{name} outputs changed");
+    }
+}
+
+/// The slack flow's per-edge rebudget bookkeeping on fixed designs, at
+/// counts recorded from a known-good scheduler: budgeting moves,
+/// relaxation rounds, and how many per-edge rebudgets ran and how many
+/// were elided. A rebudget elided when its inputs changed, or rerun when
+/// they did not, can leave every row as it was and still move these
+/// counts: on fleet designs C633 and C1401 such regressions moved nothing
+/// else.
+#[test]
+fn rebudget_counts_of_fixed_designs_are_pinned() {
+    let lib = tsmc90::library();
+    let mut designs = random::fleet(1, 633);
+    designs.extend(random::fleet(1, 1401));
+    designs.push(("idct1d".into(), idct::build_1d(12), 1800));
+    // (design, flow, (budget moves, relax rounds, rebudgets run, elided))
+    let expect = [
+        ("C633", Flow::Conventional, (0, 3, 0, 0)),
+        ("C633", Flow::SlackBased, (340, 4, 29, 6)),
+        ("C1401", Flow::Conventional, (0, 9, 0, 0)),
+        ("C1401", Flow::SlackBased, (59, 18, 79, 16)),
+        ("idct1d", Flow::Conventional, (0, 0, 0, 0)),
+        ("idct1d", Flow::SlackBased, (0, 4, 58, 2)),
+    ];
+    for (name, flow, want) in expect {
+        let (_, design, clock) = designs.iter().find(|(n, ..)| n == name).unwrap();
+        let reg = adhls_telemetry::Registry::new();
+        reg.set_enabled(true);
+        let r = {
+            let _g = adhls_telemetry::install(&reg);
+            let opts = HlsOptions {
+                clock_ps: *clock,
+                flow,
+                ..Default::default()
+            };
+            run_hls(design, &lib, &opts).unwrap()
+        };
+        let snap = reg.snapshot();
+        let count = |c| snap.counter(c).unwrap_or(0);
+        let got = (
+            r.budget_moves,
+            r.relax_rounds,
+            count("pipeline.rebudget.run"),
+            count("pipeline.rebudget.elided"),
+        );
+        assert_eq!(got, want, "{name} {flow:?}");
     }
 }
