@@ -6,16 +6,14 @@
 //! single-pool mode all connections share one evaluator pool: worker
 //! threads, the budgeted cross-request result cache, and in-flight
 //! coalescing. With `--workers N` the process becomes a router over N
-//! worker backends (in-process by default, `--worker-mode process` for
-//! child processes), consistent-hashing requests so each worker's cache
-//! shard stays warm; see `docs/ARCHITECTURE.md`.
+//! in-process worker threads, each over its own pool, consistent-hashing
+//! requests so each worker's cache shard stays warm; see
+//! `docs/ARCHITECTURE.md`.
 
 use crate::opts::Opts;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::server::{
-    in_process_factory, spawn_process_worker, Router, RouterOptions, Server,
-};
+use adhls_explore::server::{in_process_factory, Router, RouterOptions, Server};
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(
@@ -28,7 +26,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--slow-ms",
             "--workers",
             "--queue-cap",
-            "--worker-mode",
         ],
         &["--stdio", "--strict"],
     )?;
@@ -48,8 +45,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if workers > 0 {
         return run_router(&o, workers, &pool_opts);
     }
-    if o.get("--queue-cap").is_some() || o.get("--worker-mode").is_some() {
-        return Err("--queue-cap/--worker-mode need router mode (--workers N)".into());
+    if o.get("--queue-cap").is_some() {
+        return Err("--queue-cap needs router mode (--workers N)".into());
     }
     let pool = EvaluatorPool::new(
         adhls_reslib::tsmc90::library(),
@@ -120,7 +117,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Router mode (`--workers N`): spawn N worker backends and serve the
+/// Router mode (`--workers N`): spawn N in-process workers and serve the
 /// client protocol through the consistent-hashing router/aggregator.
 fn run_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<(), String> {
     if o.get("--slow-ms").is_some() {
@@ -134,47 +131,15 @@ fn run_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<(), S
     if opts.queue_cap == 0 {
         return Err("--queue-cap must be >= 1".into());
     }
-    let mode = o.get("--worker-mode").unwrap_or("thread");
-    let factory = match mode {
-        // Worker threads in this process, each over its own pool — the
-        // default: no extra processes, same sharding and fault surface.
-        "thread" => {
-            let pool_opts = pool_opts.clone();
-            in_process_factory(move |_idx| {
-                EvaluatorPool::new(
-                    adhls_reslib::tsmc90::library(),
-                    HlsOptions::default(),
-                    pool_opts.clone(),
-                )
-            })
-        }
-        // Child processes: this same binary in single-pool serve mode on
-        // an ephemeral port, for real process isolation.
-        "process" => {
-            let mut forwarded: Vec<String> =
-                vec!["serve".into(), "--addr".into(), "127.0.0.1:0".into()];
-            for key in ["--threads", "--cache-bytes"] {
-                if let Some(v) = o.get(key) {
-                    forwarded.push(key.into());
-                    forwarded.push(v.into());
-                }
-            }
-            if o.flag("--strict") {
-                forwarded.push("--strict".into());
-            }
-            Box::new(move |_idx| {
-                let exe = std::env::current_exe()?;
-                let mut cmd = std::process::Command::new(exe);
-                cmd.args(&forwarded);
-                spawn_process_worker(&mut cmd)
-            })
-        }
-        other => {
-            return Err(format!(
-                "--worker-mode: `{other}` is not a worker mode (thread | process)"
-            ))
-        }
-    };
+    // Worker threads in this process, each over its own pool.
+    let pool_opts = pool_opts.clone();
+    let factory = in_process_factory(move |_idx| {
+        EvaluatorPool::new(
+            adhls_reslib::tsmc90::library(),
+            HlsOptions::default(),
+            pool_opts.clone(),
+        )
+    });
     let router = Router::new(factory, opts).map_err(|e| format!("spawning workers: {e}"))?;
 
     if o.flag("--stdio") {
@@ -203,7 +168,7 @@ fn run_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<(), S
         .map_err(|e| format!("resolving the bound address: {e}"))?;
     println!("adhls serve listening on {local}");
     println!(
-        "adhls serve routing over {} {mode} workers",
+        "adhls serve routing over {} thread workers",
         router.workers()
     );
     if let Some(ml) = &metrics_listener {

@@ -102,11 +102,10 @@ SERVE OPTIONS (line-delimited JSON protocol; see docs/PROTOCOL.md):
     --slow-ms <MS>        log requests slower than this threshold to
                           stderr (0 disables; single-pool mode only)
                                                         [default: off]
-    --workers <N>         route requests over N worker backends with
-                          consistent-hashed cache sharding (0 = classic
-                          single-pool mode)             [default: 0]
-    --worker-mode <M>     worker backend kind: `thread` (in-process) or
-                          `process` (spawned children)  [default: thread]
+    --workers <N>         route requests over N in-process worker threads,
+                          each over its own pool, with consistent-hashed
+                          cache sharding (0 = classic single-pool mode)
+                                                        [default: 0]
     --queue-cap <N>       per-worker in-flight cap; overflow gets a
                           structured `busy` result      [default: 64]
 

@@ -18,9 +18,9 @@
 //!   router's routing keys — each an instance of the pool's evicting
 //!   [`cache`](crate::cache) under a fixed byte budget,
 //! * [`worker`] — worker backends for multi-worker serving: the
-//!   [`WorkerLink`] transport trait with in-process (pipe + thread) and
-//!   child-process (TCP) implementations, and the [`WorkerHandle`] that
-//!   opens data links to a worker on demand,
+//!   [`WorkerLink`] transport trait, its in-process (pipe + thread)
+//!   implementation, and the [`WorkerHandle`] that opens data links to a
+//!   worker on demand,
 //! * [`router`] — the multi-worker front-end: consistent-hash routing of
 //!   requests across workers (so each worker's cache shard stays warm),
 //!   a pool of data links per worker so concurrent requests to one worker
@@ -53,6 +53,5 @@ pub use session::{
     workload_grid, BuildFn, Server,
 };
 pub use worker::{
-    in_process_factory, spawn_process_worker, LinkConnector, WorkerFactory, WorkerGuard,
-    WorkerHandle, WorkerLink,
+    in_process_factory, LinkConnector, WorkerFactory, WorkerGuard, WorkerHandle, WorkerLink,
 };

@@ -14,25 +14,16 @@
 //!   running refinement — `cancel`, and the router's `stats`/`metrics`
 //!   aggregation probes.
 //!
-//! Two implementations share the [`WorkerLink`] trait:
-//!
-//! * **in-process thread workers** ([`WorkerHandle::in_process`]) — a
-//!   [`Server`] served over in-memory pipes on plain threads. Fully
-//!   deterministic, no sockets, no child processes: what the test
-//!   harness, the benches, and `--workers N` default spawning use.
-//! * **child-process workers** ([`spawn_process_worker`]) — a spawned
-//!   `adhls serve --addr 127.0.0.1:0` child, discovered through its
-//!   startup banner and reached over loopback TCP connections.
-//!
-//! The router ([`crate::server::router`]) treats both identically; the
-//! fault-injection suite substitutes its own [`WorkerLink`]s to inject
-//! kills, stalls, and garbage.
+//! Workers are in-process threads ([`WorkerHandle::in_process`]): a
+//! [`Server`] served over in-memory pipes on plain threads, fully
+//! deterministic, with no sockets. The router ([`crate::server::router`])
+//! reaches a worker only through the [`WorkerLink`], [`WorkerGuard`] and
+//! [`WorkerHandle`] seams, and the fault-injection suite substitutes its
+//! own [`WorkerLink`]s there to inject kills, stalls, and garbage.
 
 use crate::server::session::Server;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -68,9 +59,9 @@ pub trait WorkerLink: Send {
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-/// Stops a worker's execution vehicle when the router retires it (kills
-/// the child process; lets in-process threads unwind off their dropped
-/// pipes).
+/// Stops a worker's execution vehicle when the router retires it (an
+/// in-process worker's server shuts down, and its threads unwind off
+/// their dropped pipes).
 pub trait WorkerGuard: Send {
     /// Best-effort teardown; must be idempotent.
     fn stop(&mut self);
@@ -83,9 +74,9 @@ pub type LinkConnector = Box<dyn Fn() -> io::Result<Box<dyn WorkerLink>> + Send 
 /// to it, and the teardown guard.
 pub struct WorkerHandle {
     /// Opens a new request channel (one sweep/refine in flight at a time
-    /// per channel): a new pipe connection to an in-process [`Server`], or
-    /// a new loopback connection to a child process. The router calls it
-    /// lazily, when every link it already holds to this worker is busy.
+    /// per channel), such as a new pipe connection to an in-process
+    /// [`Server`]. The router calls it lazily, when every link it already
+    /// holds to this worker is busy.
     pub connect: LinkConnector,
     /// The out-of-band channel (`cancel`, aggregation probes).
     pub ctrl: Box<dyn WorkerLink>,
@@ -162,7 +153,7 @@ pub struct PipeLink {
 }
 
 /// A request line and its newline as one buffer, so a link sends it in
-/// one write: one segment on a socket, one wake-up of a pipe's reader.
+/// one write: one wake-up of the pipe's reader.
 fn framed(line: &str) -> Vec<u8> {
     let mut msg = Vec::with_capacity(line.len() + 1);
     msg.extend_from_slice(line.as_bytes());
@@ -316,123 +307,10 @@ impl Drop for PipeReader {
     }
 }
 
-/// A worker link over a TCP connection (child-process workers).
-pub struct TcpLink {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl TcpLink {
-    /// Wraps a connected stream.
-    ///
-    /// # Errors
-    ///
-    /// When the stream cannot be cloned for the read side.
-    pub fn new(stream: TcpStream) -> io::Result<TcpLink> {
-        Ok(TcpLink {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-}
-
-impl WorkerLink for TcpLink {
-    fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(&framed(line))
-    }
-
-    fn recv_line(&mut self) -> io::Result<Option<String>> {
-        read_trimmed(&mut self.reader)
-    }
-
-    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-}
-
-struct ProcessGuard {
-    child: Child,
-    /// Held open so a late child write never hits a closed pipe.
-    _stdout: Option<ChildStdout>,
-}
-
-impl WorkerGuard for ProcessGuard {
-    fn stop(&mut self) {
-        // The router sends `shutdown` over the control link first; the
-        // kill is the backstop for a child that no longer listens.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns a child-process worker from `cmd` (typically `adhls serve --addr
-/// 127.0.0.1:0 ...`), waits for its `listening on <addr>` banner on
-/// stdout, and connects the control link over loopback TCP; data links
-/// connect to the same address on demand.
-///
-/// # Errors
-///
-/// Spawn failures, a child that exits or closes stdout before announcing
-/// its address, an unparseable banner, or connection failures (the child
-/// is killed before the error returns).
-pub fn spawn_process_worker(cmd: &mut Command) -> io::Result<WorkerHandle> {
-    cmd.stdin(Stdio::null()).stdout(Stdio::piped());
-    let mut child = cmd.spawn()?;
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let mut lines = BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        match lines.read_line(&mut line) {
-            Ok(0) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "worker exited before announcing its address",
-                ));
-            }
-            Ok(_) => {
-                if let Some((_, addr)) = line.trim().rsplit_once("listening on ") {
-                    break addr.trim().to_string();
-                }
-            }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
-        }
-    };
-    let connect = move || -> io::Result<Box<dyn WorkerLink>> {
-        let stream = TcpStream::connect(&addr).map_err(|e| {
-            io::Error::new(e.kind(), format!("connecting to worker at {addr}: {e}"))
-        })?;
-        stream.set_nodelay(true)?;
-        Ok(Box::new(TcpLink::new(stream)?))
-    };
-    let ctrl = match connect() {
-        Ok(l) => l,
-        Err(e) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(e);
-        }
-    };
-    Ok(WorkerHandle {
-        connect: Box::new(connect),
-        ctrl,
-        guard: Some(Box::new(ProcessGuard {
-            child,
-            _stdout: Some(lines.into_inner()),
-        })),
-    })
-}
-
 /// A [`WorkerFactory`] spawning in-process thread workers, each with its
 /// **own** [`EvaluatorPool`](crate::pool::EvaluatorPool) built from
-/// `make_pool` — so every worker owns a private cache shard, exactly like
-/// separate processes would (the router's consistent hashing is what keeps
-/// each shard warm).
+/// `make_pool` — so every worker owns a private cache shard (the router's
+/// consistent hashing is what keeps each shard warm).
 #[must_use]
 pub fn in_process_factory(
     make_pool: impl Fn(usize) -> crate::pool::EvaluatorPool + Send + Sync + 'static,

@@ -109,7 +109,7 @@ impl Gate {
 
 /// A real worker data link with a scripted fault layered on top. Once
 /// its worker generation is retired, it reports EOF, as a link to a
-/// killed child process would.
+/// killed worker would.
 struct RiggedLink {
     inner: Box<dyn WorkerLink>,
     rig: Rig,
