@@ -9,8 +9,9 @@
 //! * **expansions** (worker) — a `sweep` spec's points and their design
 //!   fingerprints ([`PointSet`]), so a repeated sweep neither builds nor
 //!   hashes a design,
-//! * **cells** (worker) — each `refine` grid cell's design, built once per
-//!   spec and cell by wrapping the workload's [`BuildFn`],
+//! * **cells** (worker) — the designs of a `refine` grid, built once per
+//!   spec, latency budget and pipelining interval by wrapping the
+//!   workload's [`BuildFn`], so every clock of a budget shares one design,
 //! * **routes** (router) — the spec's [`routing_fingerprint`], so warm
 //!   shards stay exactly where they were.
 //!
@@ -142,20 +143,24 @@ impl CacheKey for SpecKey {
     }
 }
 
-/// One refine grid cell of one spec.
+/// One refine cell design of one spec: what a [`BuildFn`] reads of a
+/// cell, its latency budget and pipelining interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CellKey {
     index: u64,
     spec: Arc<SpecKey>,
-    cell: SweepCell,
+    cycles: u32,
+    pipeline_ii: Option<u32>,
 }
 
 impl CellKey {
-    fn new(spec: &Arc<SpecKey>, cell: SweepCell, mix: fn(u64) -> u64) -> Self {
+    fn new(spec: &Arc<SpecKey>, cell: &SweepCell, mix: fn(u64) -> u64) -> Self {
+        let (cycles, pipeline_ii) = (cell.cycles, cell.pipeline_ii);
         CellKey {
-            index: index_of(&(spec.index, cell), mix),
+            index: index_of(&(spec.index, cycles, pipeline_ii), mix),
             spec: Arc::clone(spec),
-            cell,
+            cycles,
+            pipeline_ii,
         }
     }
 }
@@ -285,8 +290,9 @@ impl SpecMemo {
             .0
     }
 
-    /// Wraps `spec`'s refine cell builder so each cell's design is built
-    /// once and shared by every later refine of the spec.
+    /// Wraps `spec`'s refine cell builder so each design is built once,
+    /// shared by every cell with its latency budget and pipelining
+    /// interval and by every later refine of the spec.
     pub(crate) fn cell_builder<'a>(
         &'a self,
         spec: &WorkloadSpec,
@@ -294,7 +300,7 @@ impl SpecMemo {
     ) -> impl FnMut(&SweepCell) -> Arc<Design> + 'a {
         let spec = Arc::new(SpecKey::with_mix(spec, self.mix));
         move |cell| {
-            let key = CellKey::new(&spec, *cell, self.mix);
+            let key = CellKey::new(&spec, cell, self.mix);
             self.cells.get_or_compute(key, || Arc::new(build(cell))).0
         }
     }

@@ -39,7 +39,9 @@ use std::time::Instant;
 pub use crate::server::transport::MAX_REQUEST_BYTES;
 
 /// A per-cell design builder, boxed so grids for different workloads share
-/// one type (and `Send` so refinements can run on pool threads).
+/// one type (and `Send` so refinements can run on pool threads). A builder
+/// reads only a cell's `cycles` and `pipeline_ii`: the serve tier's cell
+/// memo keys each built design on those two and hands it to every clock.
 pub type BuildFn = Box<dyn FnMut(&SweepCell) -> Design + Send>;
 
 /// Largest matmul dimension a request may ask for (op count grows as n³;

@@ -3,16 +3,18 @@
 //! memoized one in any field expansion reads misses the memo and is
 //! answered exactly as a fresh server answers it; specs differing only in
 //! per-request fields share one expansion. The memo stays inside its byte
-//! budget under a stream of distinct inline designs, a repeated `refine`
-//! builds no cell design, and the router computes each spec's routing key
-//! once.
+//! budget under a stream of distinct inline designs, a `refine` builds one
+//! design per latency budget and a repeat builds none, and the router
+//! computes each spec's routing key once.
 
+use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::memo::EXPANSION_BUDGET;
 use adhls_explore::server::{in_process_factory, Router, RouterOptions, Server};
 use adhls_reslib::tsmc90;
 use adhls_telemetry::Snapshot;
+use std::collections::HashSet;
 
 fn pool() -> EvaluatorPool {
     EvaluatorPool::new(
@@ -172,13 +174,45 @@ fn memo_bytes_stay_within_budget_under_distinct_designs() {
     );
 }
 
+/// The names of the cells a refine `result` line evaluated: its rows and
+/// the cells it skipped.
+fn evaluated_cells(result: &str) -> Vec<String> {
+    let v = Value::parse(result.lines().last().expect("a result line")).unwrap();
+    let names = |field: &str| -> Vec<String> {
+        let Some(Value::Arr(items)) = v.get(field) else {
+            panic!("no `{field}` array");
+        };
+        items
+            .iter()
+            .map(|item| match item {
+                Value::Arr(pair) => pair[0].as_str().unwrap().to_string(),
+                row => row.get("name").and_then(Value::as_str).unwrap().to_string(),
+            })
+            .collect()
+    };
+    let mut cells = names("rows");
+    cells.extend(names("skipped"));
+    cells
+}
+
 #[test]
 fn a_repeated_refine_builds_no_cell_design() {
     let srv = Server::new(pool());
     let line = r#"{"id":1,"cmd":"refine","workload":"interpolation","clocks":[1100,1400,1800,2400],"cycles":[3,4,6],"gap_tol":0.0}"#;
     let first = respond(&srv, line);
+    // A design depends on its cell's cycles and II, never its clock
+    // (`-c<ps>` in a cell's name): one build per distinct pair.
+    let cells = evaluated_cells(&first);
+    let designs: HashSet<String> = cells
+        .iter()
+        .map(|name| {
+            let parts: Vec<&str> = name.split('-').filter(|p| !p.starts_with('c')).collect();
+            parts.join("-")
+        })
+        .collect();
     let built = counter(&srv.metrics_snapshot(), "memo.cell.misses");
-    assert!(built > 0);
+    assert_eq!(built, designs.len() as u64, "{cells:?}");
+    assert!(cells.len() > designs.len(), "clocks share designs");
     let second = respond(&srv, line);
     assert_eq!(second, first);
     assert_eq!(first, fresh(line));
@@ -188,7 +222,11 @@ fn a_repeated_refine_builds_no_cell_design() {
         built,
         "a cell was rebuilt"
     );
-    assert_eq!(counter(&snap, "memo.cell.hits"), built);
+    // Every other cell of both refines found its design.
+    assert_eq!(
+        counter(&snap, "memo.cell.hits"),
+        2 * cells.len() as u64 - built
+    );
 }
 
 #[test]
