@@ -131,7 +131,6 @@ fn run_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<(), S
     if opts.queue_cap == 0 {
         return Err("--queue-cap must be >= 1".into());
     }
-    // Worker threads in this process, each over its own pool.
     let pool_opts = pool_opts.clone();
     let factory = in_process_factory(move |_idx| {
         EvaluatorPool::new(

@@ -152,34 +152,24 @@ pub struct PipeLink {
     rx: BufReader<PipeReader>,
 }
 
-/// A request line and its newline as one buffer, so a link sends it in
-/// one write: one wake-up of the pipe's reader.
-fn framed(line: &str) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(line.len() + 1);
-    msg.extend_from_slice(line.as_bytes());
-    msg.push(b'\n');
-    msg
-}
-
-/// Reads one line, newline stripped; `Ok(None)` at EOF.
-fn read_trimmed(reader: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
-}
-
 impl WorkerLink for PipeLink {
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.tx.write_all(&framed(line))
+        // The line and its newline in one buffer, so the reader wakes once.
+        let mut msg = Vec::with_capacity(line.len() + 1);
+        msg.extend_from_slice(line.as_bytes());
+        msg.push(b'\n');
+        self.tx.write_all(&msg)
     }
 
     fn recv_line(&mut self) -> io::Result<Option<String>> {
-        read_trimmed(&mut self.rx)
+        let mut line = String::new();
+        if self.rx.read_line(&mut line)? == 0 {
+            return Ok(None);
+        }
+        while line.ends_with('\n') || line.ends_with('\r') {
+            line.pop();
+        }
+        Ok(Some(line))
     }
 
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
