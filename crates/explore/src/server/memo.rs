@@ -9,26 +9,27 @@
 //! * **expansions** (worker) — a `sweep` spec's points and their design
 //!   fingerprints ([`PointSet`]), so a repeated sweep neither builds nor
 //!   hashes a design,
-//! * **cells** (worker) — the designs of a `refine` grid, built once per
-//!   spec, latency budget and pipelining interval by wrapping the
-//!   workload's [`BuildFn`], so every clock of a budget shares one design,
+//! * **cells** (worker) — the designs of `refine` grids, built once per
+//!   workload, matmul dimension, latency budget and pipelining interval,
+//!   so every clock of a budget, in every refine of the workload, shares
+//!   one design,
 //! * **routes** (router) — the spec's [`routing_fingerprint`], so warm
 //!   shards stay exactly where they were.
 //!
-//! All three key on [`SpecKey`]: exactly the fields expansion reads. The
-//! objectives, constraints and id of a request stay per request, and two
-//! specs differing only there share one entry. Points share their
-//! designs through `Arc`, with each other and with the pool's prefix
-//! cache, so a memo hit copies pointers, not graphs. Expansion errors are
-//! never kept: a failing spec is expanded, and answered with the same
-//! message, on every request.
+//! Expansions and routes key on [`SpecKey`]: exactly the fields expansion
+//! reads. The objectives, constraints and id of a request stay per
+//! request, and two specs differing only there share one entry. Points
+//! share their designs through `Arc`, with each other and with the pool's
+//! prefix cache, so a memo hit copies pointers, not graphs. Expansion
+//! errors are never kept: a failing spec is expanded, and answered with
+//! the same message, on every request.
 //!
 //! [`routing_fingerprint`]: crate::server::session::routing_fingerprint
 
 use crate::cache::{CacheKey, CacheStats, CacheValue, EvictingCache, ENTRY_OVERHEAD};
 use crate::pool::PointSet;
 use crate::server::protocol::WorkloadSpec;
-use crate::server::session::{sweep_points, BuildFn};
+use crate::server::session::{sweep_points, DesignFn};
 use crate::sweep::SweepCell;
 use adhls_core::dse::DsePoint;
 use adhls_ir::Design;
@@ -51,9 +52,9 @@ pub const CELL_BUDGET: usize = 8 << 20;
 /// afresh every time.
 pub const ROUTE_BUDGET: usize = 1 << 20;
 
-/// The fields of a [`WorkloadSpec`] that decide its expansion, its refine
-/// grid and its routing key, with a 64-bit index over them. Hits compare
-/// every field, never just the index.
+/// The fields of a [`WorkloadSpec`] that decide its expansion and its
+/// routing key, with a 64-bit index over them. Hits compare every field,
+/// never just the index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecKey {
     index: u64,
@@ -143,22 +144,56 @@ impl CacheKey for SpecKey {
     }
 }
 
-/// One refine cell design of one spec: what a [`BuildFn`] reads of a
-/// cell, its latency budget and pipelining interval.
+/// The fields of a [`WorkloadSpec`] a refine grid's [`DesignFn`] closes
+/// over: which builder, and matmul's dimension.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct GridFields {
+    workload: Option<String>,
+    dim: Option<usize>,
+}
+
+impl GridFields {
+    fn new(spec: &WorkloadSpec) -> Self {
+        // As in `SpecKey::with_mix`, a new field is a compile error here.
+        // The axes shape the grid, not its designs; DSL, random and
+        // per-request fields have no grid.
+        let WorkloadSpec {
+            workload,
+            dim,
+            dsl: _,
+            dsl_prefix: _,
+            clocks: _,
+            cycles: _,
+            pipeline: _,
+            count: _,
+            seed: _,
+            objectives: _,
+            constraints: _,
+            mode: _,
+        } = spec;
+        GridFields {
+            workload: workload.clone(),
+            dim: *dim,
+        }
+    }
+}
+
+/// One refine cell design: what a [`DesignFn`] closes over and the
+/// latency budget and pipelining interval it is called with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CellKey {
     index: u64,
-    spec: Arc<SpecKey>,
+    grid: Arc<GridFields>,
     cycles: u32,
     pipeline_ii: Option<u32>,
 }
 
 impl CellKey {
-    fn new(spec: &Arc<SpecKey>, cell: &SweepCell, mix: fn(u64) -> u64) -> Self {
+    fn new(grid: &Arc<GridFields>, cell: &SweepCell, mix: fn(u64) -> u64) -> Self {
         let (cycles, pipeline_ii) = (cell.cycles, cell.pipeline_ii);
         CellKey {
-            index: index_of(&(spec.index, cycles, pipeline_ii), mix),
-            spec: Arc::clone(spec),
+            index: index_of(&(&**grid, cycles, pipeline_ii), mix),
+            grid: Arc::clone(grid),
             cycles,
             pipeline_ii,
         }
@@ -170,10 +205,12 @@ impl CacheKey for CellKey {
         self.index
     }
 
-    /// The spec key is shared by every cell of a refine, but each entry is
-    /// charged for it in full.
+    /// The grid fields are shared by every cell of a refine, but each
+    /// entry is charged for them in full.
     fn key_bytes(&self) -> usize {
-        std::mem::size_of::<CellKey>() + self.spec.key_bytes()
+        std::mem::size_of::<CellKey>()
+            + std::mem::size_of::<GridFields>()
+            + self.grid.workload.as_ref().map_or(0, String::len)
     }
 }
 
@@ -290,18 +327,22 @@ impl SpecMemo {
             .0
     }
 
-    /// Wraps `spec`'s refine cell builder so each design is built once,
-    /// shared by every cell with its latency budget and pipelining
-    /// interval and by every later refine of the spec.
+    /// Wraps `spec`'s refine design builder into a cell builder that
+    /// builds each design once, shared by every cell with its latency
+    /// budget and pipelining interval and by every later refine of the
+    /// workload, whatever its clocks.
     pub(crate) fn cell_builder<'a>(
         &'a self,
         spec: &WorkloadSpec,
-        mut build: BuildFn,
+        mut design: DesignFn,
     ) -> impl FnMut(&SweepCell) -> Arc<Design> + 'a {
-        let spec = Arc::new(SpecKey::with_mix(spec, self.mix));
+        let grid = Arc::new(GridFields::new(spec));
         move |cell| {
-            let key = CellKey::new(&spec, cell, self.mix);
-            self.cells.get_or_compute(key, || Arc::new(build(cell))).0
+            let key = CellKey::new(&grid, cell, self.mix);
+            let (cycles, pipeline_ii) = (key.cycles, key.pipeline_ii);
+            self.cells
+                .get_or_compute(key, || Arc::new(design(cycles, pipeline_ii)))
+                .0
         }
     }
 
@@ -427,6 +468,8 @@ mod tests {
             r#"{"cmd":"sweep","workload":"random","count":2,"seed":4}"#,
             r#"{"cmd":"refine","workload":"interpolation","clocks":[1400,1800],"cycles":[3,4]}"#,
             r#"{"cmd":"refine","workload":"interpolation","clocks":[1400,2400],"cycles":[4,6]}"#,
+            r#"{"cmd":"refine","workload":"matmul","dim":2,"clocks":[2200],"cycles":[4]}"#,
+            r#"{"cmd":"refine","workload":"matmul","dim":3,"clocks":[2200],"cycles":[4]}"#,
         ];
         for round in 0..2 {
             for (i, line) in requests.iter().enumerate() {

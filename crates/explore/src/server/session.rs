@@ -39,10 +39,14 @@ use std::time::Instant;
 pub use crate::server::transport::MAX_REQUEST_BYTES;
 
 /// A per-cell design builder, boxed so grids for different workloads share
-/// one type (and `Send` so refinements can run on pool threads). A builder
-/// reads only a cell's `cycles` and `pipeline_ii`: the serve tier's cell
-/// memo keys each built design on those two and hands it to every clock.
+/// one type (and `Send` so refinements can run on pool threads).
 pub type BuildFn = Box<dyn FnMut(&SweepCell) -> Design + Send>;
+
+/// A grid workload's design of one latency budget and pipelining
+/// interval. It is given nothing else of a cell, so every clock of a
+/// budget gets the same design: the serve tier's cell memo keys a design
+/// on these two arguments and the spec fields the builder closes over.
+pub(crate) type DesignFn = Box<dyn FnMut(u32, Option<u32>) -> Design + Send>;
 
 /// Largest matmul dimension a request may ask for (op count grows as n³;
 /// 64 is already a ~500k-multiply design).
@@ -273,6 +277,14 @@ pub fn routing_fingerprint(spec: &WorkloadSpec) -> Result<u64, String> {
 /// (random fleets, the fixed Table-4 points, DSL designs with their own
 /// state structure) are rejected.
 pub fn workload_grid(spec: &WorkloadSpec) -> Result<(SweepGrid, String, BuildFn), String> {
+    let (grid, prefix, mut design) = grid_designs(spec)?;
+    let build = move |cell: &SweepCell| design(cell.cycles, cell.pipeline_ii);
+    Ok((grid, prefix, Box::new(build)))
+}
+
+/// [`workload_grid`] with its builder narrowed to what it reads of a
+/// cell.
+pub(crate) fn grid_designs(spec: &WorkloadSpec) -> Result<(SweepGrid, String, DesignFn), String> {
     validate_axes(spec)?;
     if spec.dsl.is_some() {
         return Err("adaptive refinement explores workload grids, not DSL designs".into());
@@ -291,9 +303,9 @@ pub fn workload_grid(spec: &WorkloadSpec) -> Result<(SweepGrid, String, BuildFn)
             let grid = SweepGrid::new()
                 .clocks_ps(clocks.unwrap_or_else(|| vec![1100, 1400, 1800, 2400]))
                 .cycles(cycles.unwrap_or_else(|| vec![3, 4, 6]));
-            let build = |cell: &SweepCell| {
+            let build = |cycles, _| {
                 let cfg = interpolation::InterpolationConfig {
-                    cycles: cell.cycles,
+                    cycles,
                     ..Default::default()
                 };
                 interpolation::build(&cfg).0
@@ -305,12 +317,7 @@ pub fn workload_grid(spec: &WorkloadSpec) -> Result<(SweepGrid, String, BuildFn)
                 .clocks_ps(clocks.unwrap_or_else(|| vec![2200, 3000]))
                 .cycles(cycles.unwrap_or_else(|| vec![12, 16, 24, 32]))
                 .pipeline_modes(modes.unwrap_or_else(|| vec![None]));
-            let build = |cell: &SweepCell| {
-                idct::build_2d(&idct::IdctConfig {
-                    cycles: cell.cycles,
-                    pipelined: cell.pipeline_ii,
-                })
-            };
+            let build = |cycles, pipelined| idct::build_2d(&idct::IdctConfig { cycles, pipelined });
             Ok((grid, "idct".into(), Box::new(build)))
         }
         "matmul" => {
@@ -321,10 +328,10 @@ pub fn workload_grid(spec: &WorkloadSpec) -> Result<(SweepGrid, String, BuildFn)
             let grid = SweepGrid::new()
                 .clocks_ps(clocks.unwrap_or_else(|| vec![2200, 3000]))
                 .cycles(cycles.unwrap_or_else(|| vec![4, 6, 8]));
-            let build = move |cell: &SweepCell| {
+            let build = move |cycles, _| {
                 matmul::build(&matmul::MatmulConfig {
                     n,
-                    cycles: cell.cycles,
+                    cycles,
                     ..Default::default()
                 })
             };
@@ -635,7 +642,7 @@ impl Server {
                 budget,
                 gap_tol,
                 warm_front,
-            }) => match adhls_telemetry::timed("session.expand", || workload_grid(&spec))
+            }) => match adhls_telemetry::timed("session.expand", || grid_designs(&spec))
                 .and_then(|g| refine_spaces(&spec).map(|s| (g, s)))
                 .and_then(|(g, s)| validate_spec_constraints(&spec, &s).map(|()| (g, s)))
             {
@@ -651,7 +658,7 @@ impl Server {
                     )?;
                     ok = false;
                 }
-                Ok(((grid, prefix, build), spaces)) => {
+                Ok(((grid, prefix, design), spaces)) => {
                     let warm_start: Vec<SweepCell> = warm_front
                         .iter()
                         .filter_map(|n| DsePoint::parse_grid_name(n))
@@ -678,7 +685,7 @@ impl Server {
                         &self.pool,
                         &grid,
                         &prefix,
-                        self.memo.cell_builder(&spec, build),
+                        self.memo.cell_builder(&spec, design),
                         &opts,
                         &spaces,
                         |t| {

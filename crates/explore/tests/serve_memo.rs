@@ -4,8 +4,8 @@
 //! answered exactly as a fresh server answers it; specs differing only in
 //! per-request fields share one expansion. The memo stays inside its byte
 //! budget under a stream of distinct inline designs, a `refine` builds one
-//! design per latency budget and a repeat builds none, and the router
-//! computes each spec's routing key once.
+//! design per latency budget and a repeat, or a refine over other clocks,
+//! builds none, and the router computes each spec's routing key once.
 
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
@@ -195,21 +195,26 @@ fn evaluated_cells(result: &str) -> Vec<String> {
     cells
 }
 
-#[test]
-fn a_repeated_refine_builds_no_cell_design() {
-    let srv = Server::new(pool());
-    let line = r#"{"id":1,"cmd":"refine","workload":"interpolation","clocks":[1100,1400,1800,2400],"cycles":[3,4,6],"gap_tol":0.0}"#;
-    let first = respond(&srv, line);
-    // A design depends on its cell's cycles and II, never its clock
-    // (`-c<ps>` in a cell's name): one build per distinct pair.
-    let cells = evaluated_cells(&first);
-    let designs: HashSet<String> = cells
+/// The designs of refine cells: a design depends on its cell's cycles
+/// and II, never its clock (`-c<ps>` in a cell's name).
+fn designs_of(cells: &[String]) -> HashSet<String> {
+    cells
         .iter()
         .map(|name| {
             let parts: Vec<&str> = name.split('-').filter(|p| !p.starts_with('c')).collect();
             parts.join("-")
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn a_repeated_refine_builds_no_cell_design() {
+    let srv = Server::new(pool());
+    let line = r#"{"id":1,"cmd":"refine","workload":"interpolation","clocks":[1100,1400,1800,2400],"cycles":[3,4,6],"gap_tol":0.0}"#;
+    let first = respond(&srv, line);
+    // One build per distinct (cycles, II) pair.
+    let cells = evaluated_cells(&first);
+    let mut designs = designs_of(&cells);
     let built = counter(&srv.metrics_snapshot(), "memo.cell.misses");
     assert_eq!(built, designs.len() as u64, "{cells:?}");
     assert!(cells.len() > designs.len(), "clocks share designs");
@@ -226,6 +231,23 @@ fn a_repeated_refine_builds_no_cell_design() {
     assert_eq!(
         counter(&snap, "memo.cell.hits"),
         2 * cells.len() as u64 - built
+    );
+    // A refine over other clocks builds only the designs of budgets no
+    // earlier refine evaluated.
+    let shifted = r#"{"id":2,"cmd":"refine","workload":"interpolation","clocks":[1130,1430,1830,2430],"cycles":[3,4,6],"gap_tol":0.0}"#;
+    let third = respond(&srv, shifted);
+    assert_eq!(third, fresh(shifted));
+    let shifted_cells = evaluated_cells(&third);
+    designs.extend(designs_of(&shifted_cells));
+    let snap = srv.metrics_snapshot();
+    assert_eq!(
+        counter(&snap, "memo.cell.misses"),
+        designs.len() as u64,
+        "{shifted_cells:?}"
+    );
+    assert_eq!(
+        counter(&snap, "memo.cell.hits"),
+        (2 * cells.len() + shifted_cells.len()) as u64 - designs.len() as u64
     );
 }
 
