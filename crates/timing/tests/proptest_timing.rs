@@ -9,7 +9,7 @@ use adhls_ir::{Design, OpId, OpKind};
 use adhls_reslib::tsmc90;
 use adhls_timing::bellman::compute_slack_bellman;
 use adhls_timing::budget::{
-    budget, budget_with_choices, budget_with_choices_from, op_choices, BudgetOptions, SlackEngine,
+    budget, budget_with_choices_from, op_choices, BudgetOptions, SlackEngine,
 };
 use adhls_timing::slack::{compute_slack, SlackMode, SlackState};
 use adhls_timing::TimedDfg;
@@ -117,14 +117,19 @@ proptest! {
 
     /// One budgeting loop, two engines: the incremental topological
     /// refresh and the Bellman-Ford full recomputation pick the same moves
-    /// and end in the same state, with and without locked ops.
+    /// and end in the same state, with and without locked ops, from the
+    /// slowest grades or a warm start. Either way a call makes at most two
+    /// moves per candidate: phase 1 only upgrades, phase 2 only
+    /// downgrades, and a reverted downgrade caps its op at its grade, so
+    /// no loop needs a move cap.
     #[test]
     fn budget_engines_agree(
         r in recipe(),
-        clock in 500u64..3500,
+        clock in 300u64..3500,
         plain in any::<bool>(),
         overhead in 0u64..120,
         lock_seeds in prop::collection::vec(0usize..64, 0..4),
+        warm_seeds in prop::collection::vec(0usize..8, 1..16),
     ) {
         let (d, pool) = build(&r);
         let (info, spans) = d.analyze().unwrap();
@@ -135,38 +140,6 @@ proptest! {
             let c = choices.candidates(o.0 as usize);
             (locked.contains(&o) && !c.is_empty()).then(|| c[c.len() / 2].grade.delay_ps)
         };
-        let opts = |engine| BudgetOptions {
-            mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
-            engine,
-            overhead_ps: overhead,
-            ..BudgetOptions::default()
-        };
-        let run = |engine| budget_with_choices(&tdfg, &choices, clock, &opts(engine), lock);
-        let topo = run(SlackEngine::Topological);
-        let bf = run(SlackEngine::BellmanFord);
-        prop_assert_eq!(&topo.choice_idx, &bf.choice_idx);
-        prop_assert_eq!(&topo.delays, &bf.delays);
-        prop_assert_eq!(&topo.slack, &bf.slack);
-        prop_assert_eq!(topo.min_slack, bf.min_slack);
-        prop_assert_eq!(topo.moves, bf.moves);
-        prop_assert_eq!(topo.reverted, bf.reverted);
-    }
-
-    /// A budgeting call makes at most two moves per candidate, on either
-    /// engine and from the slowest grades or a warm start: phase 1 only
-    /// upgrades, phase 2 only downgrades, and a reverted downgrade caps its
-    /// op at its grade, so no loop needs a move cap.
-    #[test]
-    fn budget_moves_stay_within_twice_the_candidates(
-        r in recipe(),
-        clock in 300u64..3500,
-        plain in any::<bool>(),
-        warm_seeds in prop::collection::vec(0usize..8, 1..16),
-    ) {
-        let (d, _) = build(&r);
-        let (info, spans) = d.analyze().unwrap();
-        let tdfg = TimedDfg::build(&d.dfg, &info, &spans).unwrap();
-        let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
         let bound = 2 * choices.iter().map(|c| c.candidates.len()).sum::<usize>();
         let warm: Vec<Option<usize>> = (0..d.dfg.len_ids())
             .map(|i| {
@@ -174,23 +147,31 @@ proptest! {
                 (n > 0).then(|| warm_seeds[i % warm_seeds.len()] % n)
             })
             .collect();
-        for engine in [SlackEngine::Topological, SlackEngine::BellmanFord] {
-            let opts = BudgetOptions {
-                mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
-                engine,
-                ..BudgetOptions::default()
+        let opts = |engine| BudgetOptions {
+            mode: if plain { SlackMode::Plain } else { SlackMode::Aligned },
+            engine,
+            overhead_ps: overhead,
+            ..BudgetOptions::default()
+        };
+        for initial in [None, Some(warm.as_slice())] {
+            let run = |engine| {
+                budget_with_choices_from(&tdfg, &choices, clock, &opts(engine), lock, initial)
             };
-            for initial in [None, Some(warm.as_slice())] {
-                let b = budget_with_choices_from(&tdfg, &choices, clock, &opts, |_| None, initial);
-                prop_assert!(
-                    b.moves <= bound,
-                    "{:?} warm {}: {} moves over {} candidates",
-                    engine,
-                    initial.is_some(),
-                    b.moves,
-                    bound / 2
-                );
-            }
+            let topo = run(SlackEngine::Topological);
+            let bf = run(SlackEngine::BellmanFord);
+            prop_assert_eq!(&topo.choice_idx, &bf.choice_idx);
+            prop_assert_eq!(&topo.delays, &bf.delays);
+            prop_assert_eq!(&topo.slack, &bf.slack);
+            prop_assert_eq!(topo.min_slack, bf.min_slack);
+            prop_assert_eq!(topo.moves, bf.moves);
+            prop_assert_eq!(topo.reverted, bf.reverted);
+            prop_assert!(
+                topo.moves <= bound,
+                "warm {}: {} moves over {} candidates",
+                initial.is_some(),
+                topo.moves,
+                bound / 2
+            );
         }
     }
 
