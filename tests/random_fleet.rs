@@ -85,25 +85,29 @@ fn fleet_schedules_preserve_semantics() {
 
 /// The slack flow's per-edge rebudget bookkeeping on fixed designs, at
 /// counts recorded from a known-good scheduler: budgeting moves,
-/// relaxation rounds, and how many per-edge rebudgets ran and how many
-/// were elided. A rebudget elided when its inputs changed, or rerun when
-/// they did not, can leave every row as it was and still move these
-/// counts: on fleet designs C633 and C1401 such regressions moved nothing
-/// else.
+/// relaxation rounds, how many per-edge rebudgets ran and how many were
+/// elided, and budgeting's slack evaluations and reverted moves. A
+/// rebudget elided when its inputs changed, or rerun when they did not,
+/// can leave every row as it was and still move these counts: on fleet
+/// designs C633 and C1401 such regressions moved nothing else. The last
+/// two pin the work inside each budgeting call: a slack update that
+/// visits an op more or less often, or a move pick that takes another
+/// op, moves them.
 #[test]
 fn rebudget_counts_of_fixed_designs_are_pinned() {
     let lib = tsmc90::library();
     let mut designs = random::fleet(1, 633);
     designs.extend(random::fleet(1, 1401));
     designs.push(("idct1d".into(), idct::build_1d(12), 1800));
-    // (design, flow, (budget moves, relax rounds, rebudgets run, elided))
+    // (design, flow, (budget moves, relax rounds, rebudgets run, elided,
+    // slack evaluations, reverted moves))
     let expect = [
-        ("C633", Flow::Conventional, (0, 3, 0, 0)),
-        ("C633", Flow::SlackBased, (340, 4, 29, 6)),
-        ("C1401", Flow::Conventional, (0, 9, 0, 0)),
-        ("C1401", Flow::SlackBased, (59, 18, 79, 16)),
-        ("idct1d", Flow::Conventional, (0, 0, 0, 0)),
-        ("idct1d", Flow::SlackBased, (0, 4, 58, 2)),
+        ("C633", Flow::Conventional, (0, 3, 0, 0, 0, 0)),
+        ("C633", Flow::SlackBased, (340, 4, 29, 6, 11_224, 0)),
+        ("C1401", Flow::Conventional, (0, 9, 0, 0, 0, 0)),
+        ("C1401", Flow::SlackBased, (59, 18, 79, 16, 24_362, 16)),
+        ("idct1d", Flow::Conventional, (0, 0, 0, 0, 0, 0)),
+        ("idct1d", Flow::SlackBased, (0, 4, 58, 2, 8_880, 0)),
     ];
     for (name, flow, want) in expect {
         let (_, design, clock) = designs.iter().find(|(n, ..)| n == name).unwrap();
@@ -125,6 +129,8 @@ fn rebudget_counts_of_fixed_designs_are_pinned() {
             r.relax_rounds,
             count("pipeline.rebudget.run"),
             count("pipeline.rebudget.elided"),
+            count("pipeline.budget.slack_evals"),
+            count("pipeline.budget.reverted"),
         );
         assert_eq!(got, want, "{name} {flow:?}");
     }
