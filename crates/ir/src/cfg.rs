@@ -585,10 +585,10 @@ impl CfgInfo {
             }
         };
         // dist[n] = min #states (inclusive) on forward paths head(e) ->* n.
+        // Back edges get rows too: their heads start forward paths as well.
         let mut dist = vec![u32::MAX; n_nodes];
         let mut hdist = vec![u32::MAX; n_nodes];
-        for &e in &edge_topo {
-            let r = e.0 as usize;
+        for r in 0..n_edges {
             let head = edge_to[r];
             dist.fill(u32::MAX);
             hdist.fill(u32::MAX);
@@ -642,7 +642,8 @@ impl CfgInfo {
             let (u, h) = (edge_from[be.0 as usize], edge_to[be.0 as usize]);
             node_loops[h.0 as usize] |= mask;
             node_loops[u.0 as usize] |= mask;
-            let mut stack = vec![u];
+            // A self-loop's source is its header, where the walk stops.
+            let mut stack = if u == h { Vec::new() } else { vec![u] };
             while let Some(n) = stack.pop() {
                 for e in inn.of(n) {
                     let p = edge_from[e.0 as usize];
@@ -1119,6 +1120,50 @@ mod tests {
         for (i, edge) in e.iter().enumerate().take(8).skip(1) {
             assert_eq!(info.loops_of(*edge), 1, "e{i} should be in loop 0");
         }
+    }
+
+    /// `start -> top -> s -> bottom` with back edge `bottom -> top`.
+    fn one_loop_cfg() -> (Cfg, [EdgeId; 4]) {
+        let mut g = Cfg::new("one_loop");
+        let start = g.add_node(NodeKind::Start);
+        let top = g.add_node(NodeKind::Join);
+        let s = g.add_node(NodeKind::State(StateKind::Hard));
+        let bottom = g.add_node(NodeKind::Plain);
+        let e0 = g.add_edge(start, top);
+        let e1 = g.add_edge(top, s);
+        let e2 = g.add_edge(s, bottom);
+        let back = g.add_back_edge(bottom, top);
+        (g, [e0, e1, e2, back])
+    }
+
+    #[test]
+    fn a_back_edge_reaches_itself_and_its_headers_paths() {
+        let (g, [e0, e1, e2, back]) = one_loop_cfg();
+        let info = g.analyze().unwrap();
+        assert!(info.reaches(back, back));
+        assert_eq!(info.latency(back, back), Some(0));
+        assert_eq!(info.hard_latency(back, back), Some(0));
+        // head(back) is `top`: its forward paths reach e1 and e2, not e0.
+        assert_eq!(info.latency(back, e1), Some(0));
+        assert_eq!(info.latency(back, e2), Some(1));
+        assert!(!info.reaches(back, e0));
+        // Forward edges still never reach the back edge.
+        assert!(!info.reaches(e2, back));
+    }
+
+    #[test]
+    fn a_self_loop_holds_only_its_own_node() {
+        // start -> a -> w, with `w` a state looping on itself.
+        let mut g = Cfg::new("self_loop");
+        let start = g.add_node(NodeKind::Start);
+        let a = g.add_node(NodeKind::Plain);
+        let w = g.add_node(NodeKind::State(StateKind::Hard));
+        let e0 = g.add_edge(start, a);
+        let e1 = g.add_edge(a, w);
+        let back = g.add_back_edge(w, w);
+        let info = g.analyze().unwrap();
+        let loops: Vec<u64> = [e0, e1, back].map(|e| info.loops_of(e)).to_vec();
+        assert_eq!(loops, [0, 0, 1]);
     }
 
     #[test]
