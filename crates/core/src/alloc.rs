@@ -7,8 +7,10 @@
 
 use adhls_ir::{Design, OpId};
 use adhls_reslib::{Candidate, ResClass};
-use std::collections::BTreeMap;
 use std::fmt;
+
+/// One count per resource class, indexed by [`ResClass::index`].
+pub type PerClass = [usize; ResClass::ALL.len()];
 
 /// Identifier of a resource instance within an [`Allocation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,10 +55,10 @@ impl Instance {
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
     instances: Vec<Instance>,
-    limits: BTreeMap<ResClass, usize>,
+    limits: PerClass,
     /// Instances per class, kept with `instances` so the limit check does
     /// not scan them.
-    counts: BTreeMap<ResClass, usize>,
+    counts: PerClass,
 }
 
 impl Allocation {
@@ -69,49 +71,60 @@ impl Allocation {
     /// The minimal initial limits of paper Fig. 8 step 1: per class,
     /// `ceil(#resource-backed ops of the class / #available cycles)`.
     ///
-    /// `cycles` is the number of states available to one iteration (≥ 1).
+    /// `cycles` is the number of states available to one iteration (≥ 1);
+    /// classes without resource-backed ops get limit 0.
     #[must_use]
-    pub fn initial_limits(design: &Design, cycles: usize) -> BTreeMap<ResClass, usize> {
+    pub fn initial_limits(design: &Design, cycles: usize) -> PerClass {
         let cycles = cycles.max(1);
-        let mut per_class: BTreeMap<ResClass, usize> = BTreeMap::new();
+        let mut per_class = PerClass::default();
         for o in design.dfg.op_ids() {
             let classes = adhls_reslib::class::classes_for(design.dfg.op(o).kind());
             if let Some(&preferred) = classes.first() {
-                *per_class.entry(preferred).or_insert(0) += 1;
+                per_class[preferred.index()] += 1;
             }
         }
         // 25% headroom over the perfect-packing bound: chaining and span
         // constraints make exact bin-packing unreachable, and relaxation
         // restarts are costlier than a slightly generous start.
-        per_class
-            .into_iter()
-            .map(|(c, n)| (c, (n + n / 4).div_ceil(cycles).max(1)))
-            .collect()
+        per_class.map(|n| {
+            if n == 0 {
+                0
+            } else {
+                (n + n / 4).div_ceil(cycles).max(1)
+            }
+        })
+    }
+
+    /// Empties the allocation and sets every class's limit, keeping its
+    /// buffer.
+    pub(crate) fn reset(&mut self, limits: &PerClass) {
+        self.instances.clear();
+        self.limits = *limits;
+        self.counts = PerClass::default();
     }
 
     /// Sets the growth limit for a class.
     pub fn set_limit(&mut self, class: ResClass, limit: usize) {
-        self.limits.insert(class, limit);
+        self.limits[class.index()] = limit;
     }
 
     /// Current limit for a class (0 when never set).
     #[must_use]
     pub fn limit(&self, class: ResClass) -> usize {
-        self.limits.get(&class).copied().unwrap_or(0)
+        self.limits[class.index()]
     }
 
     /// Raises the limit for a class by one (the relaxation "add resource"
     /// move) and returns the new limit.
     pub fn relax(&mut self, class: ResClass) -> usize {
-        let l = self.limits.entry(class).or_insert(0);
-        *l += 1;
-        *l
+        self.limits[class.index()] += 1;
+        self.limits[class.index()]
     }
 
     /// Number of instances of a class currently allocated.
     #[must_use]
     pub fn count(&self, class: ResClass) -> usize {
-        self.counts.get(&class).copied().unwrap_or(0)
+        self.counts[class.index()]
     }
 
     /// Whether another instance of `class` may be created.
@@ -135,7 +148,7 @@ impl Allocation {
     pub fn create_unchecked(&mut self, candidate: Candidate, width: u16) -> InstId {
         let id = InstId(self.instances.len() as u32);
         self.instances.push(Instance { candidate, width });
-        *self.counts.entry(candidate.class).or_insert(0) += 1;
+        self.counts[candidate.class.index()] += 1;
         id
     }
 
@@ -231,8 +244,9 @@ mod tests {
         b.wait();
         let d = b.finish().unwrap();
         let limits = Allocation::initial_limits(&d, 3);
-        assert_eq!(limits.get(&ResClass::Multiplier), Some(&3));
-        assert_eq!(limits.get(&ResClass::Adder), Some(&2));
+        assert_eq!(limits[ResClass::Multiplier.index()], 3);
+        assert_eq!(limits[ResClass::Adder.index()], 2);
+        assert_eq!(limits[ResClass::Divider.index()], 0);
         let _ = tsmc90::library();
     }
 

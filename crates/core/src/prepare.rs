@@ -107,11 +107,12 @@ pub struct ClockContext {
 impl ClockContext {
     /// A context over per-op-id priorities and grade indices (equal
     /// lengths).
-    pub(crate) fn new(prio: &[i64], grade_idx: &[Option<usize>]) -> Self {
-        debug_assert_eq!(prio.len(), grade_idx.len());
-        let grades = grade_idx.iter().map(|g| g.map_or(-1, |k| k as i64));
+    pub(crate) fn new(prio: &[i64], grade_idx: impl IntoIterator<Item = Option<usize>>) -> Self {
+        let grades = grade_idx.into_iter().map(|g| g.map_or(-1, |k| k as i64));
+        let per_op: Box<[i64]> = prio.iter().copied().chain(grades).collect();
+        debug_assert_eq!(per_op.len(), 2 * prio.len());
         ClockContext {
-            per_op: prio.iter().copied().chain(grades).collect(),
+            per_op,
             ..ClockContext::default()
         }
     }

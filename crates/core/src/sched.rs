@@ -39,7 +39,10 @@
 //!   ([`TimedDfg::reweight_ops`]).
 //! * **Budgeting.** Each grade move updates a
 //!   [`SlackState`](adhls_timing::slack::SlackState) over the moved op's
-//!   fan-out and fan-in cones; a rejected move replays its undo log.
+//!   fan-out and fan-in cones, walking a bitset of topological positions;
+//!   a rejected move replays its undo log. Phase 1 picks its upgrade from
+//!   a bitset of upgradable negative-slack ops that each update's undo
+//!   log refreshes.
 //! * **Placement.** Each edge seeds a heap of ready ops from the legality
 //!   index and feeds it the users each commit makes ready. Instances are
 //!   listed per compatible class set in (slowest first, id) order, and
@@ -49,8 +52,15 @@
 //! * **Restarts.** A pass whose grade caps equal an earlier pass's reuses
 //!   that pass's initial budget, and a pass with untruncated caps reuses
 //!   the prefix's clock context for its options.
+//!
+//! A run keeps one workspace for all of this: one pass state that each
+//! relaxation round resets in place (bounds, grades, priorities,
+//! placement arrays, allocation, use lists, busy bitsets, the ready heap),
+//! one timed DFG, and one [`BudgetEngine`] that the run's initial budgets
+//! and per-edge rebudgets all reuse. A round allocates only where one of
+//! its tables outgrows every earlier round's.
 
-use crate::alloc::{Allocation, InstId};
+use crate::alloc::{Allocation, InstId, PerClass};
 use crate::area::{self, AreaReport};
 use crate::bind;
 use crate::prepare::{ClockContext, PreparedDesign};
@@ -62,10 +72,11 @@ use adhls_reslib::class::classes_for;
 use adhls_reslib::library::op_resource_width;
 use adhls_reslib::{Library, ResClass};
 use adhls_timing::aligned::align_start_up;
-use adhls_timing::budget::{budget_with_choices_from, BudgetOptions, OpChoices};
+use adhls_timing::budget::{BudgetEngine, BudgetOptions, OpChoices};
 use adhls_timing::slack::{compute_slack, SlackMode};
 use adhls_timing::TimedDfg;
-use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,7 +166,7 @@ struct PassFailure {
     /// Resource-deferral events per class during the failed pass: how often
     /// an operation could not be placed because the class was at its
     /// allocation limit. Guides the "add resource" relaxation.
-    pressure: Vec<(ResClass, u32)>,
+    pressure: [u32; ResClass::ALL.len()],
     /// True when some op in the failing op's input cone was deferred by a
     /// resource limit (the lateness is resource-induced, not grade-induced).
     cone_resource_deferred: bool,
@@ -339,7 +350,8 @@ fn lap(acc: &mut Duration, t0: Option<Instant>) {
 }
 
 /// Schedules passes until one succeeds, relaxing limits and grade caps
-/// after each failure; every pass starts from the prefix's initial bounds.
+/// after each failure; every pass starts from the prefix's initial bounds,
+/// in the one workspace the run keeps for all its passes.
 fn relax_loop(
     prep: &PreparedDesign,
     lib: &Library,
@@ -359,8 +371,9 @@ fn relax_loop(
         .collect();
     // The last computed initial budget and the caps it was computed under:
     // a restart that only raised a resource limit budgets identically.
-    let mut last_init: Option<(Vec<usize>, Arc<ClockContext>)> = None;
-    let mut tdfg_buf: Option<TimedDfg> = None;
+    let mut last_init: Option<Arc<ClockContext>> = None;
+    let mut last_cap: Vec<usize> = Vec::new();
+    let mut pass = Pass::new(prep, lib, opts, stats);
 
     // Escalation: when the same operation keeps failing despite local
     // relaxations, ratchet every operation's slowest allowed grade down —
@@ -378,41 +391,34 @@ fn relax_loop(
             .iter()
             .enumerate()
             .all(|(i, &c)| c == base_choices.candidates(i).len().saturating_sub(1));
-        // Apply caps by truncating candidate lists; untruncated caps leave
-        // the base choices untouched, so borrow instead of deep-cloning.
-        let choices: Cow<OpChoices> = if pristine {
-            Cow::Borrowed(base_choices)
-        } else {
-            Cow::Owned(base_choices.truncated(&grade_cap))
-        };
+        // Apply caps by truncating candidate lists.
+        pass.choices.set_truncated(base_choices, &grade_cap);
         // The initial budget: reused from the last pass computed under the
         // same caps, or from the prefix's clock context, else computed.
-        let t0 = stats.start();
+        let t0 = pass.stats.start();
         let reused = match &last_init {
-            Some((cap, ctx)) if *cap == grade_cap => Some(Arc::clone(ctx)),
+            Some(ctx) if last_cap == grade_cap => Some(Arc::clone(ctx)),
             _ if pristine => prep.clock_context(opts),
             _ => None,
         };
         let computed = reused.is_none();
         let init = reused.unwrap_or_else(|| {
-            let ctx = Arc::new(initial_grades(prep, lib, opts, &choices));
+            let ctx = Arc::new(pass.initial_grades());
             if pristine {
                 prep.store_clock_context(opts, Arc::clone(&ctx));
             }
             ctx
         });
-        lap(&mut stats.budget, t0);
-        last_init = Some((grade_cap.clone(), Arc::clone(&init)));
+        lap(&mut pass.stats.budget, t0);
+        last_cap.clone_from(&grade_cap);
         if opts.flow == Flow::SlackBased && computed {
-            stats.rebudget_run += 1;
+            pass.stats.rebudget_run += 1;
         } else if opts.flow == Flow::SlackBased {
-            stats.rebudget_elided += 1;
+            pass.stats.rebudget_elided += 1;
         }
-        stats.add_budget(&init);
-        let mut pass = Pass::new(prep, lib, opts, &choices, &mut tdfg_buf, &init, stats);
-        for (class, lim) in &limits {
-            pass.alloc.set_limit(*class, *lim);
-        }
+        pass.stats.add_budget(&init);
+        pass.reset(&init, &limits);
+        last_init = Some(init);
         match pass.run() {
             Ok(()) => {
                 let schedule = pass.into_schedule();
@@ -444,71 +450,13 @@ fn relax_loop(
                             *cap = (*cap).min(global_cap.min(n - 1));
                         }
                     }
-                    stats.remedy(Remedy::GlobalCap);
+                    pass.stats.remedy(Remedy::GlobalCap);
                 }
                 last_failure = Some(sig);
                 let remedy =
                     apply_relaxation(design, base_choices, &mut limits, &mut grade_cap, &f)?;
-                stats.remedy(remedy);
+                pass.stats.remedy(remedy);
             }
-        }
-    }
-}
-
-/// The grades and slack priorities a pass starts from, by flow: fastest
-/// (conventional) or slowest (slowest-upgrade) grades with one slack
-/// analysis for priorities, or a full slack budget (slack flow).
-fn initial_grades(
-    prep: &PreparedDesign,
-    lib: &Library,
-    opts: &HlsOptions,
-    choices: &OpChoices,
-) -> ClockContext {
-    let (design, tdfg) = (prep.design(), prep.initial_tdfg());
-    let n = design.dfg.len_ids();
-    let mux = mux_penalty(lib, opts);
-    let mut grade_idx = vec![None; n];
-    match opts.flow {
-        Flow::Conventional | Flow::SlowestUpgrade => {
-            let mut delays = vec![0i64; n];
-            for o in design.dfg.op_ids() {
-                let i = o.0 as usize;
-                let ch = choices.get(i);
-                if ch.candidates.is_empty() {
-                    delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
-                } else {
-                    let k = if opts.flow == Flow::Conventional {
-                        0
-                    } else {
-                        ch.candidates.len() - 1
-                    };
-                    grade_idx[i] = Some(k);
-                    delays[i] = ch.candidates[k].grade.delay_ps as i64 + mux;
-                }
-            }
-            let prio = compute_slack(tdfg, &delays, opts.clock_ps as i64, SlackMode::Aligned).slack;
-            ClockContext::new(&prio, &grade_idx)
-        }
-        Flow::SlackBased => {
-            let r = budget_with_choices_from(
-                tdfg,
-                choices,
-                opts.clock_ps,
-                &budget_opts(lib, opts),
-                |_| None,
-                None,
-            );
-            for o in design.dfg.op_ids() {
-                let i = o.0 as usize;
-                if !choices.candidates(i).is_empty() {
-                    grade_idx[i] = r.choice_idx[i];
-                }
-            }
-            let mut ctx = ClockContext::new(&r.slack.slack, &grade_idx);
-            ctx.budget_moves = r.moves;
-            ctx.budget_reverted = r.reverted;
-            ctx.slack_evals = r.slack_evals;
-            ctx
         }
     }
 }
@@ -550,7 +498,7 @@ fn count_states(info: &CfgInfo) -> usize {
 fn apply_relaxation(
     design: &Design,
     base_choices: &OpChoices,
-    limits: &mut std::collections::BTreeMap<ResClass, usize>,
+    limits: &mut PerClass,
     grade_cap: &mut [usize],
     f: &PassFailure,
 ) -> Result<Remedy> {
@@ -559,13 +507,9 @@ fn apply_relaxation(
             // Scale the growth by the observed shortfall so tail pileups
             // (dozens of ops forced onto the last edge) converge in a few
             // restarts instead of one instance per restart.
-            let n = f
-                .pressure
-                .iter()
-                .find(|(c, _)| *c == class)
-                .map_or(1, |&(_, n)| n);
+            let n = f.pressure[class.index()];
             let bump = (n as usize / 32).clamp(1, 16);
-            *limits.entry(class).or_insert(0) += bump;
+            limits[class.index()] += bump;
             Ok(Remedy::AddResource)
         }
         NoFit::Timing => {
@@ -593,12 +537,18 @@ fn apply_relaxation(
                     .map(|cand| cand.grade.area)
                     .fold(f64::INFINITY, f64::min)
             };
+            // The most pressured class, compatible ones first; ties go to
+            // the first class in `ResClass::ALL`.
+            let most_pressured = |keep: &dyn Fn(ResClass) -> bool| {
+                ResClass::ALL
+                    .into_iter()
+                    .filter(|&c| f.pressure[c.index()] > 0 && keep(c))
+                    .min_by_key(|&c| Reverse(f.pressure[c.index()]))
+            };
             let bump_candidate: Option<(ResClass, u32, f64)> = if f.cone_resource_deferred {
-                f.pressure
-                    .iter()
-                    .find(|(c, n)| *n > 0 && compat.contains(c))
-                    .or_else(|| f.pressure.iter().find(|(_, n)| *n > 0))
-                    .map(|&(c, n)| (c, n, class_cost(c)))
+                most_pressured(&|c| compat.contains(&c))
+                    .or_else(|| most_pressured(&|_| true))
+                    .map(|c| (c, f.pressure[c.index()], class_cost(c)))
             } else {
                 None
             };
@@ -633,7 +583,7 @@ fn apply_relaxation(
             match (bump_candidate, cone, cone_cost) {
                 (Some((class, n, bcost)), Some(_), Some(ccost)) if bcost <= ccost => {
                     let bump = (n as usize / 64).clamp(1, 8);
-                    *limits.entry(class).or_insert(0) += bump;
+                    limits[class.index()] += bump;
                     Ok(Remedy::AddResource)
                 }
                 (_, Some((p, _)), _) => {
@@ -645,7 +595,7 @@ fn apply_relaxation(
                 }
                 (Some((class, n, _)), None, _) => {
                     let bump = (n as usize / 64).clamp(1, 8);
-                    *limits.entry(class).or_insert(0) += bump;
+                    limits[class.index()] += bump;
                     Ok(Remedy::AddResource)
                 }
                 (None, None, _) => Err(Error::Transform(format!(
@@ -666,32 +616,21 @@ struct InstanceList {
     insts: Vec<InstId>,
 }
 
-/// Fixed-size bitset over CFG edges.
-#[derive(Debug, Clone)]
-struct EdgeSet(Vec<u64>);
+/// Ends a per-op use list.
+const NO_USE: u32 = u32::MAX;
 
-impl EdgeSet {
-    fn new(n_edges: usize) -> Self {
-        EdgeSet(vec![0; n_edges.div_ceil(64)])
-    }
-
-    fn insert(&mut self, e: usize) {
-        self.0[e / 64] |= 1 << (e % 64);
-    }
-
-    fn contains(&self, e: usize) -> bool {
-        self.0[e / 64] & (1 << (e % 64)) != 0
-    }
-}
-
-/// One `Schedule_pass` attempt.
+/// One run's scheduling workspace: the state of one `Schedule_pass`
+/// attempt, reset in place for each relaxation round, with the budgeting
+/// engine and the timed DFG every budget of the run reuses. A round
+/// allocates only where a table grows past every earlier round's.
 struct Pass<'a> {
     design: &'a Design,
     info: &'a CfgInfo,
     span_analysis: &'a SpanAnalysis,
     lib: &'a Library,
     opts: &'a HlsOptions,
-    choices: &'a OpChoices,
+    /// The prefix's candidates under this round's grade caps.
+    choices: OpChoices,
     spans: SpanBounds,
     /// Current grade index per op (None for fixed-delay ops).
     grade_idx: Vec<Option<usize>>,
@@ -702,29 +641,34 @@ struct Pass<'a> {
     eff_delay: Vec<i64>,
     inst_of: Vec<Option<InstId>>,
     alloc: Allocation,
-    /// Ops bound per instance.
-    uses: Vec<Vec<OpId>>,
-    /// Per instance: the edges where a one-cycle use would conflict with
-    /// one of its uses (`use_conflicts` evaluated at commit).
-    busy: Vec<EdgeSet>,
-    /// Placement order per compatible class set, built on first use and
-    /// kept current as instances are created.
+    /// Ops bound per instance, as linked lists: an instance's latest use,
+    /// and per op the use bound to its instance before it (`NO_USE` ends a
+    /// list).
+    last_use: Vec<u32>,
+    prev_use: Vec<u32>,
+    /// Per instance, `busy_words` words of bits over CFG edges: the edges
+    /// where a one-cycle use would conflict with one of its uses
+    /// (`use_conflicts` evaluated at commit).
+    busy: Vec<u64>,
+    busy_words: usize,
+    /// Placement order per compatible class set, found by the set's
+    /// address, built on first use and kept current as instances are
+    /// created.
     inst_lists: Vec<InstanceList>,
     /// Unscheduled forward-operand count per op.
     preds_left: Vec<u32>,
     /// Root edge for pipeline cycle positions.
     root_edge: EdgeId,
     /// Resource-deferral events per class (allocation-limit hits).
-    pressure: std::collections::BTreeMap<ResClass, u32>,
+    pressure: [u32; ResClass::ALL.len()],
     /// Last deferral reason per op (diagnoses must-schedule failures).
     defer_reason: Vec<Option<NoFit>>,
     /// The prefix the pass runs over: its legality index seeds placement,
-    /// and its initial timed DFG is copied into `tdfg` on the pass's first
+    /// and its initial timed DFG is copied into `tdfg` on a pass's first
     /// rebudget (only the slack flow rebudgets).
     prep: &'a PreparedDesign,
-    /// Timed DFG over `spans`, reweighted in place per rebudget; the run
-    /// keeps one buffer for all its passes.
-    tdfg: &'a mut Option<TimedDfg>,
+    /// Timed DFG over `spans`, reweighted in place per rebudget.
+    tdfg: Option<TimedDfg>,
     /// Whether `tdfg` holds this pass's state yet.
     tdfg_ready: bool,
     /// Ops pinned since the last rebudget updated the bounds.
@@ -749,70 +693,160 @@ struct Pass<'a> {
     /// only writes grades of unscheduled ops (`prio` is never read after
     /// the run) — so the pass ends early.
     unscheduled: usize,
+    /// Every budgeting call of the run: initial budgets and rebudgets.
+    budget: BudgetEngine,
+    /// Placement's ready heap, empty between edges.
+    ready: BinaryHeap<Reverse<(i64, u32)>>,
+    /// Per op, the number of the last edge visit that queued it; visits
+    /// are numbered across the whole run, so no reset is needed.
+    queued: Vec<u32>,
+    visit: u32,
     stats: &'a mut RunStats,
 }
 
 impl<'a> Pass<'a> {
+    /// A workspace for runs of `opts` over `prep`, sized to its design;
+    /// [`Pass::reset`] starts each round.
     fn new(
         prep: &'a PreparedDesign,
         lib: &'a Library,
         opts: &'a HlsOptions,
-        choices: &'a OpChoices,
-        tdfg: &'a mut Option<TimedDfg>,
-        init: &ClockContext,
         stats: &'a mut RunStats,
     ) -> Self {
         let (design, info) = (prep.design(), prep.info());
         let n = design.dfg.len_ids();
-        let mut preds_left = vec![0u32; n];
-        for o in design.dfg.op_ids() {
-            preds_left[o.0 as usize] = design
-                .dfg
-                .forward_operands(o)
-                .filter(|&p| !design.dfg.op(p).kind().is_const())
-                .count() as u32;
-        }
-        let root_edge = info.edge_topo().first().copied().unwrap_or(EdgeId(0));
-        // Fixed-delay ops start at their intrinsic delay, resource-backed
-        // ones at 0 until placed.
-        let eff_delay = choices
-            .iter()
-            .map(|c| match c.candidates {
-                [] => c.fixed_ps.unwrap_or(0) as i64,
-                _ => 0,
-            })
-            .collect();
         Pass {
             design,
             info,
             span_analysis: prep.span_analysis(),
             lib,
             opts,
-            choices,
+            choices: prep.base_choices().clone(),
             spans: prep.initial_bounds().clone(),
-            grade_idx: init.grade_idx().collect(),
-            prio: init.prio().to_vec(),
+            grade_idx: Vec::with_capacity(n),
+            prio: Vec::with_capacity(n),
             sched_edge: vec![None; n],
             start: vec![0; n],
-            eff_delay,
+            eff_delay: vec![0; n],
             inst_of: vec![None; n],
             alloc: Allocation::new(),
-            uses: Vec::new(),
+            last_use: Vec::new(),
+            prev_use: vec![NO_USE; n],
             busy: Vec::new(),
+            busy_words: info.len_edges().div_ceil(64),
             inst_lists: Vec::new(),
-            preds_left,
-            root_edge,
-            pressure: std::collections::BTreeMap::new(),
+            preds_left: vec![0; n],
+            root_edge: info.edge_topo().first().copied().unwrap_or(EdgeId(0)),
+            pressure: [0; ResClass::ALL.len()],
             defer_reason: vec![None; n],
             prep,
-            tdfg,
+            tdfg: None,
             tdfg_ready: false,
             new_pins: Vec::new(),
             moved: Vec::new(),
             pins_dirty: true,
             budget_stable: false,
-            unscheduled: design.dfg.op_ids().count(),
+            unscheduled: 0,
+            budget: BudgetEngine::default(),
+            ready: BinaryHeap::new(),
+            queued: vec![0; n],
+            visit: 0,
             stats,
+        }
+    }
+
+    /// Starts a round from the prefix's initial bounds, with `init`'s
+    /// grades and priorities, an empty allocation under `limits`, and
+    /// nothing placed.
+    fn reset(&mut self, init: &ClockContext, limits: &PerClass) {
+        let dfg = &self.design.dfg;
+        self.spans.clone_from(self.prep.initial_bounds());
+        self.grade_idx.clear();
+        self.grade_idx.extend(init.grade_idx());
+        self.prio.clear();
+        self.prio.extend_from_slice(init.prio());
+        self.sched_edge.fill(None);
+        self.start.fill(0);
+        // Fixed-delay ops start at their intrinsic delay, resource-backed
+        // ones at 0 until placed.
+        for (d, c) in self.eff_delay.iter_mut().zip(self.choices.iter()) {
+            *d = match c.candidates {
+                [] => c.fixed_ps.unwrap_or(0) as i64,
+                _ => 0,
+            };
+        }
+        self.inst_of.fill(None);
+        self.alloc.reset(limits);
+        self.last_use.clear();
+        self.busy.clear();
+        for l in &mut self.inst_lists {
+            l.insts.clear();
+        }
+        for o in dfg.op_ids() {
+            self.preds_left[o.0 as usize] = dfg
+                .forward_operands(o)
+                .filter(|&p| !dfg.op(p).kind().is_const())
+                .count() as u32;
+        }
+        self.pressure = [0; ResClass::ALL.len()];
+        self.defer_reason.fill(None);
+        self.tdfg_ready = false;
+        self.new_pins.clear();
+        self.pins_dirty = true;
+        self.budget_stable = false;
+        self.unscheduled = dfg.op_ids().count();
+    }
+
+    /// The grades and slack priorities a pass starts from under the
+    /// current caps, by flow: fastest (conventional) or slowest
+    /// (slowest-upgrade) grades with one slack analysis for priorities, or
+    /// a full slack budget (slack flow).
+    fn initial_grades(&mut self) -> ClockContext {
+        let (dfg, tdfg, opts) = (&self.design.dfg, self.prep.initial_tdfg(), self.opts);
+        let choices = &self.choices;
+        match opts.flow {
+            Flow::Conventional | Flow::SlowestUpgrade => {
+                let n = dfg.len_ids();
+                let mux = mux_penalty(self.lib, opts);
+                let mut grade_idx = vec![None; n];
+                let mut delays = vec![0i64; n];
+                for o in dfg.op_ids() {
+                    let i = o.0 as usize;
+                    let ch = choices.get(i);
+                    if ch.candidates.is_empty() {
+                        delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
+                    } else {
+                        let k = if opts.flow == Flow::Conventional {
+                            0
+                        } else {
+                            ch.candidates.len() - 1
+                        };
+                        grade_idx[i] = Some(k);
+                        delays[i] = ch.candidates[k].grade.delay_ps as i64 + mux;
+                    }
+                }
+                let prio =
+                    compute_slack(tdfg, &delays, opts.clock_ps as i64, SlackMode::Aligned).slack;
+                ClockContext::new(&prio, grade_idx)
+            }
+            Flow::SlackBased => {
+                let r = &mut self.budget;
+                r.run(
+                    tdfg,
+                    choices,
+                    opts.clock_ps,
+                    &budget_opts(self.lib, opts),
+                    |_| None,
+                    None,
+                );
+                let grades = (0..dfg.len_ids())
+                    .map(|i| r.choice_idx()[i].filter(|_| !choices.candidates(i).is_empty()));
+                let mut ctx = ClockContext::new(&r.slack().slack, grades);
+                ctx.budget_moves = r.moves;
+                ctx.budget_reverted = r.reverted;
+                ctx.slack_evals = r.slack_evals;
+                ctx
+            }
         }
     }
 
@@ -856,7 +890,7 @@ impl<'a> Pass<'a> {
                 &mut self.moved,
             )?;
             self.new_pins.clear();
-            let tdfg = match (self.tdfg_ready, &mut *self.tdfg) {
+            let tdfg = match (self.tdfg_ready, &mut self.tdfg) {
                 (true, Some(t)) => t,
                 (false, Some(t)) => {
                     t.clone_from(self.prep.initial_tdfg());
@@ -887,9 +921,10 @@ impl<'a> Pass<'a> {
             .as_ref()
             .filter(|_| self.tdfg_ready)
             .expect("rebudget ran at least once with dirty pins");
-        let r = budget_with_choices_from(
+        let r = &mut self.budget;
+        r.run(
             tdfg,
-            self.choices,
+            &self.choices,
             self.opts.clock_ps,
             &bopts,
             pinned,
@@ -899,11 +934,11 @@ impl<'a> Pass<'a> {
         for o in dfg.op_ids() {
             let i = o.0 as usize;
             if self.sched_edge[i].is_none() && !self.choices.candidates(i).is_empty() {
-                moved |= self.grade_idx[i] != r.choice_idx[i];
-                self.grade_idx[i] = r.choice_idx[i];
+                moved |= self.grade_idx[i] != r.choice_idx()[i];
+                self.grade_idx[i] = r.choice_idx()[i];
             }
         }
-        self.prio = r.slack.slack;
+        self.prio.copy_from_slice(&r.slack().slack);
         self.pins_dirty = false;
         self.budget_stable = !moved;
         let stats = &mut *self.stats;
@@ -930,8 +965,8 @@ impl<'a> Pass<'a> {
     }
 
     fn walk_edges(&mut self) -> std::result::Result<(), PassFailure> {
-        let edges: Vec<EdgeId> = self.info.edge_topo().to_vec();
-        for e in edges {
+        let info = self.info;
+        for &e in info.edge_topo() {
             self.place_edge(e)?;
             if self.unscheduled == 0 {
                 // Nothing left to place: the remaining edges cannot fail a
@@ -990,7 +1025,7 @@ impl<'a> Pass<'a> {
             op,
             reason,
             grade_at_failure: self.grade_idx[op.0 as usize],
-            pressure: self.pressure_ranked(),
+            pressure: self.pressure,
             cone_resource_deferred: self.cone_resource_deferred(op),
         }
     }
@@ -1008,22 +1043,20 @@ impl<'a> Pass<'a> {
     /// ops: every ready op has `e ∈ legal(o)` (`contains` requires it, and
     /// an unpinned op's early edge is drawn from its legal list).
     fn schedule_edge(&mut self, e: EdgeId) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
         let dfg = &self.design.dfg;
-        let mut queued = vec![false; dfg.len_ids()];
-        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
+        self.visit += 1;
+        let visit = self.visit;
         for &o in self.prep.edge_ops(e) {
             let i = o.0 as usize;
             if self.sched_edge[i].is_none()
                 && self.preds_left[i] == 0
                 && self.spans.contains(self.span_analysis, self.info, o, e)
             {
-                queued[i] = true;
-                heap.push(Reverse((self.prio[i], o.0)));
+                self.queued[i] = visit;
+                self.ready.push(Reverse((self.prio[i], o.0)));
             }
         }
-        while let Some(Reverse((_, oi))) = heap.pop() {
+        while let Some(Reverse((_, oi))) = self.ready.pop() {
             let o = OpId(oi);
             if self.attempt(o, e) {
                 // Users whose last pending operand just committed become
@@ -1033,13 +1066,13 @@ impl<'a> Pass<'a> {
                         continue;
                     }
                     let ui = u.0 as usize;
-                    if !queued[ui]
+                    if self.queued[ui] != visit
                         && self.sched_edge[ui].is_none()
                         && self.preds_left[ui] == 0
                         && self.spans.contains(self.span_analysis, self.info, u, e)
                     {
-                        queued[ui] = true;
-                        heap.push(Reverse((self.prio[ui], u.0)));
+                        self.queued[ui] = visit;
+                        self.ready.push(Reverse((self.prio[ui], u.0)));
                     }
                 }
             }
@@ -1164,14 +1197,27 @@ impl<'a> Pass<'a> {
         false
     }
 
+    /// The ops bound to `inst`, latest first.
+    fn uses(&self, inst: InstId) -> impl Iterator<Item = OpId> + '_ {
+        let mut u = self.last_use[inst.0 as usize];
+        std::iter::from_fn(move || {
+            (u != NO_USE).then(|| {
+                let o = OpId(u);
+                u = self.prev_use[u as usize];
+                o
+            })
+        })
+    }
+
     /// Whether a use of `inst` at `e` occupying `cycles` cycles conflicts
     /// with its existing uses: one bit test for one-cycle uses, a scan of
     /// the uses otherwise.
     fn conflicts(&self, inst: InstId, e: EdgeId, cycles: u32) -> bool {
         if cycles == 1 {
-            return self.busy[inst.0 as usize].contains(e.0 as usize);
+            let f = e.0 as usize;
+            return self.busy[inst.0 as usize * self.busy_words + f / 64] & (1 << (f % 64)) != 0;
         }
-        self.uses[inst.0 as usize].iter().any(|&u| {
+        self.uses(inst).any(|u| {
             let ue = self.sched_edge[u.0 as usize].expect("bound op must be scheduled");
             self.use_conflicts(e, cycles, ue, self.cycles_used(u))
         })
@@ -1179,7 +1225,11 @@ impl<'a> Pass<'a> {
 
     /// The placement list for `classes`, building it on first use.
     fn instance_list(&mut self, classes: &'static [ResClass]) -> usize {
-        if let Some(k) = self.inst_lists.iter().position(|l| l.classes == classes) {
+        if let Some(k) = self
+            .inst_lists
+            .iter()
+            .position(|l| std::ptr::eq(l.classes, classes))
+        {
             return k;
         }
         let alloc = &self.alloc;
@@ -1188,7 +1238,7 @@ impl<'a> Pass<'a> {
             .filter(|(_, inst)| classes.contains(&inst.class()))
             .map(|(id, _)| id)
             .collect();
-        insts.sort_by_key(|&id| std::cmp::Reverse(alloc.instance(id).delay_ps()));
+        insts.sort_by_key(|&id| Reverse(alloc.instance(id).delay_ps()));
         self.inst_lists.push(InstanceList { classes, insts });
         self.inst_lists.len() - 1
     }
@@ -1258,10 +1308,10 @@ impl<'a> Pass<'a> {
                 } else if any_conflict_free_but_slow {
                     // A fresh instance would have fit but the class is at
                     // its limit: that is resource pressure too.
-                    *self.pressure.entry(cand.class).or_insert(0) += 1;
+                    self.pressure[cand.class.index()] += 1;
                     Err(NoFit::Timing)
                 } else {
-                    *self.pressure.entry(cand.class).or_insert(0) += 1;
+                    self.pressure[cand.class.index()] += 1;
                     Err(NoFit::Resource(cand.class))
                 }
             }
@@ -1284,8 +1334,8 @@ impl<'a> Pass<'a> {
                 l.insts.insert(at, id);
             }
         }
-        self.uses.push(Vec::new());
-        self.busy.push(EdgeSet::new(self.info.len_edges()));
+        self.last_use.push(NO_USE);
+        self.busy.resize(self.busy.len() + self.busy_words, 0);
     }
 
     /// Aligned placement of a delay-`d` op whose operands arrive at `avail`
@@ -1322,12 +1372,14 @@ impl<'a> Pass<'a> {
         self.eff_delay[i] = d;
         self.inst_of[i] = inst;
         if let Some(id) = inst {
-            self.uses[id.0 as usize].push(o);
+            let k = id.0 as usize;
+            self.prev_use[i] = self.last_use[k];
+            self.last_use[k] = o.0;
             // Every edge where a one-cycle use would now collide.
             let uc = self.cycles_used(o);
             for f in 0..self.info.len_edges() {
                 if self.use_conflicts(EdgeId(f as u32), 1, e, uc) {
-                    self.busy[id.0 as usize].insert(f);
+                    self.busy[k * self.busy_words + f / 64] |= 1 << (f % 64);
                 }
             }
         }
@@ -1359,13 +1411,6 @@ impl<'a> Pass<'a> {
             stack.extend(self.design.dfg.forward_operands(x));
         }
         false
-    }
-
-    /// Deferral counts sorted most-pressured-first.
-    fn pressure_ranked(&self) -> Vec<(ResClass, u32)> {
-        let mut v: Vec<(ResClass, u32)> = self.pressure.iter().map(|(&c, &n)| (c, n)).collect();
-        v.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-        v
     }
 
     fn into_schedule(self) -> Schedule {
@@ -1626,18 +1671,14 @@ mod tests {
     fn check_busy_bitsets(d: &Design, opts: &HlsOptions) -> (usize, usize) {
         let lib = tsmc90::library();
         let prep = PreparedDesign::new(d, &lib).unwrap();
-        let choices = prep.base_choices();
-        let init = initial_grades(&prep, &lib, opts, choices);
         let mut stats = RunStats::default();
-        let mut tdfg = None;
-        let mut pass = Pass::new(&prep, &lib, opts, choices, &mut tdfg, &init, &mut stats);
-        for class in ResClass::ALL {
-            pass.alloc.set_limit(class, 64);
-        }
+        let mut pass = Pass::new(&prep, &lib, opts, &mut stats);
+        let init = pass.initial_grades();
+        pass.reset(&init, &[64; ResClass::ALL.len()]);
         let _ = pass.run();
         let (mut shared, mut multi) = (0, 0);
         for (id, _) in pass.alloc.iter() {
-            let uses = &pass.uses[id.0 as usize];
+            let uses: Vec<OpId> = pass.uses(id).collect();
             shared += usize::from(uses.len() > 1);
             multi += uses.iter().filter(|&&u| pass.cycles_used(u) > 1).count();
             for f in 0..pass.info.len_edges() {

@@ -400,10 +400,26 @@ impl SpanAnalysis {
 
 /// Early/late scheduling bounds per operation, without materialized edge
 /// lists. Produced by [`SpanAnalysis::bounds_pinned`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SpanBounds {
     early: Vec<Option<EdgeId>>,
     late: Vec<Option<EdgeId>>,
+}
+
+impl Clone for SpanBounds {
+    fn clone(&self) -> Self {
+        SpanBounds {
+            early: self.early.clone(),
+            late: self.late.clone(),
+        }
+    }
+
+    /// Field-wise, so resetting pinned bounds to their source reuses both
+    /// allocations.
+    fn clone_from(&mut self, src: &Self) {
+        self.early.clone_from(&src.early);
+        self.late.clone_from(&src.late);
+    }
 }
 
 impl SpanBounds {

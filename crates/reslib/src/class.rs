@@ -44,6 +44,13 @@ impl ResClass {
         ResClass::Mux,
     ];
 
+    /// Position of the class in [`ResClass::ALL`], for tables indexed by
+    /// class.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short lowercase name (stable; used by the text format and reports).
     #[must_use]
     pub fn name(self) -> &'static str {

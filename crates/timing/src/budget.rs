@@ -16,7 +16,7 @@
 //! baseline of Table 5 can be swapped in ([`SlackEngine::BellmanFord`]).
 
 use crate::bellman::compute_slack_bellman;
-use crate::slack::{compute_slack, SlackMode, SlackResult, SlackState};
+use crate::slack::{SlackMode, SlackResult, SlackState};
 use crate::tdfg::TimedDfg;
 use adhls_ir::{Dfg, Error, OpId, Result};
 use adhls_reslib::library::op_resource_width;
@@ -109,22 +109,17 @@ impl OpChoices {
         self.get(i).candidates
     }
 
-    /// The table with op id `i` limited to its `caps[i] + 1` fastest
-    /// candidates (ops without candidates keep none).
-    #[must_use]
-    pub fn truncated(&self, caps: &[usize]) -> OpChoices {
-        OpChoices {
-            ops: self
-                .ops
-                .iter()
-                .zip(caps)
-                .map(|(r, &cap)| ChoiceRun {
-                    len: (r.len as usize).min(cap.saturating_add(1)) as u32,
-                    ..*r
-                })
-                .collect(),
-            candidates: self.candidates.clone(),
-        }
+    /// Makes this table `base` with op id `i` limited to its `caps[i] + 1`
+    /// fastest candidates (ops without candidates keep none), reusing its
+    /// buffers.
+    pub fn set_truncated(&mut self, base: &OpChoices, caps: &[usize]) {
+        self.ops.clear();
+        self.ops
+            .extend(base.ops.iter().zip(caps).map(|(r, &cap)| ChoiceRun {
+                len: (r.len as usize).min(cap.saturating_add(1)) as u32,
+                ..*r
+            }));
+        self.candidates.clone_from(&base.candidates);
     }
 
     /// Heap bytes the table holds.
@@ -134,7 +129,8 @@ impl OpChoices {
     }
 }
 
-/// Builds the per-operation delay alternatives from a library.
+/// Builds the per-operation delay alternatives from a library. Ops of one
+/// kind and resource width share one run of the candidate table.
 ///
 /// A shift by a **constant** amount is pure wiring in hardware — it gets a
 /// fixed zero delay and no resource instead of a barrel shifter.
@@ -151,6 +147,7 @@ pub fn op_choices(dfg: &Dfg, lib: &Library) -> Result<OpChoices> {
     };
     let mut ops = vec![fixed(0); dfg.len_ids()];
     let mut candidates = Vec::new();
+    let mut runs: Vec<(adhls_ir::OpKind, u16, ChoiceRun)> = Vec::new();
     for o in dfg.op_ids() {
         let kind = dfg.op(o).kind();
         let const_shift = matches!(kind, adhls_ir::OpKind::Shl | adhls_ir::OpKind::Shr)
@@ -164,18 +161,23 @@ pub fn op_choices(dfg: &Dfg, lib: &Library) -> Result<OpChoices> {
             fixed(f)
         } else {
             let w = op_resource_width(dfg, o);
-            let cands = lib.candidates(kind, w);
-            if cands.is_empty() {
-                return Err(Error::MalformedDfg(format!(
-                    "no library candidates for {o} ({kind} at width {w})"
-                )));
-            }
-            let start = candidates.len() as u32;
-            candidates.extend_from_slice(&cands);
-            ChoiceRun {
-                start,
-                len: cands.len() as u32,
-                fixed_ps: None,
+            if let Some(&(.., run)) = runs.iter().find(|r| (r.0, r.1) == (kind, w)) {
+                run
+            } else {
+                let cands = lib.candidates(kind, w);
+                if cands.is_empty() {
+                    return Err(Error::MalformedDfg(format!(
+                        "no library candidates for {o} ({kind} at width {w})"
+                    )));
+                }
+                let run = ChoiceRun {
+                    start: candidates.len() as u32,
+                    len: cands.len() as u32,
+                    fixed_ps: None,
+                };
+                candidates.extend_from_slice(&cands);
+                runs.push((kind, w, run));
+                run
             }
         };
     }
@@ -260,6 +262,9 @@ pub fn budget_with_choices(
 /// the previous solution makes each re-budget incremental instead of
 /// re-deriving every grade from the slowest point.
 ///
+/// A fresh [`BudgetEngine`] runs the call; a caller that budgets
+/// repeatedly keeps one engine instead.
+///
 /// # Panics
 ///
 /// Panics if `clock_ps` is zero or `choices` is shorter than the id space.
@@ -272,184 +277,261 @@ pub fn budget_with_choices_from(
     locked: impl Fn(OpId) -> Option<u64>,
     initial: Option<&[Option<usize>]>,
 ) -> BudgetResult {
-    assert!(clock_ps > 0, "clock period must be positive");
-    assert!(
-        choices.ops.len() >= tdfg.len_ids(),
-        "choices table too short"
-    );
-    let t = clock_ps as i64;
-    let n = tdfg.len_ids();
-    let overhead = opts.overhead_ps as i64;
-    let margin = ((opts.margin_frac * clock_ps as f64).round() as i64).max(0);
-
-    // One loop serves both engines: the topological engine refreshes the
-    // slack state incrementally after each move, the Bellman-Ford baseline
-    // (Table 5) by a full recomputation.
-    let full = |delays: &[i64]| -> SlackResult {
-        match opts.engine {
-            SlackEngine::Topological => compute_slack(tdfg, delays, t, opts.mode),
-            SlackEngine::BellmanFord => compute_slack_bellman(tdfg, delays, t, opts.mode),
-        }
-    };
-    let full_evals = 2 * tdfg.topo().len();
-    let refresh = |st: &mut SlackState, delays: &[i64], o: OpId| -> usize {
-        match opts.engine {
-            SlackEngine::Topological => st.update(tdfg, delays, o),
-            SlackEngine::BellmanFord => {
-                st.replace(full(delays));
-                full_evals
-            }
-        }
-    };
-
-    // ---- initial point: the warm start, else the slowest grade.
-    let mut idx: Vec<Option<usize>> = vec![None; n];
-    let mut delays: Vec<i64> = vec![0; n];
-    let mut lock_flag: Vec<bool> = vec![false; n];
-    // Per-op cap on how slow we may go (tightened when an aligned-mode
-    // downgrade has to be reverted).
-    let mut max_idx: Vec<usize> = vec![usize::MAX; n];
-    for i in 0..n {
-        let o = OpId(i as u32);
-        if !tdfg.is_timed(o) {
-            continue;
-        }
-        if let Some(d) = locked(o) {
-            delays[i] = d as i64;
-            lock_flag[i] = true;
-            // Keep the matching candidate index if one matches exactly.
-            idx[i] = choices
-                .candidates(i)
-                .iter()
-                .position(|c| c.grade.delay_ps == d);
-            continue;
-        }
-        let ch = choices.get(i);
-        if ch.candidates.is_empty() {
-            delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
-        } else {
-            let warm = initial
-                .and_then(|init| init[i])
-                .filter(|&k| k < ch.candidates.len());
-            let k = warm.unwrap_or(ch.candidates.len() - 1);
-            idx[i] = Some(k);
-            delays[i] = ch.candidates[k].grade.delay_ps as i64 + overhead;
-        }
-    }
-
-    // Each loop ends on its own: phase 1 only upgrades, phase 2 only
-    // downgrades, and a reverted downgrade caps its op at its grade, so a
-    // call makes at most two moves per candidate.
-    let mut moves = 0usize;
-    let mut reverted = 0usize;
-
-    // The one-grade moves open to each op at its current grade, refreshed
-    // whenever its grade or cap changes, so every pick is one scan of
-    // plain numbers in id order.
-    let mut up: Vec<Option<f64>> = vec![None; n];
-    let mut down: Vec<Option<(i64, f64)>> = vec![None; n];
-    for i in 0..n {
-        if tdfg.is_timed(OpId(i as u32)) && !lock_flag[i] {
-            (up[i], down[i]) = moves_of(choices.get(i), idx[i], max_idx[i]);
-        }
-    }
-
-    let mut st = SlackState::new(full(&delays));
-    let mut slack_evals = full_evals;
-
-    // ---- phase 1: repair negative aligned slack by upgrading critical
-    // ops.
-    while st.min_slack() < 0 {
-        // Candidates: ops with negative slack that can still be sped up,
-        // preferring the binned-critical set (slack within `margin` of the
-        // minimum), falling back to any negative-slack op once the most
-        // critical ones are all at their fastest grade.
-        let min = st.min_slack();
-        let slack = st.slack();
-        let pick = |bin_only: bool| -> Option<usize> {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, score) in up.iter().enumerate() {
-                let Some(score) = *score else { continue };
-                let s = slack[i];
-                if s >= 0 || (bin_only && s > min + margin) {
-                    continue;
-                }
-                if best.is_none_or(|(_, b)| score > b) {
-                    best = Some((i, score));
-                }
-            }
-            best.map(|(i, _)| i)
-        };
-        let Some(i) = pick(true).or_else(|| pick(false)) else {
-            break;
-        };
-        let k = idx[i].unwrap() - 1;
-        idx[i] = Some(k);
-        delays[i] = choices.candidates(i)[k].grade.delay_ps as i64 + overhead;
-        (up[i], down[i]) = moves_of(choices.get(i), idx[i], max_idx[i]);
-        moves += 1;
-        slack_evals += refresh(&mut st, &delays, OpId(i as u32));
-    }
-
-    // ---- phase 2: spend positive slack on cheaper grades.
-    loop {
-        let slack = st.slack();
-        let mut best: Option<(usize, f64)> = None;
-        for (i, mv) in down.iter().enumerate() {
-            let Some((dcost, saving)) = *mv else { continue };
-            let s = slack[i];
-            if s <= margin {
-                continue; // binned as zero slack
-            }
-            if dcost > s {
-                continue;
-            }
-            if best.is_none_or(|(_, b)| saving > b) {
-                best = Some((i, saving));
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let k = idx[i].unwrap();
-        idx[i] = Some(k + 1);
-        delays[i] = choices.candidates(i)[k + 1].grade.delay_ps as i64 + overhead;
-        moves += 1;
-        let before = st.min_slack();
-        slack_evals += refresh(&mut st, &delays, OpId(i as u32));
-        // Revert when the downgrade cost more than the op's own slack
-        // (aligned-mode boundary push) — detected as a drop of the global
-        // minimum, or as any op turning negative that was not before (the
-        // global minimum of an infeasible design can mask new violations).
-        if st.min_slack() < before.min(0) || st.turned_negative() {
-            idx[i] = Some(k);
-            delays[i] = choices.candidates(i)[k].grade.delay_ps as i64 + overhead;
-            max_idx[i] = k;
-            st.revert();
-            reverted += 1;
-        }
-        (up[i], down[i]) = moves_of(choices.get(i), idx[i], max_idx[i]);
-    }
-
-    let mut chosen: Vec<Option<Candidate>> = vec![None; n];
+    let mut engine = BudgetEngine::default();
+    engine.run(tdfg, choices, clock_ps, opts, locked, initial);
+    let mut chosen: Vec<Option<Candidate>> = vec![None; engine.idx.len()];
     let mut dedicated_area = 0.0;
-    for i in 0..n {
-        if let Some(k) = idx[i] {
+    for (i, k) in engine.idx.iter().enumerate() {
+        if let Some(k) = *k {
             let c = choices.candidates(i)[k];
             chosen[i] = Some(c);
             dedicated_area += c.grade.area;
         }
     }
-    let min_slack = st.min_slack();
     BudgetResult {
-        choice_idx: idx,
+        choice_idx: engine.idx,
         chosen,
-        delays,
-        slack: st.into_result(),
-        min_slack,
+        delays: engine.delays,
+        min_slack: engine.st.min_slack(),
+        slack: engine.st.into_result(),
         dedicated_area,
-        moves,
-        reverted,
-        slack_evals,
+        moves: engine.moves,
+        reverted: engine.reverted,
+        slack_evals: engine.slack_evals,
     }
+}
+
+/// The budgeting loop and every table it works in: grade, delay and cap
+/// per op, each op's one-grade moves, the slack state, and phase 1's
+/// candidate set. [`BudgetEngine::run`] resets the tables in place, so an
+/// engine kept across calls allocates only while its tables grow to the
+/// largest graph it budgets.
+#[derive(Debug, Default)]
+pub struct BudgetEngine {
+    /// Grade index per op id (None for fixed-delay ops).
+    idx: Vec<Option<usize>>,
+    delays: Vec<i64>,
+    /// Per-op cap on how slow an op may go (tightened when an aligned-mode
+    /// downgrade has to be reverted).
+    cap: Vec<usize>,
+    /// The one-grade moves open to each op at its current grade and cap.
+    up: Vec<Option<f64>>,
+    down: Vec<Option<(i64, f64)>>,
+    /// Phase 1's candidates: ops with an upgrade and negative slack, one
+    /// bit per op id.
+    upgradable: Vec<u64>,
+    st: SlackState,
+    /// Moves (upgrades + downgrades) of the last call.
+    pub moves: usize,
+    /// Downgrades the last call took back because they made some slack
+    /// worse than the op's own slack allowed (counted in `moves` too).
+    pub reverted: usize,
+    /// Per-op arrival/required evaluations of the last call's slack
+    /// analysis (a full analysis costs two per timed op).
+    pub slack_evals: usize,
+}
+
+impl BudgetEngine {
+    /// Chosen candidate index per op id after the last call (None for
+    /// fixed-delay ops).
+    #[must_use]
+    pub fn choice_idx(&self) -> &[Option<usize>] {
+        &self.idx
+    }
+
+    /// Slack distribution after the last call.
+    #[must_use]
+    pub fn slack(&self) -> &SlackResult {
+        self.st.result()
+    }
+
+    /// Budgets `tdfg` like [`budget_with_choices_from`], leaving the
+    /// grades, slacks and counts in the engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock_ps` is zero or `choices` is shorter than the id
+    /// space.
+    pub fn run(
+        &mut self,
+        tdfg: &TimedDfg,
+        choices: &OpChoices,
+        clock_ps: u64,
+        opts: &BudgetOptions,
+        locked: impl Fn(OpId) -> Option<u64>,
+        initial: Option<&[Option<usize>]>,
+    ) {
+        assert!(clock_ps > 0, "clock period must be positive");
+        assert!(
+            choices.ops.len() >= tdfg.len_ids(),
+            "choices table too short"
+        );
+        let t = clock_ps as i64;
+        let n = tdfg.len_ids();
+        let overhead = opts.overhead_ps as i64;
+        let margin = ((opts.margin_frac * clock_ps as f64).round() as i64).max(0);
+        let delay = |i: usize, k: usize| choices.candidates(i)[k].grade.delay_ps as i64 + overhead;
+
+        // ---- initial point: the warm start, else the slowest grade.
+        reset(&mut self.idx, n, None);
+        reset(&mut self.delays, n, 0);
+        reset(&mut self.cap, n, usize::MAX);
+        reset(&mut self.up, n, None);
+        reset(&mut self.down, n, None);
+        for i in 0..n {
+            let o = OpId(i as u32);
+            if !tdfg.is_timed(o) {
+                continue;
+            }
+            if let Some(d) = locked(o) {
+                self.delays[i] = d as i64;
+                // Keep the matching candidate index if one matches exactly.
+                self.idx[i] = choices
+                    .candidates(i)
+                    .iter()
+                    .position(|c| c.grade.delay_ps == d);
+                continue;
+            }
+            let ch = choices.get(i);
+            if ch.candidates.is_empty() {
+                self.delays[i] = ch.fixed_ps.unwrap_or(0) as i64;
+            } else {
+                let warm = initial
+                    .and_then(|init| init[i])
+                    .filter(|&k| k < ch.candidates.len());
+                let k = warm.unwrap_or(ch.candidates.len() - 1);
+                self.idx[i] = Some(k);
+                self.delays[i] = delay(i, k);
+            }
+            (self.up[i], self.down[i]) = moves_of(ch, self.idx[i], self.cap[i]);
+        }
+
+        // One loop serves both engines: the topological engine refreshes
+        // the slack state incrementally after each move, the Bellman-Ford
+        // baseline (Table 5) by a full recomputation.
+        let full_evals = 2 * tdfg.topo().len();
+        match opts.engine {
+            SlackEngine::Topological => self.st.recompute(tdfg, &self.delays, t, opts.mode),
+            SlackEngine::BellmanFord => {
+                self.st = SlackState::new(compute_slack_bellman(tdfg, &self.delays, t, opts.mode));
+            }
+        }
+        let refresh = |st: &mut SlackState, delays: &[i64], o: usize| -> usize {
+            match opts.engine {
+                SlackEngine::Topological => st.update(tdfg, delays, OpId(o as u32)),
+                SlackEngine::BellmanFord => {
+                    st.replace(compute_slack_bellman(tdfg, delays, t, opts.mode));
+                    full_evals
+                }
+            }
+        };
+        // Each loop ends on its own: phase 1 only upgrades, phase 2 only
+        // downgrades, and a reverted downgrade caps its op at its grade, so
+        // a call makes at most two moves per candidate.
+        (self.moves, self.reverted, self.slack_evals) = (0, 0, full_evals);
+
+        // ---- phase 1: repair negative aligned slack by upgrading critical
+        // ops. The candidate set changes only where a move changed an op's
+        // upgrade or the update changed its slack.
+        reset(&mut self.upgradable, n.div_ceil(64), 0);
+        for i in 0..n {
+            mark_upgradable(&mut self.upgradable, &self.up, self.st.slack(), i);
+        }
+        while self.st.min_slack() < 0 {
+            // Candidates: ops with negative slack that can still be sped
+            // up, preferring the binned-critical set (slack within `margin`
+            // of the minimum), falling back to any negative-slack op once
+            // the most critical ones are all at their fastest grade. Ties
+            // go to the lowest id.
+            let (min, slack) = (self.st.min_slack(), self.st.slack());
+            let pick = |bin_only: bool| -> Option<usize> {
+                let mut best: Option<(usize, f64)> = None;
+                for (w, &word) in self.upgradable.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let i = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let score = self.up[i].expect("candidates can upgrade");
+                        if bin_only && slack[i] > min + margin {
+                            continue;
+                        }
+                        if best.is_none_or(|(_, b)| score > b) {
+                            best = Some((i, score));
+                        }
+                    }
+                }
+                best.map(|(i, _)| i)
+            };
+            let Some(i) = pick(true).or_else(|| pick(false)) else {
+                break;
+            };
+            let k = self.idx[i].unwrap() - 1;
+            self.idx[i] = Some(k);
+            self.delays[i] = delay(i, k);
+            (self.up[i], self.down[i]) = moves_of(choices.get(i), self.idx[i], self.cap[i]);
+            self.moves += 1;
+            self.slack_evals += refresh(&mut self.st, &self.delays, i);
+            for j in std::iter::once(i).chain(self.st.changed()) {
+                mark_upgradable(&mut self.upgradable, &self.up, self.st.slack(), j);
+            }
+        }
+
+        // ---- phase 2: spend positive slack on cheaper grades.
+        loop {
+            let slack = self.st.slack();
+            let mut best: Option<(usize, f64)> = None;
+            for (i, mv) in self.down.iter().enumerate() {
+                let Some((dcost, saving)) = *mv else { continue };
+                let s = slack[i];
+                if s <= margin {
+                    continue; // binned as zero slack
+                }
+                if dcost > s {
+                    continue;
+                }
+                if best.is_none_or(|(_, b)| saving > b) {
+                    best = Some((i, saving));
+                }
+            }
+            let Some((i, _)) = best else { break };
+            let k = self.idx[i].unwrap();
+            self.idx[i] = Some(k + 1);
+            self.delays[i] = delay(i, k + 1);
+            self.moves += 1;
+            let before = self.st.min_slack();
+            self.slack_evals += refresh(&mut self.st, &self.delays, i);
+            // Revert when the downgrade cost more than the op's own slack
+            // (aligned-mode boundary push) — detected as a drop of the
+            // global minimum, or as any op turning negative that was not
+            // before (the global minimum of an infeasible design can mask
+            // new violations).
+            if self.st.min_slack() < before.min(0) || self.st.turned_negative() {
+                self.idx[i] = Some(k);
+                self.delays[i] = delay(i, k);
+                self.cap[i] = k;
+                self.st.revert();
+                self.reverted += 1;
+            }
+            (self.up[i], self.down[i]) = moves_of(choices.get(i), self.idx[i], self.cap[i]);
+        }
+    }
+}
+
+/// Puts op `i` in phase 1's candidate set exactly when it has an upgrade
+/// and negative slack.
+fn mark_upgradable(set: &mut [u64], up: &[Option<f64>], slack: &[i64], i: usize) {
+    let bit = 1 << (i % 64);
+    if up[i].is_some() && slack[i] < 0 {
+        set[i / 64] |= bit;
+    } else {
+        set[i / 64] &= !bit;
+    }
+}
+
+/// Empties `v` and refills it with `n` copies of `x`, keeping its buffer.
+fn reset<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
 }
 
 /// The one-grade moves of an op at grade `k` under slowness cap `cap`:
@@ -521,7 +603,8 @@ mod tests {
         let full = op_choices(&d.dfg, &tsmc90::library()).unwrap();
         let n = d.dfg.len_ids();
         let caps: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let cut = full.truncated(&caps);
+        let mut cut = full.clone();
+        cut.set_truncated(&full, &caps);
         for (i, cap) in caps.iter().enumerate() {
             let (f, c) = (full.get(i), cut.get(i));
             assert_eq!(c.fixed_ps, f.fixed_ps);
@@ -530,6 +613,25 @@ mod tests {
         }
         let total = |t: &OpChoices| t.iter().map(|c| c.candidates.len()).sum::<usize>();
         assert!(total(&cut) < total(&full));
+    }
+
+    #[test]
+    fn ops_of_one_kind_and_width_share_a_candidate_run() {
+        let mut b = DesignBuilder::new("share");
+        let x = b.input("x", 8);
+        let m1 = b.binop(OpKind::Mul, x, x, 8);
+        let m2 = b.binop(OpKind::Mul, m1, x, 8);
+        let m3 = b.binop(OpKind::Mul, m2, x, 16);
+        b.write("y", m3);
+        let d = b.finish().unwrap();
+        let choices = op_choices(&d.dfg, &tsmc90::library()).unwrap();
+        let run = |o: OpId| choices.candidates(o.0 as usize);
+        assert!(std::ptr::eq(run(m1), run(m2)), "one run per (kind, width)");
+        assert!(
+            !std::ptr::eq(run(m1), run(m3)),
+            "another width, another run"
+        );
+        assert_eq!(choices.candidates.len(), run(m1).len() + run(m3).len());
     }
 
     #[test]

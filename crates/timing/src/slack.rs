@@ -21,8 +21,6 @@
 use crate::aligned::{align_start_down, align_start_up};
 use crate::tdfg::TimedDfg;
 use adhls_ir::OpId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Which variant of the analysis to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -36,7 +34,7 @@ pub enum SlackMode {
 }
 
 /// Result of a slack computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlackResult {
     /// Mode used.
     pub mode: SlackMode,
@@ -62,6 +60,33 @@ impl SlackResult {
     pub fn min_slack(&self) -> i64 {
         self.slack.iter().copied().min().unwrap_or(i64::MAX)
     }
+
+    /// Overwrites the result with [`compute_slack`]'s, in its own buffers.
+    fn fill(&mut self, tdfg: &TimedDfg, delays: &[i64], clock_ps: i64, mode: SlackMode) {
+        assert!(clock_ps > 0, "clock period must be positive");
+        assert!(delays.len() >= tdfg.len_ids(), "delay table too short");
+        let n = tdfg.len_ids();
+        let t = clock_ps;
+        (self.mode, self.clock_ps) = (mode, t);
+        for (v, init) in [
+            (&mut self.arr, 0),
+            (&mut self.req, i64::MAX),
+            (&mut self.slack, i64::MAX),
+        ] {
+            v.clear();
+            v.resize(n, init);
+        }
+        for &o in tdfg.topo() {
+            self.arr[o.0 as usize] = arrival(tdfg, delays, &self.arr, o, t, mode);
+        }
+        for &o in tdfg.topo().iter().rev() {
+            self.req[o.0 as usize] = required(tdfg, delays, &self.req, o, t, mode);
+        }
+        for &o in tdfg.topo() {
+            let oi = o.0 as usize;
+            self.slack[oi] = self.req[oi] - self.arr[oi];
+        }
+    }
 }
 
 /// Computes sequential (or aligned) slack for the timed DFG under the given
@@ -77,30 +102,9 @@ pub fn compute_slack(
     clock_ps: i64,
     mode: SlackMode,
 ) -> SlackResult {
-    assert!(clock_ps > 0, "clock period must be positive");
-    assert!(delays.len() >= tdfg.len_ids(), "delay table too short");
-    let n = tdfg.len_ids();
-    let t = clock_ps;
-    let mut arr = vec![0i64; n];
-    let mut req = vec![i64::MAX; n];
-    for &o in tdfg.topo() {
-        arr[o.0 as usize] = arrival(tdfg, delays, &arr, o, t, mode);
-    }
-    for &o in tdfg.topo().iter().rev() {
-        req[o.0 as usize] = required(tdfg, delays, &req, o, t, mode);
-    }
-    let mut slack = vec![i64::MAX; n];
-    for &o in tdfg.topo() {
-        let oi = o.0 as usize;
-        slack[oi] = req[oi] - arr[oi];
-    }
-    SlackResult {
-        mode,
-        clock_ps: t,
-        arr,
-        req,
-        slack,
-    }
+    let mut r = SlackResult::default();
+    r.fill(tdfg, delays, clock_ps, mode);
+    r
 }
 
 /// The forward recurrence of Fig. 6: `o`'s earliest start from its
@@ -149,7 +153,7 @@ fn required(tdfg: &TimedDfg, delays: &[i64], req: &[i64], o: OpId, t: i64, mode:
 /// values it overwrote: [`SlackState::revert`] restores the state before
 /// the update, and [`SlackState::turned_negative`] inspects only the ops
 /// that changed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SlackState {
     r: SlackResult,
     /// Minimum of `r.slack` (`i64::MAX` when no op is timed).
@@ -161,10 +165,9 @@ pub struct SlackState {
     undo_min: i64,
     /// Whether an op has an entry in `undo`.
     logged: Vec<bool>,
-    /// Worklist of topological positions (reused across updates).
-    work: BinaryHeap<Reverse<u32>>,
-    /// Reverse-order worklist (reused across updates).
-    work_rev: BinaryHeap<u32>,
+    /// Worklist of topological positions, one bit each; empty between
+    /// updates.
+    work: Vec<u64>,
 }
 
 impl SlackState {
@@ -172,17 +175,31 @@ impl SlackState {
     /// Bellman-Ford baseline) of the timed DFG later updates will name.
     #[must_use]
     pub fn new(r: SlackResult) -> Self {
-        let n = r.slack.len();
-        let min = r.min_slack();
-        SlackState {
+        let mut st = SlackState {
             r,
-            min,
-            undo: Vec::new(),
-            undo_min: min,
-            logged: vec![false; n],
-            work: BinaryHeap::new(),
-            work_rev: BinaryHeap::new(),
-        }
+            ..SlackState::default()
+        };
+        st.reset();
+        st
+    }
+
+    /// Overwrites the state with a fresh analysis of `tdfg` under `delays`,
+    /// reusing its buffers (an empty undo log, as after [`SlackState::new`]).
+    pub(crate) fn recompute(&mut self, tdfg: &TimedDfg, delays: &[i64], t: i64, mode: SlackMode) {
+        self.r.fill(tdfg, delays, t, mode);
+        self.reset();
+    }
+
+    /// Sizes the per-op tables to the analysis and empties the undo log.
+    fn reset(&mut self) {
+        let n = self.r.slack.len();
+        self.undo.clear();
+        self.logged.clear();
+        self.logged.resize(n, false);
+        self.work.clear();
+        self.work.resize(n.div_ceil(64), 0);
+        self.min = self.r.min_slack();
+        self.undo_min = self.min;
     }
 
     /// The current analysis.
@@ -209,6 +226,11 @@ impl SlackState {
         self.min
     }
 
+    /// The ops whose values the last update (or replace) changed.
+    pub(crate) fn changed(&self) -> impl Iterator<Item = usize> + '_ {
+        self.undo.iter().map(|&(i, ..)| i as usize)
+    }
+
     /// Brings the analysis up to date after `delays[o]` changed (every
     /// other delay unchanged since the last update), and starts a new undo
     /// log holding exactly the ops whose values changed. Returns how many
@@ -225,47 +247,46 @@ impl SlackState {
         let mut evals = 0;
         // Arrivals: `o`'s own (aligned mode reads its delay) and its
         // successors' (they read `arr(o) + del(o)`), then onward wherever
-        // an arrival moved. Positions only grow along edges, so the
-        // min-heap visits each op after all its changed predecessors and
-        // pops duplicates back to back.
-        self.work.push(Reverse(tdfg.topo_pos(o)));
+        // an arrival moved. Positions only grow along edges, so an upward
+        // scan of the worklist visits each op once, after all its changed
+        // predecessors.
+        let start = tdfg.topo_pos(o) as usize;
+        self.mark(start);
         for &(s, _) in tdfg.succs(o) {
-            self.work.push(Reverse(tdfg.topo_pos(s)));
+            self.mark(tdfg.topo_pos(s) as usize);
         }
-        let mut last = u32::MAX;
-        while let Some(Reverse(p)) = self.work.pop() {
-            if p == last {
-                continue;
-            }
-            last = p;
-            let x = tdfg.topo()[p as usize];
-            evals += 1;
-            let a = arrival(tdfg, delays, &self.r.arr, x, t, mode);
-            if a != self.r.arr[x.0 as usize] {
-                self.log(x);
-                self.r.arr[x.0 as usize] = a;
-                for &(s, _) in tdfg.succs(x) {
-                    self.work.push(Reverse(tdfg.topo_pos(s)));
+        for w in start / 64..self.work.len() {
+            while self.work[w] != 0 {
+                let bits = self.work[w];
+                self.work[w] = bits & (bits - 1);
+                let x = tdfg.topo()[w * 64 + bits.trailing_zeros() as usize];
+                evals += 1;
+                let a = arrival(tdfg, delays, &self.r.arr, x, t, mode);
+                if a != self.r.arr[x.0 as usize] {
+                    self.log(x);
+                    self.r.arr[x.0 as usize] = a;
+                    for &(s, _) in tdfg.succs(x) {
+                        self.mark(tdfg.topo_pos(s) as usize);
+                    }
                 }
             }
         }
         // Required times: `o`'s own (it reads `del(o)`), then backward
-        // over the fan-in wherever one moved.
-        self.work_rev.push(tdfg.topo_pos(o));
-        let mut last = u32::MAX;
-        while let Some(p) = self.work_rev.pop() {
-            if p == last {
-                continue;
-            }
-            last = p;
-            let x = tdfg.topo()[p as usize];
-            evals += 1;
-            let r = required(tdfg, delays, &self.r.req, x, t, mode);
-            if r != self.r.req[x.0 as usize] {
-                self.log(x);
-                self.r.req[x.0 as usize] = r;
-                for &(q, _) in tdfg.preds(x) {
-                    self.work_rev.push(tdfg.topo_pos(q));
+        // over the fan-in wherever one moved, by a downward scan.
+        self.mark(start);
+        for w in (0..=start / 64).rev() {
+            while self.work[w] != 0 {
+                let b = 63 - self.work[w].leading_zeros() as usize;
+                self.work[w] &= !(1 << b);
+                let x = tdfg.topo()[w * 64 + b];
+                evals += 1;
+                let r = required(tdfg, delays, &self.r.req, x, t, mode);
+                if r != self.r.req[x.0 as usize] {
+                    self.log(x);
+                    self.r.req[x.0 as usize] = r;
+                    for &(q, _) in tdfg.preds(x) {
+                        self.mark(tdfg.topo_pos(q) as usize);
+                    }
                 }
             }
         }
@@ -285,6 +306,11 @@ impl SlackState {
             self.min = self.r.min_slack();
         }
         evals
+    }
+
+    /// Puts topological position `p` on the worklist.
+    fn mark(&mut self, p: usize) {
+        self.work[p / 64] |= 1 << (p % 64);
     }
 
     /// Replaces the analysis with a complete recomputation `r` of the same

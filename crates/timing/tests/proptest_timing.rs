@@ -9,7 +9,7 @@ use adhls_ir::{Design, OpId, OpKind};
 use adhls_reslib::tsmc90;
 use adhls_timing::bellman::compute_slack_bellman;
 use adhls_timing::budget::{
-    budget, budget_with_choices_from, op_choices, BudgetOptions, SlackEngine,
+    budget, budget_with_choices_from, op_choices, BudgetEngine, BudgetOptions, SlackEngine,
 };
 use adhls_timing::slack::{compute_slack, SlackMode, SlackState};
 use adhls_timing::TimedDfg;
@@ -121,7 +121,8 @@ proptest! {
     /// slowest grades or a warm start. Either way a call makes at most two
     /// moves per candidate: phase 1 only upgrades, phase 2 only
     /// downgrades, and a reverted downgrade caps its op at its grade, so
-    /// no loop needs a move cap.
+    /// no loop needs a move cap. A reused `BudgetEngine` budgets like a
+    /// fresh one, counts included.
     #[test]
     fn budget_engines_agree(
         r in recipe(),
@@ -153,6 +154,9 @@ proptest! {
             overhead_ps: overhead,
             ..BudgetOptions::default()
         };
+        // A `BudgetEngine` kept across both calls, as the scheduler keeps
+        // one per run, must answer like the fresh one of each call.
+        let mut kept = BudgetEngine::default();
         for initial in [None, Some(warm.as_slice())] {
             let run = |engine| {
                 budget_with_choices_from(&tdfg, &choices, clock, &opts(engine), lock, initial)
@@ -165,6 +169,11 @@ proptest! {
             prop_assert_eq!(topo.min_slack, bf.min_slack);
             prop_assert_eq!(topo.moves, bf.moves);
             prop_assert_eq!(topo.reverted, bf.reverted);
+            kept.run(&tdfg, &choices, clock, &opts(SlackEngine::Topological), lock, initial);
+            prop_assert_eq!(kept.choice_idx(), &topo.choice_idx[..]);
+            prop_assert_eq!(kept.slack(), &topo.slack);
+            let counts = (kept.moves, kept.reverted, kept.slack_evals);
+            prop_assert_eq!(counts, (topo.moves, topo.reverted, topo.slack_evals));
             prop_assert!(
                 topo.moves <= bound,
                 "warm {}: {} moves over {} candidates",
