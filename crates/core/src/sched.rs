@@ -57,8 +57,8 @@
 //! relaxation round resets in place (bounds, grades, priorities,
 //! placement arrays, allocation, use lists, busy bitsets, the ready heap),
 //! one timed DFG, and one [`BudgetEngine`] that the run's initial budgets
-//! and per-edge rebudgets all reuse. A round allocates only where one of
-//! its tables outgrows every earlier round's.
+//! and per-edge rebudgets all reuse. None of these is rebuilt per round
+//! or per rebudget; a table grows only past the largest earlier one.
 
 use crate::alloc::{Allocation, InstId, PerClass};
 use crate::area::{self, AreaReport};
@@ -621,8 +621,7 @@ const NO_USE: u32 = u32::MAX;
 
 /// One run's scheduling workspace: the state of one `Schedule_pass`
 /// attempt, reset in place for each relaxation round, with the budgeting
-/// engine and the timed DFG every budget of the run reuses. A round
-/// allocates only where a table grows past every earlier round's.
+/// engine and the timed DFG every budget of the run reuses.
 struct Pass<'a> {
     design: &'a Design,
     info: &'a CfgInfo,
